@@ -3,9 +3,8 @@ Markovian data sources, with built-in convergence-rate diagnostics."""
 
 from .config import ScenarioConfig, parse_config
 from .core import (MetricsRecord, MetricsTrajectory, RateConstants, Scenario,
-                   SimState, StepSchedule, admissible_step_check,
-                   consensus_error, dcsa_step, lyapunov, optimality_error,
-                   run, step_size, tau_k, td_error)
+                   StepSchedule, admissible_step_check, lyapunov, run, tau_k,
+                   td_error)
 from .graphs import (Graph, GraphSchedule, WeightMatrix, lazy_metropolis,
                      second_singular_value, time_varying_eta, validate_graph,
                      validate_b_connectivity)
@@ -15,6 +14,6 @@ from .operators import (LocalOperator, OperatorConstants, ProblemSpec,
                         qlearning_operator, quadratic_grad_operator)
 from .sources import (ARSource, FiniteChain, MDPSource, Maze, MixingProfile,
                       fit_mixing_profile, global_tau, mixing_time, parse_maze,
-                      sample_step, stationary_distribution, tv_distance)
+                      stationary_distribution, tv_distance)
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ from .core import CoreError, admissible_step_check, run
 from .experiments import (ScenarioError, build_scenario, fit_rate_series,
                           greedy_policy_rollout, plateau_level)
 from .graphs import GraphError
-from .io import emit_metrics, emit_summary, read_metrics
+from .io import FormatError, emit_metrics, emit_summary, read_metrics
 from .operators import OperatorError, system_id_constants
 from .sources import SourceError, load_maze
 
@@ -22,7 +22,7 @@ EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
 _VALIDATION_ERRORS = (ConfigError, ScenarioError, GraphError, SourceError,
-                      OperatorError, CoreError, FileNotFoundError)
+                      OperatorError, CoreError, FormatError, FileNotFoundError)
 
 
 def _load_config(args):
@@ -135,7 +135,10 @@ def cmd_fit(args):
 
 def cmd_rollout(args):
     cfg = _load_config(args)
-    theta = np.load(args.theta)
+    try:
+        theta = np.asarray(np.load(args.theta), dtype=float)
+    except (ValueError, TypeError, EOFError) as exc:
+        raise FormatError(f"cannot read theta from {args.theta}: {exc}") from exc
     if theta.ndim == 2:
         theta = theta.mean(axis=0)
     results = []
@@ -154,11 +157,9 @@ def build_parser():
                                  "simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=False):
+    def common(p):
         p.add_argument("--config", required=True, help="scenario config path")
         p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument("--threads", choices=("1", "auto"), default="1",
-                       help="ensemble parallelism (single runs ignore this)")
 
     p_run = sub.add_parser("run", help="execute a scenario")
     common(p_run)

@@ -5,15 +5,14 @@ The update is theta_i <- sum_j W(i,j) theta_j + eps_k F_i(X_i, theta_i),
 executed bulk-synchronously from the pre-step iterate matrix.
 """
 
+import copy
 import math
 import warnings
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graphs import WeightMatrix
-from .operators import eval_local
 
 
 class CoreError(ValueError):
@@ -55,10 +54,6 @@ class StepSchedule:
         if self.kind == "constant":
             return self.eps
         return self.eps / (k + 1)
-
-
-def step_size(s: StepSchedule, k: int) -> float:
-    return s.value(k)
 
 
 def tau_k(beta: float, eps_k: float, rho: float) -> int:
@@ -170,83 +165,7 @@ def admissible_step_check(rc: RateConstants, s: StepSchedule, n_agents,
 
 
 # ---------------------------------------------------------------------------
-# state and metrics
-
-
-@dataclass
-class SimState:
-    """Agent iterate matrix (row i = theta_i) plus a bounded snapshot history
-    for delayed metrics."""
-
-    Theta: np.ndarray
-    k: int = 0
-    history: deque = None
-
-    def __post_init__(self):
-        self.Theta = np.asarray(self.Theta, dtype=float).copy()
-        if self.Theta.ndim != 2:
-            raise CoreError("Theta must be N x d")
-        if self.history is None:
-            self.history = deque(maxlen=2)
-        self.history.append((self.k, self.Theta.copy()))
-
-    @property
-    def n_agents(self):
-        return self.Theta.shape[0]
-
-    @property
-    def dim(self):
-        return self.Theta.shape[1]
-
-    def theta_bar(self):
-        return self.Theta.mean(axis=0)
-
-    def snapshot(self, k_past: int):
-        """Snapshot at iteration k_past, or the oldest retained one."""
-        for kk, th in self.history:
-            if kk == k_past:
-                return th
-        if self.history and k_past < self.history[0][0]:
-            return self.history[0][1]
-        raise CoreError(f"no snapshot for iteration {k_past}")
-
-
-def make_state(theta0, tau_max: int) -> SimState:
-    st = SimState(Theta=theta0)
-    st.history = deque(maxlen=tau_max + 1)
-    st.history.append((0, st.Theta.copy()))
-    return st
-
-
-def dcsa_step(state: SimState, W_k, samples, eps_k: float, ops) -> SimState:
-    """One bulk-synchronous update from the pre-step iterate matrix."""
-    w = W_k.entries if isinstance(W_k, WeightMatrix) else np.asarray(W_k)
-    n, d = state.Theta.shape
-    if w.shape != (n, n) or len(samples) != n or len(ops) != n:
-        raise CoreError("weights/samples/operators inconsistent with state")
-    if eps_k < 0:
-        raise CoreError("eps_k must be nonnegative")
-    drift = np.empty_like(state.Theta)
-    for i in range(n):
-        drift[i] = eval_local(ops[i], samples[i], state.Theta[i])
-    state.Theta = w @ state.Theta + eps_k * drift
-    state.k += 1
-    state.history.append((state.k, state.Theta.copy()))
-    return state
-
-
-def consensus_error(state: SimState) -> float:
-    """S^k: total squared deviation of rows from their average."""
-    dev = state.Theta - state.theta_bar()
-    return float(np.sum(dev * dev))
-
-
-def optimality_error(state: SimState, theta_star) -> float:
-    """R^k = ||theta_bar - theta*||^2; NaN when theta* is unknown."""
-    if theta_star is None:
-        return math.nan
-    diff = state.theta_bar() - np.asarray(theta_star, dtype=float)
-    return float(diff @ diff)
+# metrics
 
 
 def lyapunov(R: float, S_k: float, S_delayed: float) -> float:
@@ -330,7 +249,6 @@ class MetricsRecord:
     V: float
     td_error: float = math.nan
     lemma3_slack: float = math.nan
-    lemma4_slack: float = math.nan
 
 
 @dataclass
@@ -354,8 +272,10 @@ class Scenario:
     sigma2: float = math.nan
     eval_batches: list = None
     name: str = "scenario"
-    # optional vectorized (Theta, rngs) -> drift rows, bit-equivalent in law
-    # to the per-agent sample+eval loop; used by run() when present
+    # optional fused (Theta, rngs, X) -> drift rows, equivalent to the
+    # per-agent sample+eval loop and used by run() in its place; X stacks
+    # the sources' states (one row per agent) and the drift advances it
+    # in place
     vector_drift: callable = None
 
     def __post_init__(self):
@@ -364,6 +284,10 @@ class Scenario:
         n = len(self.sources)
         if len(self.ops) != n:
             raise CoreError("one operator per source required")
+        frames = ((self.weights,) if self.weights is not None
+                  else tuple(self.schedule_weights))
+        if not frames or any(np.shape(w.entries) != (n, n) for w in frames):
+            raise CoreError(f"weight matrices must be {n} x {n}")
         d = self.ops[0].dim
         if self.theta0 is None:
             self.theta0 = np.zeros((n, d))
@@ -415,12 +339,18 @@ def run(scenario: Scenario, collect_theta_bar: bool = False) -> MetricsTrajector
 
     Bit-deterministic for a fixed seed: per-agent sample streams are derived
     from (seed, agent, 'sample') and agents are reduced in index order.
+    All stream state (the RNGs and the sources' Markov states) is per run,
+    so the scenario is left unchanged and can be run again.
     """
     from .rng import derive_stream
 
     sc = scenario
     n, d = sc.n_agents, sc.dim
     rngs = [derive_stream(sc.seed, i, "sample") for i in range(n)]
+    if sc.vector_drift is not None:
+        X = np.array([src.state for src in sc.sources], dtype=float)
+    else:
+        sources = [copy.copy(src) for src in sc.sources]
     Theta = sc.theta0.copy()
 
     horizon = sc.horizon
@@ -471,11 +401,11 @@ def run(scenario: Scenario, collect_theta_bar: bool = False) -> MetricsTrajector
             break
         eps = sc.step.value(k)
         if sc.vector_drift is not None:
-            drift = sc.vector_drift(Theta, rngs)
+            drift = sc.vector_drift(Theta, rngs, X)
         else:
             drift = np.empty_like(Theta)
             for i in range(n):
-                drift[i] = ops_eval[i](sc.sources[i].sample(rngs[i]), Theta[i])
+                drift[i] = ops_eval[i](sources[i].sample(rngs[i]), Theta[i])
         Theta = sc.weight_entries_at(k) @ Theta + eps * drift
         if not np.all(np.isfinite(Theta)):
             aborted = True

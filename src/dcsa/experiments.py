@@ -2,6 +2,7 @@
 system identification and multi-task GridWorld Q-learning), plus rate
 fitting and policy rollout diagnostics."""
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -45,24 +46,25 @@ def sample_unit_ball(rng, dim):
 def _system_id_vector_drift(sources):
     """Batched one-step sampler + gradient for the AR/quadratic scenario.
 
-    Draws the same per-agent noise stream (two clipped standard normals per
-    step, in sample() order) so trajectories match the per-source path.
+    The returned drift(Theta, rngs, X) advances the stacked AR states X in
+    place. It draws the same per-agent noise stream (two clipped standard
+    normals per step, in sample() order) so trajectories match the
+    per-source path.
     """
     A_stack = np.stack([s.A for s in sources])
     u = sources[0].u
     clip = sources[0].noise_clip
     n = A_stack.shape[0]
-    states = np.stack([s.state for s in sources])
 
-    def drift(Theta, rngs):
+    def drift(Theta, rngs, X):
         noise = np.empty((n, 2))
         for i in range(n):
             noise[i] = rngs[i].standard_normal(2)
         np.clip(noise, -clip, clip, out=noise)
-        x1 = np.einsum("nij,nj->ni", A_stack, states)
+        x1 = np.einsum("nij,nj->ni", A_stack, X)
         x1[:, 0] += noise[:, 0]
         x2 = x1 @ u + noise[:, 1]
-        states[:] = x1
+        X[:] = x1
         resid = np.einsum("ni,ni->n", Theta, x1) - x2
         return -2.0 * resid[:, None] * x1
 
@@ -233,6 +235,9 @@ def greedy_policy_rollout(theta, maze: Maze, max_steps: int) -> RolloutResult:
     until a goal is reached or max_steps elapse."""
     feats = TabularFeatures(maze.n_cells, maze.n_actions)
     theta = np.asarray(theta, dtype=float)
+    if theta.shape != (feats.dim,):
+        raise ScenarioError(f"theta has shape {theta.shape}; the maze needs "
+                            f"{feats.dim} entries")
     s = maze.start
     path = [s]
     for _ in range(max_steps):
@@ -251,7 +256,6 @@ def run_seed_ensemble(cfg: ScenarioConfig, seeds, collect_theta_bar=False):
 
     out = []
     for seed in seeds:
-        import dataclasses as _dc
-        scenario = build_scenario(_dc.replace(cfg, seed=int(seed)))
+        scenario = build_scenario(dataclasses.replace(cfg, seed=int(seed)))
         out.append(run(scenario, collect_theta_bar=collect_theta_bar))
     return out

@@ -1,8 +1,8 @@
 """Metrics CSV and summary JSON emission.
 
 CSV columns (fixed order): k,eps_k,tau_k,R,S,S_delayed,V,td_error,
-lemma3_slack,lemma4_slack.  NaN is encoded as an empty field; floats are
-written in decimal notation with 12 significant digits.
+lemma3_slack.  NaN is encoded as an empty field; floats are written in
+decimal notation with 12 significant digits.
 """
 
 import csv
@@ -12,7 +12,12 @@ import math
 import numpy as np
 
 CSV_COLUMNS = ("k", "eps_k", "tau_k", "R", "S", "S_delayed", "V",
-               "td_error", "lemma3_slack", "lemma4_slack")
+               "td_error", "lemma3_slack")
+
+
+class FormatError(ValueError):
+    """Raised for an input file whose contents are not in the expected
+    format."""
 
 
 def _fmt(value):
@@ -41,13 +46,20 @@ def read_metrics(path):
     """Read a metrics CSV back into a dict of numpy arrays (NaN for blanks)."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != CSV_COLUMNS:
-            raise ValueError(f"unexpected CSV header in {path}: {header}")
+        header = next(reader, None)
+        if header is None or tuple(header) != CSV_COLUMNS:
+            raise FormatError(f"unexpected CSV header in {path}: {header}")
         cols = {name: [] for name in CSV_COLUMNS}
         for row in reader:
+            if len(row) != len(CSV_COLUMNS):
+                raise FormatError(f"{path} line {reader.line_num}: expected "
+                                  f"{len(CSV_COLUMNS)} fields, got {len(row)}")
             for name, cell in zip(CSV_COLUMNS, row):
-                cols[name].append(float(cell) if cell else math.nan)
+                try:
+                    cols[name].append(float(cell) if cell else math.nan)
+                except ValueError:
+                    raise FormatError(f"{path} line {reader.line_num}: "
+                                      f"non-numeric {name} {cell!r}") from None
     return {name: np.array(vals) for name, vals in cols.items()}
 
 

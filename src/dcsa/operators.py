@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 from scipy.linalg import solve_discrete_lyapunov
 
 from .sources import ARSource, FiniteChain, Maze, stationary_distribution
@@ -200,8 +199,10 @@ def estimate_constants(op: LocalOperator, observations, theta_pairs,
 def clipped_normal_variance(clip: float) -> float:
     """Variance of a standard normal truncated by clipping to [-clip, clip]."""
     c = float(clip)
-    inner = (stats.norm.cdf(c) - stats.norm.cdf(-c)) - 2.0 * c * stats.norm.pdf(c)
-    return inner + c * c * 2.0 * stats.norm.sf(c)
+    z = c / math.sqrt(2.0)
+    # P(|Z| < c) - 2 c pdf(c) + c^2 P(|Z| > c)
+    two_c_pdf = 2.0 * c * math.exp(-0.5 * c * c) / math.sqrt(2.0 * math.pi)
+    return math.erf(z) - two_c_pdf + c * c * math.erfc(z)
 
 
 def ar_stationary_covariance(A, noise_clip) -> np.ndarray:

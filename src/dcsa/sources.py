@@ -8,7 +8,6 @@ uniform behavior policy with goal-to-start teleports.
 import math
 from dataclasses import dataclass, field
 
-import networkx as nx
 import numpy as np
 
 ROW_TOL = 1e-12
@@ -51,15 +50,34 @@ class FiniteChain:
         return self.state
 
 
+def _bfs_levels(adj):
+    """Breadth-first depth of every node from node 0 along the boolean
+    adjacency matrix adj; -1 for nodes it does not reach."""
+    level = np.full(adj.shape[0], -1)
+    frontier = np.zeros(adj.shape[0], dtype=bool)
+    frontier[0] = True
+    depth = 0
+    while frontier.any():
+        level[frontier] = depth
+        frontier = adj[frontier].any(axis=0) & (level < 0)
+        depth += 1
+    return level
+
+
 def ergodicity_report(c: FiniteChain):
-    """(irreducible, aperiodic) for the chain's support digraph."""
-    g = nx.DiGraph()
-    g.add_nodes_from(range(c.n_states))
-    rows, cols = np.nonzero(c.transition > 0)
-    g.add_edges_from(zip(rows.tolist(), cols.tolist()))
-    irreducible = nx.is_strongly_connected(g)
-    aperiodic = irreducible and nx.is_aperiodic(g)
-    return irreducible, aperiodic
+    """(irreducible, aperiodic) for the chain's support digraph.
+
+    Irreducible: state 0 reaches every state and every state reaches it.
+    The period of an irreducible chain is the gcd of level[u] + 1 - level[v]
+    over the support edges u -> v, with breadth-first levels from state 0.
+    """
+    support = c.transition > 0
+    level = _bfs_levels(support)
+    if np.any(level < 0) or np.any(_bfs_levels(support.T) < 0):
+        return False, False
+    rows, cols = np.nonzero(support)
+    period = np.gcd.reduce(level[rows] + 1 - level[cols])
+    return True, bool(period == 1)
 
 
 def _require_ergodic(c: FiniteChain):
@@ -362,8 +380,3 @@ class MDPSource:
         s_next, r = self.maze.move(s, a)
         self.state = self.maze.start if s_next in self.maze.goals else s_next
         return s, a, r, s_next
-
-
-def sample_step(src, rng):
-    """Advance a source one step and return its observation."""
-    return src.sample(rng)

@@ -262,10 +262,8 @@ def test_criterion_10_determinism(tmp_path):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(cfg_text)
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["run", "--config", str(cfg_path), "--out", str(out1),
-                 "--threads", "1"]) == 0
-    assert main(["run", "--config", str(cfg_path), "--out", str(out2),
-                 "--threads", "1"]) == 0
+    assert main(["run", "--config", str(cfg_path), "--out", str(out1)]) == 0
+    assert main(["run", "--config", str(cfg_path), "--out", str(out2)]) == 0
     identical = ((out1 / "metrics.csv").read_bytes()
                  == (out2 / "metrics.csv").read_bytes())
 

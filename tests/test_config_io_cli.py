@@ -9,7 +9,8 @@ from dcsa.cli import main
 from dcsa.config import (ConfigError, ScenarioConfig, config_to_text,
                          parse_config, parse_topology)
 from dcsa.core import MetricsRecord, MetricsTrajectory, StepSchedule
-from dcsa.io import CSV_COLUMNS, emit_metrics, emit_summary, read_metrics
+from dcsa.io import (CSV_COLUMNS, FormatError, emit_metrics, emit_summary,
+                     read_metrics)
 
 
 def empty_traj(records=()):
@@ -175,10 +176,8 @@ def test_cli_run_writes_outputs(tmp_path, capsys):
 def test_cli_run_byte_identical(tmp_path):
     cfg = write_cfg(tmp_path, SYSTEM_ID_CFG)
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["run", "--config", cfg, "--out", str(out1),
-                 "--threads", "1"]) == 0
-    assert main(["run", "--config", cfg, "--out", str(out2),
-                 "--threads", "1"]) == 0
+    assert main(["run", "--config", cfg, "--out", str(out1)]) == 0
+    assert main(["run", "--config", cfg, "--out", str(out2)]) == 0
     assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
 
 
@@ -233,6 +232,68 @@ def test_cli_fit_on_emitted_csv(tmp_path, capsys):
                  "--kmin", "10", "--kmax", "999"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["slope"] == pytest.approx(-1.0, abs=1e-2)
+
+
+def emitted_csv(tmp_path):
+    path = tmp_path / "m.csv"
+    emit_metrics(empty_traj([MetricsRecord(k=k, eps_k=0.1, tau_k=0, R=1.0,
+                                           S=0.0, S_delayed=0.0, V=1.0)
+                             for k in range(3)]), path)
+    return path
+
+
+def assert_fit_rejects(path, capsys):
+    assert main(["fit", "--csv", str(path)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_fit_wrong_header_exit_code(tmp_path, capsys):
+    path = emitted_csv(tmp_path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([lines[0] + ",lemma4_slack"] + lines[1:]) + "\n")
+    assert_fit_rejects(path, capsys)
+
+
+def test_cli_fit_empty_csv_exit_code(tmp_path, capsys):
+    path = tmp_path / "m.csv"
+    path.write_text("")
+    assert_fit_rejects(path, capsys)
+
+
+def test_cli_fit_non_numeric_cell_exit_code(tmp_path, capsys):
+    path = emitted_csv(tmp_path)
+    path.write_text(path.read_text().replace("\n1,", "\nabc,", 1))
+    assert_fit_rejects(path, capsys)
+
+
+def test_read_metrics_rejects_short_row(tmp_path):
+    path = emitted_csv(tmp_path)
+    path.write_text(path.read_text() + "3,0.1\n")
+    with pytest.raises(FormatError, match="line 5"):
+        read_metrics(path)
+
+
+def rollout_setup(tmp_path):
+    maze = tmp_path / "maze.txt"
+    maze.write_text("SG\n")
+    cfg = write_cfg(tmp_path, (
+        "scenario = gridworld\nn_agents = 1\ndim = 8\nseed = 1\n"
+        f"maze_files = {maze}\nhorizon = 10\n"))
+    return cfg, tmp_path / "theta.npy"
+
+
+def test_cli_rollout_non_array_theta_exit_code(tmp_path, capsys):
+    cfg, theta = rollout_setup(tmp_path)
+    np.save(theta, np.array({"theta": [0.0] * 8}, dtype=object))
+    assert main(["rollout", "--config", cfg, "--theta", str(theta)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_rollout_wrong_theta_length_exit_code(tmp_path, capsys):
+    cfg, theta = rollout_setup(tmp_path)
+    np.save(theta, np.zeros(7))
+    assert main(["rollout", "--config", cfg, "--theta", str(theta)]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_rollout(tmp_path, capsys):

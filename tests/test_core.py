@@ -5,12 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcsa.core import (CoreError, RateConstants, Scenario,
-                       SimState, StepSchedule, admissible_step_check,
-                       consensus_error, dcsa_step, fit_c_tau, lemma3_residual,
-                       lemma4_residual, lyapunov, make_state,
-                       optimality_error, run, step_size, tau_k, td_error)
-from dcsa.graphs import lazy_metropolis, line_graph
+from dcsa.core import (CoreError, RateConstants, Scenario, StepSchedule,
+                       admissible_step_check, fit_c_tau, lemma3_residual,
+                       lemma4_residual, lyapunov, run, tau_k, td_error)
+from dcsa.graphs import WeightMatrix, lazy_metropolis, line_graph
 from dcsa.operators import (LocalOperator, TabularFeatures,
                             qlearning_operator, quadratic_grad_operator)
 from dcsa.sources import ARSource
@@ -43,11 +41,11 @@ def consensus_scenario(n, d, ops, horizon, step, theta0=None, theta_star=None,
 
 def test_step_sizes():
     dim = StepSchedule(kind="diminishing", eps=3e-2)
-    assert step_size(dim, 0) == pytest.approx(0.03)
-    assert step_size(dim, 2) == pytest.approx(0.01)
+    assert dim.value(0) == pytest.approx(0.03)
+    assert dim.value(2) == pytest.approx(0.01)
     const = StepSchedule(kind="constant", eps=5e-4)
     for k in (0, 1, 10_000):
-        assert step_size(const, k) == 5e-4
+        assert const.value(k) == 5e-4
 
 
 def test_diminishing_schedule_enforces_eps_floor():
@@ -140,54 +138,72 @@ def test_admissibility_diminishing_boundary_alpha():
 
 
 # ---------------------------------------------------------------------------
-# the step
+# one step and the metrics at k = 0, through run() with horizon 1 or 0
+
+
+def one_step(n, d, ops, eps, theta0):
+    """A horizon-1 run on the lazy-Metropolis path graph."""
+    sc = consensus_scenario(n, d, ops, horizon=1, theta0=theta0,
+                            step=StepSchedule(kind="constant", eps=eps))
+    return run(sc)
+
+
+def initial_metrics(theta0, theta_star=None):
+    """(R^0, S^0) of a horizon-0 run from theta0."""
+    theta0 = np.asarray(theta0, dtype=float)
+    n, d = theta0.shape
+    traj = run(consensus_scenario(n, d, [zero_op(d)] * n, horizon=0,
+                                  step=StepSchedule(kind="constant", eps=0.1),
+                                  theta0=theta0, theta_star=theta_star))
+    return traj.R_hist[0], traj.S_hist[0]
 
 
 def test_dcsa_step_consensus_fixed_point():
-    w = lazy_metropolis(line_graph(3))
-    state = make_state(np.full((3, 2), 4.2), tau_max=2)
-    dcsa_step(state, w, [None] * 3, 0.7, [zero_op(2)] * 3)
-    np.testing.assert_allclose(state.Theta, np.full((3, 2), 4.2), atol=1e-14)
+    traj = one_step(3, 2, [zero_op(2)] * 3, 0.7, np.full((3, 2), 4.2))
+    np.testing.assert_allclose(traj.theta_final, np.full((3, 2), 4.2),
+                               atol=1e-14)
 
 
 def test_dcsa_step_pure_consensus():
+    """A vanishing step leaves exactly the gossip average W theta."""
     w = lazy_metropolis(line_graph(3))
     theta0 = np.array([[1.0], [2.0], [3.0]])
-    state = make_state(theta0, tau_max=2)
-    dcsa_step(state, w, [None] * 3, 0.0, [decay_op(1)] * 3)
-    np.testing.assert_allclose(state.Theta, w.entries @ theta0, atol=1e-15)
-    assert state.k == 1
+    traj = one_step(3, 1, [decay_op(1)] * 3, 1e-300, theta0)
+    np.testing.assert_allclose(traj.theta_final, w.entries @ theta0,
+                               atol=1e-15)
+    assert traj.records[-1].k == 1
 
 
 def test_dcsa_step_single_agent_derived():
-    state = make_state(np.array([[1.0]]), tau_max=1)
-    dcsa_step(state, np.array([[1.0]]), [None], 0.5, [decay_op(1)])
-    assert state.Theta[0, 0] == pytest.approx(0.5)
+    traj = one_step(1, 1, [decay_op(1)], 0.5, np.array([[1.0]]))
+    assert traj.theta_final[0, 0] == pytest.approx(0.5)
 
 
 def test_dcsa_step_dimension_check():
-    state = make_state(np.zeros((3, 1)), tau_max=1)
+    step = StepSchedule(kind="constant", eps=0.1)
+    eye2 = WeightMatrix(entries=np.eye(2), sigma2=0.0)
     with pytest.raises(CoreError):
-        dcsa_step(state, np.eye(2), [None] * 3, 0.1, [zero_op(1)] * 3)
-
-
-# ---------------------------------------------------------------------------
-# metrics
+        Scenario(sources=[NullSource()] * 3, ops=[zero_op(1)] * 3, step=step,
+                 horizon=1, seed=0, weights=eye2)
+    with pytest.raises(CoreError):
+        Scenario(sources=[NullSource()] * 3, ops=[zero_op(1)] * 3, step=step,
+                 horizon=1, seed=0,
+                 schedule_weights=(lazy_metropolis(line_graph(3)), eye2))
 
 
 def test_consensus_error_values():
-    assert consensus_error(SimState(Theta=np.array([[2.0], [2.0]]))) == 0.0
-    assert consensus_error(SimState(Theta=np.array([[1.0], [-1.0]]))) \
+    assert initial_metrics(np.array([[2.0], [2.0]]))[1] == 0.0
+    assert initial_metrics(np.array([[1.0], [-1.0]]))[1] \
         == pytest.approx(2.0)
-    assert consensus_error(SimState(Theta=np.full((3, 2), -7.3))) \
+    assert initial_metrics(np.full((3, 2), -7.3))[1] \
         == pytest.approx(0.0, abs=1e-24)
 
 
 def test_optimality_error_values():
-    st_ = SimState(Theta=np.array([[3.0]]))
-    assert optimality_error(st_, np.array([1.0])) == pytest.approx(4.0)
-    assert optimality_error(st_, np.array([3.0])) == 0.0
-    assert math.isnan(optimality_error(st_, None))
+    theta0 = np.array([[3.0]])
+    assert initial_metrics(theta0, np.array([1.0]))[0] == pytest.approx(4.0)
+    assert initial_metrics(theta0, np.array([3.0]))[0] == 0.0
+    assert math.isnan(initial_metrics(theta0, None)[0])
 
 
 def test_lyapunov_values():
@@ -211,11 +227,9 @@ def test_lemma3_residual_identity():
 def test_lemma3_pure_consensus_contraction():
     """eps = 0 on the 3-node path from S = 2: the recursion bound
     (1 + sigma2^2)/2 * S dominates the contracted S."""
-    w = lazy_metropolis(line_graph(3))
     theta0 = np.array([[1.0], [0.0], [-1.0]])  # S = 2
-    state = make_state(theta0, tau_max=1)
-    dcsa_step(state, w, [None] * 3, 0.0, [zero_op(1)] * 3)
-    s_next = consensus_error(state)
+    traj = one_step(3, 1, [zero_op(1)] * 3, 0.1, theta0)
+    s_next = traj.S_hist[1]
     assert s_next <= (1 + 0.75**2) / 2 * 2.0 + 1e-12
 
 

@@ -1,5 +1,10 @@
+import copy
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcsa.config import ScenarioConfig
 from dcsa.core import CoreError, MetricsTrajectory, StepSchedule, run
@@ -152,9 +157,23 @@ def test_system_id_root_condition_monte_carlo():
     assert np.all(np.abs(mean) <= 5 * stderr)
 
 
-def test_system_id_vector_drift_matches_slow_path():
-    cfg = ScenarioConfig(scenario="system_id", n_agents=5, dim=3, seed=3,
-                         horizon=500, stride=100)
+def alternating_frames(n):
+    """Two frames of disjoint neighbour pairs whose union is the path."""
+    even = [[i, i + 1] for i in range(0, n - 1, 2)]
+    odd = [[i, i + 1] for i in range(1, n - 1, 2)]
+    return f"edges:{json.dumps(even)};edges:{json.dumps(odd)}"
+
+
+@given(n=st.integers(1, 6), d=st.integers(1, 5),
+       step_kind=st.sampled_from(["constant", "diminishing"]),
+       time_varying=st.booleans(), seed=st.integers(0, 2**31 - 1))
+@settings(max_examples=25, deadline=None)
+def test_system_id_vector_drift_matches_slow_path(n, d, step_kind,
+                                                  time_varying, seed):
+    frames = alternating_frames(n) if time_varying else ""
+    cfg = ScenarioConfig(scenario="system_id", n_agents=n, dim=d, seed=seed,
+                         horizon=500, stride=100, step_kind=step_kind,
+                         frames=frames, period_b=2)
     fast = run(build_scenario(cfg))
     slow_sc = build_scenario(cfg)
     slow_sc.vector_drift = None
@@ -164,6 +183,35 @@ def test_system_id_vector_drift_matches_slow_path():
                                rtol=1e-12, atol=1e-15)
     np.testing.assert_allclose(fast.R_hist, slow.R_hist, rtol=1e-10,
                                atol=1e-15)
+
+
+def reuse_scenarios():
+    sysid = ScenarioConfig(scenario="system_id", n_agents=4, dim=3, seed=2,
+                           horizon=300, stride=50)
+    slow = build_scenario(sysid)
+    slow.vector_drift = None
+    grid = ScenarioConfig(scenario="gridworld", n_agents=3, dim=100, seed=1,
+                          horizon=300, stride=50, maze_files="unused",
+                          eval_batch_size=20, step_kind="constant",
+                          step_eps=0.05)
+    return {"system_id": build_scenario(sysid), "system_id_slow": slow,
+            "gridworld": build_gridworld_scenario(
+                grid, mazes=[parse_maze(m) for m in MAZES])}
+
+
+@pytest.mark.parametrize("name", ["system_id", "system_id_slow", "gridworld"])
+def test_run_twice_on_one_scenario(name):
+    """run() owns every piece of stream state: a second run of the same
+    Scenario repeats the first bit for bit and leaves the sources as built."""
+    sc = reuse_scenarios()[name]
+    states = [copy.deepcopy(src.state) for src in sc.sources]
+    first, second = run(sc), run(sc)
+    for a, b in ((first.R_hist, second.R_hist), (first.S_hist, second.S_hist),
+                 (first.theta_final, second.theta_final),
+                 (first.column("td_error"), second.column("td_error"))):
+        np.testing.assert_array_equal(a, b)
+    for src, state in zip(sc.sources, states):
+        np.testing.assert_array_equal(src.state, state)
 
 
 def test_system_id_rejects_disconnected_fixed_topology():

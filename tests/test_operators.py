@@ -207,6 +207,12 @@ def test_clipped_normal_variance():
     rng = np.random.default_rng(0)
     draws = np.clip(rng.standard_normal(2_000_000), -1.0, 1.0)
     assert clipped_normal_variance(1.0) == pytest.approx(draws.var(), abs=2e-3)
+    # the scipy.stats form of the same expression, to within one ulp
+    from scipy import stats
+    for c in (0.1, 1.0, 3.0, 50.0):
+        ref = ((stats.norm.cdf(c) - stats.norm.cdf(-c))
+               - 2.0 * c * stats.norm.pdf(c) + c * c * 2.0 * stats.norm.sf(c))
+        assert abs(clipped_normal_variance(c) - ref) <= np.finfo(float).eps * ref
 
 
 def test_ar_stationary_covariance_d1():

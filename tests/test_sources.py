@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dcsa.rng import derive_stream
 from dcsa.sources import (ARSource, FiniteChain, MDPSource, SourceError,
-                          ar_state_bound, fit_mixing_profile, global_tau,
-                          mixing_time, parse_maze, sample_step, slem,
-                          stationary_distribution, tv_distance)
+                          ar_state_bound, ergodicity_report,
+                          fit_mixing_profile, global_tau, mixing_time,
+                          parse_maze, slem, stationary_distribution,
+                          tv_distance)
 
 
 def two_state_chain(p, q):
@@ -64,6 +65,46 @@ def test_stationary_residual_below_1e12():
         mu = stationary_distribution(c)
         assert np.max(np.abs(mu @ c.transition - mu)) <= 1e-12
         assert mu.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def _positive_power(support, k):
+    """Whether every entry of the k-th power of the 0/1 matrix is > 0."""
+    n = support.shape[0]
+    power = np.eye(n, dtype=bool)
+    for _ in range(k):
+        power = (power.astype(int) @ support.astype(int)) > 0
+    return bool(power.all())
+
+
+@st.composite
+def random_chains(draw):
+    """Chains with random support: weights in 0..3, and an all-zero row
+    moved onto its successor state."""
+    n = draw(st.integers(1, 6))
+    w = np.array(draw(st.lists(st.integers(0, 3), min_size=n * n,
+                               max_size=n * n)), dtype=float).reshape(n, n)
+    for i in range(n):
+        if w[i].sum() == 0:
+            w[i, (i + 1) % n] = 1.0
+    return FiniteChain(transition=w / w.sum(axis=1, keepdims=True))
+
+
+CYCLE4 = np.roll(np.eye(4), 1, axis=1)
+
+
+@given(random_chains())
+@example(FiniteChain(transition=CYCLE4))                        # period 4
+@example(FiniteChain(transition=0.5 * (np.eye(4) + CYCLE4)))    # lazy cycle
+@example(FiniteChain(transition=np.eye(2)))                     # reducible
+@settings(max_examples=300, deadline=None)
+def test_ergodicity_report_matches_matrix_power_oracle(c):
+    """Irreducible iff (I + P)^(n-1) > 0; aperiodic (primitive) iff
+    P^((n-1)^2 + 1) > 0 (Wielandt)."""
+    n = c.n_states
+    support = c.transition > 0
+    irreducible = _positive_power(np.eye(n, dtype=bool) | support, n - 1)
+    primitive = _positive_power(support, (n - 1) ** 2 + 1)
+    assert ergodicity_report(c) == (irreducible, irreducible and primitive)
 
 
 def test_chain_sampling_law_of_large_numbers():
@@ -299,4 +340,4 @@ def test_mdp_source_visits_all_free_cells():
 
 def test_sample_step_dispatch():
     chain = FiniteChain(transition=[[0, 1], [1e-9, 1 - 1e-9]], state=0)
-    assert sample_step(chain, derive_stream(0, 0, "sample")) == 1
+    assert chain.sample(derive_stream(0, 0, "sample")) == 1
