@@ -1,6 +1,7 @@
 """Command-line entry points: run, check, fit, rollout."""
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -22,7 +23,7 @@ EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
 _VALIDATION_ERRORS = (ConfigError, ScenarioError, GraphError, SourceError,
-                      OperatorError, CoreError, FormatError, FileNotFoundError)
+                      OperatorError, CoreError, FormatError, OSError)
 
 
 def _load_config(args):
@@ -49,8 +50,8 @@ def _admissibility(cfg, scenario):
 def cmd_run(args):
     cfg = _load_config(args)
     scenario = build_scenario(cfg)
-    traj = run(scenario)
     os.makedirs(args.out, exist_ok=True)
+    traj = run(scenario)
     emit_metrics(traj, os.path.join(args.out, "metrics.csv"))
     np.save(os.path.join(args.out, "theta_final.npy"), traj.theta_final)
 
@@ -94,7 +95,7 @@ def _fit_traj(traj, metric, k_min, k_max):
 
 def cmd_check(args):
     cfg = _load_config(args)
-    scenario = build_scenario(cfg)
+    scenario = build_scenario(dataclasses.replace(cfg, compute_constants=True))
     report = {
         "scenario": cfg.scenario,
         "n_agents": scenario.n_agents,
@@ -106,10 +107,6 @@ def cmd_check(args):
     if cfg.scenario == "system_id":
         oc = system_id_constants(scenario.sources)
         report["constants"] = {"B": oc.B, "L": oc.L, "alpha": oc.alpha}
-        if scenario.constants is None:
-            import dataclasses
-            cfg2 = dataclasses.replace(cfg, compute_constants=True)
-            scenario = build_scenario(cfg2)
     report["admissibility"] = _admissibility(cfg, scenario)
     print(json.dumps(report, indent=2, sort_keys=True))
     if args.out:

@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_discrete_lyapunov
 
 from .sources import ARSource, FiniteChain, Maze, stationary_distribution
 
@@ -206,12 +205,27 @@ def clipped_normal_variance(clip: float) -> float:
 
 
 def ar_stationary_covariance(A, noise_clip) -> np.ndarray:
-    """Stationary covariance of the AR state: Sigma = A Sigma A^T + q e1 e1^T."""
+    """Stationary covariance of the AR state: Sigma = A Sigma A^T + q e1 e1^T.
+
+    Sums Sigma = sum_j A^j Q (A^j)^T by doubling (Smith's method): after
+    step k, sigma holds the first 2^k terms and P = A^(2^k).  For a
+    nilpotent A (the subdiagonal system-id matrices) P reaches 0 after
+    ceil(log2 d) steps and the sum is exact.
+    """
     A = np.asarray(A, dtype=float)
     d = A.shape[0]
-    q = np.zeros((d, d))
-    q[0, 0] = clipped_normal_variance(noise_clip)
-    return solve_discrete_lyapunov(A, q)
+    if not np.max(np.abs(np.linalg.eigvals(A))) < 1.0:
+        raise OperatorError("spectral radius of A must be < 1")
+    sigma = np.zeros((d, d))
+    sigma[0, 0] = clipped_normal_variance(noise_clip)
+    P = A
+    while True:
+        nxt = sigma + P @ sigma @ P.T
+        if np.array_equal(nxt, sigma):
+            return sigma
+        if not np.all(np.isfinite(nxt)):
+            raise OperatorError("stationary covariance overflows float64")
+        sigma, P = nxt, P @ P
 
 
 def system_id_constants(sources) -> OperatorConstants:

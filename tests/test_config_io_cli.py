@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -196,9 +198,30 @@ def test_cli_validation_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_cli_missing_config_exit_code(tmp_path, capsys):
-    assert main(["run", "--config", str(tmp_path / "nope.cfg"),
-                 "--out", str(tmp_path / "o")]) == 1
+def bad_path_argv(case, tmp_path):
+    """argv for one CLI call whose user-named path is missing or the wrong
+    kind: a directory where a file is read, a file where --out must go."""
+    cfg = write_cfg(tmp_path, SYSTEM_ID_CFG)
+    out = str(tmp_path / "o")
+    if case == "missing-config":
+        return ["run", "--config", str(tmp_path / "nope.cfg"), "--out", out]
+    if case == "config-dir":
+        return ["run", "--config", str(tmp_path), "--out", out]
+    if case == "out-file":
+        return ["run", "--config", cfg, "--out", cfg]
+    if case == "csv-dir":
+        return ["fit", "--csv", str(tmp_path)]
+    cfg, _ = rollout_setup(tmp_path)
+    return ["rollout", "--config", cfg, "--theta", str(tmp_path)]
+
+
+@pytest.mark.parametrize("case", ["missing-config", "config-dir", "out-file",
+                                  "csv-dir", "theta-dir"])
+def test_cli_bad_path_exit_code(case, tmp_path, capsys):
+    assert main(bad_path_argv(case, tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -219,6 +242,27 @@ def test_cli_check_reports_constants(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["constants"]["B"] > 0
     assert report["admissibility"]["checked"]
+
+
+def test_cli_check_computes_constants_regardless_of_config(tmp_path, capsys):
+    reports = []
+    for extra in ("", "compute_constants = true\n"):
+        cfg = write_cfg(tmp_path, SYSTEM_ID_CFG + extra)
+        assert main(["check", "--config", cfg]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["admissibility"]["checked"]
+
+
+def test_import_loads_no_scipy():
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    code = ("import sys, dcsa.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"
 
 
 def test_cli_fit_on_emitted_csv(tmp_path, capsys):

@@ -1,6 +1,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcsa.operators import (LocalOperator, OperatorError, ProblemSpec,
                             TabularFeatures, ar_stationary_covariance,
@@ -221,6 +223,43 @@ def test_ar_stationary_covariance_d1():
     q = clipped_normal_variance(clip)
     cov = ar_stationary_covariance(np.array([[a]]), clip)
     assert cov[0, 0] == pytest.approx(q / (1 - a * a))
+
+
+@st.composite
+def stable_matrices(draw):
+    """Subdiagonal system-id matrices, or dense ones scaled to rho < 1."""
+    d = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        sub = draw(st.lists(st.floats(0.8, 0.99), min_size=d - 1,
+                            max_size=d - 1))
+        return np.diag(sub, -1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.standard_normal((d, d))
+    return m * draw(st.floats(0.0, 0.99)) / np.max(np.abs(np.linalg.eigvals(m)))
+
+
+@given(stable_matrices(), st.floats(0.1, 5.0))
+@settings(max_examples=200, deadline=None)
+def test_ar_stationary_covariance_matches_scipy(A, clip):
+    from scipy.linalg import solve_discrete_lyapunov
+    q = np.zeros(A.shape)
+    q[0, 0] = clipped_normal_variance(clip)
+    ref = solve_discrete_lyapunov(A, q)
+    cov = ar_stationary_covariance(A, clip)
+    scale = np.max(np.abs(ref))
+    np.testing.assert_allclose(cov, ref, rtol=1e-10, atol=1e-10 * scale)
+    assert np.max(np.abs(A @ cov @ A.T + q - cov)) <= 1e-12 * scale
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_ar_stationary_covariance_rejects_unstable_and_overflowing_A():
+    for A in (np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]),
+              np.array([[1.01]])):
+        with pytest.raises(OperatorError, match="spectral radius"):
+            ar_stationary_covariance(A, 3.0)
+    # rho = 0.5, but the transient A^j e1 outgrows float64
+    with pytest.raises(OperatorError, match="overflows"):
+        ar_stationary_covariance(np.array([[0.5, 0.0], [1e300, 0.5]]), 3.0)
 
 
 def test_system_id_constants_alpha_d1():
