@@ -14,7 +14,8 @@ from .core import CoreError, admissible_step_check, run
 from .experiments import (ScenarioError, build_scenario, fit_rate_series,
                           greedy_policy_rollout, plateau_level)
 from .graphs import GraphError
-from .io import FormatError, emit_metrics, emit_summary, read_metrics
+from .io import (FormatError, clean_json, emit_metrics, emit_summary,
+                 read_metrics)
 from .operators import OperatorError, system_id_constants
 from .sources import SourceError, load_maze
 
@@ -72,9 +73,9 @@ def cmd_run(args):
     solved = None
     if scenario.name == "gridworld" and not traj.aborted:
         theta_bar = traj.theta_final.mean(axis=0)
-        mazes = [load_maze(p) for p in maze_paths(cfg)]
-        solved = sum(greedy_policy_rollout(theta_bar, m, 4 * m.n_cells).reached
-                     for m in mazes)
+        solved = sum(greedy_policy_rollout(theta_bar, src.maze,
+                                           4 * src.maze.n_cells).reached
+                     for src in scenario.sources)
     emit_summary({
         "scenario": cfg.scenario, "seed": cfg.seed, "slope": slope, "r2": r2,
         "plateau": plateau, "solved_mazes": solved,
@@ -108,9 +109,11 @@ def cmd_check(args):
         oc = system_id_constants(scenario.sources)
         report["constants"] = {"B": oc.B, "L": oc.L, "alpha": oc.alpha}
     report["admissibility"] = _admissibility(cfg, scenario)
-    print(json.dumps(report, indent=2, sort_keys=True))
+    report = clean_json(report)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
+    print(json.dumps(report, indent=2, sort_keys=True))
+    if args.out:
         emit_summary(report, os.path.join(args.out, "check.json"))
     return EXIT_OK
 

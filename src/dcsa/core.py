@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import WeightMatrix
+from .operators import bellman_residual
 
 
 class CoreError(ValueError):
@@ -149,10 +150,7 @@ def admissible_step_check(rc: RateConstants, s: StepSchedule, n_agents,
             t = tau_k(beta, s.eps, rho)
             margins["constant_eps_tau"] = bound - s.eps * t
         else:
-            alpha_margin = math.nan
-            if s.alpha is not None:
-                alpha_margin = s.eps - 8.0 / s.alpha
-            margins["diminishing_eps_vs_8_over_alpha"] = alpha_margin
+            margins["diminishing_eps_vs_8_over_alpha"] = s.eps - 8.0 / rc.alpha
             worst = math.inf
             for k in range(horizon + 1):
                 t = tau_k(beta, s.value(k), rho)
@@ -225,12 +223,13 @@ def td_error(theta_rows, eval_batches, ops) -> float:
     for theta, batch, op in zip(theta_rows, eval_batches, ops):
         if op.kind != "qlearning":
             raise CoreError("td_error applies to Q-learning operators only")
-        feats = op.params["features"]
-        gamma = op.params["gamma"]
-        for (s, a, r, s_next) in batch:
-            q_next = float(np.max(feats.q_values(theta, s_next)))
-            total += abs(float(r) + gamma * q_next - theta[feats.index(s, a)])
-            count += 1
+        if len(batch) == 0:
+            continue
+        s, a, r, s_next = np.asarray(batch, dtype=float).T
+        res = bellman_residual(op.params["features"], op.params["gamma"], theta,
+                               s.astype(int), a.astype(int), r, s_next.astype(int))
+        total += float(np.abs(res).sum())
+        count += res.size
     return total / count
 
 

@@ -63,26 +63,29 @@ def read_metrics(path):
     return {name: np.array(vals) for name, vals in cols.items()}
 
 
+def clean_json(obj):
+    """obj with numpy scalars made Python scalars and every non-finite
+    float (NaN, +-inf) made None, so that json.dumps writes strict JSON."""
+    if isinstance(obj, dict):
+        return {k: clean_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [clean_json(v) for v in obj]
+    if isinstance(obj, (np.floating, float)):
+        v = float(obj)
+        return v if math.isfinite(v) else None
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    return obj
+
+
 def emit_summary(analysis: dict, path):
     """Write the run summary JSON (scenario, seed, slope, r2, plateau,
     solved_mazes, admissibility)."""
-    def _clean(obj):
-        if isinstance(obj, dict):
-            return {k: _clean(v) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [_clean(v) for v in obj]
-        if isinstance(obj, (np.floating, float)):
-            v = float(obj)
-            return None if math.isnan(v) else v
-        if isinstance(obj, (np.integer,)):
-            return int(obj)
-        if isinstance(obj, np.bool_):
-            return bool(obj)
-        return obj
-
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(_clean(analysis), fh, indent=2, sort_keys=True)
+            json.dump(clean_json(analysis), fh, indent=2, sort_keys=True)
             fh.write("\n")
     except OSError as exc:
         raise OSError(f"failed writing summary JSON at {path}: {exc}") from exc

@@ -81,6 +81,13 @@ class TabularFeatures:
         return np.asarray(theta)[base:base + self.n_actions]
 
 
+def bellman_residual(features: TabularFeatures, gamma, theta, s, a, r, s_next):
+    """r + gamma max_a' Q(s', a') - Q(s, a), with theta viewed as the
+    (states x actions) table Q; elementwise over scalars or index arrays."""
+    q = np.asarray(theta).reshape(features.n_states, features.n_actions)
+    return r + gamma * q[s_next].max(axis=-1) - q[s, a]
+
+
 def qlearning_operator(features: TabularFeatures, gamma: float) -> LocalOperator:
     """Semi-gradient Q-learning map
     F((s,a,r,s'), theta) = phi(s,a) (r + gamma max_a' phi(s',a')^T theta
@@ -91,10 +98,9 @@ def qlearning_operator(features: TabularFeatures, gamma: float) -> LocalOperator
 
     def _eval(x, theta):
         s, a, r, s_next = x
-        idx = features.index(s, a)
-        q_next = float(np.max(features.q_values(theta, s_next)))
         out = np.zeros(features.dim)
-        out[idx] = float(r) + gamma * q_next - float(theta[idx])
+        out[features.index(s, a)] = bellman_residual(features, gamma, theta,
+                                                     s, a, r, s_next)
         return out
 
     return LocalOperator(dim=features.dim, eval=_eval, kind="qlearning",
@@ -293,22 +299,18 @@ def value_iteration_q(maze: Maze, gamma: float, tol=1e-12, max_iter=200_000):
     """Tabular Q fixed point under the teleport semantics: goal-state rows
     stay at zero (they are never updated by the sampled chain)."""
     feats = TabularFeatures(maze.n_cells, maze.n_actions)
-    q = np.zeros(feats.dim)
-    non_goal = [s for s in range(maze.n_cells)
-                if s not in maze.goals and not maze.is_obstacle(s)]
+    pairs = [(s, a) for s in range(maze.n_cells)
+             if s not in maze.goals and not maze.is_obstacle(s)
+             for a in range(maze.n_actions)]
+    s, a = np.array(pairs).T
+    s_next, r = np.array([maze.move(*sa) for sa in pairs]).T
+    s_next = s_next.astype(int)
+    q = np.zeros((maze.n_cells, maze.n_actions))
     for _ in range(max_iter):
-        delta = 0.0
-        new = q.copy()
-        for s in non_goal:
-            for a in range(maze.n_actions):
-                t, r = maze.move(s, a)
-                target = r + gamma * float(np.max(feats.q_values(q, t)))
-                idx = feats.index(s, a)
-                delta = max(delta, abs(target - q[idx]))
-                new[idx] = target
-        q = new
-        if delta <= tol:
-            return q
+        res = bellman_residual(feats, gamma, q, s, a, r, s_next)
+        q[s, a] += res
+        if np.max(np.abs(res)) <= tol:
+            return q.ravel()
     raise OperatorError("value iteration did not converge")
 
 

@@ -209,6 +209,8 @@ def bad_path_argv(case, tmp_path):
         return ["run", "--config", str(tmp_path), "--out", out]
     if case == "out-file":
         return ["run", "--config", cfg, "--out", cfg]
+    if case == "check-out-file":
+        return ["check", "--config", cfg, "--out", cfg]
     if case == "csv-dir":
         return ["fit", "--csv", str(tmp_path)]
     cfg, _ = rollout_setup(tmp_path)
@@ -216,12 +218,13 @@ def bad_path_argv(case, tmp_path):
 
 
 @pytest.mark.parametrize("case", ["missing-config", "config-dir", "out-file",
-                                  "csv-dir", "theta-dir"])
+                                  "check-out-file", "csv-dir", "theta-dir"])
 def test_cli_bad_path_exit_code(case, tmp_path, capsys):
     assert main(bad_path_argv(case, tmp_path)) == 1
-    err = capsys.readouterr().err
-    assert "error:" in err
-    assert "Traceback" not in err
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -252,6 +255,29 @@ def test_cli_check_computes_constants_regardless_of_config(tmp_path, capsys):
         reports.append(capsys.readouterr().out)
     assert reports[0] == reports[1]
     assert json.loads(reports[0])["admissibility"]["checked"]
+
+
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+# Both configs use a diminishing step, which reports the 8/alpha margin; in
+# the second, tau_k > k at every checked k, so the delayed-step margin is
+# infinite and must print as null.
+@pytest.mark.parametrize("horizon_line", [
+    "horizon = 300", "horizon = 100000\nstep_eps = 0.5\nbeta = 2000"],
+    ids=["diminishing", "tau-beyond-horizon"])
+def test_cli_check_prints_strict_json(horizon_line, tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SYSTEM_ID_CFG.replace("horizon = 300",
+                                                    horizon_line))
+    out = tmp_path / "o"
+    assert main(["check", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+    written = json.loads((out / "check.json").read_text(),
+                         parse_constant=reject_constant)
+    assert report == written
+    margins = report["admissibility"]["margins"]
+    assert math.isfinite(margins["diminishing_eps_vs_8_over_alpha"])
 
 
 def test_import_loads_no_scipy():

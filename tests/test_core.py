@@ -11,7 +11,9 @@ from dcsa.core import (CoreError, RateConstants, Scenario, StepSchedule,
 from dcsa.graphs import WeightMatrix, lazy_metropolis, line_graph
 from dcsa.operators import (LocalOperator, TabularFeatures,
                             qlearning_operator, quadratic_grad_operator)
-from dcsa.sources import ARSource
+from dcsa.sources import ARSource, MDPSource
+
+from strategies import GAMMAS, mazes
 
 
 def decay_op(dim=1):
@@ -262,7 +264,26 @@ def test_lemma4_requires_30_seeds():
                         lambda k: 0.01, lambda k: 1, rc, n_agents=4)
 
 
-def test_td_error_values():
+def td_error_loop(theta_rows, eval_batches, ops):
+    """Reference: the mean |Bellman residual| summed one transition at a
+    time."""
+    total = 0.0
+    count = 0
+    for theta, batch, op in zip(theta_rows, eval_batches, ops):
+        feats = op.params["features"]
+        gamma = op.params["gamma"]
+        for (s, a, r, s_next) in batch:
+            q_next = float(np.max(feats.q_values(theta, s_next)))
+            total += abs(float(r) + gamma * q_next - theta[feats.index(s, a)])
+            count += 1
+    return total / count
+
+
+@given(mazes(), GAMMAS,
+       st.lists(st.integers(0, 40), min_size=1, max_size=3),
+       st.integers(0, 2**31 - 1))
+@settings(max_examples=50, deadline=None)
+def test_td_error_values(maze, gamma, sizes, seed):
     feats = TabularFeatures(n_states=1, n_actions=1)
     op = qlearning_operator(feats, gamma=0.5)
     batch = [(0, 0, 1.0, 0)]
@@ -272,6 +293,20 @@ def test_td_error_values():
         td_error([np.zeros(1)], [[]], [op])
     with pytest.raises(CoreError):
         td_error([np.zeros(1)], [batch], [quadratic_grad_operator(1)])
+
+    # random maze batches against the loop; the last agent's batch is empty
+    feats = TabularFeatures(maze.n_cells, maze.n_actions)
+    ops = [qlearning_operator(feats, gamma) for _ in range(len(sizes) + 1)]
+    rng = np.random.default_rng(seed)
+    src = MDPSource(maze=maze, gamma=gamma)
+    batches = [[src.sample(rng) for _ in range(m)] for m in sizes] + [[]]
+    theta_rows = rng.standard_normal((len(ops), feats.dim))
+    if sum(sizes) == 0:
+        with pytest.raises(CoreError):
+            td_error(theta_rows, batches, ops)
+    else:
+        assert td_error(theta_rows, batches, ops) == pytest.approx(
+            td_error_loop(theta_rows, batches, ops), rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ from dcsa.operators import (LocalOperator, OperatorError, ProblemSpec,
                             qlearning_operator, quadratic_grad_operator,
                             system_id_constants, value_iteration_q)
 from dcsa.rng import derive_stream
-from dcsa.sources import ARSource, FiniteChain, parse_maze
+from dcsa.sources import ARSource, FiniteChain, MDPSource, parse_maze
+
+from strategies import GAMMAS, mazes
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +104,26 @@ def test_qlearning_tie_breaks_to_smallest_action():
     feats = TabularFeatures(n_states=1, n_actions=2)
     theta = np.array([3.0, 3.0])  # equal Q for both actions
     assert int(np.argmax(feats.q_values(theta, 0))) == 0
+
+
+@given(mazes(), GAMMAS, st.integers(0, 2**31 - 1))
+@settings(max_examples=50, deadline=None)
+def test_qlearning_eval_matches_explicit_formula(maze, gamma, seed):
+    """The operator's one-hot slot holds r + gamma max_a' theta[s', a'] -
+    theta[s, a] exactly, on transitions sampled from a random maze."""
+    feats = TabularFeatures(maze.n_cells, maze.n_actions)
+    op = qlearning_operator(feats, gamma)
+    rng = np.random.default_rng(seed)
+    theta = rng.standard_normal(feats.dim)
+    src = MDPSource(maze=maze, gamma=gamma)
+    for _ in range(20):
+        s, a, r, s_next = x = src.sample(rng)
+        n_a = feats.n_actions
+        expected = np.zeros(feats.dim)
+        expected[s * n_a + a] = (float(r) + gamma * float(
+            np.max(theta[s_next * n_a:(s_next + 1) * n_a]))
+            - float(theta[s * n_a + a]))
+        np.testing.assert_array_equal(eval_local(op, x, theta), expected)
 
 
 def test_qlearning_rejects_bad_gamma():
@@ -331,6 +353,37 @@ def test_value_iteration_closed_form_self_loop():
     assert q_mid_right == pytest.approx(1.0)
     # start moving right lands mid-cell: 0 + 0.5 * max_a Q(mid, a) = 0.5
     assert q[feats.index(0, 3)] == pytest.approx(0.5)
+
+
+def value_iteration_loop(maze, gamma, tol=1e-12):
+    """Reference scalar Jacobi sweep: every non-goal, non-obstacle (s, a)
+    takes r + gamma max_a' Q(s', a') from the previous sweep's Q."""
+    feats = TabularFeatures(maze.n_cells, maze.n_actions)
+    q = np.zeros(feats.dim)
+    non_goal = [s for s in range(maze.n_cells)
+                if s not in maze.goals and not maze.is_obstacle(s)]
+    while True:
+        delta = 0.0
+        new = q.copy()
+        for s in non_goal:
+            for a in range(maze.n_actions):
+                t, r = maze.move(s, a)
+                target = r + gamma * float(np.max(feats.q_values(q, t)))
+                idx = feats.index(s, a)
+                delta = max(delta, abs(target - q[idx]))
+                new[idx] = target
+        q = new
+        if delta <= tol:
+            return q
+
+
+# gamma <= 0.99 bounds the sweeps (about log(tol) / log(gamma)) the scalar
+# reference has to run
+@given(mazes(), st.floats(0.01, 0.99))
+@settings(max_examples=30, deadline=None)
+def test_value_iteration_matches_scalar_sweep(maze, gamma):
+    np.testing.assert_allclose(value_iteration_q(maze, gamma),
+                               value_iteration_loop(maze, gamma), rtol=1e-12)
 
 
 def test_fixed_point_degenerate_flags_non_unique():
