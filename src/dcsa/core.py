@@ -30,24 +30,16 @@ class RunAborted(RuntimeError):
 
 @dataclass(frozen=True)
 class StepSchedule:
-    """constant: eps;  diminishing: eps/(k+1).
-
-    When alpha is known, a diminishing schedule must satisfy eps >= 8/alpha.
-    """
+    """constant: eps;  diminishing: eps/(k+1)."""
 
     kind: str
     eps: float
-    alpha: float = None
 
     def __post_init__(self):
         if self.kind not in ("constant", "diminishing"):
             raise CoreError("step kind must be 'constant' or 'diminishing'")
         if self.eps <= 0:
             raise CoreError("eps must be positive")
-        if (self.kind == "diminishing" and self.alpha is not None
-                and self.eps < 8.0 / self.alpha - 1e-12):
-            raise CoreError(
-                f"diminishing schedule needs eps >= 8/alpha = {8.0 / self.alpha:.6g}")
 
     def value(self, k: int) -> float:
         if k < 0:
@@ -119,10 +111,16 @@ def fit_c_tau(schedule: StepSchedule, beta, rho, horizon) -> float:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         best = 1.0
-        for k in range(1, horizon + 1):
-            t = tau_k(beta, schedule.value(k), rho)
-            if k > t:
-                best = min(best, 1.0 - (t + 1) / (k + 1))
+        if schedule.kind == "constant" and horizon >= 1:
+            # tau_k is one value t, and 1 - (t+1)/(k+1) is least at k = t+1
+            t = tau_k(beta, schedule.eps, rho)
+            if t + 1 <= horizon:
+                best = 1.0 - (t + 1) / (t + 2)
+        else:
+            for k in range(1, horizon + 1):
+                t = tau_k(beta, schedule.value(k), rho)
+                if k > t:
+                    best = min(best, 1.0 - (t + 1) / (k + 1))
     if best <= 0.0:
         raise CoreError("no admissible c_tau: tau_k grows too fast for the horizon")
     return best
@@ -271,10 +269,11 @@ class Scenario:
     sigma2: float = math.nan
     eval_batches: list = None
     name: str = "scenario"
-    # optional fused (Theta, rngs, X) -> drift rows, equivalent to the
-    # per-agent sample+eval loop and used by run() in its place; X stacks
-    # the sources' states (one row per agent) and the drift advances it
-    # in place
+    # optional fused sampler, used by run() in place of the per-agent
+    # sample+eval loop: vector_drift(rngs, X, T) draws the next T
+    # observations of every agent, advances X (the sources' stacked states,
+    # one row per agent) in place to the last of them, and returns
+    # drift(Theta, t), the drift rows at step t of the block
     vector_drift: callable = None
 
     def __post_init__(self):
@@ -332,9 +331,20 @@ def _quiet_tau(beta, eps_k, rho):
         return tau_k(beta, eps_k, rho)
 
 
+# Steps per block of run(): observations are drawn, and metrics computed,
+# once per block.
+_BLOCK = 128
+
+
 def run(scenario: Scenario, collect_theta_bar: bool = False) -> MetricsTrajectory:
     """Execute the iteration for k = 0..horizon-1, one sample per agent per
     iteration, logging a MetricsRecord every stride (and at k=0 and the end).
+
+    The iteration advances in blocks of up to _BLOCK steps: each block's
+    observations are drawn up front (they never depend on Theta), the steps
+    fill a buffer of iterates, and R, S, theta_bar and the lemma-3 slack of
+    the block are computed on that buffer. A non-finite iterate still stops
+    the run at its exact k, before any operator sees it.
 
     Bit-deterministic for a fixed seed: per-agent sample streams are derived
     from (seed, agent, 'sample') and agents are reduced in index order.
@@ -350,6 +360,7 @@ def run(scenario: Scenario, collect_theta_bar: bool = False) -> MetricsTrajector
         X = np.array([src.state for src in sc.sources], dtype=float)
     else:
         sources = [copy.copy(src) for src in sc.sources]
+        ops_eval = [op.eval for op in sc.ops]
     Theta = sc.theta0.copy()
 
     horizon = sc.horizon
@@ -358,14 +369,13 @@ def run(scenario: Scenario, collect_theta_bar: bool = False) -> MetricsTrajector
     tb_hist = np.zeros((horizon + 1, d)) if collect_theta_bar else None
     theta_star = None if sc.theta_star is None else np.asarray(sc.theta_star)
     check_lemma3 = sc.constants is not None and theta_star is not None
-    sigma2 = sc.sigma2
-    min_slack = math.inf if check_lemma3 else math.nan
+    min_slack = math.inf
 
     records = []
     aborted = False
     reason = ""
 
-    def log_record(k, Theta, slack=math.nan):
+    def log_record(k, Theta, slack):
         t = _quiet_tau(sc.beta, sc.step.value(k), sc.rho)
         r_val = R_hist[k]
         s_val = S_hist[k]
@@ -378,37 +388,54 @@ def run(scenario: Scenario, collect_theta_bar: bool = False) -> MetricsTrajector
             S_delayed=s_del, V=lyapunov(r_val, s_val, s_del),
             td_error=td, lemma3_slack=slack))
 
-    ops_eval = [op.eval for op in sc.ops]
-    prev_slack = math.nan
-    for k in range(horizon + 1):
-        theta_bar = Theta.mean(axis=0)
+    def measure(k_lo, thetas, eps_prev):
+        """Metrics and records of the iterates thetas = Theta_{k_lo..}, of
+        shape (m, N, d); eps_prev holds the steps that produced them."""
+        nonlocal min_slack
+        m = len(thetas)
+        ks = slice(k_lo, k_lo + m)
+        theta_bar = thetas.mean(axis=1)
         if theta_star is not None:
             diff = theta_bar - theta_star
-            R_hist[k] = float(diff @ diff)
-        dev = Theta - theta_bar
-        S_hist[k] = float(np.sum(dev * dev))
+            R_hist[ks] = (diff[:, None, :] @ diff[:, :, None]).reshape(m)
+        dev = thetas - theta_bar[:, None, :]
+        S_hist[ks] = (dev * dev).reshape(m, n * d).sum(axis=1)
         if collect_theta_bar:
-            tb_hist[k] = theta_bar
-        if check_lemma3 and k >= 1:
-            prev_slack = lemma3_residual(
-                S_hist[k], S_hist[k - 1], R_hist[k - 1],
-                sc.step.value(k - 1), sc.constants, n, sigma2)
-            min_slack = min(min_slack, prev_slack)
-        if k % sc.stride == 0 or k == horizon:
-            log_record(k, Theta, prev_slack)
-        if k == horizon:
-            break
-        eps = sc.step.value(k)
+            tb_hist[ks] = theta_bar
+        slack = np.full(m, math.nan)
+        if check_lemma3 and k_lo >= 1:
+            prev = slice(k_lo - 1, k_lo - 1 + m)
+            slack = lemma3_residual(S_hist[ks], S_hist[prev], R_hist[prev],
+                                    np.array(eps_prev), sc.constants, n,
+                                    sc.sigma2)
+            # NaN slacks are skipped, as min() over floats would skip them
+            min_slack = float(np.fmin.reduce(slack, initial=min_slack))
+        for k in range(k_lo, k_lo + m):
+            if k % sc.stride == 0 or k == horizon:
+                log_record(k, thetas[k - k_lo], slack[k - k_lo])
+
+    measure(0, Theta[None], [])
+    buf = np.empty((min(_BLOCK, horizon), n, d))
+    for k0 in range(0, horizon, _BLOCK):
+        T = min(_BLOCK, horizon - k0)
         if sc.vector_drift is not None:
-            drift = sc.vector_drift(Theta, rngs, X)
+            drift = sc.vector_drift(rngs, X, T)
         else:
-            drift = np.empty_like(Theta)
-            for i in range(n):
-                drift[i] = ops_eval[i](sources[i].sample(rngs[i]), Theta[i])
-        Theta = sc.weight_entries_at(k) @ Theta + eps * drift
-        if not np.all(np.isfinite(Theta)):
-            aborted = True
-            reason = f"non-finite iterate at k={k + 1}"
+            obs = [[src.sample(rng) for _ in range(T)]
+                   for src, rng in zip(sources, rngs)]
+            drift = _per_agent_drift(ops_eval, obs)
+        eps = [sc.step.value(k) for k in range(k0, k0 + T)]
+        done = T
+        for t in range(T):
+            Theta = sc.weight_entries_at(k0 + t) @ Theta + eps[t] * drift(Theta, t)
+            if not np.isfinite(Theta).all():
+                aborted = True
+                reason = f"non-finite iterate at k={k0 + t + 1}"
+                done = t
+                break
+            buf[t] = Theta
+        measure(k0 + 1, buf[:done], eps[:done])
+        if aborted:
             break
 
     return MetricsTrajectory(
@@ -417,3 +444,15 @@ def run(scenario: Scenario, collect_theta_bar: bool = False) -> MetricsTrajector
         aborted=aborted, abort_reason=reason,
         min_lemma3_slack=(min_slack if check_lemma3 else math.nan),
         theta_bar_hist=tb_hist)
+
+
+def _per_agent_drift(ops_eval, obs):
+    """drift(Theta, t): agent i's operator at its t-th observation of the
+    block, obs[i][t]."""
+    def drift(Theta, t):
+        out = np.empty_like(Theta)
+        for i, op_eval in enumerate(ops_eval):
+            out[i] = op_eval(obs[i][t], Theta[i])
+        return out
+
+    return drift

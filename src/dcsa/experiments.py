@@ -44,31 +44,38 @@ def sample_unit_ball(rng, dim):
 
 
 def _system_id_vector_drift(sources):
-    """Batched one-step sampler + gradient for the AR/quadratic scenario.
+    """Batched sampler + gradient for the AR/quadratic scenario.
 
-    The returned drift(Theta, rngs, X) advances the stacked AR states X in
-    place. It draws the same per-agent noise stream (two clipped standard
-    normals per step, in sample() order) so trajectories match the
-    per-source path.
+    The returned hook(rngs, X, T) draws T steps of every agent's stream
+    (two clipped standard normals per step, in sample() order, so
+    trajectories match the per-source path), advances the stacked AR states
+    X in place and returns drift(Theta, t) for step t of the block. The
+    subdiagonal A makes X(1) a shift of the noise: column m of the block is
+    a_m times column m-1 one step earlier.
     """
-    A_stack = np.stack([s.A for s in sources])
+    a = np.stack([np.diagonal(s.A, offset=-1) for s in sources])
     u = sources[0].u
     clip = sources[0].noise_clip
-    n = A_stack.shape[0]
+    d = len(u)
 
-    def drift(Theta, rngs, X):
-        noise = np.empty((n, 2))
-        for i in range(n):
-            noise[i] = rngs[i].standard_normal(2)
+    def hook(rngs, X, T):
+        noise = np.stack([rng.standard_normal((T, 2)) for rng in rngs], axis=1)
         np.clip(noise, -clip, clip, out=noise)
-        x1 = np.einsum("nij,nj->ni", A_stack, X)
-        x1[:, 0] += noise[:, 0]
-        x2 = x1 @ u + noise[:, 1]
-        X[:] = x1
-        resid = np.einsum("ni,ni->n", Theta, x1) - x2
-        return -2.0 * resid[:, None] * x1
+        x1 = np.empty((T, len(rngs), d))
+        x1[:, :, 0] = noise[..., 0]
+        for m in range(1, d):
+            x1[0, :, m] = a[:, m - 1] * X[:, m - 1]
+            x1[1:, :, m] = a[:, m - 1] * x1[:-1, :, m - 1]
+        x2 = x1 @ u + noise[..., 1]
+        X[:] = x1[-1]
 
-    return drift
+        def drift(Theta, t):
+            resid = np.einsum("ni,ni->n", Theta, x1[t]) - x2[t]
+            return -2.0 * resid[:, None] * x1[t]
+
+        return drift
+
+    return hook
 
 
 def build_system_id_scenario(cfg: ScenarioConfig) -> Scenario:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -51,9 +52,19 @@ def test_step_sizes():
 
 
 def test_diminishing_schedule_enforces_eps_floor():
-    StepSchedule(kind="diminishing", eps=2.0, alpha=4.0)  # 8/4 = 2, boundary ok
-    with pytest.raises(CoreError):
-        StepSchedule(kind="diminishing", eps=1.9, alpha=4.0)
+    """The eps >= 8/alpha floor of a diminishing schedule is reported as the
+    sign of its admissibility margin, with alpha from the rate constants."""
+    rc = RateConstants.from_problem(B=2.0, L=1.5, alpha=4.0, sigma2=0.75,
+                                    n_agents=4, theta_star_norm=1.0, c_tau=0.5)
+
+    def margin(eps):
+        rep = admissible_step_check(rc, StepSchedule(kind="diminishing", eps=eps),
+                                    n_agents=4, sigma2=0.75, beta=1.0, rho=0.3,
+                                    horizon=10)
+        return rep.margins["diminishing_eps_vs_8_over_alpha"]
+
+    assert margin(1.9) < 0
+    assert margin(2.0) >= 0   # 8/4 = 2, the boundary
 
 
 def test_schedule_rejects_bad_kind_or_eps():
@@ -110,6 +121,39 @@ def test_fit_c_tau_in_unit_interval():
             assert t + 1 <= (1 - c) * (k + 1) + 1e-9
 
 
+def fit_c_tau_loop(schedule, beta, rho, horizon):
+    """fit_c_tau's search over every k of the horizon."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        best = 1.0
+        for k in range(1, horizon + 1):
+            t = tau_k(beta, schedule.value(k), rho)
+            if k > t:
+                best = min(best, 1.0 - (t + 1) / (k + 1))
+    if best <= 0.0:
+        raise CoreError("no admissible c_tau: tau_k grows too fast for the horizon")
+    return best
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except CoreError as exc:
+        return str(exc)
+
+
+@given(kind=st.sampled_from(["constant", "diminishing"]),
+       eps=st.floats(1e-6, 3.0), beta=st.floats(0.0, 20.0),
+       rho=st.one_of(st.floats(0.0, 0.99), st.sampled_from([-0.1, 1.0])),
+       horizon=st.integers(0, 400))
+@settings(max_examples=300, deadline=None)
+def test_fit_c_tau_matches_loop(kind, eps, beta, rho, horizon):
+    """The constant-step closed form equals the search, exceptions included."""
+    sched = StepSchedule(kind=kind, eps=eps)
+    assert (outcome(fit_c_tau, sched, beta, rho, horizon)
+            == outcome(fit_c_tau_loop, sched, beta, rho, horizon))
+
+
 def sample_constants(sigma2=0.75, c_tau=0.5):
     return RateConstants.from_problem(B=2.0, L=1.5, alpha=0.8, sigma2=sigma2,
                                       n_agents=4, theta_star_norm=1.0,
@@ -133,7 +177,7 @@ def test_admissibility_tiny_constant_step_passes():
 
 def test_admissibility_diminishing_boundary_alpha():
     rc = sample_constants()
-    sched = StepSchedule(kind="diminishing", eps=8.0 / 0.8, alpha=0.8)
+    sched = StepSchedule(kind="diminishing", eps=8.0 / 0.8)
     rep = admissible_step_check(rc, sched, n_agents=4, sigma2=0.75, beta=1.0,
                                 rho=0.3, horizon=100)
     assert rep.margins["diminishing_eps_vs_8_over_alpha"] == pytest.approx(0.0)
