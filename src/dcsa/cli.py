@@ -59,7 +59,7 @@ def cmd_run(args):
     slope = r2 = plateau = math.nan
     if not traj.aborted and cfg.horizon >= 100:
         window_lo = max(1, cfg.horizon // 100)
-        metric = "td" if scenario.name == "gridworld" else "R"
+        metric = "td" if cfg.scenario == "gridworld" else "R"
         try:
             fit = _fit_traj(traj, metric, window_lo, cfg.horizon)
             slope, r2 = fit.slope, fit.r2
@@ -71,7 +71,7 @@ def cmd_run(args):
             except CoreError:
                 pass
     solved = None
-    if scenario.name == "gridworld" and not traj.aborted:
+    if cfg.scenario == "gridworld" and not traj.aborted:
         theta_bar = traj.theta_final.mean(axis=0)
         solved = sum(greedy_policy_rollout(theta_bar, src.maze,
                                            4 * src.maze.n_cells).reached

@@ -40,16 +40,16 @@ _FIELDS = {f.name: f for f in dataclasses.fields(ScenarioConfig)}
 def _coerce(name, raw, line_no):
     typ = _FIELDS[name].type
     try:
-        if typ == "bool" or typ is bool:
+        if typ is bool:
             low = raw.strip().lower()
             if low in ("true", "1", "yes"):
                 return True
             if low in ("false", "0", "no"):
                 return False
             raise ValueError(raw)
-        if typ == "int" or typ is int:
+        if typ is int:
             return int(raw)
-        if typ == "float" or typ is float:
+        if typ is float:
             return float(raw)
         return raw.strip()
     except ValueError:

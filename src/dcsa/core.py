@@ -7,21 +7,15 @@ executed bulk-synchronously from the pre-step iterate matrix.
 
 import copy
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import WeightMatrix
 from .operators import bellman_residual
 
 
 class CoreError(ValueError):
     """Raised for inconsistent dimensions or metric contract violations."""
-
-
-class RunAborted(RuntimeError):
-    """Raised when an iterate becomes NaN/Inf mid-run."""
 
 
 # ---------------------------------------------------------------------------
@@ -55,9 +49,8 @@ def tau_k(beta: float, eps_k: float, rho: float) -> int:
         raise CoreError("rho must lie in [0,1)")
     floor_term = _ceil_tol(rho / (1.0 - rho)) if rho > 0 else 0
     if eps_k >= 1.0:
-        warnings.warn("eps_k >= 1: log term vanishes, tau falls back to "
-                      "ceil(rho/(1-rho))", stacklevel=2)
-        return max(floor_term, 0)
+        # log(1/eps_k) <= 0, and for eps_k = inf math.log would fail
+        return floor_term
     if eps_k <= 0:
         raise CoreError("eps_k must be positive")
     return max(floor_term, _ceil_tol(beta * math.log(1.0 / eps_k)))
@@ -108,19 +101,20 @@ class RateConstants:
 def fit_c_tau(schedule: StepSchedule, beta, rho, horizon) -> float:
     """Largest c in (0,1) with tau_k + 1 <= (1-c)(k+1) for all k > tau_k
     up to the horizon."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        best = 1.0
-        if schedule.kind == "constant" and horizon >= 1:
-            # tau_k is one value t, and 1 - (t+1)/(k+1) is least at k = t+1
-            t = tau_k(beta, schedule.eps, rho)
-            if t + 1 <= horizon:
-                best = 1.0 - (t + 1) / (t + 2)
-        else:
-            for k in range(1, horizon + 1):
-                t = tau_k(beta, schedule.value(k), rho)
-                if k > t:
-                    best = min(best, 1.0 - (t + 1) / (k + 1))
+    best = math.inf
+    if schedule.kind == "constant" and horizon >= 1:
+        # tau_k is one value t, and 1 - (t+1)/(k+1) is least at k = t+1
+        t = tau_k(beta, schedule.eps, rho)
+        if t + 1 <= horizon:
+            best = 1.0 - (t + 1) / (t + 2)
+    else:
+        for k in range(1, horizon + 1):
+            t = tau_k(beta, schedule.value(k), rho)
+            if k > t:
+                best = min(best, 1.0 - (t + 1) / (k + 1))
+    if best == math.inf:
+        raise CoreError(f"horizon {horizon} is too short to fit c_tau: "
+                        f"no k <= {horizon} exceeds tau_k")
     if best <= 0.0:
         raise CoreError("no admissible c_tau: tau_k grows too fast for the horizon")
     return best
@@ -142,20 +136,18 @@ def admissible_step_check(rc: RateConstants, s: StepSchedule, n_agents,
     bound = min(1.0 / (n_agents * rc.C_eps1),
                 (1.0 - sigma2**2) / (n_agents * rc.C_eps2))
     margins = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        if s.kind == "constant":
-            t = tau_k(beta, s.eps, rho)
-            margins["constant_eps_tau"] = bound - s.eps * t
-        else:
-            margins["diminishing_eps_vs_8_over_alpha"] = s.eps - 8.0 / rc.alpha
-            worst = math.inf
-            for k in range(horizon + 1):
-                t = tau_k(beta, s.value(k), rho)
-                if k < t:
-                    continue
-                worst = min(worst, bound - s.value(k - t) * t)
-            margins["diminishing_delayed_eps_tau"] = worst
+    if s.kind == "constant":
+        t = tau_k(beta, s.eps, rho)
+        margins["constant_eps_tau"] = bound - s.eps * t
+    else:
+        margins["diminishing_eps_vs_8_over_alpha"] = s.eps - 8.0 / rc.alpha
+        worst = math.inf
+        for k in range(horizon + 1):
+            t = tau_k(beta, s.value(k), rho)
+            if k < t:
+                continue
+            worst = min(worst, bound - s.value(k - t) * t)
+        margins["diminishing_delayed_eps_tau"] = worst
     passed = all(m >= 0 for m in margins.values() if not math.isnan(m))
     return AdmissibilityReport(passed=passed, margins=margins)
 
@@ -179,6 +171,11 @@ def lemma3_residual(S_k, S_prev, R_prev, eps_prev, rc: RateConstants,
     return bound - S_k
 
 
+# Rows of k per array pass of lemma4_residual: its (rows, seeds) temporaries
+# then stay far smaller than the (seeds, horizon+1) inputs.
+_LEMMA4_ROWS = 256
+
+
 def lemma4_residual(R_by_seed, S_by_seed, eps_fn, tau_fn, rc: RateConstants,
                     n_agents, min_seeds=30):
     """Expectation-level slack of the optimality-error recursion.
@@ -196,20 +193,32 @@ def lemma4_residual(R_by_seed, S_by_seed, eps_fn, tau_fn, rc: RateConstants,
     n_seeds, n_iters = R.shape
     if n_seeds < min_seeds:
         raise CoreError(f"need >= {min_seeds} seed replicates, got {n_seeds}")
-    ks, slack, stderr = [], [], []
+    ks, taus = [], []
     for k in range(n_iters - 1):
         t = tau_fn(k)
-        if k < t:
-            continue
-        e_k = eps_fn(k)
-        per_seed = ((1.0 - rc.alpha * e_k / 2.0) * R[:, k]
-                    + n_agents * rc.C1 * e_k * eps_fn(k - t) * t
-                    + n_agents * rc.C2 * e_k * (S[:, k] + S[:, k - t])
-                    - R[:, k + 1])
-        ks.append(k)
-        slack.append(float(per_seed.mean()))
-        stderr.append(float(per_seed.std(ddof=1) / math.sqrt(n_seeds)))
-    return np.array(ks), np.array(slack), np.array(stderr)
+        if k >= t:
+            ks.append(k)
+            taus.append(t)
+    k_all = np.array(ks, dtype=int)
+    t_all = np.array(taus, dtype=int)
+    e_all = np.array([eps_fn(k) for k in ks], dtype=float)
+    lag_all = np.array([eps_fn(k - t) for k, t in zip(ks, taus)], dtype=float)
+    Rt, St = R.T, S.T
+    slack = np.empty(len(ks))
+    stderr = np.empty(len(ks))
+    for lo in range(0, len(ks), _LEMMA4_ROWS):
+        rows = slice(lo, lo + _LEMMA4_ROWS)
+        k, t, e_k = k_all[rows], t_all[rows], e_all[rows]
+        # one row per k and one column per seed, C-contiguous so that each
+        # row reduces in the same order as a per-k 1-D array of seeds
+        per_seed = np.ascontiguousarray(
+            (1.0 - rc.alpha * e_k / 2.0)[:, None] * Rt[k]
+            + (n_agents * rc.C1 * e_k * lag_all[rows] * t)[:, None]
+            + (n_agents * rc.C2 * e_k)[:, None] * (St[k] + St[k - t])
+            - Rt[k + 1])
+        slack[rows] = per_seed.mean(axis=1)
+        stderr[rows] = per_seed.std(axis=1, ddof=1) / math.sqrt(n_seeds)
+    return k_all, slack, stderr
 
 
 def td_error(theta_rows, eval_batches, ops) -> float:
@@ -250,17 +259,20 @@ class MetricsRecord:
 
 @dataclass
 class Scenario:
-    """Everything run() needs: topology weights (fixed or cycling),
-    per-agent sources and operators, schedule, horizon and metadata."""
+    """Everything run() needs: the topology, per-agent sources and
+    operators, schedule, horizon and metadata.
+
+    weights is a non-empty tuple of WeightMatrix frames, and step k mixes
+    with frame k mod len(weights): a fixed graph is a one-frame tuple.
+    """
 
     sources: list
     ops: list
     step: StepSchedule
     horizon: int
     seed: int
+    weights: tuple
     stride: int = 1
-    weights: WeightMatrix = None
-    schedule_weights: tuple = None
     theta0: np.ndarray = None
     theta_star: np.ndarray = None
     beta: float = 1.0
@@ -268,7 +280,6 @@ class Scenario:
     constants: RateConstants = None
     sigma2: float = math.nan
     eval_batches: list = None
-    name: str = "scenario"
     # optional fused sampler, used by run() in place of the per-agent
     # sample+eval loop: vector_drift(rngs, X, T) draws the next T
     # observations of every agent, advances X (the sources' stacked states,
@@ -277,14 +288,12 @@ class Scenario:
     vector_drift: callable = None
 
     def __post_init__(self):
-        if (self.weights is None) == (self.schedule_weights is None):
-            raise CoreError("provide exactly one of weights / schedule_weights")
         n = len(self.sources)
         if len(self.ops) != n:
             raise CoreError("one operator per source required")
-        frames = ((self.weights,) if self.weights is not None
-                  else tuple(self.schedule_weights))
-        if not frames or any(np.shape(w.entries) != (n, n) for w in frames):
+        self.weights = tuple(self.weights)
+        if not self.weights or any(np.shape(w.entries) != (n, n)
+                                   for w in self.weights):
             raise CoreError(f"weight matrices must be {n} x {n}")
         d = self.ops[0].dim
         if self.theta0 is None:
@@ -303,11 +312,6 @@ class Scenario:
     def dim(self):
         return self.ops[0].dim
 
-    def weight_entries_at(self, k):
-        if self.weights is not None:
-            return self.weights.entries
-        return self.schedule_weights[k % len(self.schedule_weights)].entries
-
 
 @dataclass
 class MetricsTrajectory:
@@ -315,7 +319,6 @@ class MetricsTrajectory:
     R_hist: np.ndarray
     S_hist: np.ndarray
     theta_final: np.ndarray
-    step: StepSchedule
     aborted: bool = False
     abort_reason: str = ""
     min_lemma3_slack: float = math.nan
@@ -323,12 +326,6 @@ class MetricsTrajectory:
 
     def column(self, name):
         return np.array([getattr(r, name) for r in self.records])
-
-
-def _quiet_tau(beta, eps_k, rho):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return tau_k(beta, eps_k, rho)
 
 
 # Steps per block of run(): observations are drawn, and metrics computed,
@@ -361,6 +358,7 @@ def run(scenario: Scenario, collect_theta_bar: bool = False) -> MetricsTrajector
     else:
         sources = [copy.copy(src) for src in sc.sources]
         ops_eval = [op.eval for op in sc.ops]
+    frames = [w.entries for w in sc.weights]
     Theta = sc.theta0.copy()
 
     horizon = sc.horizon
@@ -376,7 +374,7 @@ def run(scenario: Scenario, collect_theta_bar: bool = False) -> MetricsTrajector
     reason = ""
 
     def log_record(k, Theta, slack):
-        t = _quiet_tau(sc.beta, sc.step.value(k), sc.rho)
+        t = tau_k(sc.beta, sc.step.value(k), sc.rho)
         r_val = R_hist[k]
         s_val = S_hist[k]
         s_del = S_hist[max(0, k - t)]
@@ -427,7 +425,8 @@ def run(scenario: Scenario, collect_theta_bar: bool = False) -> MetricsTrajector
         eps = [sc.step.value(k) for k in range(k0, k0 + T)]
         done = T
         for t in range(T):
-            Theta = sc.weight_entries_at(k0 + t) @ Theta + eps[t] * drift(Theta, t)
+            Theta = (frames[(k0 + t) % len(frames)] @ Theta
+                     + eps[t] * drift(Theta, t))
             if not np.isfinite(Theta).all():
                 aborted = True
                 reason = f"non-finite iterate at k={k0 + t + 1}"
@@ -440,8 +439,7 @@ def run(scenario: Scenario, collect_theta_bar: bool = False) -> MetricsTrajector
 
     return MetricsTrajectory(
         records=records, R_hist=R_hist, S_hist=S_hist,
-        theta_final=Theta.copy(), step=sc.step,
-        aborted=aborted, abort_reason=reason,
+        theta_final=Theta.copy(), aborted=aborted, abort_reason=reason,
         min_lemma3_slack=(min_slack if check_lemma3 else math.nan),
         theta_bar_hist=tb_hist)
 

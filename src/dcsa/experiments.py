@@ -23,19 +23,19 @@ class ScenarioError(ValueError):
 
 
 def _topology_for(cfg: ScenarioConfig, n_agents):
-    """(fixed weights, schedule weights, effective sigma2) per the config."""
-    frames = frame_specs(cfg)
-    if frames:
-        graphs = tuple(parse_topology(f, n_agents) for f in frames)
+    """(weight frames, effective sigma2) per the config; a fixed graph is
+    one frame."""
+    specs = frame_specs(cfg)
+    if specs:
+        graphs = tuple(parse_topology(f, n_agents) for f in specs)
         schedule = GraphSchedule(frames=graphs, period_B=cfg.period_b)
-        weights = tuple(lazy_metropolis(g, require_connected=False) for g in graphs)
-        eta = time_varying_eta(schedule, weights)
-        return None, weights, eta
+        frames = tuple(lazy_metropolis(g, require_connected=False) for g in graphs)
+        return frames, time_varying_eta(schedule, frames)
     g = parse_topology(cfg.topology, n_agents)
     if not validate_graph(g).connected:
         raise ScenarioError("fixed-graph scenarios require a connected topology")
     w = lazy_metropolis(g)
-    return w, None, w.sigma2
+    return (w,), w.sigma2
 
 
 def sample_unit_ball(rng, dim):
@@ -97,7 +97,7 @@ def build_system_id_scenario(cfg: ScenarioConfig) -> Scenario:
             A[m, m - 1] = rng.uniform(0.8, 0.99)
         sources.append(ARSource(A=A, u=u, noise_clip=cfg.noise_clip))
     ops = [quadratic_grad_operator(d, u) for _ in range(n)]
-    weights, sched_w, sigma2 = _topology_for(cfg, n)
+    frames, sigma2 = _topology_for(cfg, n)
     step = StepSchedule(kind=cfg.step_kind, eps=cfg.step_eps)
     rho = max(float(np.max(np.abs(np.linalg.eigvals(s.A)))) for s in sources)
     constants = None
@@ -109,9 +109,8 @@ def build_system_id_scenario(cfg: ScenarioConfig) -> Scenario:
             theta_star_norm=float(np.linalg.norm(u)), c_tau=c_tau)
     return Scenario(
         sources=sources, ops=ops, step=step, horizon=cfg.horizon,
-        seed=cfg.seed, stride=cfg.stride, weights=weights,
-        schedule_weights=sched_w, theta_star=u, beta=cfg.beta, rho=rho,
-        constants=constants, sigma2=sigma2, name="system_id",
+        seed=cfg.seed, stride=cfg.stride, weights=frames, theta_star=u,
+        beta=cfg.beta, rho=rho, constants=constants, sigma2=sigma2,
         vector_drift=_system_id_vector_drift(sources))
 
 
@@ -137,18 +136,19 @@ def build_gridworld_scenario(cfg: ScenarioConfig, mazes=None) -> Scenario:
     feats = TabularFeatures(mazes[0].n_cells, mazes[0].n_actions)
     sources = [MDPSource(maze=m, gamma=cfg.gamma) for m in mazes]
     ops = [qlearning_operator(feats, cfg.gamma) for _ in range(n)]
-    weights, sched_w, sigma2 = _topology_for(cfg, n)
+    frames, sigma2 = _topology_for(cfg, n)
+    # each agent's batch is an (m, 4) array of (s, a, r, s') rows
     eval_batches = []
     for i, m in enumerate(mazes):
         probe = MDPSource(maze=m, gamma=cfg.gamma)
         rng = derive_stream(cfg.seed, i, "eval")
-        eval_batches.append([probe.sample(rng) for _ in range(cfg.eval_batch_size)])
+        batch = [probe.sample(rng) for _ in range(cfg.eval_batch_size)]
+        eval_batches.append(np.array(batch, dtype=float).reshape(-1, 4))
     step = StepSchedule(kind=cfg.step_kind, eps=cfg.step_eps)
     return Scenario(
         sources=sources, ops=ops, step=step, horizon=cfg.horizon,
-        seed=cfg.seed, stride=cfg.stride, weights=weights,
-        schedule_weights=sched_w, theta_star=None, beta=cfg.beta, rho=0.0,
-        sigma2=sigma2, eval_batches=eval_batches, name="gridworld")
+        seed=cfg.seed, stride=cfg.stride, weights=frames, theta_star=None,
+        beta=cfg.beta, rho=0.0, sigma2=sigma2, eval_batches=eval_batches)
 
 
 def build_scenario(cfg: ScenarioConfig) -> Scenario:

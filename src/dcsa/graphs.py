@@ -203,9 +203,6 @@ class GraphSchedule:
     def n_agents(self):
         return self.frames[0].n_agents
 
-    def frame_at(self, k):
-        return self.frames[k % len(self.frames)]
-
 
 def validate_b_connectivity(s: GraphSchedule) -> bool:
     """True iff the edge union of every length-B cyclic window is connected."""

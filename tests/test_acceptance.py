@@ -195,7 +195,7 @@ def test_criterion_07_qlearning_fixed_point():
     sc = Scenario(sources=[LoopMDP()], ops=[op],
                   step=StepSchedule(kind="constant", eps=5e-3),
                   horizon=10_000, seed=0,
-                  weights=WeightMatrix.from_matrix(np.ones((1, 1))),
+                  weights=(WeightMatrix.from_matrix(np.ones((1, 1))),),
                   stride=10_000, theta_star=np.array([2.0]))
     traj = run(sc)
     err = abs(float(traj.theta_final[0, 0]) - 2.0)
@@ -284,7 +284,8 @@ def test_criterion_10_determinism(tmp_path):
         sc = Scenario(sources=[NullSource() for _ in range(n)], ops=ops,
                       step=StepSchedule(kind="constant", eps=0.1),
                       horizon=30, seed=0,
-                      weights=WeightMatrix.from_matrix(weights), theta0=init)
+                      weights=(WeightMatrix.from_matrix(weights),),
+                      theta0=init)
         return run(sc).theta_final
 
     base = simulate(w, theta0)
@@ -311,7 +312,7 @@ def test_criterion_11_invariant_micro_suite():
                 for _ in range(n)]
     sc = Scenario(sources=[NullSource() for _ in range(n)], ops=zero_ops,
                   step=StepSchedule(kind="constant", eps=1e-300),
-                  horizon=100, seed=0, weights=w, theta0=theta0)
+                  horizon=100, seed=0, weights=(w,), theta0=theta0)
     traj = run(sc, collect_theta_bar=True)
     bar0 = theta0.mean(axis=0)
     consensus_err = float(np.max(np.abs(traj.theta_bar_hist - bar0)))
@@ -329,7 +330,7 @@ def test_criterion_11_invariant_micro_suite():
                  for _ in range(n)]
     sched = StepSchedule(kind="diminishing", eps=0.3)
     sc2 = Scenario(sources=[GaussSource() for _ in range(n)], ops=drift_ops,
-                   step=sched, horizon=50, seed=7, weights=w,
+                   step=sched, horizon=50, seed=7, weights=(w,),
                    theta0=theta0.copy())
     traj2 = run(sc2, collect_theta_bar=True)
     rngs = [derive_stream(7, i, "sample") for i in range(n)]

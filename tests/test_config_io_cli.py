@@ -10,15 +10,14 @@ import pytest
 from dcsa.cli import main
 from dcsa.config import (ConfigError, ScenarioConfig, config_to_text,
                          parse_config, parse_topology)
-from dcsa.core import MetricsRecord, MetricsTrajectory, StepSchedule
+from dcsa.core import MetricsRecord, MetricsTrajectory
 from dcsa.io import (CSV_COLUMNS, FormatError, emit_metrics, emit_summary,
                      read_metrics)
 
 
 def empty_traj(records=()):
     return MetricsTrajectory(records=list(records), R_hist=np.zeros(1),
-                             S_hist=np.zeros(1), theta_final=np.zeros((1, 1)),
-                             step=StepSchedule(kind="constant", eps=0.1))
+                             S_hist=np.zeros(1), theta_final=np.zeros((1, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +254,21 @@ def test_cli_check_computes_constants_regardless_of_config(tmp_path, capsys):
         reports.append(capsys.readouterr().out)
     assert reports[0] == reports[1]
     assert json.loads(reports[0])["admissibility"]["checked"]
+
+
+def test_cli_check_names_a_horizon_too_short_for_c_tau(tmp_path, capsys):
+    """With constant eps = 0.03, tau_k = 99 exceeds every k of a 3-step
+    horizon, so c_tau cannot be fitted: exit 1 with an error line that
+    names the horizon."""
+    cfg = write_cfg(tmp_path, "scenario = system_id\nn_agents = 3\ndim = 2\n"
+                              "horizon = 3\nstep_kind = constant\n"
+                              "step_eps = 0.03\n")
+    assert main(["check", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: horizon 3 ")
+    assert "tau_k" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def reject_constant(name):

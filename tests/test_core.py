@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -35,7 +34,7 @@ def consensus_scenario(n, d, ops, horizon, step, theta0=None, theta_star=None,
     w = lazy_metropolis(line_graph(n))
     return Scenario(sources=sources or [NullSource() for _ in range(n)],
                     ops=ops, step=step, horizon=horizon, seed=0,
-                    weights=w, theta0=theta0, theta_star=theta_star, **kw)
+                    weights=(w,), theta0=theta0, theta_star=theta_star, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -77,8 +76,7 @@ def test_schedule_rejects_bad_kind_or_eps():
 def test_tau_k_values():
     assert tau_k(1.0, math.exp(-3), 0.1) == 3
     assert tau_k(1.0, math.exp(-1), 0.9) == 9
-    with pytest.warns(UserWarning):
-        assert tau_k(1.0, 1.0, 0.5) == 1
+    assert tau_k(1.0, 1.0, 0.5) == 1
 
 
 def test_tau_k_slow_growth_diminishing():
@@ -123,13 +121,16 @@ def test_fit_c_tau_in_unit_interval():
 
 def fit_c_tau_loop(schedule, beta, rho, horizon):
     """fit_c_tau's search over every k of the horizon."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        best = 1.0
-        for k in range(1, horizon + 1):
-            t = tau_k(beta, schedule.value(k), rho)
-            if k > t:
-                best = min(best, 1.0 - (t + 1) / (k + 1))
+    best = 1.0
+    found = False
+    for k in range(1, horizon + 1):
+        t = tau_k(beta, schedule.value(k), rho)
+        if k > t:
+            found = True
+            best = min(best, 1.0 - (t + 1) / (k + 1))
+    if not found:
+        raise CoreError(f"horizon {horizon} is too short to fit c_tau: "
+                        f"no k <= {horizon} exceeds tau_k")
     if best <= 0.0:
         raise CoreError("no admissible c_tau: tau_k grows too fast for the horizon")
     return best
@@ -230,11 +231,14 @@ def test_dcsa_step_dimension_check():
     eye2 = WeightMatrix(entries=np.eye(2), sigma2=0.0)
     with pytest.raises(CoreError):
         Scenario(sources=[NullSource()] * 3, ops=[zero_op(1)] * 3, step=step,
-                 horizon=1, seed=0, weights=eye2)
+                 horizon=1, seed=0, weights=(eye2,))
     with pytest.raises(CoreError):
         Scenario(sources=[NullSource()] * 3, ops=[zero_op(1)] * 3, step=step,
                  horizon=1, seed=0,
-                 schedule_weights=(lazy_metropolis(line_graph(3)), eye2))
+                 weights=(lazy_metropolis(line_graph(3)), eye2))
+    with pytest.raises(CoreError):
+        Scenario(sources=[NullSource()] * 3, ops=[zero_op(1)] * 3, step=step,
+                 horizon=1, seed=0, weights=())
 
 
 def test_consensus_error_values():
@@ -308,6 +312,58 @@ def test_lemma4_requires_30_seeds():
                         lambda k: 0.01, lambda k: 1, rc, n_agents=4)
 
 
+def lemma4_residual_loop(R_by_seed, S_by_seed, eps_fn, tau_fn, rc, n_agents,
+                         min_seeds=30):
+    """lemma4_residual one k at a time."""
+    R = np.asarray(R_by_seed, dtype=float)
+    S = np.asarray(S_by_seed, dtype=float)
+    if R.shape != S.shape or R.ndim != 2:
+        raise CoreError("R and S seed arrays must share shape (n_seeds, horizon+1)")
+    n_seeds, n_iters = R.shape
+    if n_seeds < min_seeds:
+        raise CoreError(f"need >= {min_seeds} seed replicates, got {n_seeds}")
+    ks, slack, stderr = [], [], []
+    for k in range(n_iters - 1):
+        t = tau_fn(k)
+        if k < t:
+            continue
+        e_k = eps_fn(k)
+        per_seed = ((1.0 - rc.alpha * e_k / 2.0) * R[:, k]
+                    + n_agents * rc.C1 * e_k * eps_fn(k - t) * t
+                    + n_agents * rc.C2 * e_k * (S[:, k] + S[:, k - t])
+                    - R[:, k + 1])
+        ks.append(k)
+        slack.append(float(per_seed.mean()))
+        stderr.append(float(per_seed.std(ddof=1) / math.sqrt(n_seeds)))
+    return np.array(ks), np.array(slack), np.array(stderr)
+
+
+@given(kind=st.sampled_from(["constant", "diminishing"]),
+       eps=st.floats(1e-4, 2.0), beta=st.floats(0.0, 5.0),
+       rho=st.floats(0.0, 0.9), n_seeds=st.sampled_from([29, 30, 31, 47]),
+       horizon=st.one_of(st.integers(0, 80),
+                         st.sampled_from([255, 256, 257, 258, 700])),
+       scale=st.sampled_from([1e-6, 1.0, 1e3]),
+       mismatched=st.booleans(), seed=st.integers(0, 2**31 - 1))
+@settings(max_examples=100, deadline=None)
+def test_lemma4_residual_matches_loop(kind, eps, beta, rho, n_seeds, horizon,
+                                      scale, mismatched, seed):
+    """The array passes over k (chunks of 256 rows) equal the per-k loop
+    bit for bit, errors included."""
+    sched = StepSchedule(kind=kind, eps=eps)
+    rc = sample_constants()
+    rng = np.random.default_rng(seed)
+    R = scale * rng.random((n_seeds, horizon + 1))
+    S = scale * rng.random((n_seeds, horizon + 1 + mismatched))
+    args = (R, S, sched.value, lambda k: tau_k(beta, sched.value(k), rho), rc, 4)
+    new, ref = outcome(lemma4_residual, *args), outcome(lemma4_residual_loop, *args)
+    if isinstance(ref, str):
+        assert new == ref
+        return
+    for got, want in zip(new, ref):
+        np.testing.assert_array_equal(got, want)
+
+
 def td_error_loop(theta_rows, eval_batches, ops):
     """Reference: the mean |Bellman residual| summed one transition at a
     time."""
@@ -369,7 +425,7 @@ def test_run_single_agent_geometric():
     """N=1, F = -theta, eps = 0.5: theta_k = 0.5^k, R_k = 0.25^k exactly."""
     sc = Scenario(sources=[NullSource()], ops=[decay_op(1)],
                   step=StepSchedule(kind="constant", eps=0.5), horizon=20,
-                  seed=0, weights=lazy_metropolis(line_graph(1)),
+                  seed=0, weights=(lazy_metropolis(line_graph(1)),),
                   theta0=np.array([[1.0]]), theta_star=np.array([0.0]))
     traj = run(sc)
     expected = 0.25 ** np.arange(21)
@@ -438,7 +494,7 @@ def test_run_average_dynamics_identity():
     sched = StepSchedule(kind="diminishing", eps=0.3)
     w = lazy_metropolis(line_graph(n))
     sc = Scenario(sources=[SeqSource() for _ in range(n)], ops=ops, step=sched,
-                  horizon=50, seed=7, weights=w, theta0=theta0)
+                  horizon=50, seed=7, weights=(w,), theta0=theta0)
     traj = run(sc, collect_theta_bar=True)
 
     # replay the identical sample streams and verify the average recursion
@@ -540,7 +596,7 @@ def test_run_is_deterministic(n, d, seed):
                              for _ in range(n)],
                         step=StepSchedule(kind="constant", eps=0.05),
                         horizon=40, seed=seed,
-                        weights=lazy_metropolis(line_graph(n)))
+                        weights=(lazy_metropolis(line_graph(n)),))
     a, b = run(build()), run(build())
     np.testing.assert_array_equal(a.theta_final, b.theta_final)
     np.testing.assert_array_equal(a.S_hist, b.S_hist)

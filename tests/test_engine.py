@@ -9,7 +9,6 @@ import copy
 import dataclasses
 import json
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -50,12 +49,6 @@ def _system_id_step_drift(sources):
     return drift
 
 
-def _quiet_tau(beta, eps_k, rho):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return tau_k(beta, eps_k, rho)
-
-
 def run_reference(sc, collect_theta_bar=False):
     """The per-step run() loop; a scenario with a vector_drift is taken to
     be a system-id one and stepped by _system_id_step_drift."""
@@ -82,7 +75,7 @@ def run_reference(sc, collect_theta_bar=False):
     reason = ""
 
     def log_record(k, Theta, slack=math.nan):
-        t = _quiet_tau(sc.beta, sc.step.value(k), sc.rho)
+        t = tau_k(sc.beta, sc.step.value(k), sc.rho)
         r_val = R_hist[k]
         s_val = S_hist[k]
         s_del = S_hist[max(0, k - t)]
@@ -121,7 +114,7 @@ def run_reference(sc, collect_theta_bar=False):
             drift = np.empty_like(Theta)
             for i in range(n):
                 drift[i] = ops_eval[i](sources[i].sample(rngs[i]), Theta[i])
-        Theta = sc.weight_entries_at(k) @ Theta + eps * drift
+        Theta = sc.weights[k % len(sc.weights)].entries @ Theta + eps * drift
         if not np.all(np.isfinite(Theta)):
             aborted = True
             reason = f"non-finite iterate at k={k + 1}"
@@ -129,8 +122,7 @@ def run_reference(sc, collect_theta_bar=False):
 
     return MetricsTrajectory(
         records=records, R_hist=R_hist, S_hist=S_hist,
-        theta_final=Theta.copy(), step=sc.step,
-        aborted=aborted, abort_reason=reason,
+        theta_final=Theta.copy(), aborted=aborted, abort_reason=reason,
         min_lemma3_slack=(min_slack if check_lemma3 else math.nan),
         theta_bar_hist=tb_hist)
 
@@ -236,7 +228,7 @@ def test_run_aborts_at_the_exact_step(bad_step):
     sc = Scenario(sources=[StepCounter() for _ in range(n)],
                   ops=[LocalOperator(dim=d, eval=blowup_at)] * n,
                   step=StepSchedule(kind="constant", eps=0.1), horizon=300,
-                  seed=0, stride=7, weights=w,
+                  seed=0, stride=7, weights=(w,),
                   theta0=np.arange(n * d, dtype=float).reshape(n, d),
                   theta_star=theta_star, constants=rc, sigma2=w.sigma2)
     new = run(sc, collect_theta_bar=True)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcsa.config import ScenarioConfig
-from dcsa.core import CoreError, MetricsTrajectory, StepSchedule, run
+from dcsa.core import CoreError, MetricsTrajectory, run, td_error
 from dcsa.experiments import (ScenarioError, build_gridworld_scenario,
                               build_scenario, build_system_id_scenario,
                               fit_rate, fit_rate_series, greedy_policy_rollout,
@@ -15,14 +15,13 @@ from dcsa.experiments import (ScenarioError, build_gridworld_scenario,
 from dcsa.operators import (ProblemSpec, eval_local,
                             fixed_point_oracle, value_iteration_q)
 from dcsa.rng import derive_stream
-from dcsa.sources import parse_maze
+from dcsa.sources import MDPSource, parse_maze
 
 
 def synthetic_traj(values):
     values = np.asarray(values, dtype=float)
     return MetricsTrajectory(records=[], R_hist=values, S_hist=values,
-                             theta_final=np.zeros((1, 1)),
-                             step=StepSchedule(kind="constant", eps=0.1))
+                             theta_final=np.zeros((1, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +226,7 @@ def test_system_id_time_varying_schedule():
                          frames="edges:[[0,1],[2,3]];edges:[[1,2],[0,3]]",
                          period_b=2)
     sc = build_system_id_scenario(cfg)
-    assert sc.weights is None and len(sc.schedule_weights) == 2
+    assert len(sc.weights) == 2
     traj = run(sc)
     assert not traj.aborted
 
@@ -250,6 +249,30 @@ def test_gridworld_builder_dimensions():
     assert sc.theta_star is None
     assert len(sc.eval_batches) == 3
     assert all(len(b) == 50 for b in sc.eval_batches)
+
+
+def test_gridworld_eval_batches_are_arrays():
+    """Each agent's eval batch is built once as an (m, 4) float array of
+    (s, a, r, s') rows, and td_error on it equals td_error on the same
+    transitions as a list of tuples."""
+    mazes = [parse_maze(m) for m in MAZES]
+    cfg = ScenarioConfig(scenario="gridworld", n_agents=3, dim=100, seed=5,
+                         horizon=100, maze_files="unused", eval_batch_size=40)
+    sc = build_gridworld_scenario(cfg, mazes=mazes)
+    listed = []
+    for i, m in enumerate(mazes):
+        probe = MDPSource(maze=m, gamma=cfg.gamma)
+        rng = derive_stream(cfg.seed, i, "eval")
+        listed.append([probe.sample(rng) for _ in range(40)])
+    for batch, rows in zip(sc.eval_batches, listed):
+        assert isinstance(batch, np.ndarray)
+        assert batch.dtype == float and batch.shape == (40, 4)
+        np.testing.assert_array_equal(batch, np.array(rows, dtype=float))
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        theta = rng.standard_normal((3, sc.dim))
+        assert (td_error(theta, sc.eval_batches, sc.ops)
+                == td_error(theta, listed, sc.ops))
 
 
 def test_gridworld_builder_agent_count_mismatch():
