@@ -5,13 +5,14 @@ The update is theta_i <- sum_j W(i,j) theta_j + eps_k F_i(X_i, theta_i),
 executed bulk-synchronously from the pre-step iterate matrix.
 """
 
+import bisect
 import copy
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import bellman_residual
+from .operators import bellman_residual, qlearning_block_drift
 
 
 class CoreError(ValueError):
@@ -108,9 +109,11 @@ def fit_c_tau(schedule: StepSchedule, beta, rho, horizon) -> float:
         if t + 1 <= horizon:
             best = 1.0 - (t + 1) / (t + 2)
     else:
-        for k in range(1, horizon + 1):
-            t = tau_k(beta, schedule.value(k), rho)
-            if k > t:
+        # 1 - (t+1)/(k+1) grows with k, so a run of equal tau_k = t attains
+        # its least value at its first k > t
+        for first, last, t in _tau_runs(schedule, beta, rho, 1, horizon):
+            k = max(first, t + 1)
+            if k <= last:
                 best = min(best, 1.0 - (t + 1) / (k + 1))
     if best == math.inf:
         raise CoreError(f"horizon {horizon} is too short to fit c_tau: "
@@ -118,6 +121,27 @@ def fit_c_tau(schedule: StepSchedule, beta, rho, horizon) -> float:
     if best <= 0.0:
         raise CoreError("no admissible c_tau: tau_k grows too fast for the horizon")
     return best
+
+
+def _tau_runs(schedule: StepSchedule, beta, rho, lo, hi):
+    """(first, last, t) for each run first..last of equal t = tau_k at the
+    steps of the schedule, over lo <= k <= hi.
+
+    tau_k is nondecreasing in k (eps_k does not grow), so the end of each
+    run is found by bisection: O(runs * log(hi - lo)) tau_k calls, not one
+    per k.
+    """
+    ks = range(lo, hi + 1)
+
+    def tau(k):
+        return tau_k(beta, schedule.value(k), rho)
+
+    i = 0
+    while i < len(ks):
+        t = tau(ks[i])
+        j = bisect.bisect_right(ks, t, lo=i + 1, key=tau)
+        yield ks[i], ks[j - 1], t
+        i = j
 
 
 @dataclass(frozen=True)
@@ -142,11 +166,12 @@ def admissible_step_check(rc: RateConstants, s: StepSchedule, n_agents,
     else:
         margins["diminishing_eps_vs_8_over_alpha"] = s.eps - 8.0 / rc.alpha
         worst = math.inf
-        for k in range(horizon + 1):
-            t = tau_k(beta, s.value(k), rho)
-            if k < t:
-                continue
-            worst = min(worst, bound - s.value(k - t) * t)
+        # the delayed step eps_{k-t} falls as k grows, so a run of equal
+        # tau_k = t attains its least margin at its first k >= t
+        for first, last, t in _tau_runs(s, beta, rho, 0, horizon):
+            k = max(first, t)
+            if k <= last:
+                worst = min(worst, bound - s.value(k - t) * t)
         margins["diminishing_delayed_eps_tau"] = worst
     passed = all(m >= 0 for m in margins.values() if not math.isnan(m))
     return AdmissibilityReport(passed=passed, margins=margins)
@@ -358,6 +383,7 @@ def run(scenario: Scenario, collect_theta_bar: bool = False) -> MetricsTrajector
     else:
         sources = [copy.copy(src) for src in sc.sources]
         ops_eval = [op.eval for op in sc.ops]
+        qlearning = _shared_qlearning(sc.ops, sources)
     frames = [w.entries for w in sc.weights]
     Theta = sc.theta0.copy()
 
@@ -418,6 +444,10 @@ def run(scenario: Scenario, collect_theta_bar: bool = False) -> MetricsTrajector
         T = min(_BLOCK, horizon - k0)
         if sc.vector_drift is not None:
             drift = sc.vector_drift(rngs, X, T)
+        elif qlearning is not None:
+            drift = qlearning_block_drift(
+                *qlearning, [src.sample_block(rng, T)
+                             for src, rng in zip(sources, rngs)])
         else:
             obs = [[src.sample(rng) for _ in range(T)]
                    for src, rng in zip(sources, rngs)]
@@ -442,6 +472,17 @@ def run(scenario: Scenario, collect_theta_bar: bool = False) -> MetricsTrajector
         theta_final=Theta.copy(), aborted=aborted, abort_reason=reason,
         min_lemma3_slack=(min_slack if check_lemma3 else math.nan),
         theta_bar_hist=tb_hist)
+
+
+def _shared_qlearning(ops, sources):
+    """(features, gamma) when every operator is the built-in Q-learning map
+    with the same features and gamma and every source draws blocks with
+    sample_block; None otherwise."""
+    if not (all(op.kind == "qlearning" for op in ops)
+            and all(hasattr(src, "sample_block") for src in sources)):
+        return None
+    shared = {(op.params["features"], op.params["gamma"]) for op in ops}
+    return shared.pop() if len(shared) == 1 else None
 
 
 def _per_agent_drift(ops_eval, obs):

@@ -103,7 +103,18 @@ def build_system_id_scenario(cfg: ScenarioConfig) -> Scenario:
     constants = None
     if cfg.compute_constants:
         oc = system_id_constants(sources)
-        c_tau = fit_c_tau(step, cfg.beta, rho, max(cfg.horizon, 2))
+        # c_tau is fitted over k <= 2 at least, so that a horizon of 0 or 1
+        # still gets the constants of the first steps
+        span = max(cfg.horizon, 2)
+        try:
+            c_tau = fit_c_tau(step, cfg.beta, rho, span)
+        except CoreError:
+            if span == cfg.horizon:
+                raise
+            raise CoreError(
+                f"horizon {cfg.horizon} is too short to fit c_tau: no k <= "
+                f"{span} exceeds tau_k (a horizon below {span} is fitted "
+                f"over k <= {span})") from None
         constants = RateConstants.from_problem(
             B=oc.B, L=oc.L, alpha=oc.alpha, sigma2=sigma2, n_agents=n,
             theta_star_norm=float(np.linalg.norm(u)), c_tau=c_tau)
@@ -137,13 +148,14 @@ def build_gridworld_scenario(cfg: ScenarioConfig, mazes=None) -> Scenario:
     sources = [MDPSource(maze=m, gamma=cfg.gamma) for m in mazes]
     ops = [qlearning_operator(feats, cfg.gamma) for _ in range(n)]
     frames, sigma2 = _topology_for(cfg, n)
-    # each agent's batch is an (m, 4) array of (s, a, r, s') rows
+    # each agent's batch is an (m, 4) array of (s, a, r, s') rows, float
+    # because r is
     eval_batches = []
     for i, m in enumerate(mazes):
         probe = MDPSource(maze=m, gamma=cfg.gamma)
         rng = derive_stream(cfg.seed, i, "eval")
-        batch = [probe.sample(rng) for _ in range(cfg.eval_batch_size)]
-        eval_batches.append(np.array(batch, dtype=float).reshape(-1, 4))
+        eval_batches.append(np.column_stack(
+            probe.sample_block(rng, cfg.eval_batch_size)))
     step = StepSchedule(kind=cfg.step_kind, eps=cfg.step_eps)
     return Scenario(
         sources=sources, ops=ops, step=step, horizon=cfg.horizon,

@@ -85,7 +85,10 @@ def bellman_residual(features: TabularFeatures, gamma, theta, s, a, r, s_next):
     """r + gamma max_a' Q(s', a') - Q(s, a), with theta viewed as the
     (states x actions) table Q; elementwise over scalars or index arrays."""
     q = np.asarray(theta).reshape(features.n_states, features.n_actions)
-    return r + gamma * q[s_next].max(axis=-1) - q[s, a]
+    # take and maximum.reduce: the same values as q[s_next].max(axis=-1),
+    # with less call overhead on the few-row arrays of one step
+    return (r + gamma * np.maximum.reduce(q.take(s_next, axis=0), axis=-1)
+            - q[s, a])
 
 
 def qlearning_operator(features: TabularFeatures, gamma: float) -> LocalOperator:
@@ -105,6 +108,35 @@ def qlearning_operator(features: TabularFeatures, gamma: float) -> LocalOperator
 
     return LocalOperator(dim=features.dim, eval=_eval, kind="qlearning",
                          params={"features": features, "gamma": gamma})
+
+
+def qlearning_block_drift(features: TabularFeatures, gamma, blocks):
+    """drift(Theta, t) of N Q-learning agents that share features and gamma:
+    row i is agent i's Q-learning map at the t-th sample of its block
+    blocks[i] = (s, a, r, s') arrays, equal to its operator's eval.
+
+    One bellman_residual call per step treats Theta as the stacked
+    (N * states) x actions table, in which agent i's state s is row
+    i * states + s, and each residual goes to its one-hot slot.
+    """
+    s, a, r, s_next = (np.stack(x, axis=1) for x in zip(*blocks))
+    n_states = features.n_states
+    if s.size and max(s.max(), s_next.max()) >= n_states:
+        raise OperatorError("a sampled state lies beyond the features' states")
+    rows = n_states * np.arange(s.shape[1])
+    s, s_next = s + rows, s_next + rows
+    stacked = TabularFeatures(n_states * s.shape[1], features.n_actions)
+    slot = s * features.n_actions + a   # flat index into the (N, dim) drift
+    # lists of per-step rows index faster than the (T, N) arrays
+    s, a, r, s_next, slot = map(list, (s, a, r, s_next, slot))
+
+    def drift(Theta, t):
+        out = np.zeros(Theta.shape)
+        out.ravel()[slot[t]] = bellman_residual(stacked, gamma, Theta, s[t],
+                                                a[t], r[t], s_next[t])
+        return out
+
+    return drift
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ uniform behavior policy with goal-to-start teleports.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -331,6 +332,21 @@ class Maze:
             return t, 1.0
         return t, 0.0
 
+    @cached_property
+    def transitions(self):
+        """(next states, rewards, chain states) as flat lists indexed by
+        s * n_actions + a: move(s, a), and the state the sampled chain is in
+        afterwards (the start after a goal). Built on first use, not when
+        the maze is parsed."""
+        nxt, rew, after = [], [], []
+        for s in range(self.n_cells):
+            for a in range(self.n_actions):
+                t, r = self.move(s, a)
+                nxt.append(t)
+                rew.append(r)
+                after.append(self.start if t in self.goals else t)
+        return nxt, rew, after
+
     def _goal_reachable(self):
         seen = {self.start}
         stack = [self.start]
@@ -380,3 +396,21 @@ class MDPSource:
         s_next, r = self.maze.move(s, a)
         self.state = self.maze.start if s_next in self.maze.goals else s_next
         return s, a, r, s_next
+
+    def sample_block(self, rng, T):
+        """The next T samples as arrays (s, a, r, s'): the same values, and
+        the same final state, as T calls of sample."""
+        nxt, rew, after = self.maze.transitions
+        n_actions = self.maze.n_actions
+        actions = rng.integers(0, n_actions, size=T)
+        s = self.state
+        states, rewards, s_next = [], [], []
+        for a in actions.tolist():
+            i = s * n_actions + a
+            states.append(s)
+            rewards.append(rew[i])
+            s_next.append(nxt[i])
+            s = after[i]
+        self.state = s
+        return (np.array(states, dtype=int), actions,
+                np.array(rewards, dtype=float), np.array(s_next, dtype=int))

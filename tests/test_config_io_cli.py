@@ -257,18 +257,22 @@ def test_cli_check_computes_constants_regardless_of_config(tmp_path, capsys):
 
 
 def test_cli_check_names_a_horizon_too_short_for_c_tau(tmp_path, capsys):
-    """With constant eps = 0.03, tau_k = 99 exceeds every k of a 3-step
-    horizon, so c_tau cannot be fitted: exit 1 with an error line that
-    names the horizon."""
-    cfg = write_cfg(tmp_path, "scenario = system_id\nn_agents = 3\ndim = 2\n"
-                              "horizon = 3\nstep_kind = constant\n"
-                              "step_eps = 0.03\n")
-    assert main(["check", "--config", cfg]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: horizon 3 ")
-    assert "tau_k" in captured.err
-    assert "Traceback" not in captured.err
+    """With constant eps = 0.03, tau_k = 99 exceeds every k of a short
+    horizon, so c_tau cannot be fitted: exit 1 with one error line that
+    names the configured horizon and the range fitted, k <= 2 for a
+    horizon below 2."""
+    for horizon, fitted in ((3, 3), (1, 2)):
+        cfg = write_cfg(tmp_path,
+                        "scenario = system_id\nn_agents = 3\ndim = 2\n"
+                        f"horizon = {horizon}\nstep_kind = constant\n"
+                        "step_eps = 0.03\n", name=f"h{horizon}.cfg")
+        assert main(["check", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: horizon {horizon} ")
+        assert captured.err.count("\n") == 1
+        assert f"no k <= {fitted} exceeds tau_k" in captured.err
+        assert "Traceback" not in captured.err
 
 
 def reject_constant(name):

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcsa.core import (CoreError, RateConstants, Scenario, StepSchedule,
-                       admissible_step_check, fit_c_tau, lemma3_residual,
-                       lemma4_residual, lyapunov, run, tau_k, td_error)
+from dcsa.core import (AdmissibilityReport, CoreError, RateConstants, Scenario,
+                       StepSchedule, admissible_step_check, fit_c_tau,
+                       lemma3_residual, lemma4_residual, lyapunov, run, tau_k,
+                       td_error)
 from dcsa.graphs import WeightMatrix, lazy_metropolis, line_graph
 from dcsa.operators import (LocalOperator, TabularFeatures,
                             qlearning_operator, quadratic_grad_operator)
@@ -143,16 +144,58 @@ def outcome(fn, *args):
         return str(exc)
 
 
+# beta, rho and horizons of the set-up checks; the invalid rho raise
+BETAS = st.floats(0.0, 20.0)
+RHOS = st.one_of(st.floats(0.0, 0.99), st.sampled_from([-0.1, 1.0]))
+CHECK_HORIZONS = st.one_of(st.integers(0, 400), st.integers(0, 5000))
+
+
 @given(kind=st.sampled_from(["constant", "diminishing"]),
-       eps=st.floats(1e-6, 3.0), beta=st.floats(0.0, 20.0),
-       rho=st.one_of(st.floats(0.0, 0.99), st.sampled_from([-0.1, 1.0])),
-       horizon=st.integers(0, 400))
+       eps=st.floats(1e-6, 3.0), beta=BETAS, rho=RHOS,
+       horizon=CHECK_HORIZONS)
 @settings(max_examples=300, deadline=None)
 def test_fit_c_tau_matches_loop(kind, eps, beta, rho, horizon):
-    """The constant-step closed form equals the search, exceptions included."""
+    """The constant-step closed form and the diminishing-step bisection
+    over runs of equal tau_k equal the search, exceptions included."""
     sched = StepSchedule(kind=kind, eps=eps)
     assert (outcome(fit_c_tau, sched, beta, rho, horizon)
             == outcome(fit_c_tau_loop, sched, beta, rho, horizon))
+
+
+def admissible_step_check_loop(rc, s, n_agents, sigma2, beta, rho, horizon):
+    """admissible_step_check's search over every k of the horizon."""
+    bound = min(1.0 / (n_agents * rc.C_eps1),
+                (1.0 - sigma2**2) / (n_agents * rc.C_eps2))
+    margins = {}
+    if s.kind == "constant":
+        margins["constant_eps_tau"] = bound - s.eps * tau_k(beta, s.eps, rho)
+    else:
+        margins["diminishing_eps_vs_8_over_alpha"] = s.eps - 8.0 / rc.alpha
+        worst = math.inf
+        for k in range(horizon + 1):
+            t = tau_k(beta, s.value(k), rho)
+            if k < t:
+                continue
+            worst = min(worst, bound - s.value(k - t) * t)
+        margins["diminishing_delayed_eps_tau"] = worst
+    passed = all(m >= 0 for m in margins.values() if not math.isnan(m))
+    return AdmissibilityReport(passed=passed, margins=margins)
+
+
+@given(kind=st.sampled_from(["constant", "diminishing"]),
+       eps=st.one_of(st.floats(1e-6, 3.0), st.floats(1e-6, 1e-3)),
+       beta=BETAS, rho=RHOS, horizon=CHECK_HORIZONS,
+       sigma2=st.floats(0.0, 0.99), n_agents=st.integers(1, 10))
+@settings(max_examples=300, deadline=None)
+def test_admissible_step_check_matches_loop(kind, eps, beta, rho, horizon,
+                                            sigma2, n_agents):
+    """The bisection over runs of equal tau_k gives the margins of the
+    search over every k, exceptions included."""
+    rc = sample_constants(sigma2=sigma2)
+    sched = StepSchedule(kind=kind, eps=eps)
+    args = (rc, sched, n_agents, sigma2, beta, rho, horizon)
+    assert (outcome(admissible_step_check, *args)
+            == outcome(admissible_step_check_loop, *args))
 
 
 def sample_constants(sigma2=0.75, c_tau=0.5):

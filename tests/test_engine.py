@@ -21,9 +21,11 @@ from dcsa.core import (MetricsRecord, MetricsTrajectory, RateConstants,
                        lyapunov, run, tau_k, td_error)
 from dcsa.experiments import build_gridworld_scenario, build_scenario
 from dcsa.graphs import lazy_metropolis, line_graph
-from dcsa.operators import LocalOperator
+from dcsa.operators import LocalOperator, qlearning_operator
 from dcsa.rng import derive_stream
 from dcsa.sources import parse_maze
+
+from strategies import mazes
 
 
 def _system_id_step_drift(sources):
@@ -254,4 +256,66 @@ def test_run_matches_reference_gridworld(stride):
     sc = build_gridworld_scenario(cfg, mazes=[parse_maze(m) for m in MAZES])
     new = run(sc)
     assert np.isfinite(new.column("td_error")).all()
+    assert_same_trajectory(new, run_reference(sc))
+
+
+@st.composite
+def gridworld_scenarios(draw):
+    """A built GridWorld scenario of 1 to 4 agents, each on its own random
+    maze of one shared shape, with small eval batches."""
+    n = draw(st.integers(1, 4))
+    shape = (draw(st.integers(3, 5)), draw(st.integers(3, 4)))
+    kind, eps = draw(st.sampled_from([("constant", 0.05), ("constant", 0.9),
+                                      ("diminishing", 0.5),
+                                      ("diminishing", 3.0)]))
+    cfg = ScenarioConfig(scenario="gridworld", n_agents=n,
+                         dim=shape[0] * shape[1] * 4,
+                         seed=draw(st.integers(0, 2**31 - 1)),
+                         horizon=draw(HORIZONS),
+                         stride=draw(st.integers(1, 300)),
+                         maze_files="unused",
+                         eval_batch_size=draw(st.integers(1, 5)),
+                         step_kind=kind, step_eps=eps,
+                         gamma=draw(st.sampled_from([0.5, 0.9])))
+    maze_list = [draw(mazes(shape)) for _ in range(n)]
+    return build_gridworld_scenario(cfg, mazes=maze_list)
+
+
+@given(gridworld_scenarios())
+@settings(max_examples=40, deadline=None)
+def test_run_matches_reference_gridworld_blocks(sc):
+    """The batched Q-learning blocks give the per-agent loop's trajectory
+    on random mazes, horizons and strides, and its iterates bit for bit."""
+    new, ref = run(sc), run_reference(sc)
+    assert_same_trajectory(new, ref)
+    assert new.theta_final.tobytes() == ref.theta_final.tobytes()
+    assert new.S_hist.tobytes() == ref.S_hist.tobytes()
+
+
+@pytest.mark.parametrize("first_op", ["qlearning", "custom", "other-gamma"])
+def test_gridworld_path_choice(first_op):
+    """Built-in Q-learning operators with one features and gamma take the
+    block path, which calls no operator's eval. A custom-kind operator, or
+    one with another gamma, sends the run down the per-agent sample and
+    eval loop. Every path matches the reference."""
+    cfg = ScenarioConfig(scenario="gridworld", n_agents=3, dim=100, seed=5,
+                         horizon=300, stride=30, maze_files="unused",
+                         step_kind="constant", step_eps=0.05, gamma=0.5)
+    sc = build_gridworld_scenario(cfg, mazes=[parse_maze(m) for m in MAZES])
+    if first_op == "other-gamma":
+        sc.ops[0] = qlearning_operator(sc.ops[0].params["features"], 0.9)
+    calls = []
+
+    def counted(op_eval):
+        def eval_(x, theta):
+            calls.append(x)
+            return op_eval(x, theta)
+        return eval_
+
+    sc.ops = [dataclasses.replace(op, eval=counted(op.eval)) for op in sc.ops]
+    if first_op == "custom":
+        sc.ops[0] = dataclasses.replace(sc.ops[0], kind="custom")
+        sc.eval_batches = None   # td_error takes Q-learning operators only
+    new = run(sc)
+    assert len(calls) == (0 if first_op == "qlearning" else 3 * 300)
     assert_same_trajectory(new, run_reference(sc))

@@ -9,8 +9,9 @@ from dcsa.operators import (LocalOperator, OperatorError, ProblemSpec,
                             clipped_normal_variance, estimate_constants,
                             estimate_mean_field, eval_local, eval_mean_field,
                             fixed_point_oracle, probe_thetas,
-                            qlearning_operator, quadratic_grad_operator,
-                            system_id_constants, value_iteration_q)
+                            qlearning_block_drift, qlearning_operator,
+                            quadratic_grad_operator, system_id_constants,
+                            value_iteration_q)
 from dcsa.rng import derive_stream
 from dcsa.sources import ARSource, FiniteChain, MDPSource, parse_maze
 
@@ -124,6 +125,39 @@ def test_qlearning_eval_matches_explicit_formula(maze, gamma, seed):
             np.max(theta[s_next * n_a:(s_next + 1) * n_a]))
             - float(theta[s * n_a + a]))
         np.testing.assert_array_equal(eval_local(op, x, theta), expected)
+
+
+@given(st.lists(mazes((4, 3)), min_size=1, max_size=4), GAMMAS,
+       st.integers(0, 130), st.integers(0, 2**31 - 1))
+@settings(max_examples=60, deadline=None)
+def test_qlearning_block_drift_matches_eval(maze_list, gamma, T, seed):
+    """Every row of the batched drift equals its agent's operator eval at
+    that step, bit for bit (signed zeros included), for N agents on
+    their own mazes, at any theta."""
+    feats = TabularFeatures(12, 4)
+    op = qlearning_operator(feats, gamma)
+    blocks = [MDPSource(maze=m).sample_block(derive_stream(seed, i, "sample"),
+                                             T)
+              for i, m in enumerate(maze_list)]
+    drift = qlearning_block_drift(feats, gamma, blocks)
+    rng = np.random.default_rng(seed)
+    for t in range(T):
+        theta = rng.standard_normal((len(maze_list), feats.dim))
+        theta[rng.random(theta.shape) < 0.2] = -0.0
+        expected = np.stack([
+            op.eval((int(s[t]), int(a[t]), float(r[t]), int(s_next[t])),
+                    theta[i])
+            for i, (s, a, r, s_next) in enumerate(blocks)])
+        assert drift(theta, t).tobytes() == expected.tobytes()
+
+
+def test_qlearning_block_drift_rejects_states_beyond_features():
+    """A maze with more cells than the features' states would read another
+    agent's rows of the stacked table."""
+    block = MDPSource(maze=parse_maze("S...G")).sample_block(
+        np.random.default_rng(0), 50)
+    with pytest.raises(OperatorError):
+        qlearning_block_drift(TabularFeatures(3, 4), 0.9, [block, block])
 
 
 def test_qlearning_rejects_bad_gamma():

@@ -10,6 +10,8 @@ from dcsa.sources import (ARSource, FiniteChain, MDPSource, SourceError,
                           parse_maze, slem, stationary_distribution,
                           tv_distance)
 
+from strategies import mazes
+
 
 def two_state_chain(p, q):
     return FiniteChain(transition=[[1 - p, p], [q, 1 - q]])
@@ -341,3 +343,43 @@ def test_mdp_source_visits_all_free_cells():
 def test_sample_step_dispatch():
     chain = FiniteChain(transition=[[0, 1], [1e-9, 1 - 1e-9]], state=0)
     assert chain.sample(derive_stream(0, 0, "sample")) == 1
+
+
+# block lengths at and around the engine's 128-step blocks, and any others
+BLOCK_LENGTHS = st.one_of(st.sampled_from([0, 1, 127, 128, 129]),
+                          st.integers(0, 300))
+
+
+@given(mazes(), BLOCK_LENGTHS, BLOCK_LENGTHS, st.integers(0, 3),
+       st.integers(0, 2**31 - 1))
+@settings(max_examples=150, deadline=None)
+def test_mdp_sample_block_matches_sample(maze, t1, t2, warmup, seed):
+    """Two blocks of t1 and t2 samples hold the values of t1 + t2 sample
+    calls, and leave the source's state and the stream where those calls
+    leave them."""
+    one, block = MDPSource(maze=maze), MDPSource(maze=maze)
+    rng_one = derive_stream(seed, 0, "sample")
+    rng_block = derive_stream(seed, 0, "sample")
+    for _ in range(warmup):   # so that a block need not begin at the start
+        one.sample(rng_one)
+        block.sample(rng_block)
+    for T in (t1, t2):
+        expected = [one.sample(rng_one) for _ in range(T)]
+        s, a, r, s_next = block.sample_block(rng_block, T)
+        assert [x.dtype.kind for x in (s, a, r, s_next)] == list("iifi")
+        assert list(zip(s.tolist(), a.tolist(), r.tolist(),
+                        s_next.tolist())) == expected
+        assert block.state == one.state
+    assert rng_block.integers(0, 2**63) == rng_one.integers(0, 2**63)
+
+
+def test_maze_transitions_table_is_built_on_first_use():
+    maze = parse_maze("S.#\n..G\n")
+    assert "transitions" not in vars(maze)
+    nxt, rew, after = maze.transitions
+    assert "transitions" in vars(maze)
+    for s in range(maze.n_cells):
+        for a in range(maze.n_actions):
+            i = s * maze.n_actions + a
+            assert (nxt[i], rew[i]) == maze.move(s, a)
+            assert after[i] == (maze.start if nxt[i] in maze.goals else nxt[i])
