@@ -7,12 +7,14 @@ executed bulk-synchronously from the pre-step iterate matrix.
 
 import bisect
 import copy
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import bellman_residual, qlearning_block_drift
+from .operators import (bellman_residual, qlearning_block_drift,
+                        quadratic_block_drift)
 
 
 class CoreError(ValueError):
@@ -305,12 +307,6 @@ class Scenario:
     constants: RateConstants = None
     sigma2: float = math.nan
     eval_batches: list = None
-    # optional fused sampler, used by run() in place of the per-agent
-    # sample+eval loop: vector_drift(rngs, X, T) draws the next T
-    # observations of every agent, advances X (the sources' stacked states,
-    # one row per agent) in place to the last of them, and returns
-    # drift(Theta, t), the drift rows at step t of the block
-    vector_drift: callable = None
 
     def __post_init__(self):
         n = len(self.sources)
@@ -336,6 +332,11 @@ class Scenario:
     @property
     def dim(self):
         return self.ops[0].dim
+
+    @property
+    def vector_drift(self):
+        # None: benchmarks/tracing.py reads it until the next benchmark change
+        return None
 
 
 @dataclass
@@ -378,12 +379,8 @@ def run(scenario: Scenario, collect_theta_bar: bool = False) -> MetricsTrajector
     sc = scenario
     n, d = sc.n_agents, sc.dim
     rngs = [derive_stream(sc.seed, i, "sample") for i in range(n)]
-    if sc.vector_drift is not None:
-        X = np.array([src.state for src in sc.sources], dtype=float)
-    else:
-        sources = [copy.copy(src) for src in sc.sources]
-        ops_eval = [op.eval for op in sc.ops]
-        qlearning = _shared_qlearning(sc.ops, sources)
+    block_drift = _block_drift(sc.ops, [copy.copy(src) for src in sc.sources],
+                               rngs)
     frames = [w.entries for w in sc.weights]
     Theta = sc.theta0.copy()
 
@@ -442,16 +439,7 @@ def run(scenario: Scenario, collect_theta_bar: bool = False) -> MetricsTrajector
     buf = np.empty((min(_BLOCK, horizon), n, d))
     for k0 in range(0, horizon, _BLOCK):
         T = min(_BLOCK, horizon - k0)
-        if sc.vector_drift is not None:
-            drift = sc.vector_drift(rngs, X, T)
-        elif qlearning is not None:
-            drift = qlearning_block_drift(
-                *qlearning, [src.sample_block(rng, T)
-                             for src, rng in zip(sources, rngs)])
-        else:
-            obs = [[src.sample(rng) for _ in range(T)]
-                   for src, rng in zip(sources, rngs)]
-            drift = _per_agent_drift(ops_eval, obs)
+        drift = block_drift(T)
         eps = [sc.step.value(k) for k in range(k0, k0 + T)]
         done = T
         for t in range(T):
@@ -474,24 +462,37 @@ def run(scenario: Scenario, collect_theta_bar: bool = False) -> MetricsTrajector
         theta_bar_hist=tb_hist)
 
 
-def _shared_qlearning(ops, sources):
-    """(features, gamma) when every operator is the built-in Q-learning map
-    with the same features and gamma and every source draws blocks with
-    sample_block; None otherwise."""
-    if not (all(op.kind == "qlearning" for op in ops)
-            and all(hasattr(src, "sample_block") for src in sources)):
-        return None
-    shared = {(op.params["features"], op.params["gamma"]) for op in ops}
-    return shared.pop() if len(shared) == 1 else None
+def _block_drift(ops, sources, rngs):
+    """block_drift(T) draws the next T observations of every agent from its
+    source and stream and returns drift(Theta, t), the drift rows at step t
+    of the block. Built-in quadratic-gradient operators, or built-in
+    Q-learning ones with one features and gamma, over sources with
+    sample_block share one batched drift; anything else is sampled and
+    evaluated agent by agent."""
+    kinds = {op.kind for op in ops}
+    batched = None
+    if kinds == {"quadratic-gradient"}:
+        batched = quadratic_block_drift
+    elif kinds == {"qlearning"}:
+        shared = {(op.params["features"], op.params["gamma"]) for op in ops}
+        if len(shared) == 1:
+            batched = functools.partial(qlearning_block_drift, *shared.pop())
+    if batched is not None and all(hasattr(src, "sample_block")
+                                   for src in sources):
+        return lambda T: batched([src.sample_block(rng, T)
+                                  for src, rng in zip(sources, rngs)])
+    ops_eval = [op.eval for op in ops]
 
+    def per_agent(T):
+        obs = [[src.sample(rng) for _ in range(T)]
+               for src, rng in zip(sources, rngs)]
 
-def _per_agent_drift(ops_eval, obs):
-    """drift(Theta, t): agent i's operator at its t-th observation of the
-    block, obs[i][t]."""
-    def drift(Theta, t):
-        out = np.empty_like(Theta)
-        for i, op_eval in enumerate(ops_eval):
-            out[i] = op_eval(obs[i][t], Theta[i])
-        return out
+        def drift(Theta, t):
+            out = np.empty_like(Theta)
+            for i, op_eval in enumerate(ops_eval):
+                out[i] = op_eval(obs[i][t], Theta[i])
+            return out
 
-    return drift
+        return drift
+
+    return per_agent

@@ -43,41 +43,6 @@ def sample_unit_ball(rng, dim):
     return g / np.linalg.norm(g) * rng.random() ** (1.0 / dim)
 
 
-def _system_id_vector_drift(sources):
-    """Batched sampler + gradient for the AR/quadratic scenario.
-
-    The returned hook(rngs, X, T) draws T steps of every agent's stream
-    (two clipped standard normals per step, in sample() order, so
-    trajectories match the per-source path), advances the stacked AR states
-    X in place and returns drift(Theta, t) for step t of the block. The
-    subdiagonal A makes X(1) a shift of the noise: column m of the block is
-    a_m times column m-1 one step earlier.
-    """
-    a = np.stack([np.diagonal(s.A, offset=-1) for s in sources])
-    u = sources[0].u
-    clip = sources[0].noise_clip
-    d = len(u)
-
-    def hook(rngs, X, T):
-        noise = np.stack([rng.standard_normal((T, 2)) for rng in rngs], axis=1)
-        np.clip(noise, -clip, clip, out=noise)
-        x1 = np.empty((T, len(rngs), d))
-        x1[:, :, 0] = noise[..., 0]
-        for m in range(1, d):
-            x1[0, :, m] = a[:, m - 1] * X[:, m - 1]
-            x1[1:, :, m] = a[:, m - 1] * x1[:-1, :, m - 1]
-        x2 = x1 @ u + noise[..., 1]
-        X[:] = x1[-1]
-
-        def drift(Theta, t):
-            resid = np.einsum("ni,ni->n", Theta, x1[t]) - x2[t]
-            return -2.0 * resid[:, None] * x1[t]
-
-        return drift
-
-    return hook
-
-
 def build_system_id_scenario(cfg: ScenarioConfig) -> Scenario:
     """Decentralized quadratic regression on clipped-noise AR sources.
 
@@ -121,8 +86,7 @@ def build_system_id_scenario(cfg: ScenarioConfig) -> Scenario:
     return Scenario(
         sources=sources, ops=ops, step=step, horizon=cfg.horizon,
         seed=cfg.seed, stride=cfg.stride, weights=frames, theta_star=u,
-        beta=cfg.beta, rho=rho, constants=constants, sigma2=sigma2,
-        vector_drift=_system_id_vector_drift(sources))
+        beta=cfg.beta, rho=rho, constants=constants, sigma2=sigma2)
 
 
 def build_gridworld_scenario(cfg: ScenarioConfig, mazes=None) -> Scenario:

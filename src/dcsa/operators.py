@@ -47,10 +47,26 @@ def quadratic_grad_operator(dim: int, u=None) -> LocalOperator:
     def _eval(x, theta):
         x1, x2 = x
         x1 = np.asarray(x1, dtype=float)
-        return -2.0 * (float(x1 @ theta) - float(x2)) * x1
+        return 2.0 * (float(x2) - float((x1 * theta).sum())) * x1
 
     params = {} if u is None else {"u": np.asarray(u, dtype=float)}
     return LocalOperator(dim=dim, eval=_eval, kind="quadratic-gradient", params=params)
+
+
+def quadratic_block_drift(blocks):
+    """drift(Theta, t) of N quadratic-gradient agents: row i is agent i's
+    map at the t-th sample of its block blocks[i] = (x1 (T, d), x2 (T,)),
+    equal bit for bit to its eval: both sum a row's products over the
+    contiguous last axis, where a (T, d) @ product would round otherwise."""
+    x1 = np.stack([b[0] for b in blocks], axis=1)               # (T, N, d)
+    x2 = np.stack([b[1] for b in blocks], axis=1)[:, :, None]   # (T, N, 1)
+
+    def drift(Theta, t):
+        x1_t = x1[t]
+        resid = x2[t] - (x1_t * Theta).sum(axis=-1, keepdims=True)
+        return 2.0 * resid * x1_t
+
+    return drift
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,7 @@ def clipped_normal(rng, clip):
 class ARSource:
     """X(1) <- A X(1) + clip(noise) e1;  X(2) = <u, X(1)> + clip(noise).
 
+    A is nonzero only on its first subdiagonal (nilpotent, hence stable).
     Noise clipping keeps the observation space compact (default clip 3).
     """
 
@@ -227,8 +228,8 @@ class ARSource:
         d = self.A.shape[0]
         if self.A.shape != (d, d) or self.u.shape != (d,):
             raise SourceError("A must be d x d and u length d")
-        if np.max(np.abs(np.linalg.eigvals(self.A))) >= 1.0:
-            raise SourceError("spectral radius of A must be < 1")
+        if np.any(self.A != np.diag(np.diagonal(self.A, offset=-1), k=-1)):
+            raise SourceError("A must be zero off its first subdiagonal")
         if self.noise_clip <= 0:
             raise SourceError("noise_clip must be positive")
         if self.state is None:
@@ -243,9 +244,27 @@ class ARSource:
     def sample(self, rng):
         x1 = self.A @ self.state
         x1[0] += clipped_normal(rng, self.noise_clip)
-        x2 = float(self.u @ x1) + clipped_normal(rng, self.noise_clip)
+        x2 = float((x1 * self.u).sum()) + clipped_normal(rng, self.noise_clip)
         self.state = x1
         return x1.copy(), x2
+
+    def sample_block(self, rng, T):
+        """The next T samples as arrays x1 (T, d) and x2 (T,), with the
+        values, final state and stream of T sample calls. Column m of X(1)
+        is A[m, m-1] times column m-1 one step earlier: one array op per
+        column over a buffer whose row 0 is the state. x2 sums each row over
+        the contiguous last axis, which rounds as sample's 1-D sum does."""
+        clip = self.noise_clip
+        noise = rng.standard_normal((T, 2))
+        np.minimum(np.maximum(noise, -clip, out=noise), clip, out=noise)
+        x = np.empty((T + 1, self.dim))
+        x[0] = self.state
+        x[1:, 0] = noise[:, 0]
+        for m, a in enumerate(np.diagonal(self.A, offset=-1), start=1):
+            np.multiply(a, x[:-1, m - 1], out=x[1:, m])
+        x1 = x[1:]
+        self.state = x[-1].copy()
+        return x1, (x1 * self.u).sum(axis=-1) + noise[:, 1]
 
 
 def ar_state_bound(A, noise_clip) -> np.ndarray:

@@ -28,40 +28,12 @@ from dcsa.sources import parse_maze
 from strategies import mazes
 
 
-def _system_id_step_drift(sources):
-    """One step of the fused system-id sampler: drift(Theta, rngs, X)
-    advances the stacked AR states X by one step of every agent."""
-    A_stack = np.stack([s.A for s in sources])
-    u = sources[0].u
-    clip = sources[0].noise_clip
-    n = A_stack.shape[0]
-
-    def drift(Theta, rngs, X):
-        noise = np.empty((n, 2))
-        for i in range(n):
-            noise[i] = rngs[i].standard_normal(2)
-        np.clip(noise, -clip, clip, out=noise)
-        x1 = np.einsum("nij,nj->ni", A_stack, X)
-        x1[:, 0] += noise[:, 0]
-        x2 = x1 @ u + noise[:, 1]
-        X[:] = x1
-        resid = np.einsum("ni,ni->n", Theta, x1) - x2
-        return -2.0 * resid[:, None] * x1
-
-    return drift
-
-
 def run_reference(sc, collect_theta_bar=False):
-    """The per-step run() loop; a scenario with a vector_drift is taken to
-    be a system-id one and stepped by _system_id_step_drift."""
+    """The per-step run() loop: every agent draws one observation with its
+    source's sample and evaluates its operator's eval at every step."""
     n, d = sc.n_agents, sc.dim
     rngs = [derive_stream(sc.seed, i, "sample") for i in range(n)]
-    step_drift = None
-    if sc.vector_drift is not None:
-        step_drift = _system_id_step_drift(sc.sources)
-        X = np.array([src.state for src in sc.sources], dtype=float)
-    else:
-        sources = [copy.copy(src) for src in sc.sources]
+    sources = [copy.copy(src) for src in sc.sources]
     Theta = sc.theta0.copy()
 
     horizon = sc.horizon
@@ -110,12 +82,9 @@ def run_reference(sc, collect_theta_bar=False):
         if k == horizon:
             break
         eps = sc.step.value(k)
-        if step_drift is not None:
-            drift = step_drift(Theta, rngs, X)
-        else:
-            drift = np.empty_like(Theta)
-            for i in range(n):
-                drift[i] = ops_eval[i](sources[i].sample(rngs[i]), Theta[i])
+        drift = np.empty_like(Theta)
+        for i in range(n):
+            drift[i] = ops_eval[i](sources[i].sample(rngs[i]), Theta[i])
         Theta = sc.weights[k % len(sc.weights)].entries @ Theta + eps * drift
         if not np.all(np.isfinite(Theta)):
             aborted = True
@@ -166,11 +135,12 @@ HORIZONS = st.one_of(
        step=st.sampled_from([("constant", 0.03), ("constant", 0.3),
                              ("diminishing", 0.03), ("diminishing", 1.0)]),
        time_varying=st.booleans(), constants=st.booleans(),
-       collect_theta_bar=st.booleans(), fused=st.booleans(),
+       collect_theta_bar=st.booleans(), batched=st.booleans(),
        seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=60, deadline=None)
 def test_run_matches_reference_loop(n, d, horizon, stride, step, time_varying,
-                                    constants, collect_theta_bar, fused, seed):
+                                    constants, collect_theta_bar, batched,
+                                    seed):
     cfg = ScenarioConfig(scenario="system_id", n_agents=n, dim=d, seed=seed,
                          horizon=horizon, stride=stride, step_kind=step[0],
                          step_eps=step[1],
@@ -182,15 +152,15 @@ def test_run_matches_reference_loop(n, d, horizon, stride, step, time_varying,
         sc.constants = RateConstants.from_problem(
             B=2.0, L=1.5, alpha=0.8, sigma2=sc.sigma2, n_agents=n,
             theta_star_norm=1.0, c_tau=0.5)
-    if not fused:
-        sc.vector_drift = None
+    if not batched:   # a custom-kind operator takes the per-agent loop
+        sc.ops[0] = dataclasses.replace(sc.ops[0], kind="custom")
     assert_same_trajectory(run(sc, collect_theta_bar),
                            run_reference(sc, collect_theta_bar))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_matches_reference_on_divergence():
-    """A fused system-id run whose iterates overflow aborts where the
+    """A batched system-id run whose iterates overflow aborts where the
     per-step loop does."""
     cfg = ScenarioConfig(scenario="system_id", n_agents=3, dim=2, seed=3,
                          horizon=600, stride=7, step_kind="constant",
@@ -319,3 +289,31 @@ def test_gridworld_path_choice(first_op):
     new = run(sc)
     assert len(calls) == (0 if first_op == "qlearning" else 3 * 300)
     assert_same_trajectory(new, run_reference(sc))
+
+
+@pytest.mark.parametrize("first_op", ["quadratic", "custom"])
+def test_system_id_path_choice(first_op):
+    """Built-in quadratic-gradient operators over ARSources take the block
+    path, which calls no operator's eval; a custom-kind operator sends the
+    run down the per-agent sample and eval loop. Both match the reference,
+    and their iterates are equal bit for bit."""
+    cfg = ScenarioConfig(scenario="system_id", n_agents=4, dim=3, seed=6,
+                         horizon=300, stride=30, compute_constants=True)
+    sc = build_scenario(cfg)
+    calls = []
+
+    def counted(op_eval):
+        def eval_(x, theta):
+            calls.append(x)
+            return op_eval(x, theta)
+        return eval_
+
+    batched = run(sc)
+    sc.ops = [dataclasses.replace(op, eval=counted(op.eval)) for op in sc.ops]
+    if first_op == "custom":
+        sc.ops[0] = dataclasses.replace(sc.ops[0], kind="custom")
+    new = run(sc)
+    assert len(calls) == (0 if first_op == "quadratic" else 4 * 300)
+    assert_same_trajectory(new, run_reference(sc))
+    for name in ("theta_final", "R_hist", "S_hist"):
+        assert getattr(new, name).tobytes() == getattr(batched, name).tobytes()

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 
 import numpy as np
@@ -12,8 +13,8 @@ from dcsa.experiments import (ScenarioError, build_gridworld_scenario,
                               build_scenario, build_system_id_scenario,
                               fit_rate, fit_rate_series, greedy_policy_rollout,
                               plateau_level, run_seed_ensemble)
-from dcsa.operators import (ProblemSpec, eval_local,
-                            fixed_point_oracle, value_iteration_q)
+from dcsa.operators import (ProblemSpec, fixed_point_oracle,
+                            value_iteration_q)
 from dcsa.rng import derive_stream
 from dcsa.sources import MDPSource, parse_maze
 
@@ -143,13 +144,13 @@ def test_system_id_root_condition_monte_carlo():
     n = 100_000
     acc = np.zeros(sc.dim)
     acc2 = np.zeros(sc.dim)
-    for src, op in zip(sc.sources, sc.ops):
-        for _ in range(200):  # burn-in to stationarity (A is nilpotent)
-            src.sample(rng)
-        for _ in range(n):
-            v = eval_local(op, src.sample(rng), sc.theta_star)
-            acc += v
-            acc2 += v * v
+    for src in sc.sources:
+        src.sample_block(rng, 200)  # burn-in to stationarity (A is nilpotent)
+        x1, x2 = src.sample_block(rng, n)
+        # the quadratic-gradient map at theta*, one row per sample
+        v = 2.0 * (x2 - (x1 * sc.theta_star).sum(axis=1))[:, None] * x1
+        acc += v.sum(axis=0)
+        acc2 += (v * v).sum(axis=0)
     mean = acc / (n * sc.n_agents)
     stderr = np.sqrt(np.clip(acc2 / (n * sc.n_agents) - mean**2, 0, None)
                      / (n * sc.n_agents))
@@ -167,17 +168,18 @@ def alternating_frames(n):
        step_kind=st.sampled_from(["constant", "diminishing"]),
        time_varying=st.booleans(), seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=25, deadline=None)
-def test_system_id_vector_drift_matches_slow_path(n, d, step_kind,
-                                                  time_varying, seed):
+def test_system_id_batched_drift_matches_slow_path(n, d, step_kind,
+                                                   time_varying, seed):
     frames = alternating_frames(n) if time_varying else ""
     cfg = ScenarioConfig(scenario="system_id", n_agents=n, dim=d, seed=seed,
                          horizon=500, stride=100, step_kind=step_kind,
                          frames=frames, period_b=2)
     fast = run(build_scenario(cfg))
     slow_sc = build_scenario(cfg)
-    slow_sc.vector_drift = None
+    # a custom-kind operator sends the run down the per-agent loop
+    slow_sc.ops[0] = dataclasses.replace(slow_sc.ops[0], kind="custom")
     slow = run(slow_sc)
-    # identical noise streams; summation order may differ at machine epsilon
+    # identical noise streams, and drift rows that round alike
     np.testing.assert_allclose(fast.theta_final, slow.theta_final,
                                rtol=1e-12, atol=1e-15)
     np.testing.assert_allclose(fast.R_hist, slow.R_hist, rtol=1e-10,
@@ -188,7 +190,7 @@ def reuse_scenarios():
     sysid = ScenarioConfig(scenario="system_id", n_agents=4, dim=3, seed=2,
                            horizon=300, stride=50)
     slow = build_scenario(sysid)
-    slow.vector_drift = None
+    slow.ops[0] = dataclasses.replace(slow.ops[0], kind="custom")
     grid = ScenarioConfig(scenario="gridworld", n_agents=3, dim=100, seed=1,
                           horizon=300, stride=50, maze_files="unused",
                           eval_batch_size=20, step_kind="constant",

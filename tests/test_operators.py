@@ -10,8 +10,8 @@ from dcsa.operators import (LocalOperator, OperatorError, ProblemSpec,
                             estimate_mean_field, eval_local, eval_mean_field,
                             fixed_point_oracle, probe_thetas,
                             qlearning_block_drift, qlearning_operator,
-                            quadratic_grad_operator, system_id_constants,
-                            value_iteration_q)
+                            quadratic_block_drift, quadratic_grad_operator,
+                            system_id_constants, value_iteration_q)
 from dcsa.rng import derive_stream
 from dcsa.sources import ARSource, FiniteChain, MDPSource, parse_maze
 
@@ -65,6 +65,33 @@ def test_quadratic_op_matches_finite_differences():
             grad[i] = (f(theta + e) - f(theta - e)) / (2 * h)
         val = eval_local(op, (x1, x2), theta)
         np.testing.assert_allclose(val, -grad, rtol=1e-6, atol=1e-6)
+
+
+def ar_block(seed, i, d, T):
+    """T samples of an ARSource with a random subdiagonal A."""
+    rng = np.random.default_rng([seed, i])
+    A = np.diag(rng.uniform(0.8, 0.99, d - 1), k=-1)
+    src = ARSource(A=A, u=rng.standard_normal(d))
+    return src.sample_block(derive_stream(seed, i, "sample"), T)
+
+
+@given(st.integers(1, 5), st.integers(1, 10), st.integers(0, 130),
+       st.integers(0, 2**31 - 1))
+@settings(max_examples=60, deadline=None)
+def test_quadratic_block_drift_matches_eval(n, d, T, seed):
+    """Every row of the batched drift equals its agent's operator eval at
+    that step, bit for bit, for N agents with their own AR sources and at
+    any theta; d above 8 takes numpy's pairwise sums."""
+    op = quadratic_grad_operator(d)
+    blocks = [ar_block(seed, i, d, T) for i in range(n)]
+    drift = quadratic_block_drift(blocks)
+    rng = np.random.default_rng(seed)
+    for t in range(T):
+        theta = rng.standard_normal((n, d))
+        theta[rng.random(theta.shape) < 0.2] = -0.0
+        expected = np.stack([op.eval((x1[t], float(x2[t])), theta[i])
+                             for i, (x1, x2) in enumerate(blocks)])
+        assert drift(theta, t).tobytes() == expected.tobytes()
 
 
 def test_eval_local_dimension_check():

@@ -234,6 +234,17 @@ def test_ar_source_rejects_unstable():
         ARSource(A=np.eye(2), u=np.zeros(2))
 
 
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1), (2, 0), (1, 2)])
+def test_ar_source_rejects_non_subdiagonal_A(entry):
+    """sample_block's column shift holds only for an A that is zero off its
+    first subdiagonal, so any other nonzero entry is refused."""
+    A = np.diag([0.9, 0.8], k=-1)
+    ARSource(A=A, u=np.zeros(3))
+    A[entry] = 0.1
+    with pytest.raises(SourceError, match="subdiagonal"):
+        ARSource(A=A, u=np.zeros(3))
+
+
 def test_ar_noise_is_clipped():
     src = ARSource(A=np.zeros((1, 1)), u=np.ones(1), noise_clip=0.5)
     rng = derive_stream(0, 0, "sample")
@@ -248,9 +259,8 @@ def test_ar_state_bound_holds_empirically():
     bound = ar_state_bound(A, 3.0)
     np.testing.assert_allclose(bound, [3.0, 2.7])
     rng = derive_stream(1, 0, "sample")
-    for _ in range(100_000):
-        x1, _ = src.sample(rng)
-        assert np.all(np.abs(x1) <= bound + 1e-12)
+    x1, _ = src.sample_block(rng, 100_000)
+    assert np.all(np.abs(x1) <= bound + 1e-12)
 
 
 def test_ar_subdiagonal_is_nilpotent():
@@ -370,6 +380,36 @@ def test_mdp_sample_block_matches_sample(maze, t1, t2, warmup, seed):
         assert list(zip(s.tolist(), a.tolist(), r.tolist(),
                         s_next.tolist())) == expected
         assert block.state == one.state
+    assert rng_block.integers(0, 2**63) == rng_one.integers(0, 2**63)
+
+
+@given(st.lists(st.one_of(st.just(0.0), st.floats(-0.99, 0.99)), max_size=5),
+       st.sampled_from([0.5, 3.0]), BLOCK_LENGTHS, BLOCK_LENGTHS,
+       st.integers(0, 3), st.integers(0, 2**31 - 1))
+@settings(max_examples=150, deadline=None)
+def test_ar_sample_block_matches_sample(subdiagonal, clip, t1, t2, warmup,
+                                        seed):
+    """Two blocks of t1 and t2 samples of a d x d AR source, d = 1 to 6,
+    hold the values of t1 + t2 sample calls, and leave the source's state
+    and the stream where those calls leave them."""
+    d = len(subdiagonal) + 1
+    u = np.random.default_rng(seed).standard_normal(d)
+    A = np.diag(np.array(subdiagonal, dtype=float), k=-1)
+    one = ARSource(A=A, u=u, noise_clip=clip)
+    block = ARSource(A=A, u=u, noise_clip=clip)
+    rng_one = derive_stream(seed, 0, "sample")
+    rng_block = derive_stream(seed, 0, "sample")
+    for _ in range(warmup):   # so that a block need not begin at zero
+        one.sample(rng_one)
+        block.sample(rng_block)
+    for T in (t1, t2):
+        expected = [one.sample(rng_one) for _ in range(T)]
+        x1, x2 = block.sample_block(rng_block, T)
+        assert x1.shape == (T, d) and x2.shape == (T,)
+        np.testing.assert_array_equal(
+            x1, np.array([x for x, _ in expected]).reshape(T, d))
+        np.testing.assert_array_equal(x2, [x for _, x in expected])
+        np.testing.assert_array_equal(block.state, one.state)
     assert rng_block.integers(0, 2**63) == rng_one.integers(0, 2**63)
 
 
