@@ -3,6 +3,7 @@ unknown-key rejection, plus topology string parsing."""
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 from .graphs import (Graph, GraphError, complete_graph, line_graph, ring_graph,
@@ -89,6 +90,10 @@ def validate_config(cfg: ScenarioConfig):
         raise ConfigError("stride must be >= 1")
     if cfg.step_kind not in ("constant", "diminishing"):
         raise ConfigError("step_kind must be constant or diminishing")
+    for name in ("step_eps", "noise_clip", "gamma", "beta"):
+        value = getattr(cfg, name)
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
     if cfg.step_eps <= 0:
         raise ConfigError("step_eps must be positive")
     if cfg.noise_clip <= 0:
@@ -97,6 +102,8 @@ def validate_config(cfg: ScenarioConfig):
         raise ConfigError("gamma must lie in (0,1)")
     if cfg.period_b < 1:
         raise ConfigError("period_b must be >= 1")
+    if cfg.eval_batch_size < 1:
+        raise ConfigError("eval_batch_size must be >= 1")
     if cfg.scenario == "gridworld" and not cfg.maze_files.strip():
         raise ConfigError("gridworld scenario requires maze_files")
     # topology strings must parse

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sources import ARSource, FiniteChain, Maze, stationary_distribution
+from .sources import (ARSource, FiniteChain, Maze, ar_state_bound,
+                      stationary_distribution)
 
 
 class OperatorError(ValueError):
@@ -259,40 +260,24 @@ def clipped_normal_variance(clip: float) -> float:
 
 
 def ar_stationary_covariance(A, noise_clip) -> np.ndarray:
-    """Stationary covariance of the AR state: Sigma = A Sigma A^T + q e1 e1^T.
-
-    Sums Sigma = sum_j A^j Q (A^j)^T by doubling (Smith's method): after
-    step k, sigma holds the first 2^k terms and P = A^(2^k).  For a
-    nilpotent A (the subdiagonal system-id matrices) P reaches 0 after
-    ceil(log2 d) steps and the sum is exact.
-    """
-    A = np.asarray(A, dtype=float)
-    d = A.shape[0]
-    if not np.max(np.abs(np.linalg.eigvals(A))) < 1.0:
-        raise OperatorError("spectral radius of A must be < 1")
-    sigma = np.zeros((d, d))
-    sigma[0, 0] = clipped_normal_variance(noise_clip)
-    P = A
-    while True:
-        nxt = sigma + P @ sigma @ P.T
-        if np.array_equal(nxt, sigma):
-            return sigma
-        if not np.all(np.isfinite(nxt)):
-            raise OperatorError("stationary covariance overflows float64")
-        sigma, P = nxt, P @ P
+    """Stationary covariance of the AR state, Sigma = A Sigma A^T + q e1 e1^T
+    with q the clipped noise variance. A is nilpotent, so X(1)_m is the gain
+    g_m = ar_state_bound(A, 1)[m] times noise drawn m steps earlier, and
+    Sigma = diag(q g^2)."""
+    gains = ar_state_bound(A, 1.0)
+    return np.diag(clipped_normal_variance(noise_clip) * gains**2)
 
 
 def system_id_constants(sources) -> OperatorConstants:
     """Analytic (B, L, alpha) for quadratic-gradient operators over ARSources.
 
     L and B are true uniform bounds over the reachable (from zero) state
-    space; alpha = 2 lambda_min(sum_i E[X(1) X(1)^T]) from the Lyapunov solve.
+    space; alpha = 2 lambda_min(sum_i E[X(1) X(1)^T]), the smallest entry of
+    the summed diagonal stationary covariances.
     """
-    from .sources import ar_state_bound
-
     l_max = 0.0
     b_zero = 0.0
-    cov_sum = None
+    var_sum = 0.0
     for src in sources:
         if not isinstance(src, ARSource):
             raise OperatorError("system_id_constants expects ARSources")
@@ -301,9 +286,8 @@ def system_id_constants(sources) -> OperatorConstants:
         x2_max = float(np.abs(src.u) @ xmax) + src.noise_clip
         l_max = max(l_max, 2.0 * x1_norm**2)
         b_zero = max(b_zero, 2.0 * x2_max * x1_norm)
-        cov = ar_stationary_covariance(src.A, src.noise_clip)
-        cov_sum = cov if cov_sum is None else cov_sum + cov
-    alpha = 2.0 * float(np.min(np.linalg.eigvalsh(cov_sum)))
+        var_sum += np.diagonal(ar_stationary_covariance(src.A, src.noise_clip))
+    alpha = 2.0 * float(np.min(var_sum))
     return OperatorConstants(B=max(l_max, b_zero), L=l_max, alpha=alpha)
 
 

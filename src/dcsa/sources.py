@@ -209,6 +209,16 @@ def clipped_normal(rng, clip):
     return float(np.clip(rng.standard_normal(), -clip, clip))
 
 
+def _subdiagonal(A) -> np.ndarray:
+    """The first subdiagonal of A, which must be square and zero everywhere
+    else: the one form of A that an ARSource holds."""
+    A = np.asarray(A, dtype=float)
+    if (A.ndim != 2 or A.shape[0] != A.shape[1]
+            or np.any(A != np.diag(np.diagonal(A, offset=-1), k=-1))):
+        raise SourceError("A must be square and zero off its first subdiagonal")
+    return np.diagonal(A, offset=-1)
+
+
 @dataclass
 class ARSource:
     """X(1) <- A X(1) + clip(noise) e1;  X(2) = <u, X(1)> + clip(noise).
@@ -228,8 +238,7 @@ class ARSource:
         d = self.A.shape[0]
         if self.A.shape != (d, d) or self.u.shape != (d,):
             raise SourceError("A must be d x d and u length d")
-        if np.any(self.A != np.diag(np.diagonal(self.A, offset=-1), k=-1)):
-            raise SourceError("A must be zero off its first subdiagonal")
+        _subdiagonal(self.A)
         if self.noise_clip <= 0:
             raise SourceError("noise_clip must be positive")
         if self.state is None:
@@ -268,16 +277,11 @@ class ARSource:
 
 
 def ar_state_bound(A, noise_clip) -> np.ndarray:
-    """Componentwise bound on |X(1)| reachable from X(0)=0:
-    (I - |A|)^-1 e1 * clip, valid when spectral radius of |A| < 1."""
-    A = np.asarray(A, dtype=float)
-    d = A.shape[0]
-    absA = np.abs(A)
-    if np.max(np.abs(np.linalg.eigvals(absA))) >= 1.0:
-        raise SourceError("cannot bound state: spectral radius of |A| >= 1")
-    e1 = np.zeros(d)
-    e1[0] = 1.0
-    return np.linalg.solve(np.eye(d) - absA, e1) * float(noise_clip)
+    """Componentwise bound on |X(1)| reachable from X(0)=0: clip * g with the
+    gains g = cumprod([1, |a_1|, ..., |a_{d-1}|]) of the subdiagonal a, since
+    X(1)_m(k) = a_1 ... a_m w(k-m) for the clipped noise w."""
+    gains = np.cumprod(np.abs(np.concatenate(([1.0], _subdiagonal(A)))))
+    return gains * float(noise_clip)
 
 
 # ---------------------------------------------------------------------------
@@ -400,12 +404,9 @@ class MDPSource:
     """
 
     maze: Maze
-    gamma: float = 0.9
     state: int = None
 
     def __post_init__(self):
-        if not (0.0 < self.gamma < 1.0):
-            raise SourceError("gamma must lie in (0,1)")
         if self.state is None:
             self.state = self.maze.start
 

@@ -82,6 +82,13 @@ def test_parse_topology_strings():
         parse_topology("edges:[[0,9]]", 3)
 
 
+@pytest.mark.parametrize("name", ["step_eps", "noise_clip", "gamma", "beta"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_parse_rejects_non_finite_floats(name, value):
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        parse_config(f"{name} = {value}\n")
+
+
 def test_gridworld_config_requires_mazes():
     with pytest.raises(ConfigError, match="maze_files"):
         parse_config("scenario = gridworld\nn_agents = 1\n")
@@ -224,6 +231,28 @@ def test_cli_bad_path_exit_code(case, tmp_path, capsys):
     assert "error:" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize("line", [
+    "beta = nan", "beta = inf", "step_eps = nan", "noise_clip = nan",
+    "eval_batch_size = -5", "eval_batch_size = 0"])
+def test_cli_rejects_bad_config_values(line, command, tmp_path, capsys):
+    """A non-finite float or an eval batch below one transition is a
+    validation error, reported before --out is created."""
+    if line.startswith("eval_batch_size"):
+        cfg, _ = rollout_setup(tmp_path)
+        with open(cfg, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+    else:
+        cfg = write_cfg(tmp_path, SYSTEM_ID_CFG + line + "\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

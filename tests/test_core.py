@@ -441,7 +441,7 @@ def test_td_error_values(maze, gamma, sizes, seed):
     feats = TabularFeatures(maze.n_cells, maze.n_actions)
     ops = [qlearning_operator(feats, gamma) for _ in range(len(sizes) + 1)]
     rng = np.random.default_rng(seed)
-    src = MDPSource(maze=maze, gamma=gamma)
+    src = MDPSource(maze=maze)
     batches = [[src.sample(rng) for _ in range(m)] for m in sizes] + [[]]
     theta_rows = rng.standard_normal((len(ops), feats.dim))
     if sum(sizes) == 0:

@@ -263,7 +263,7 @@ def test_gridworld_eval_batches_are_arrays():
     sc = build_gridworld_scenario(cfg, mazes=mazes)
     listed = []
     for i, m in enumerate(mazes):
-        probe = MDPSource(maze=m, gamma=cfg.gamma)
+        probe = MDPSource(maze=m)
         rng = derive_stream(cfg.seed, i, "eval")
         listed.append([probe.sample(rng) for _ in range(40)])
     for batch, rows in zip(sc.eval_batches, listed):

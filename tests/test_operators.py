@@ -13,7 +13,8 @@ from dcsa.operators import (LocalOperator, OperatorError, ProblemSpec,
                             quadratic_block_drift, quadratic_grad_operator,
                             system_id_constants, value_iteration_q)
 from dcsa.rng import derive_stream
-from dcsa.sources import ARSource, FiniteChain, MDPSource, parse_maze
+from dcsa.sources import (ARSource, FiniteChain, MDPSource, SourceError,
+                          ar_state_bound, parse_maze)
 
 from strategies import GAMMAS, mazes
 
@@ -143,7 +144,7 @@ def test_qlearning_eval_matches_explicit_formula(maze, gamma, seed):
     op = qlearning_operator(feats, gamma)
     rng = np.random.default_rng(seed)
     theta = rng.standard_normal(feats.dim)
-    src = MDPSource(maze=maze, gamma=gamma)
+    src = MDPSource(maze=maze)
     for _ in range(20):
         s, a, r, s_next = x = src.sample(rng)
         n_a = feats.n_actions
@@ -300,25 +301,20 @@ def test_clipped_normal_variance():
         assert abs(clipped_normal_variance(c) - ref) <= np.finfo(float).eps * ref
 
 
-def test_ar_stationary_covariance_d1():
-    # scalar AR(1): var = q / (1 - a^2)
+def test_ar_stationary_covariance_d2():
+    # X(1)_1 = q-variance noise, X(1)_2 = a times the previous noise
     a, clip = 0.5, 3.0
     q = clipped_normal_variance(clip)
-    cov = ar_stationary_covariance(np.array([[a]]), clip)
-    assert cov[0, 0] == pytest.approx(q / (1 - a * a))
+    cov = ar_stationary_covariance(np.diag([a], k=-1), clip)
+    np.testing.assert_array_equal(cov, np.diag([q, a * a * q]))
 
 
 @st.composite
 def stable_matrices(draw):
-    """Subdiagonal system-id matrices, or dense ones scaled to rho < 1."""
+    """Subdiagonal system-id matrices, d from 1 to 12."""
     d = draw(st.integers(1, 12))
-    if draw(st.booleans()):
-        sub = draw(st.lists(st.floats(0.8, 0.99), min_size=d - 1,
-                            max_size=d - 1))
-        return np.diag(sub, -1)
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    m = rng.standard_normal((d, d))
-    return m * draw(st.floats(0.0, 0.99)) / np.max(np.abs(np.linalg.eigvals(m)))
+    sub = draw(st.lists(st.floats(0.8, 0.99), min_size=d - 1, max_size=d - 1))
+    return np.diag(sub, -1)
 
 
 @given(stable_matrices(), st.floats(0.1, 5.0))
@@ -334,15 +330,60 @@ def test_ar_stationary_covariance_matches_scipy(A, clip):
     assert np.max(np.abs(A @ cov @ A.T + q - cov)) <= 1e-12 * scale
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
 def test_ar_stationary_covariance_rejects_unstable_and_overflowing_A():
+    """Only a subdiagonal A is accepted, so unstable matrices and ones with
+    a nonzero diagonal are refused before any sum is formed."""
     for A in (np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]),
-              np.array([[1.01]])):
-        with pytest.raises(OperatorError, match="spectral radius"):
+              np.array([[1.01]]), np.array([[0.5, 0.0], [1e300, 0.5]])):
+        with pytest.raises(SourceError, match="subdiagonal"):
             ar_stationary_covariance(A, 3.0)
-    # rho = 0.5, but the transient A^j e1 outgrows float64
-    with pytest.raises(OperatorError, match="overflows"):
-        ar_stationary_covariance(np.array([[0.5, 0.0], [1e300, 0.5]]), 3.0)
+
+
+def solve_state_bound(A, clip):
+    """The state bound (I - |A|)^-1 e1 clip by a dense linear solve."""
+    e1 = np.zeros(A.shape[0])
+    e1[0] = 1.0
+    return np.linalg.solve(np.eye(A.shape[0]) - np.abs(A), e1) * float(clip)
+
+
+@st.composite
+def system_id_sources(draw):
+    """1-4 ARSources of one dimension d from 1 to 12, with signed
+    subdiagonal entries of magnitude in [0.8, 0.99] and a shared u."""
+    d = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 4))
+    clip = draw(st.floats(0.1, 5.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = rng.standard_normal(d)
+    return [ARSource(A=np.diag(rng.choice([-1.0, 1.0], d - 1)
+                               * rng.uniform(0.8, 0.99, d - 1), k=-1),
+                     u=u, noise_clip=clip) for _ in range(n)]
+
+
+@given(system_id_sources())
+@settings(max_examples=200, deadline=None)
+def test_system_id_closed_forms_match_linear_algebra(sources):
+    """The state bound and B, L are bit-equal to the dense-solve bound, and
+    alpha agrees with 2 lambda_min of the summed Lyapunov solutions."""
+    from scipy.linalg import solve_discrete_lyapunov
+    l_max = b_zero = 0.0
+    cov_sum = 0.0
+    for src in sources:
+        xmax = solve_state_bound(src.A, src.noise_clip)
+        np.testing.assert_array_equal(
+            ar_state_bound(src.A, src.noise_clip), xmax)
+        x1_norm = float(np.linalg.norm(xmax))
+        x2_max = float(np.abs(src.u) @ xmax) + src.noise_clip
+        l_max = max(l_max, 2.0 * x1_norm**2)
+        b_zero = max(b_zero, 2.0 * x2_max * x1_norm)
+        q = np.zeros(src.A.shape)
+        q[0, 0] = clipped_normal_variance(src.noise_clip)
+        cov_sum = cov_sum + solve_discrete_lyapunov(src.A, q)
+    oc = system_id_constants(sources)
+    assert oc.L == l_max
+    assert oc.B == max(l_max, b_zero)
+    alpha = 2.0 * float(np.min(np.linalg.eigvalsh(cov_sum)))
+    assert oc.alpha == pytest.approx(alpha, rel=1e-12, abs=0)
 
 
 def test_system_id_constants_alpha_d1():

@@ -325,7 +325,7 @@ def test_maze_move_semantics():
 
 def test_mdp_source_teleports_from_goal():
     m = parse_maze("S.\n.G\n")
-    src = MDPSource(maze=m, gamma=0.5)
+    src = MDPSource(maze=m)
     rng = derive_stream(0, 0, "sample")
     saw_teleport = False
     for _ in range(200):
@@ -339,7 +339,7 @@ def test_mdp_source_teleports_from_goal():
 
 def test_mdp_source_visits_all_free_cells():
     maze = parse_maze("S....\n.##..\n..#..\n.#...\n....G\n")
-    src = MDPSource(maze=maze, gamma=0.5)
+    src = MDPSource(maze=maze)
     rng = derive_stream(0, 0, "sample")
     visited = set()
     for _ in range(100_000):
