@@ -98,6 +98,9 @@ def validate_config(cfg: ScenarioConfig):
         raise ConfigError("step_eps must be positive")
     if cfg.noise_clip <= 0:
         raise ConfigError("noise_clip must be positive")
+    if cfg.beta <= 0:
+        # tau(eps) <= beta log(1/eps) bounds a mixing time only for beta > 0
+        raise ConfigError("beta must be positive")
     if not (0.0 < cfg.gamma < 1.0):
         raise ConfigError("gamma must lie in (0,1)")
     if cfg.period_b < 1:

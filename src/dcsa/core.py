@@ -7,6 +7,7 @@ executed bulk-synchronously from the pre-step iterate matrix.
 
 import bisect
 import copy
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -192,8 +193,12 @@ def lemma3_residual(S_k, S_prev, R_prev, eps_prev, rc: RateConstants,
     """Slack of the one-step consensus-error recursion; nonnegative pathwise
     under the step-size conditions."""
     gap = 1.0 - sigma2**2
+    # float_power calls C's pow per entry, as ** on a Python float does, so
+    # a column of per-run B gives each run's bound bit for bit; ndarray ** 2
+    # squares instead, which can round the last bit otherwise
     bound = ((1.0 + sigma2**2) / 2.0 * S_prev
-             + 32.0 * eps_prev**2 * rc.B**2 * n_agents / gap * R_prev
+             + 32.0 * eps_prev**2 * np.float_power(rc.B, 2) * n_agents / gap
+             * R_prev
              + n_agents * rc.C0 / gap * eps_prev**2)
     return bound - S_k
 
@@ -373,70 +378,113 @@ def run(scenario: Scenario, collect_theta_bar: bool = False) -> MetricsTrajector
     from (seed, agent, 'sample') and agents are reduced in index order.
     All stream state (the RNGs and the sources' Markov states) is per run,
     so the scenario is left unchanged and can be run again.
+
+    It is run_ensemble of the one scenario: there is one engine.
+    """
+    return run_ensemble([scenario], collect_theta_bar)[0]
+
+
+def run_ensemble(scenarios, collect_theta_bar: bool = False) -> list:
+    """run() of each of S scenarios of one config, stepped together: one
+    MetricsTrajectory per scenario, in order, each equal bit for bit to the
+    one run() gives that scenario alone.
+
+    The scenarios may differ in their seeds, sources, operators' parameters,
+    theta0, theta* and constants. The iterates of all S are one (S, N, d)
+    array, so each numpy call of a step, and of a block's metrics, serves
+    every scenario; the shared weight frame mixes every scenario's rows.
+    Raises CoreError when the scenarios differ in their weight frames,
+    step, horizon, stride, beta, rho, sigma2, dims or operator kinds, or in
+    which of theta*, constants and eval batches they have.
+
+    When an iterate of any scenario goes non-finite, each scenario is run
+    again on its own, so that every abort keeps its exact k and reason.
     """
     from .rng import derive_stream
 
-    sc = scenario
-    n, d = sc.n_agents, sc.dim
-    rngs = [derive_stream(sc.seed, i, "sample") for i in range(n)]
-    block_drift = _block_drift(sc.ops, [copy.copy(src) for src in sc.sources],
-                               rngs)
+    scs = list(scenarios)
+    if not scs:
+        return []
+    _require_one_config(scs)
+    sc = scs[0]
+    n_runs, n, d = len(scs), sc.n_agents, sc.dim
+    rngs = [derive_stream(s.seed, i, "sample") for s in scs for i in range(n)]
+    block_drift = _block_drift(
+        [op for s in scs for op in s.ops],
+        [copy.copy(src) for s in scs for src in s.sources], rngs, (n_runs, n))
     frames = [w.entries for w in sc.weights]
-    Theta = sc.theta0.copy()
+    Theta = np.stack([s.theta0 for s in scs])
 
     horizon = sc.horizon
-    R_hist = np.full(horizon + 1, math.nan)
-    S_hist = np.full(horizon + 1, math.nan)
-    tb_hist = np.zeros((horizon + 1, d)) if collect_theta_bar else None
-    theta_star = None if sc.theta_star is None else np.asarray(sc.theta_star)
+    R_hist = np.full((n_runs, horizon + 1), math.nan)
+    S_hist = np.full((n_runs, horizon + 1), math.nan)
+    tb_hist = np.zeros((n_runs, horizon + 1, d)) if collect_theta_bar else None
+    theta_star = None
+    if sc.theta_star is not None:
+        theta_star = np.stack([np.asarray(s.theta_star) for s in scs])[:, None]
     check_lemma3 = sc.constants is not None and theta_star is not None
-    min_slack = math.inf
+    if check_lemma3:
+        # lemma3_residual broadcasts each run's B and C0, held as (S, 1)
+        # columns, over that run's row of slacks
+        constants = dataclasses.replace(
+            sc.constants, **{name: np.array([[getattr(s.constants, name)]
+                                             for s in scs])
+                             for name in ("B", "C0")})
+    min_slack = np.full(n_runs, math.inf)
 
-    records = []
+    records = [[] for _ in scs]
     aborted = False
     reason = ""
 
-    def log_record(k, Theta, slack):
-        t = tau_k(sc.beta, sc.step.value(k), sc.rho)
-        r_val = R_hist[k]
-        s_val = S_hist[k]
-        s_del = S_hist[max(0, k - t)]
-        td = math.nan
-        if sc.eval_batches is not None:
-            td = td_error(Theta, sc.eval_batches, sc.ops)
-        records.append(MetricsRecord(
-            k=k, eps_k=sc.step.value(k), tau_k=t, R=r_val, S=s_val,
-            S_delayed=s_del, V=lyapunov(r_val, s_val, s_del),
-            td_error=td, lemma3_slack=slack))
+    def log_records(k, thetas, slack):
+        """One record per run at step k, from its iterate thetas[s] and its
+        lemma-3 slack slack[s]."""
+        eps_k = sc.step.value(k)
+        t = tau_k(sc.beta, eps_k, sc.rho)
+        for s, (run_sc, theta, run_records) in enumerate(
+                zip(scs, thetas, records)):
+            r_val = R_hist[s, k]
+            s_val = S_hist[s, k]
+            s_del = S_hist[s, max(0, k - t)]
+            td = math.nan
+            if run_sc.eval_batches is not None:
+                td = td_error(theta, run_sc.eval_batches, run_sc.ops)
+            run_records.append(MetricsRecord(
+                k=k, eps_k=eps_k, tau_k=t, R=r_val, S=s_val,
+                S_delayed=s_del, V=lyapunov(r_val, s_val, s_del),
+                td_error=td, lemma3_slack=slack[s]))
 
     def measure(k_lo, thetas, eps_prev):
-        """Metrics and records of the iterates thetas = Theta_{k_lo..}, of
-        shape (m, N, d); eps_prev holds the steps that produced them."""
-        nonlocal min_slack
-        m = len(thetas)
+        """Metrics and records of the iterates thetas = Theta_{k_lo..} of
+        every run, of shape (S, m, N, d); eps_prev holds the steps that
+        produced them."""
+        m = thetas.shape[1]
         ks = slice(k_lo, k_lo + m)
-        theta_bar = thetas.mean(axis=1)
+        theta_bar = thetas.mean(axis=2)
         if theta_star is not None:
             diff = theta_bar - theta_star
-            R_hist[ks] = (diff[:, None, :] @ diff[:, :, None]).reshape(m)
-        dev = thetas - theta_bar[:, None, :]
-        S_hist[ks] = (dev * dev).reshape(m, n * d).sum(axis=1)
+            R_hist[:, ks] = (diff[..., None, :] @ diff[..., None]).reshape(
+                n_runs, m)
+        dev = thetas - theta_bar[:, :, None]
+        S_hist[:, ks] = (dev * dev).reshape(n_runs, m, n * d).sum(axis=-1)
         if collect_theta_bar:
-            tb_hist[ks] = theta_bar
-        slack = np.full(m, math.nan)
+            tb_hist[:, ks] = theta_bar
+        slack = np.full((n_runs, m), math.nan)
         if check_lemma3 and k_lo >= 1:
             prev = slice(k_lo - 1, k_lo - 1 + m)
-            slack = lemma3_residual(S_hist[ks], S_hist[prev], R_hist[prev],
-                                    np.array(eps_prev), sc.constants, n,
-                                    sc.sigma2)
+            slack = lemma3_residual(S_hist[:, ks], S_hist[:, prev],
+                                    R_hist[:, prev], np.array(eps_prev),
+                                    constants, n, sc.sigma2)
             # NaN slacks are skipped, as min() over floats would skip them
-            min_slack = float(np.fmin.reduce(slack, initial=min_slack))
+            np.fmin(min_slack, np.fmin.reduce(slack, axis=1,
+                                              initial=math.inf),
+                    out=min_slack)
         for k in range(k_lo, k_lo + m):
             if k % sc.stride == 0 or k == horizon:
-                log_record(k, thetas[k - k_lo], slack[k - k_lo])
+                log_records(k, thetas[:, k - k_lo], slack[:, k - k_lo])
 
-    measure(0, Theta[None], [])
-    buf = np.empty((min(_BLOCK, horizon), n, d))
+    measure(0, Theta[:, None], [])
+    buf = np.empty((n_runs, min(_BLOCK, horizon), n, d))
     for k0 in range(0, horizon, _BLOCK):
         T = min(_BLOCK, horizon - k0)
         drift = block_drift(T)
@@ -446,28 +494,54 @@ def run(scenario: Scenario, collect_theta_bar: bool = False) -> MetricsTrajector
             Theta = (frames[(k0 + t) % len(frames)] @ Theta
                      + eps[t] * drift(Theta, t))
             if not np.isfinite(Theta).all():
+                if n_runs > 1:
+                    return [run(s, collect_theta_bar) for s in scs]
                 aborted = True
                 reason = f"non-finite iterate at k={k0 + t + 1}"
                 done = t
                 break
-            buf[t] = Theta
-        measure(k0 + 1, buf[:done], eps[:done])
+            buf[:, t] = Theta
+        measure(k0 + 1, buf[:, :done], eps[:done])
         if aborted:
             break
 
-    return MetricsTrajectory(
-        records=records, R_hist=R_hist, S_hist=S_hist,
-        theta_final=Theta.copy(), aborted=aborted, abort_reason=reason,
-        min_lemma3_slack=(min_slack if check_lemma3 else math.nan),
-        theta_bar_hist=tb_hist)
+    return [MetricsTrajectory(
+        records=records[s], R_hist=R_hist[s], S_hist=S_hist[s],
+        theta_final=Theta[s].copy(), aborted=aborted, abort_reason=reason,
+        min_lemma3_slack=(float(min_slack[s]) if check_lemma3 else math.nan),
+        theta_bar_hist=None if tb_hist is None else tb_hist[s])
+        for s in range(n_runs)]
 
 
-def _block_drift(ops, sources, rngs):
-    """block_drift(T) draws the next T observations of every agent from its
-    source and stream and returns drift(Theta, t), the drift rows at step t
-    of the block. Built-in quadratic-gradient operators, or built-in
-    Q-learning ones with one features and gamma, over sources with
-    sample_block share one batched drift; anything else is sampled and
+def _require_one_config(scs):
+    """Raise CoreError unless the scenarios can be stepped as one stack."""
+
+    def shared(sc):
+        sigma2 = None if math.isnan(sc.sigma2) else sc.sigma2
+        return (sc.n_agents, sc.dim, sc.step, sc.horizon, sc.stride, sc.beta,
+                sc.rho, sigma2, tuple(op.kind for op in sc.ops),
+                len(sc.weights), sc.theta_star is None, sc.constants is None,
+                sc.eval_batches is None)
+
+    first = shared(scs[0])
+    for sc in scs[1:]:
+        if shared(sc) != first or not all(
+                np.array_equal(w.entries, w0.entries)
+                for w, w0 in zip(sc.weights, scs[0].weights)):
+            raise CoreError(
+                "stacked scenarios must share weight frames, step, horizon, "
+                "stride, beta, rho, sigma2, dims and operator kinds, and "
+                "agree in which of theta*, constants and eval batches they "
+                "have")
+
+
+def _block_drift(ops, sources, rngs, shape):
+    """block_drift(T) draws the next T observations of every agent of the
+    stack `shape` = (S, N) from its source and stream (agents in C order)
+    and returns drift(Theta, t), the (S, N, d) drift rows at step t of the
+    block. Built-in quadratic-gradient operators, or built-in Q-learning
+    ones with one features and gamma, over sources of one class with
+    sample_blocks share one batched drift; anything else is sampled and
     evaluated agent by agent."""
     kinds = {op.kind for op in ops}
     batched = None
@@ -477,10 +551,14 @@ def _block_drift(ops, sources, rngs):
         shared = {(op.params["features"], op.params["gamma"]) for op in ops}
         if len(shared) == 1:
             batched = functools.partial(qlearning_block_drift, *shared.pop())
-    if batched is not None and all(hasattr(src, "sample_block")
-                                   for src in sources):
-        return lambda T: batched([src.sample_block(rng, T)
-                                  for src, rng in zip(sources, rngs)])
+    source_class = type(sources[0])
+    if (batched is not None and hasattr(source_class, "sample_blocks")
+            and all(type(src) is source_class for src in sources)):
+        def sampled(T):
+            blocks = source_class.sample_blocks(sources, rngs, T)
+            return batched(*(x.reshape(shape + x.shape[1:]) for x in blocks))
+
+        return sampled
     ops_eval = [op.eval for op in ops]
 
     def per_agent(T):
@@ -489,8 +567,10 @@ def _block_drift(ops, sources, rngs):
 
         def drift(Theta, t):
             out = np.empty_like(Theta)
+            rows = out.reshape(-1, Theta.shape[-1])
+            theta_rows = Theta.reshape(-1, Theta.shape[-1])
             for i, op_eval in enumerate(ops_eval):
-                out[i] = op_eval(obs[i][t], Theta[i])
+                rows[i] = op_eval(obs[i][t], theta_rows[i])
             return out
 
         return drift

@@ -234,11 +234,10 @@ def greedy_policy_rollout(theta, maze: Maze, max_steps: int) -> RolloutResult:
 
 def run_seed_ensemble(cfg: ScenarioConfig, seeds, collect_theta_bar=False):
     """Independent runs of the configured scenario, one per seed, in seed
-    order (aggregation is order-fixed by seed index)."""
-    from .core import run
+    order (aggregation is order-fixed by seed index): every seed is built
+    on its own and all are stepped together by one run_ensemble call."""
+    from .core import run_ensemble
 
-    out = []
-    for seed in seeds:
-        scenario = build_scenario(dataclasses.replace(cfg, seed=int(seed)))
-        out.append(run(scenario, collect_theta_bar=collect_theta_bar))
-    return out
+    scenarios = [build_scenario(dataclasses.replace(cfg, seed=int(seed)))
+                 for seed in seeds]
+    return run_ensemble(scenarios, collect_theta_bar=collect_theta_bar)

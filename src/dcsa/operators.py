@@ -54,13 +54,14 @@ def quadratic_grad_operator(dim: int, u=None) -> LocalOperator:
     return LocalOperator(dim=dim, eval=_eval, kind="quadratic-gradient", params=params)
 
 
-def quadratic_block_drift(blocks):
-    """drift(Theta, t) of N quadratic-gradient agents: row i is agent i's
-    map at the t-th sample of its block blocks[i] = (x1 (T, d), x2 (T,)),
-    equal bit for bit to its eval: both sum a row's products over the
-    contiguous last axis, where a (T, d) @ product would round otherwise."""
-    x1 = np.stack([b[0] for b in blocks], axis=1)               # (T, N, d)
-    x2 = np.stack([b[1] for b in blocks], axis=1)[:, :, None]   # (T, N, 1)
+def quadratic_block_drift(x1, x2):
+    """drift(Theta, t) of a stack of quadratic-gradient agents, whose
+    blocks of samples are x1 (..., T, d) and x2 (..., T): for Theta of shape
+    (..., d), the row of an agent is its map at its t-th sample, equal bit
+    for bit to its eval: both sum a row's products over the contiguous last
+    axis, where a (T, d) @ product would round otherwise."""
+    x1 = np.ascontiguousarray(np.moveaxis(x1, -2, 0))      # (T, ..., d)
+    x2 = np.moveaxis(x2, -1, 0)[..., None]                  # (T, ..., 1)
 
     def drift(Theta, t):
         x1_t = x1[t]
@@ -127,24 +128,29 @@ def qlearning_operator(features: TabularFeatures, gamma: float) -> LocalOperator
                          params={"features": features, "gamma": gamma})
 
 
-def qlearning_block_drift(features: TabularFeatures, gamma, blocks):
-    """drift(Theta, t) of N Q-learning agents that share features and gamma:
-    row i is agent i's Q-learning map at the t-th sample of its block
-    blocks[i] = (s, a, r, s') arrays, equal to its operator's eval.
+def qlearning_block_drift(features: TabularFeatures, gamma, s, a, r, s_next):
+    """drift(Theta, t) of a stack of Q-learning agents that share features
+    and gamma, whose blocks of samples are the (s, a, r, s') arrays of shape
+    (..., T): for Theta of shape (..., dim), the row of an agent is its
+    Q-learning map at its t-th sample, equal to its operator's eval.
 
     One bellman_residual call per step treats Theta as the stacked
-    (N * states) x actions table, in which agent i's state s is row
-    i * states + s, and each residual goes to its one-hot slot.
+    (agents * states) x actions table, in which the state s of the agent in
+    C-order row i is row i * states + s, and each residual goes to its
+    one-hot slot.
     """
-    s, a, r, s_next = (np.stack(x, axis=1) for x in zip(*blocks))
+    shape = (math.prod(np.shape(s)[:-1]), np.shape(s)[-1])   # (agents, T)
+    # contiguous (T, agents) rows: strided index arrays index more slowly
+    s, a, r, s_next = (np.ascontiguousarray(np.reshape(x, shape).T)
+                       for x in (s, a, r, s_next))
     n_states = features.n_states
     if s.size and max(s.max(), s_next.max()) >= n_states:
         raise OperatorError("a sampled state lies beyond the features' states")
     rows = n_states * np.arange(s.shape[1])
     s, s_next = s + rows, s_next + rows
     stacked = TabularFeatures(n_states * s.shape[1], features.n_actions)
-    slot = s * features.n_actions + a   # flat index into the (N, dim) drift
-    # lists of per-step rows index faster than the (T, N) arrays
+    slot = s * features.n_actions + a   # flat index into the drift
+    # lists of per-step rows index faster than the (T, agents) arrays
     s, a, r, s_next, slot = map(list, (s, a, r, s_next, slot))
 
     def drift(Theta, t):

@@ -235,11 +235,13 @@ def test_cli_bad_path_exit_code(case, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["run", "check"])
 @pytest.mark.parametrize("line", [
-    "beta = nan", "beta = inf", "step_eps = nan", "noise_clip = nan",
+    "beta = nan", "beta = inf", "beta = -5", "beta = 0", "step_eps = nan",
+    "noise_clip = nan",
     "eval_batch_size = -5", "eval_batch_size = 0"])
 def test_cli_rejects_bad_config_values(line, command, tmp_path, capsys):
-    """A non-finite float or an eval batch below one transition is a
-    validation error, reported before --out is created."""
+    """A non-finite float, a beta that is not positive or an eval batch
+    below one transition is a validation error, reported before --out is
+    created."""
     if line.startswith("eval_batch_size"):
         cfg, _ = rollout_setup(tmp_path)
         with open(cfg, "a", encoding="utf-8") as fh:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -315,6 +316,30 @@ def test_lemma3_residual_identity():
     slack = lemma3_residual(S_k=0.5, S_prev=2.0, R_prev=1.5, eps_prev=eps,
                             rc=rc, n_agents=n, sigma2=sigma2)
     assert slack == pytest.approx(bound - 0.5)
+
+
+def test_lemma3_residual_columns_match_scalars():
+    """With each run's B and C0 as an (S, 1) column, every entry equals the
+    scalar call of its run bit for bit: B^2 is rounded as a Python float's
+    ** 2 rounds it, which an ndarray's ** 2 does not always match."""
+    rng = np.random.default_rng(7)
+    Bs = rng.uniform(0.5, 500.0, 10_000)
+    assert (Bs**2).tolist() != [B**2 for B in Bs.tolist()]
+    rcs = [RateConstants.from_problem(B=B, L=0.5, alpha=0.8, sigma2=0.75,
+                                      n_agents=4, theta_star_norm=1.0,
+                                      c_tau=0.5) for B in Bs]
+    stacked = dataclasses.replace(
+        rcs[0], B=Bs[:, None], C0=np.array([[rc.C0] for rc in rcs]))
+    # R_prev far above 1 makes the B^2 term the largest, so that its last
+    # bit shows in the slack
+    S_k, S_prev, R_prev = rng.random((3, len(Bs), 2))
+    R_prev *= 1e6
+    eps = np.array([0.01, 0.003])
+    slack = lemma3_residual(S_k, S_prev, R_prev, eps, stacked, 4, 0.75)
+    expected = [[lemma3_residual(S_k[s, j], S_prev[s, j], R_prev[s, j],
+                                 eps[j], rc, 4, 0.75) for j in range(2)]
+                for s, rc in enumerate(rcs)]
+    assert slack.tobytes() == np.array(expected).tobytes()
 
 
 def test_lemma3_pure_consensus_contraction():

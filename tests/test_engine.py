@@ -1,8 +1,10 @@
-"""run()'s block engine against the per-step loop it replaced.
+"""run()'s block engine against the per-step loop it replaced, and the
+seed-stacked run_ensemble against run().
 
 run_reference is that loop: it draws each agent's observation, evaluates
 the drift and computes theta_bar, R, S, the lemma-3 slack and the records
-one step at a time. The block engine must give the same trajectory.
+one step at a time. The block engine must give the same trajectory, and
+every run of a stack the trajectory of its scenario run alone.
 """
 
 import copy
@@ -16,9 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcsa.config import ScenarioConfig
-from dcsa.core import (MetricsRecord, MetricsTrajectory, RateConstants,
-                       Scenario, StepSchedule, _BLOCK, lemma3_residual,
-                       lyapunov, run, tau_k, td_error)
+from dcsa.core import (CoreError, MetricsRecord, MetricsTrajectory,
+                       RateConstants, Scenario, StepSchedule, _BLOCK,
+                       lemma3_residual, lyapunov, run, run_ensemble, tau_k,
+                       td_error)
 from dcsa.experiments import build_gridworld_scenario, build_scenario
 from dcsa.graphs import lazy_metropolis, line_graph
 from dcsa.operators import LocalOperator, qlearning_operator
@@ -115,6 +118,26 @@ def assert_same_trajectory(new, ref):
         np.testing.assert_allclose(new.column(field.name),
                                    ref.column(field.name), **close,
                                    err_msg=field.name)
+
+
+def assert_identical(new, ref):
+    """Equal bit for bit: the histories, the final iterate, the abort
+    fields, the least lemma-3 slack and every field of every record."""
+    for name in ("R_hist", "S_hist", "theta_final"):
+        assert (getattr(new, name).tobytes()
+                == getattr(ref, name).tobytes()), name
+    assert (new.theta_bar_hist is None) == (ref.theta_bar_hist is None)
+    if ref.theta_bar_hist is not None:
+        assert new.theta_bar_hist.tobytes() == ref.theta_bar_hist.tobytes()
+    assert (new.aborted, new.abort_reason) == (ref.aborted, ref.abort_reason)
+    assert (np.float64(new.min_lemma3_slack).tobytes()
+            == np.float64(ref.min_lemma3_slack).tobytes())
+
+    def table(traj):
+        return np.array([dataclasses.astuple(r) for r in traj.records],
+                        dtype=float).tobytes()
+
+    assert table(new) == table(ref)
 
 
 def alternating_frames(n):
@@ -230,9 +253,10 @@ def test_run_matches_reference_gridworld(stride):
 
 
 @st.composite
-def gridworld_scenarios(draw):
-    """A built GridWorld scenario of 1 to 4 agents, each on its own random
-    maze of one shared shape, with small eval batches."""
+def gridworld_ensembles(draw, max_runs=6):
+    """Built GridWorld scenarios of one config, one per seed for 1 to
+    max_runs seeds: 1 to 4 agents, each on its own random maze of one
+    shared shape, with small eval batches."""
     n = draw(st.integers(1, 4))
     shape = (draw(st.integers(3, 5)), draw(st.integers(3, 4)))
     kind, eps = draw(st.sampled_from([("constant", 0.05), ("constant", 0.9),
@@ -240,7 +264,6 @@ def gridworld_scenarios(draw):
                                       ("diminishing", 3.0)]))
     cfg = ScenarioConfig(scenario="gridworld", n_agents=n,
                          dim=shape[0] * shape[1] * 4,
-                         seed=draw(st.integers(0, 2**31 - 1)),
                          horizon=draw(HORIZONS),
                          stride=draw(st.integers(1, 300)),
                          maze_files="unused",
@@ -248,7 +271,16 @@ def gridworld_scenarios(draw):
                          step_kind=kind, step_eps=eps,
                          gamma=draw(st.sampled_from([0.5, 0.9])))
     maze_list = [draw(mazes(shape)) for _ in range(n)]
-    return build_gridworld_scenario(cfg, mazes=maze_list)
+    seeds = draw(st.lists(st.integers(0, 2**31 - 1), min_size=1,
+                          max_size=max_runs))
+    return [build_gridworld_scenario(dataclasses.replace(cfg, seed=seed),
+                                     mazes=maze_list)
+            for seed in seeds]
+
+
+def gridworld_scenarios():
+    """A built GridWorld scenario, as gridworld_ensembles draws them."""
+    return gridworld_ensembles(max_runs=1).map(lambda scs: scs[0])
 
 
 @given(gridworld_scenarios())
@@ -317,3 +349,118 @@ def test_system_id_path_choice(first_op):
     assert_same_trajectory(new, run_reference(sc))
     for name in ("theta_final", "R_hist", "S_hist"):
         assert getattr(new, name).tobytes() == getattr(batched, name).tobytes()
+
+
+@given(seeds=st.lists(st.integers(0, 2**31 - 1), min_size=1, max_size=6),
+       n=st.integers(1, 10), d=st.integers(1, 5), horizon=HORIZONS,
+       stride=st.integers(1, 300),
+       step=st.sampled_from([("constant", 0.03), ("constant", 0.3),
+                             ("diminishing", 0.03), ("diminishing", 1.0)]),
+       time_varying=st.booleans(),
+       constants=st.none() | st.lists(st.floats(0.5, 500.0), min_size=6,
+                                      max_size=6),
+       collect_theta_bar=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_run_ensemble_matches_single_runs(seeds, n, d, horizon, stride, step,
+                                          time_varying, constants,
+                                          collect_theta_bar):
+    """Every run of a stacked system-id ensemble of 1 to 6 seeds equals
+    run() and the per-step reference loop of its scenario alone, bit for
+    bit; with constants, each seed has its own B, hence its own C0."""
+    cfg = ScenarioConfig(scenario="system_id", n_agents=n, dim=d,
+                         horizon=horizon, stride=stride, step_kind=step[0],
+                         step_eps=step[1],
+                         frames=alternating_frames(n) if time_varying else "",
+                         period_b=2)
+    scs = [build_scenario(dataclasses.replace(cfg, seed=seed))
+           for seed in seeds]
+    if constants is not None:
+        for sc, B in zip(scs, constants):
+            sc.constants = RateConstants.from_problem(
+                B=B, L=0.5, alpha=0.8, sigma2=sc.sigma2, n_agents=n,
+                theta_star_norm=1.0, c_tau=0.5)
+    stacked = run_ensemble(scs, collect_theta_bar)
+    assert len(stacked) == len(scs)
+    for sc, new in zip(scs, stacked):
+        assert_identical(new, run(sc, collect_theta_bar))
+        assert_identical(new, run_reference(sc, collect_theta_bar))
+
+
+@given(gridworld_ensembles())
+@settings(max_examples=30, deadline=None)
+def test_run_ensemble_matches_single_runs_gridworld(scs):
+    """Every run of a stacked GridWorld ensemble, TD-error records
+    included, equals run() and the reference loop of its scenario alone."""
+    for sc, new in zip(scs, run_ensemble(scs)):
+        assert_identical(new, run(sc))
+        assert_identical(new, run_reference(sc))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_ensemble_reruns_on_divergence():
+    """At eps = 2.2 seed 1 overflows at k = 593 and seeds 2 and 3 do not:
+    the ensemble gives every seed the run it has alone, abort included."""
+    cfg = ScenarioConfig(scenario="system_id", n_agents=3, dim=2,
+                         horizon=600, stride=7, step_kind="constant",
+                         step_eps=2.2, compute_constants=True)
+    scs = [build_scenario(dataclasses.replace(cfg, seed=seed))
+           for seed in (2, 1, 3)]
+    stacked = run_ensemble(scs, collect_theta_bar=True)
+    assert [t.abort_reason for t in stacked] == [
+        "", "non-finite iterate at k=593", ""]
+    for sc, new in zip(scs, stacked):
+        assert_identical(new, run(sc, collect_theta_bar=True))
+        assert_identical(new, run_reference(sc, collect_theta_bar=True))
+
+
+def test_run_ensemble_of_nothing():
+    assert run_ensemble([]) == []
+
+
+def _mismatch(sc, what):
+    """sc changed in one thing a stack must share."""
+    if what == "frames":
+        sc.weights = (lazy_metropolis(line_graph(sc.n_agents)),) * 2
+    elif what == "frame entries":
+        w = sc.weights[0]
+        sc.weights = (dataclasses.replace(w, entries=np.eye(sc.n_agents)),)
+    elif what == "step":
+        sc.step = StepSchedule(kind=sc.step.kind, eps=2 * sc.step.eps)
+    elif what == "dims":
+        sc.ops = sc.ops[:-1]
+        sc.sources = sc.sources[:-1]
+        sc.weights = (lazy_metropolis(line_graph(sc.n_agents)),)
+        sc.theta0 = sc.theta0[:-1]
+    elif what == "kinds":
+        sc.ops[0] = dataclasses.replace(sc.ops[0], kind="custom")
+    elif what in ("theta_star", "constants"):
+        setattr(sc, what, None)
+    else:
+        setattr(sc, what, getattr(sc, what) + 1)
+    return sc
+
+
+@pytest.mark.parametrize("what", [
+    "frames", "frame entries", "step", "horizon", "stride", "beta", "rho",
+    "sigma2", "dims", "kinds", "theta_star", "constants"])
+def test_run_ensemble_rejects_mismatched_scenarios(what):
+    cfg = ScenarioConfig(scenario="system_id", n_agents=3, dim=2,
+                         horizon=300, compute_constants=True)
+    scs = [build_scenario(dataclasses.replace(cfg, seed=seed))
+           for seed in (1, 2)]
+    run_ensemble(scs)
+    scs[1] = _mismatch(scs[1], what)
+    with pytest.raises(CoreError, match="stacked scenarios"):
+        run_ensemble(scs)
+
+
+def test_run_ensemble_rejects_mismatched_eval_batches():
+    cfg = ScenarioConfig(scenario="gridworld", n_agents=3, dim=100,
+                         horizon=50, maze_files="unused", eval_batch_size=5)
+    scs = [build_gridworld_scenario(dataclasses.replace(cfg, seed=seed),
+                                    mazes=[parse_maze(m) for m in MAZES])
+           for seed in (1, 2)]
+    run_ensemble(scs)
+    scs[0].eval_batches = None
+    with pytest.raises(CoreError, match="stacked scenarios"):
+        run_ensemble(scs)

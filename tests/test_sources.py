@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -245,6 +247,14 @@ def test_ar_source_rejects_non_subdiagonal_A(entry):
         ARSource(A=A, u=np.zeros(3))
 
 
+@pytest.mark.parametrize("clip", [math.nan, 0.0, -1.0])
+def test_ar_source_rejects_bad_noise_clip(clip):
+    """A clip that is not positive, NaN included, would give NaN state
+    bounds and constants."""
+    with pytest.raises(SourceError, match="noise_clip"):
+        ARSource(A=np.zeros((2, 2)), u=np.zeros(2), noise_clip=clip)
+
+
 def test_ar_noise_is_clipped():
     src = ARSource(A=np.zeros((1, 1)), u=np.ones(1), noise_clip=0.5)
     rng = derive_stream(0, 0, "sample")
@@ -383,34 +393,50 @@ def test_mdp_sample_block_matches_sample(maze, t1, t2, warmup, seed):
     assert rng_block.integers(0, 2**63) == rng_one.integers(0, 2**63)
 
 
-@given(st.lists(st.one_of(st.just(0.0), st.floats(-0.99, 0.99)), max_size=5),
-       st.sampled_from([0.5, 3.0]), BLOCK_LENGTHS, BLOCK_LENGTHS,
-       st.integers(0, 3), st.integers(0, 2**31 - 1))
+@given(st.integers(1, 6),
+       st.lists(st.tuples(st.lists(st.one_of(st.just(0.0),
+                                             st.floats(-0.99, 0.99)),
+                                   min_size=5, max_size=5),
+                          st.sampled_from([0.5, 3.0]), st.integers(0, 3)),
+                min_size=1, max_size=4),
+       BLOCK_LENGTHS, BLOCK_LENGTHS, st.integers(0, 2**31 - 1))
 @settings(max_examples=150, deadline=None)
-def test_ar_sample_block_matches_sample(subdiagonal, clip, t1, t2, warmup,
-                                        seed):
-    """Two blocks of t1 and t2 samples of a d x d AR source, d = 1 to 6,
-    hold the values of t1 + t2 sample calls, and leave the source's state
-    and the stream where those calls leave them."""
-    d = len(subdiagonal) + 1
-    u = np.random.default_rng(seed).standard_normal(d)
-    A = np.diag(np.array(subdiagonal, dtype=float), k=-1)
-    one = ARSource(A=A, u=u, noise_clip=clip)
-    block = ARSource(A=A, u=u, noise_clip=clip)
-    rng_one = derive_stream(seed, 0, "sample")
-    rng_block = derive_stream(seed, 0, "sample")
-    for _ in range(warmup):   # so that a block need not begin at zero
-        one.sample(rng_one)
-        block.sample(rng_block)
+def test_ar_sample_block_matches_sample(d, specs, t1, t2, seed):
+    """Two blocks of t1 and t2 samples of a stack of 1 to 4 d x d AR
+    sources, d = 1 to 6, that differ in A, u, clip and warm-up hold in each
+    row the values of t1 + t2 sample calls of that source, and leave every
+    source's state and stream where those calls leave them. A stack of one
+    is drawn with sample_block."""
+    ones, blocks, rngs_one, rngs_block = [], [], [], []
+    for i, (subdiagonal, clip, warmup) in enumerate(specs):
+        u = np.random.default_rng([seed, i]).standard_normal(d)
+        A = np.diag(np.array(subdiagonal[:d - 1], dtype=float), k=-1)
+        one = ARSource(A=A, u=u, noise_clip=clip)
+        block = ARSource(A=A, u=u, noise_clip=clip)
+        rng_one = derive_stream(seed, i, "sample")
+        rng_block = derive_stream(seed, i, "sample")
+        for _ in range(warmup):   # so that a block need not begin at zero
+            one.sample(rng_one)
+            block.sample(rng_block)
+        ones.append(one)
+        blocks.append(block)
+        rngs_one.append(rng_one)
+        rngs_block.append(rng_block)
     for T in (t1, t2):
-        expected = [one.sample(rng_one) for _ in range(T)]
-        x1, x2 = block.sample_block(rng_block, T)
-        assert x1.shape == (T, d) and x2.shape == (T,)
-        np.testing.assert_array_equal(
-            x1, np.array([x for x, _ in expected]).reshape(T, d))
-        np.testing.assert_array_equal(x2, [x for _, x in expected])
-        np.testing.assert_array_equal(block.state, one.state)
-    assert rng_block.integers(0, 2**63) == rng_one.integers(0, 2**63)
+        if len(blocks) == 1:
+            x1, x2 = (x[None] for x in blocks[0].sample_block(rngs_block[0],
+                                                               T))
+        else:
+            x1, x2 = ARSource.sample_blocks(blocks, rngs_block, T)
+        assert x1.shape == (len(blocks), T, d) and x2.shape == (len(blocks), T)
+        for i, (one, rng_one) in enumerate(zip(ones, rngs_one)):
+            expected = [one.sample(rng_one) for _ in range(T)]
+            np.testing.assert_array_equal(
+                x1[i], np.array([x for x, _ in expected]).reshape(T, d))
+            np.testing.assert_array_equal(x2[i], [x for _, x in expected])
+            np.testing.assert_array_equal(blocks[i].state, one.state)
+    for rng_one, rng_block in zip(rngs_one, rngs_block):
+        assert rng_block.integers(0, 2**63) == rng_one.integers(0, 2**63)
 
 
 def test_maze_transitions_table_is_built_on_first_use():
