@@ -556,7 +556,8 @@ def _block_drift(ops, sources, rngs, shape):
             and all(type(src) is source_class for src in sources)):
         def sampled(T):
             blocks = source_class.sample_blocks(sources, rngs, T)
-            return batched(*(x.reshape(shape + x.shape[1:]) for x in blocks))
+            return batched(*(x.reshape(x.shape[:1] + shape + x.shape[2:])
+                             for x in blocks))
 
         return sampled
     ops_eval = [op.eval for op in ops]

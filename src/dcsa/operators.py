@@ -56,12 +56,12 @@ def quadratic_grad_operator(dim: int, u=None) -> LocalOperator:
 
 def quadratic_block_drift(x1, x2):
     """drift(Theta, t) of a stack of quadratic-gradient agents, whose
-    blocks of samples are x1 (..., T, d) and x2 (..., T): for Theta of shape
-    (..., d), the row of an agent is its map at its t-th sample, equal bit
-    for bit to its eval: both sum a row's products over the contiguous last
-    axis, where a (T, d) @ product would round otherwise."""
-    x1 = np.ascontiguousarray(np.moveaxis(x1, -2, 0))      # (T, ..., d)
-    x2 = np.moveaxis(x2, -1, 0)[..., None]                  # (T, ..., 1)
+    time-major blocks of samples are x1 (T, ..., d) and x2 (T, ...): for
+    Theta of shape (..., d), the row of an agent is its map at its t-th
+    sample, equal bit for bit to its eval: both sum a row's products over
+    the contiguous last axis, where a (T, d) @ product would round
+    otherwise."""
+    x2 = np.asarray(x2)[..., None]
 
     def drift(Theta, t):
         x1_t = x1[t]
@@ -130,18 +130,19 @@ def qlearning_operator(features: TabularFeatures, gamma: float) -> LocalOperator
 
 def qlearning_block_drift(features: TabularFeatures, gamma, s, a, r, s_next):
     """drift(Theta, t) of a stack of Q-learning agents that share features
-    and gamma, whose blocks of samples are the (s, a, r, s') arrays of shape
-    (..., T): for Theta of shape (..., dim), the row of an agent is its
-    Q-learning map at its t-th sample, equal to its operator's eval.
+    and gamma, whose time-major blocks of samples are the (s, a, r, s')
+    arrays of shape (T, ...): for Theta of shape (..., dim), the row of an
+    agent is its Q-learning map at its t-th sample, equal to its operator's
+    eval.
 
     One bellman_residual call per step treats Theta as the stacked
     (agents * states) x actions table, in which the state s of the agent in
     C-order row i is row i * states + s, and each residual goes to its
     one-hot slot.
     """
-    shape = (math.prod(np.shape(s)[:-1]), np.shape(s)[-1])   # (agents, T)
-    # contiguous (T, agents) rows: strided index arrays index more slowly
-    s, a, r, s_next = (np.ascontiguousarray(np.reshape(x, shape).T)
+    shape = (np.shape(s)[0], math.prod(np.shape(s)[1:]))   # (T, agents)
+    # contiguous rows: strided index arrays index more slowly
+    s, a, r, s_next = (np.ascontiguousarray(np.reshape(x, shape))
                        for x in (s, a, r, s_next))
     n_states = features.n_states
     if s.size and max(s.max(), s_next.max()) >= n_states:

@@ -261,37 +261,36 @@ class ARSource:
         """The next T samples as arrays x1 (T, d) and x2 (T,), with the
         values, final state and stream of T sample calls."""
         x1, x2 = ARSource.sample_blocks([self], [rng], T)
-        return x1[0], x2[0]
+        return x1[:, 0], x2[:, 0]
 
     @staticmethod
     def sample_blocks(sources, rngs, T):
         """The next T samples of each of R ARSources of one dim, each from
-        its own stream: x1 (R, T, d) and x2 (R, T), with the values, final
-        states and streams of T sample calls per source.
+        its own stream, time-major: x1 (T, R, d) and x2 (T, R), with the
+        values, final states and streams of T sample calls per source.
 
-        Each stream fills its (T, 2) rows of noise with one standard_normal
-        call, as T sample calls would draw them; the clip, the shift and the sums then act on all R rows at
-        once. Column m of X(1) is A[m, m-1] times column m-1 one step
-        earlier: one array op per column over a buffer whose step 0 is the
-        state. x2 sums each row over the contiguous last axis, which rounds
-        as sample's 1-D sum does."""
+        Each stream fills its (T, 2) noise with one standard_normal call,
+        as T sample calls would draw it; the clip, the shift and the sums
+        then act on all R sources at once. Column m of X(1) is A[m, m-1]
+        times column m-1 one step earlier: one array op per column over a
+        buffer whose step 0 is the state. x2 sums each row over the
+        contiguous last axis, which rounds as sample's 1-D sum does."""
         noise = np.empty((len(rngs), T, 2))
         for rng, rows in zip(rngs, noise):
             rng.standard_normal(out=rows)
         clip = np.array([src.noise_clip for src in sources])[:, None, None]
         np.minimum(np.maximum(noise, -clip, out=noise), clip, out=noise)
-        x = np.empty((len(sources), T + 1, sources[0].dim))
-        x[:, 0] = [src.state for src in sources]
-        x[:, 1:, 0] = noise[..., 0]
+        x = np.empty((T + 1, len(sources), sources[0].dim))
+        x[0] = [src.state for src in sources]
+        x[1:, :, 0] = noise[..., 0].T
         gains = np.array([src.A.diagonal(-1) for src in sources])
         for m in range(1, x.shape[-1]):
-            np.multiply(gains[:, m - 1, None], x[:, :-1, m - 1],
-                        out=x[:, 1:, m])
-        for src, state in zip(sources, x[:, -1].copy()):
+            np.multiply(gains[:, m - 1], x[:-1, :, m - 1], out=x[1:, :, m])
+        for src, state in zip(sources, x[-1].copy()):
             src.state = state
-        x1 = x[:, 1:]
-        u = np.array([src.u for src in sources])[:, None]
-        return x1, (x1 * u).sum(axis=-1) + noise[..., 1]
+        x1 = x[1:]
+        u = np.array([src.u for src in sources])
+        return x1, (x1 * u).sum(axis=-1) + noise[..., 1].T
 
 
 def ar_state_bound(A, noise_clip) -> np.ndarray:
@@ -438,14 +437,16 @@ class MDPSource:
     def sample_block(self, rng, T):
         """The next T samples as arrays (s, a, r, s'): the same values, and
         the same final state, as T calls of sample."""
-        return tuple(x[0] for x in MDPSource.sample_blocks([self], [rng], T))
+        blocks = MDPSource.sample_blocks([self], [rng], T)
+        return tuple(x[:, 0] for x in blocks)
 
     @staticmethod
     def sample_blocks(sources, rngs, T):
         """The next T samples of each of R MDPSources, each from its own
-        stream, as arrays (s, a, r, s') of shape (R, T): the values, and the
-        final states, of T sample calls per source. Each source draws one
-        integers(0, 4, size=T) and walks its maze's transition table."""
+        stream, as time-major arrays (s, a, r, s') of shape (T, R): the
+        values, and the final states, of T sample calls per source. Each
+        source draws one integers(0, 4, size=T) and walks its maze's
+        transition table."""
         walks = []
         for src, rng in zip(sources, rngs):
             nxt, rew, after = src.maze.transitions
@@ -461,6 +462,6 @@ class MDPSource:
                 s = after[i]
             src.state = s
             walks.append((states, actions, rewards, s_next))
-        return tuple(np.array(column, dtype=dtype)
+        return tuple(np.array(column, dtype=dtype).T
                      for column, dtype in zip(zip(*walks),
                                               (int, int, float, int)))

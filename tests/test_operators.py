@@ -85,7 +85,8 @@ def test_quadratic_block_drift_matches_eval(n, d, T, seed):
     any theta; d above 8 takes numpy's pairwise sums."""
     op = quadratic_grad_operator(d)
     blocks = [ar_block(seed, i, d, T) for i in range(n)]
-    drift = quadratic_block_drift(*(np.stack(x) for x in zip(*blocks)))
+    drift = quadratic_block_drift(*(np.stack(x, axis=1)
+                                    for x in zip(*blocks)))
     rng = np.random.default_rng(seed)
     for t in range(T):
         theta = rng.standard_normal((n, d))
@@ -167,8 +168,8 @@ def test_qlearning_block_drift_matches_eval(maze_list, gamma, T, seed):
     blocks = [MDPSource(maze=m).sample_block(derive_stream(seed, i, "sample"),
                                              T)
               for i, m in enumerate(maze_list)]
-    drift = qlearning_block_drift(feats, gamma,
-                                  *(np.stack(x) for x in zip(*blocks)))
+    drift = qlearning_block_drift(feats, gamma, *(np.stack(x, axis=1)
+                                                  for x in zip(*blocks)))
     rng = np.random.default_rng(seed)
     for t in range(T):
         theta = rng.standard_normal((len(maze_list), feats.dim))
@@ -187,7 +188,7 @@ def test_qlearning_block_drift_rejects_states_beyond_features():
         np.random.default_rng(0), 50)
     with pytest.raises(OperatorError):
         qlearning_block_drift(TabularFeatures(3, 4), 0.9,
-                              *(np.stack([x, x]) for x in block))
+                              *(np.stack([x, x], axis=1) for x in block))
 
 
 def test_qlearning_rejects_bad_gamma():

@@ -424,16 +424,16 @@ def test_ar_sample_block_matches_sample(d, specs, t1, t2, seed):
         rngs_block.append(rng_block)
     for T in (t1, t2):
         if len(blocks) == 1:
-            x1, x2 = (x[None] for x in blocks[0].sample_block(rngs_block[0],
-                                                               T))
+            x1, x2 = (x[:, None] for x in blocks[0].sample_block(
+                rngs_block[0], T))
         else:
             x1, x2 = ARSource.sample_blocks(blocks, rngs_block, T)
-        assert x1.shape == (len(blocks), T, d) and x2.shape == (len(blocks), T)
+        assert x1.shape == (T, len(blocks), d) and x2.shape == (T, len(blocks))
         for i, (one, rng_one) in enumerate(zip(ones, rngs_one)):
             expected = [one.sample(rng_one) for _ in range(T)]
             np.testing.assert_array_equal(
-                x1[i], np.array([x for x, _ in expected]).reshape(T, d))
-            np.testing.assert_array_equal(x2[i], [x for _, x in expected])
+                x1[:, i], np.array([x for x, _ in expected]).reshape(T, d))
+            np.testing.assert_array_equal(x2[:, i], [x for _, x in expected])
             np.testing.assert_array_equal(blocks[i].state, one.state)
     for rng_one, rng_block in zip(rngs_one, rngs_block):
         assert rng_block.integers(0, 2**63) == rng_one.integers(0, 2**63)
