@@ -364,7 +364,8 @@ class MetricsTrajectory:
 _BLOCK = 128
 
 
-def run(scenario: Scenario, collect_theta_bar: bool = False) -> MetricsTrajectory:
+def run(scenario: Scenario, collect_theta_bar: bool = False, *,
+        stack=None) -> MetricsTrajectory:
     """Execute the iteration for k = 0..horizon-1, one sample per agent per
     iteration, logging a MetricsRecord every stride (and at k=0 and the end).
 
@@ -379,9 +380,14 @@ def run(scenario: Scenario, collect_theta_bar: bool = False) -> MetricsTrajector
     All stream state (the RNGs and the sources' Markov states) is per run,
     so the scenario is left unchanged and can be run again.
 
-    It is run_ensemble of the one scenario: there is one engine.
+    The scenario's run is its share of one stacked pass: by default a pass
+    of the scenario alone; run_ensemble passes its stack, which holds the
+    scenario, and then collect_theta_bar is the stack's. There is one
+    engine.
     """
-    return run_ensemble([scenario], collect_theta_bar)[0]
+    if stack is None:
+        stack = _Stack([scenario], collect_theta_bar)
+    return stack.trajectory(scenario)
 
 
 def run_ensemble(scenarios, collect_theta_bar: bool = False) -> list:
@@ -397,15 +403,73 @@ def run_ensemble(scenarios, collect_theta_bar: bool = False) -> list:
     step, horizon, stride, beta, rho, sigma2, dims or operator kinds, or in
     which of theta*, constants and eval batches they have.
 
+    Each scenario still gets one run() call, which logs its records: the
+    first steps the whole stack, and the others log what it kept for them.
     When an iterate of any scenario goes non-finite, each scenario is run
     again on its own, so that every abort keeps its exact k and reason.
     """
+    stack = _Stack(scenarios, collect_theta_bar)
+    return [run(sc, collect_theta_bar, stack=stack)
+            for sc in stack.scenarios]
+
+
+class _Stack:
+    """Scenarios of one config and their one stacked pass, made by the
+    first trajectory() call: that scenario's records are logged as the pass
+    measures them, the others' kept as rows until their own call."""
+
+    def __init__(self, scenarios, collect_theta_bar):
+        self.scenarios = list(scenarios)
+        if self.scenarios:
+            _require_one_config(self.scenarios)
+        self.collect_theta_bar = collect_theta_bar
+        self.claimed = [False] * len(self.scenarios)
+        self.results = None
+
+    def trajectory(self, sc) -> MetricsTrajectory:
+        i = next(j for j, s in enumerate(self.scenarios)
+                 if s is sc and not self.claimed[j])
+        self.claimed[i] = True
+        if self.results is None:
+            self.results = _step_stack(self.scenarios,
+                                       self.collect_theta_bar, live=i) or ()
+        if not self.results:
+            # some scenario diverged in the stacked pass
+            return _step_stack([sc], self.collect_theta_bar, live=0)[0][0]
+        traj, rows = self.results[i]
+        _log_records(sc, rows, traj)
+        return traj
+
+
+def _log_records(sc, rows, traj):
+    """Append one MetricsRecord to traj.records per row (k, theta, lemma-3
+    slack) of scenario sc, and empty rows; theta is None without eval
+    batches."""
+    for k, theta, slack in rows:
+        eps_k = sc.step.value(k)
+        t = tau_k(sc.beta, eps_k, sc.rho)
+        r_val = traj.R_hist[k]
+        s_val = traj.S_hist[k]
+        s_del = traj.S_hist[max(0, k - t)]
+        td = math.nan
+        if sc.eval_batches is not None:
+            td = td_error(theta, sc.eval_batches, sc.ops)
+        traj.records.append(MetricsRecord(
+            k=k, eps_k=eps_k, tau_k=t, R=r_val, S=s_val, S_delayed=s_del,
+            V=lyapunov(r_val, s_val, s_del), td_error=td, lemma3_slack=slack))
+    rows.clear()
+
+
+def _step_stack(scs, collect_theta_bar, live):
+    """The one iteration engine: step the scenarios scs of one config as an
+    (S, N, d) stack and return one (MetricsTrajectory, rows) pair per
+    scenario, where rows are the records still to be logged (see
+    _log_records). The records of scs[live] are logged as they are
+    measured. Returns None when an iterate of a stack of more than one
+    scenario goes non-finite.
+    """
     from .rng import derive_stream
 
-    scs = list(scenarios)
-    if not scs:
-        return []
-    _require_one_config(scs)
     sc = scs[0]
     n_runs, n, d = len(scs), sc.n_agents, sc.dim
     rngs = [derive_stream(s.seed, i, "sample") for s in scs for i in range(n)]
@@ -431,28 +495,13 @@ def run_ensemble(scenarios, collect_theta_bar: bool = False) -> list:
                                              for s in scs])
                              for name in ("B", "C0")})
     min_slack = np.full(n_runs, math.inf)
+    keep_theta = sc.eval_batches is not None
 
-    records = [[] for _ in scs]
+    trajs = [MetricsTrajectory(records=[], R_hist=R_hist[s], S_hist=S_hist[s],
+                               theta_final=None) for s in range(n_runs)]
+    rows = [[] for _ in scs]
     aborted = False
     reason = ""
-
-    def log_records(k, thetas, slack):
-        """One record per run at step k, from its iterate thetas[s] and its
-        lemma-3 slack slack[s]."""
-        eps_k = sc.step.value(k)
-        t = tau_k(sc.beta, eps_k, sc.rho)
-        for s, (run_sc, theta, run_records) in enumerate(
-                zip(scs, thetas, records)):
-            r_val = R_hist[s, k]
-            s_val = S_hist[s, k]
-            s_del = S_hist[s, max(0, k - t)]
-            td = math.nan
-            if run_sc.eval_batches is not None:
-                td = td_error(theta, run_sc.eval_batches, run_sc.ops)
-            run_records.append(MetricsRecord(
-                k=k, eps_k=eps_k, tau_k=t, R=r_val, S=s_val,
-                S_delayed=s_del, V=lyapunov(r_val, s_val, s_del),
-                td_error=td, lemma3_slack=slack[s]))
 
     def measure(k_lo, thetas, eps_prev):
         """Metrics and records of the iterates thetas = Theta_{k_lo..} of
@@ -481,7 +530,10 @@ def run_ensemble(scenarios, collect_theta_bar: bool = False) -> list:
                     out=min_slack)
         for k in range(k_lo, k_lo + m):
             if k % sc.stride == 0 or k == horizon:
-                log_records(k, thetas[:, k - k_lo], slack[:, k - k_lo])
+                for s in range(n_runs):
+                    theta = thetas[s, k - k_lo].copy() if keep_theta else None
+                    rows[s].append((k, theta, slack[s, k - k_lo]))
+                _log_records(scs[live], rows[live], trajs[live])
 
     measure(0, Theta[:, None], [])
     buf = np.empty((n_runs, min(_BLOCK, horizon), n, d))
@@ -495,7 +547,7 @@ def run_ensemble(scenarios, collect_theta_bar: bool = False) -> list:
                      + eps[t] * drift(Theta, t))
             if not np.isfinite(Theta).all():
                 if n_runs > 1:
-                    return [run(s, collect_theta_bar) for s in scs]
+                    return None
                 aborted = True
                 reason = f"non-finite iterate at k={k0 + t + 1}"
                 done = t
@@ -505,12 +557,14 @@ def run_ensemble(scenarios, collect_theta_bar: bool = False) -> list:
         if aborted:
             break
 
-    return [MetricsTrajectory(
-        records=records[s], R_hist=R_hist[s], S_hist=S_hist[s],
-        theta_final=Theta[s].copy(), aborted=aborted, abort_reason=reason,
-        min_lemma3_slack=(float(min_slack[s]) if check_lemma3 else math.nan),
-        theta_bar_hist=None if tb_hist is None else tb_hist[s])
-        for s in range(n_runs)]
+    for s, traj in enumerate(trajs):
+        traj.theta_final = Theta[s].copy()
+        traj.aborted = aborted
+        traj.abort_reason = reason
+        traj.min_lemma3_slack = (float(min_slack[s]) if check_lemma3
+                                 else math.nan)
+        traj.theta_bar_hist = None if tb_hist is None else tb_hist[s]
+    return list(zip(trajs, rows))
 
 
 def _require_one_config(scs):

@@ -417,6 +417,36 @@ def test_run_ensemble_of_nothing():
     assert run_ensemble([]) == []
 
 
+def test_run_ensemble_logs_each_scenario_in_its_run(monkeypatch):
+    """Every scenario of a stack gets one run() call, and each of its
+    records' V is computed inside that call."""
+    import dcsa.core
+
+    cfg = ScenarioConfig(scenario="system_id", n_agents=3, dim=2,
+                         horizon=300, stride=100, compute_constants=True)
+    scs = [build_scenario(dataclasses.replace(cfg, seed=seed))
+           for seed in (1, 2, 3)]
+    inside, logged = [], []
+    plain_run, plain_lyapunov = dcsa.core.run, dcsa.core.lyapunov
+
+    def counting_run(sc, *args, **kwargs):
+        inside.append(sc)
+        try:
+            return plain_run(sc, *args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counting_lyapunov(*args):
+        logged.append(inside[-1] if inside else None)
+        return plain_lyapunov(*args)
+
+    monkeypatch.setattr(dcsa.core, "run", counting_run)
+    monkeypatch.setattr(dcsa.core, "lyapunov", counting_lyapunov)
+    stacked = run_ensemble(scs)
+    assert logged == [sc for sc in scs for _ in range(4)]
+    assert [len(t.records) for t in stacked] == [4, 4, 4]
+
+
 def _mismatch(sc, what):
     """sc changed in one thing a stack must share."""
     if what == "frames":
