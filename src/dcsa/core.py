@@ -365,7 +365,7 @@ _BLOCK = 128
 
 
 def run(scenario: Scenario, collect_theta_bar: bool = False, *,
-        stack=None) -> MetricsTrajectory:
+        _share=None) -> MetricsTrajectory:
     """Execute the iteration for k = 0..horizon-1, one sample per agent per
     iteration, logging a MetricsRecord every stride (and at k=0 and the end).
 
@@ -380,14 +380,13 @@ def run(scenario: Scenario, collect_theta_bar: bool = False, *,
     All stream state (the RNGs and the sources' Markov states) is per run,
     so the scenario is left unchanged and can be run again.
 
-    The scenario's run is its share of one stacked pass: by default a pass
-    of the scenario alone; run_ensemble passes its stack, which holds the
-    scenario, and then collect_theta_bar is the stack's. There is one
-    engine.
+    The scenario is stepped as a stack of one by the one engine,
+    _step_stack. `_share` is private to run_ensemble, which passes the
+    function that returns this scenario's share of its stacked pass.
     """
-    if stack is None:
-        stack = _Stack([scenario], collect_theta_bar)
-    return stack.trajectory(scenario)
+    if _share is None:
+        return _step_stack([scenario], collect_theta_bar)[0][0]
+    return _share()
 
 
 def run_ensemble(scenarios, collect_theta_bar: bool = False) -> list:
@@ -403,42 +402,29 @@ def run_ensemble(scenarios, collect_theta_bar: bool = False) -> list:
     step, horizon, stride, beta, rho, sigma2, dims or operator kinds, or in
     which of theta*, constants and eval batches they have.
 
-    Each scenario still gets one run() call, which logs its records: the
-    first steps the whole stack, and the others log what it kept for them.
-    When an iterate of any scenario goes non-finite, each scenario is run
-    again on its own, so that every abort keeps its exact k and reason.
+    Every scenario's records are still logged inside one run() call of its
+    own, so that a wrapper of run() sees each seed run: the first call
+    makes the stacked pass, and each later one logs the records the pass
+    kept for its scenario. When an iterate of any scenario goes non-finite,
+    each scenario is run again on its own, so that every abort keeps its
+    exact k and reason.
     """
-    stack = _Stack(scenarios, collect_theta_bar)
-    return [run(sc, collect_theta_bar, stack=stack)
-            for sc in stack.scenarios]
+    scs = list(scenarios)
+    if scs:
+        _require_one_config(scs)
+    stacked = []
 
-
-class _Stack:
-    """Scenarios of one config and their one stacked pass, made by the
-    first trajectory() call: that scenario's records are logged as the pass
-    measures them, the others' kept as rows until their own call."""
-
-    def __init__(self, scenarios, collect_theta_bar):
-        self.scenarios = list(scenarios)
-        if self.scenarios:
-            _require_one_config(self.scenarios)
-        self.collect_theta_bar = collect_theta_bar
-        self.claimed = [False] * len(self.scenarios)
-        self.results = None
-
-    def trajectory(self, sc) -> MetricsTrajectory:
-        i = next(j for j, s in enumerate(self.scenarios)
-                 if s is sc and not self.claimed[j])
-        self.claimed[i] = True
-        if self.results is None:
-            self.results = _step_stack(self.scenarios,
-                                       self.collect_theta_bar, live=i) or ()
-        if not self.results:
-            # some scenario diverged in the stacked pass
-            return _step_stack([sc], self.collect_theta_bar, live=0)[0][0]
-        traj, rows = self.results[i]
-        _log_records(sc, rows, traj)
+    def share(i):
+        if not stacked:
+            stacked.append(_step_stack(scs, collect_theta_bar))
+        if stacked[0] is None:
+            return _step_stack([scs[i]], collect_theta_bar)[0][0]
+        traj, rows = stacked[0][i]
+        _log_records(scs[i], rows, traj)
         return traj
+
+    return [run(sc, collect_theta_bar, _share=functools.partial(share, i))
+            for i, sc in enumerate(scs)]
 
 
 def _log_records(sc, rows, traj):
@@ -460,13 +446,13 @@ def _log_records(sc, rows, traj):
     rows.clear()
 
 
-def _step_stack(scs, collect_theta_bar, live):
+def _step_stack(scs, collect_theta_bar):
     """The one iteration engine: step the scenarios scs of one config as an
     (S, N, d) stack and return one (MetricsTrajectory, rows) pair per
-    scenario, where rows are the records still to be logged (see
-    _log_records). The records of scs[live] are logged as they are
-    measured. Returns None when an iterate of a stack of more than one
-    scenario goes non-finite.
+    scenario. The first scenario's records are logged as they are
+    measured; rows holds each other scenario's records still to be logged
+    (see _log_records). Returns None when an iterate of a stack of more
+    than one scenario goes non-finite.
     """
     from .rng import derive_stream
 
@@ -533,7 +519,7 @@ def _step_stack(scs, collect_theta_bar, live):
                 for s in range(n_runs):
                     theta = thetas[s, k - k_lo].copy() if keep_theta else None
                     rows[s].append((k, theta, slack[s, k - k_lo]))
-                _log_records(scs[live], rows[live], trajs[live])
+                _log_records(scs[0], rows[0], trajs[0])
 
     measure(0, Theta[:, None], [])
     buf = np.empty((n_runs, min(_BLOCK, horizon), n, d))
