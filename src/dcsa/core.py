@@ -495,13 +495,14 @@ def _step_stack(scs, collect_theta_bar):
         produced them."""
         m = thetas.shape[1]
         ks = slice(k_lo, k_lo + m)
-        theta_bar = thetas.mean(axis=2)
+        theta_bar = thetas.mean(axis=2, out=bar_buf[:, :m])
         if theta_star is not None:
             diff = theta_bar - theta_star
             R_hist[:, ks] = (diff[..., None, :] @ diff[..., None]).reshape(
                 n_runs, m)
-        dev = thetas - theta_bar[:, :, None]
-        S_hist[:, ks] = (dev * dev).reshape(n_runs, m, n * d).sum(axis=-1)
+        dev = np.subtract(thetas, theta_bar[:, :, None], out=dev_buf[:, :m])
+        np.multiply(dev, dev, out=dev)
+        S_hist[:, ks] = dev.reshape(n_runs, m, n * d).sum(axis=-1)
         if collect_theta_bar:
             tb_hist[:, ks] = theta_bar
         slack = np.full((n_runs, m), math.nan)
@@ -521,8 +522,13 @@ def _step_stack(scs, collect_theta_bar):
                     rows[s].append((k, theta, slack[s, k - k_lo]))
                 _log_records(scs[0], rows[0], trajs[0])
 
+    # the block's iterates and the two temporaries of measure, reused by
+    # every block: fresh block-sized temporaries cost the allocator more
+    # than the arithmetic; one row at least, for the k = 0 measure
+    buf = np.empty((n_runs, max(1, min(_BLOCK, horizon)), n, d))
+    dev_buf = np.empty_like(buf)
+    bar_buf = np.empty(buf.shape[:2] + (d,))
     measure(0, Theta[:, None], [])
-    buf = np.empty((n_runs, min(_BLOCK, horizon), n, d))
     for k0 in range(0, horizon, _BLOCK):
         T = min(_BLOCK, horizon - k0)
         drift = block_drift(T)
