@@ -46,6 +46,15 @@ class StepSchedule:
             return self.eps
         return self.eps / (k + 1)
 
+    def values(self, k0: int, T: int) -> list:
+        """[value(k) for k in k0..k0+T-1]: for the diminishing kind, one
+        array division that rounds each step as value(k) does."""
+        if k0 < 0:
+            raise CoreError("iteration index must be nonnegative")
+        if self.kind == "constant":
+            return [self.eps] * T
+        return (self.eps / np.arange(k0 + 1, k0 + T + 1)).tolist()
+
 
 def tau_k(beta: float, eps_k: float, rho: float) -> int:
     """Delay horizon max{ceil(rho/(1-rho)), ceil(beta log(1/eps_k))}."""
@@ -370,10 +379,15 @@ def run(scenario: Scenario, collect_theta_bar: bool = False, *,
     iteration, logging a MetricsRecord every stride (and at k=0 and the end).
 
     The iteration advances in blocks of up to _BLOCK steps: each block's
-    observations are drawn up front (they never depend on Theta), the steps
-    fill a buffer of iterates, and R, S, theta_bar and the lemma-3 slack of
-    the block are computed on that buffer. A non-finite iterate still stops
-    the run at its exact k, before any operator sees it.
+    observations are drawn up front (they never depend on Theta), and each
+    step writes W Theta straight into its row of a time-major buffer of
+    iterates, to which the drift's step adds eps F in place. The block is
+    stepped under np.errstate(all="ignore"), so neither the engine nor an
+    operator's eval warns about overflow inside it; one isfinite pass over
+    the buffer then finds the first non-finite iterate, and the run aborts
+    at its exact k with that iterate as theta_final. R, S, theta_bar and
+    the lemma-3 slack of the block's finite iterates are computed on the
+    buffer. No operator's eval ever sees a non-finite iterate.
 
     Bit-deterministic for a fixed seed: per-agent sample streams are derived
     from (seed, agent, 'sample') and agents are reduced in index order.
@@ -522,32 +536,38 @@ def _step_stack(scs, collect_theta_bar):
                     rows[s].append((k, theta, slack[s, k - k_lo]))
                 _log_records(scs[0], rows[0], trajs[0])
 
-    # the block's iterates and the two temporaries of measure, reused by
-    # every block: fresh block-sized temporaries cost the allocator more
-    # than the arithmetic; one row at least, for the k = 0 measure
-    buf = np.empty((n_runs, max(1, min(_BLOCK, horizon)), n, d))
-    dev_buf = np.empty_like(buf)
-    bar_buf = np.empty(buf.shape[:2] + (d,))
-    measure(0, Theta[:, None], [])
-    for k0 in range(0, horizon, _BLOCK):
-        T = min(_BLOCK, horizon - k0)
-        drift = block_drift(T)
-        eps = [sc.step.value(k) for k in range(k0, k0 + T)]
-        done = T
-        for t in range(T):
-            Theta = (frames[(k0 + t) % len(frames)] @ Theta
-                     + eps[t] * drift(Theta, t))
-            if not np.isfinite(Theta).all():
+    # the block's iterates, time-major so that each step's (S, N, d) row is
+    # contiguous, and the two temporaries of measure, reused by every block:
+    # fresh block-sized temporaries cost the allocator more than the
+    # arithmetic; one row at least, for the k = 0 measure
+    buf = np.empty((max(1, min(_BLOCK, horizon)), n_runs, n, d))
+    dev_buf = np.empty((n_runs,) + buf.shape[:1] + (n, d))
+    bar_buf = np.empty(dev_buf.shape[:2] + (d,))
+    # a diverging run overflows before its iterate does: its iterates and
+    # metrics may be inf or NaN, which the block's check turns into an
+    # abort, without a warning per operation
+    with np.errstate(all="ignore"):
+        measure(0, Theta[:, None], [])
+        for k0 in range(0, horizon, _BLOCK):
+            T = min(_BLOCK, horizon - k0)
+            step = block_drift(T)
+            eps = sc.step.values(k0, T)
+            for t in range(T):
+                out = buf[t]
+                np.matmul(frames[(k0 + t) % len(frames)], Theta, out=out)
+                step(Theta, t, eps[t], out)
+                Theta = out
+            finite = np.isfinite(buf[:T]).all(axis=(1, 2, 3))
+            done = T if finite.all() else int(finite.argmin())
+            if done < T:
                 if n_runs > 1:
                     return None
                 aborted = True
-                reason = f"non-finite iterate at k={k0 + t + 1}"
-                done = t
+                reason = f"non-finite iterate at k={k0 + done + 1}"
+                Theta = buf[done]
+            measure(k0 + 1, buf[:done].swapaxes(0, 1), eps[:done])
+            if aborted:
                 break
-            buf[:, t] = Theta
-        measure(k0 + 1, buf[:, :done], eps[:done])
-        if aborted:
-            break
 
     for s, traj in enumerate(trajs):
         traj.theta_final = Theta[s].copy()
@@ -584,11 +604,15 @@ def _require_one_config(scs):
 def _block_drift(ops, sources, rngs, shape):
     """block_drift(T) draws the next T observations of every agent of the
     stack `shape` = (S, N) from its source and stream (agents in C order)
-    and returns drift(Theta, t), the (S, N, d) drift rows at step t of the
-    block. Built-in quadratic-gradient operators, or built-in Q-learning
-    ones with one features and gamma, over sources of one class with
-    sample_blocks share one batched drift; anything else is sampled and
-    evaluated agent by agent."""
+    and returns step(Theta, t, eps, out): out, a C-contiguous (S, N, d)
+    array that holds W Theta, gains eps times the drift rows of Theta at
+    step t of the block, in place. Built-in quadratic-gradient operators,
+    or built-in Q-learning ones with one features and gamma, over sources
+    of one class with sample_blocks share one batched step; anything else
+    is sampled and evaluated agent by agent. That per-agent step never
+    hands an operator's eval a non-finite iterate: when Theta has a
+    non-finite entry, out is set to NaN, and the run aborts at that step
+    all the same."""
     kinds = {op.kind for op in ops}
     batched = None
     if kinds == {"quadratic-gradient"}:
@@ -612,14 +636,17 @@ def _block_drift(ops, sources, rngs, shape):
         obs = [[src.sample(rng) for _ in range(T)]
                for src, rng in zip(sources, rngs)]
 
-        def drift(Theta, t):
-            out = np.empty_like(Theta)
-            rows = out.reshape(-1, Theta.shape[-1])
+        def step(Theta, t, eps, out):
+            if not np.isfinite(Theta).all():
+                out[...] = math.nan
+                return
+            drift = np.empty_like(Theta)
+            rows = drift.reshape(-1, Theta.shape[-1])
             theta_rows = Theta.reshape(-1, Theta.shape[-1])
             for i, op_eval in enumerate(ops_eval):
                 rows[i] = op_eval(obs[i][t], theta_rows[i])
-            return out
+            out += eps * drift
 
-        return drift
+        return step
 
     return per_agent

@@ -55,20 +55,26 @@ def quadratic_grad_operator(dim: int, u=None) -> LocalOperator:
 
 
 def quadratic_block_drift(x1, x2):
-    """drift(Theta, t) of a stack of quadratic-gradient agents, whose
+    """step(Theta, t, eps, out) of a stack of quadratic-gradient agents, whose
     time-major blocks of samples are x1 (T, ..., d) and x2 (T, ...): for
-    Theta of shape (..., d), the row of an agent is its map at its t-th
-    sample, equal bit for bit to its eval: both sum a row's products over
-    the contiguous last axis, where a (T, d) @ product would round
-    otherwise."""
+    Theta of shape (..., d), it adds eps times each agent's map at its t-th
+    sample to out, which holds W Theta, in place. The result equals
+    out + eps * eval bit for bit: both sum a row's products over the
+    contiguous last axis, where a (T, d) @ product would round otherwise,
+    and both round 2 * resid, its product with x1 and eps times that in
+    this order."""
     x2 = np.asarray(x2)[..., None]
 
-    def drift(Theta, t):
+    def step(Theta, t, eps, out):
         x1_t = x1[t]
-        resid = x2[t] - (x1_t * Theta).sum(axis=-1, keepdims=True)
-        return 2.0 * resid * x1_t
+        # np.add.reduce: ndarray.sum goes through a Python wrapper
+        resid = x2[t] - np.add.reduce(x1_t * Theta, axis=-1, keepdims=True)
+        resid *= 2.0
+        y = resid * x1_t
+        y *= eps
+        out += y
 
-    return drift
+    return step
 
 
 # ---------------------------------------------------------------------------
@@ -129,11 +135,13 @@ def qlearning_operator(features: TabularFeatures, gamma: float) -> LocalOperator
 
 
 def qlearning_block_drift(features: TabularFeatures, gamma, s, a, r, s_next):
-    """drift(Theta, t) of a stack of Q-learning agents that share features
-    and gamma, whose time-major blocks of samples are the (s, a, r, s')
-    arrays of shape (T, ...): for Theta of shape (..., dim), the row of an
-    agent is its Q-learning map at its t-th sample, equal to its operator's
-    eval.
+    """step(Theta, t, eps, out) of a stack of Q-learning agents that share
+    features and gamma, whose time-major blocks of samples are the
+    (s, a, r, s') arrays of shape (T, ...): for Theta of shape (..., dim),
+    it adds eps times each agent's Q-learning map at its t-th sample to the
+    C-contiguous out, which holds W Theta, in place. The map is nonzero in
+    one slot per agent, so only those slots are added to; every slot equals
+    out + eps * eval, bit for bit.
 
     One bellman_residual call per step treats Theta as the stacked
     (agents * states) x actions table, in which the state s of the agent in
@@ -154,13 +162,14 @@ def qlearning_block_drift(features: TabularFeatures, gamma, s, a, r, s_next):
     # lists of per-step rows index faster than the (T, agents) arrays
     s, a, r, s_next, slot = map(list, (s, a, r, s_next, slot))
 
-    def drift(Theta, t):
-        out = np.zeros(Theta.shape)
-        out.ravel()[slot[t]] = bellman_residual(stacked, gamma, Theta, s[t],
-                                                a[t], r[t], s_next[t])
-        return out
+    def step(Theta, t, eps, out):
+        res = bellman_residual(stacked, gamma, Theta, s[t], a[t], r[t],
+                               s_next[t])
+        res *= eps
+        # a view of the contiguous out: a copy would lose the update
+        out.reshape(-1)[slot[t]] += res
 
-    return drift
+    return step
 
 
 # ---------------------------------------------------------------------------

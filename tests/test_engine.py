@@ -234,6 +234,29 @@ def test_run_aborts_at_the_exact_step(bad_step):
     assert_same_trajectory(new, run_reference(sc, collect_theta_bar=True))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_per_agent_eval_never_sees_a_non_finite_iterate():
+    """A custom eval that asserts a finite iterate is never handed the
+    overflowed iterate of a diverging run, nor any after it in its block:
+    the run aborts where the per-step loop does, bit for bit."""
+    cfg = ScenarioConfig(scenario="system_id", n_agents=3, dim=2, seed=3,
+                         horizon=600, stride=7, step_kind="constant",
+                         step_eps=5.0, compute_constants=True)
+    sc = build_scenario(cfg)
+
+    def finite_only(op_eval):
+        def eval_(x, theta):
+            assert np.isfinite(theta).all()
+            return op_eval(x, theta)
+        return eval_
+
+    sc.ops = [dataclasses.replace(op, kind="custom", eval=finite_only(op.eval))
+              for op in sc.ops]
+    new = run(sc, collect_theta_bar=True)
+    assert new.aborted and not np.isfinite(new.theta_final).all()
+    assert_identical(new, run_reference(sc, collect_theta_bar=True))
+
+
 MAZES = ["S....\n.....\n..#..\n.....\n....G\n",
          "S....\n...#.\n.....\n.#...\n....G\n",
          "S....\n.....\n.#.#.\n.....\n....G\n"]
@@ -281,6 +304,21 @@ def gridworld_ensembles(draw, max_runs=6):
 def gridworld_scenarios():
     """A built GridWorld scenario, as gridworld_ensembles draws them."""
     return gridworld_ensembles(max_runs=1).map(lambda scs: scs[0])
+
+
+def test_run_gridworld_negative_zero_theta0():
+    """A theta0 of -0.0 gives the per-step loop's bytes: the batched step
+    adds only to the visited slots of W @ Theta, which holds +0.0 where
+    the loop's W @ Theta + eps * drift does."""
+    cfg = ScenarioConfig(scenario="gridworld", n_agents=3, dim=100, seed=4,
+                         horizon=300, stride=30, maze_files="unused",
+                         eval_batch_size=20, step_kind="constant",
+                         step_eps=0.05)
+    sc = build_gridworld_scenario(cfg, mazes=[parse_maze(m) for m in MAZES])
+    sc.theta0 = np.full((3, 100), -0.0)
+    new = run(sc, collect_theta_bar=True)
+    assert (new.theta_final == 0.0).any()
+    assert_identical(new, run_reference(sc, collect_theta_bar=True))
 
 
 @given(gridworld_scenarios())

@@ -76,24 +76,38 @@ def ar_block(seed, i, d, T):
     return src.sample_block(derive_stream(seed, i, "sample"), T)
 
 
+def signed_zeros(rng, shape):
+    """Standard normals with about a fifth of the entries -0.0 and a fifth
+    +0.0."""
+    x = rng.standard_normal(shape)
+    u = rng.random(shape)
+    x[u < 0.2] = -0.0
+    x[u > 0.8] = 0.0
+    return x
+
+
 @given(st.integers(1, 5), st.integers(1, 10), st.integers(0, 130),
-       st.integers(0, 2**31 - 1))
+       st.floats(1e-3, 10.0), st.integers(0, 2**31 - 1))
 @settings(max_examples=60, deadline=None)
-def test_quadratic_block_drift_matches_eval(n, d, T, seed):
-    """Every row of the batched drift equals its agent's operator eval at
-    that step, bit for bit, for N agents with their own AR sources and at
+def test_quadratic_block_drift_matches_eval(n, d, T, eps, seed):
+    """The batched step adds eps times its agent's operator eval at that
+    step to every row of out in place: out0 + eps * eval, bit for bit and
+    signed zeros included, for N agents with their own AR sources and at
     any theta; d above 8 takes numpy's pairwise sums."""
     op = quadratic_grad_operator(d)
     blocks = [ar_block(seed, i, d, T) for i in range(n)]
-    drift = quadratic_block_drift(*(np.stack(x, axis=1)
-                                    for x in zip(*blocks)))
+    step = quadratic_block_drift(*(np.stack(x, axis=1)
+                                   for x in zip(*blocks)))
     rng = np.random.default_rng(seed)
     for t in range(T):
-        theta = rng.standard_normal((n, d))
-        theta[rng.random(theta.shape) < 0.2] = -0.0
-        expected = np.stack([op.eval((x1[t], float(x2[t])), theta[i])
-                             for i, (x1, x2) in enumerate(blocks)])
-        assert drift(theta, t).tobytes() == expected.tobytes()
+        theta = signed_zeros(rng, (n, d))
+        out0 = signed_zeros(rng, (n, d))
+        expected = out0 + eps * np.stack(
+            [op.eval((x1[t], float(x2[t])), theta[i])
+             for i, (x1, x2) in enumerate(blocks)])
+        out = out0.copy()
+        step(theta, t, eps, out)
+        assert out.tobytes() == expected.tobytes()
 
 
 def test_eval_local_dimension_check():
@@ -157,28 +171,41 @@ def test_qlearning_eval_matches_explicit_formula(maze, gamma, seed):
 
 
 @given(st.lists(mazes((4, 3)), min_size=1, max_size=4), GAMMAS,
-       st.integers(0, 130), st.integers(0, 2**31 - 1))
+       st.integers(0, 130), st.floats(1e-3, 10.0), st.integers(0, 2**31 - 1))
 @settings(max_examples=60, deadline=None)
-def test_qlearning_block_drift_matches_eval(maze_list, gamma, T, seed):
-    """Every row of the batched drift equals its agent's operator eval at
-    that step, bit for bit (signed zeros included), for N agents on
-    their own mazes, at any theta."""
+def test_qlearning_block_drift_matches_eval(maze_list, gamma, T, eps, seed):
+    """The batched step adds eps times its agent's operator eval at that
+    step to the agent's one-hot slot of out in place, out0 + eps * eval
+    bit for bit (signed zeros included), for N agents on their own mazes,
+    at any theta. Every other entry of out keeps its bytes, which equal
+    out0 + eps * eval unless out0 is -0.0 there: W @ Theta, what the
+    engine passes as out0, has no -0.0."""
     feats = TabularFeatures(12, 4)
     op = qlearning_operator(feats, gamma)
     blocks = [MDPSource(maze=m).sample_block(derive_stream(seed, i, "sample"),
                                              T)
               for i, m in enumerate(maze_list)]
-    drift = qlearning_block_drift(feats, gamma, *(np.stack(x, axis=1)
-                                                  for x in zip(*blocks)))
+    step = qlearning_block_drift(feats, gamma, *(np.stack(x, axis=1)
+                                                 for x in zip(*blocks)))
     rng = np.random.default_rng(seed)
+    n = len(maze_list)
     for t in range(T):
-        theta = rng.standard_normal((len(maze_list), feats.dim))
-        theta[rng.random(theta.shape) < 0.2] = -0.0
-        expected = np.stack([
+        theta = signed_zeros(rng, (n, feats.dim))
+        out0 = signed_zeros(rng, (n, feats.dim))
+        evals = np.stack([
             op.eval((int(s[t]), int(a[t]), float(r[t]), int(s_next[t])),
                     theta[i])
             for i, (s, a, r, s_next) in enumerate(blocks)])
-        assert drift(theta, t).tobytes() == expected.tobytes()
+        in_slot = np.zeros(out0.shape, dtype=bool)
+        for i, (s, a, _, _) in enumerate(blocks):
+            in_slot[i, feats.index(s[t], a[t])] = True
+        assert not evals[~in_slot].any()
+        expected = out0 + eps * evals
+        expected[~in_slot] = out0[~in_slot]
+        assert (expected == out0 + eps * evals).all()
+        out = out0.copy()
+        step(theta, t, eps, out)
+        assert out.tobytes() == expected.tobytes()
 
 
 def test_qlearning_block_drift_rejects_states_beyond_features():
