@@ -66,7 +66,12 @@ def tau_k(beta: float, eps_k: float, rho: float) -> int:
         return floor_term
     if eps_k <= 0:
         raise CoreError("eps_k must be positive")
-    return max(floor_term, _ceil_tol(beta * math.log(1.0 / eps_k)))
+    log_term = beta * math.log(1.0 / eps_k)
+    if not math.isfinite(log_term):
+        # a subnormal eps_k or a huge beta overflows beta log(1/eps_k)
+        raise CoreError(f"tau_k is not finite at beta = {beta}, "
+                        f"eps_k = {eps_k}")
+    return max(floor_term, _ceil_tol(log_term))
 
 
 def _ceil_tol(x, tol=1e-9):
@@ -96,17 +101,31 @@ class RateConstants:
                      c_tau) -> "RateConstants":
         if not (0.0 < c_tau < 1.0):
             raise CoreError("c_tau must lie in (0,1)")
+        # B = 0 would make the step bounds 1/(N C_eps1) divide by zero, and
+        # alpha <= 0 has no rate: both arise when the constants underflow
+        if not (0.0 < B < math.inf and 0.0 < alpha < math.inf):
+            raise CoreError(f"rate constants need finite B > 0 and alpha > 0, "
+                            f"got B = {B}, alpha = {alpha}")
         tsq1 = theta_star_norm**2 + 1.0
-        c0 = 16.0 * B**2 * tsq1
-        c1 = (60.0 * B**2 + 45.0 / 2.0 + 90.0 * B * L + 6.0 * B**2) * tsq1
-        c2 = 21.0 * B / 2.0 + 5.0 / 6.0 + 8.0 * L**2 / alpha + 10.0 * L
-        c_eps1 = max(6.0 * B, (45.0 * B + 132.0 * B**2 + 192.0 * B * L) / alpha)
-        c_eps2 = max(
-            16.0 * B,
-            768.0 * B**2 / (c_tau * alpha),
-            alpha / 4.0 + 128.0 * B**2 / (c_tau * (1.0 - sigma2**2)) + 2.0 * c2,
-            32.0 * B**2 / c2,
-        )
+        try:
+            c0 = 16.0 * B**2 * tsq1
+            c1 = (60.0 * B**2 + 45.0 / 2.0 + 90.0 * B * L + 6.0 * B**2) * tsq1
+            c2 = 21.0 * B / 2.0 + 5.0 / 6.0 + 8.0 * L**2 / alpha + 10.0 * L
+            c_eps1 = max(6.0 * B,
+                         (45.0 * B + 132.0 * B**2 + 192.0 * B * L) / alpha)
+            c_eps2 = max(
+                16.0 * B,
+                768.0 * B**2 / (c_tau * alpha),
+                alpha / 4.0 + 128.0 * B**2 / (c_tau * (1.0 - sigma2**2))
+                + 2.0 * c2,
+                32.0 * B**2 / c2,
+            )
+            finite = all(map(math.isfinite, (c0, c1, c2, c_eps1, c_eps2)))
+        except OverflowError:   # ** on a float raises where * gives inf
+            finite = False
+        if not finite:
+            raise CoreError(f"rate constants overflow at B = {B}, L = {L}, "
+                            f"alpha = {alpha}")
         return cls(C0=c0, C1=c1, C2=c2, C_eps1=c_eps1, C_eps2=c_eps2,
                    c_tau=c_tau, B=B, alpha=alpha)
 

@@ -297,12 +297,19 @@ def system_id_constants(sources) -> OperatorConstants:
     for src in sources:
         if not isinstance(src, ARSource):
             raise OperatorError("system_id_constants expects ARSources")
-        xmax = ar_state_bound(src.A, src.noise_clip)
-        x1_norm = float(np.linalg.norm(xmax))
-        x2_max = float(np.abs(src.u) @ xmax) + src.noise_clip
-        l_max = max(l_max, 2.0 * x1_norm**2)
+        # a clip far from 1 can take the constants out of range: they come
+        # back inf or 0 without a warning, and RateConstants rejects them
+        with np.errstate(all="ignore"):
+            xmax = ar_state_bound(src.A, src.noise_clip)
+            x1_norm = float(np.linalg.norm(xmax))
+            x2_max = float(np.abs(src.u) @ xmax) + src.noise_clip
+            var_sum += np.diagonal(ar_stationary_covariance(src.A,
+                                                            src.noise_clip))
+        try:
+            l_max = max(l_max, 2.0 * x1_norm**2)
+        except OverflowError:   # ** on a float raises where * gives inf
+            l_max = math.inf
         b_zero = max(b_zero, 2.0 * x2_max * x1_norm)
-        var_sum += np.diagonal(ar_stationary_covariance(src.A, src.noise_clip))
     alpha = 2.0 * float(np.min(var_sum))
     return OperatorConstants(B=max(l_max, b_zero), L=l_max, alpha=alpha)
 

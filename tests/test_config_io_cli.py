@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dcsa.cli import main
 from dcsa.config import (ConfigError, ScenarioConfig, config_to_text,
@@ -267,6 +273,103 @@ def test_cli_runtime_abort_exit_code(tmp_path, capsys):
     assert code == 2
     summary = json.loads((tmp_path / "o" / "summary.json").read_text())
     assert summary["aborted"]
+
+
+# Small valid configs for the mutation test below; MAZE stands for the path
+# of a 2 x 2 maze file.
+FUZZ_BASES = {
+    "system_id": ("scenario = system_id\nn_agents = 3\ndim = 2\nseed = 1\n"
+                  "horizon = 200\nstride = 10\ncompute_constants = true\n"),
+    "gridworld": ("scenario = gridworld\nn_agents = 2\ndim = 16\nseed = 1\n"
+                  "horizon = 100\nstride = 10\neval_batch_size = 5\n"
+                  "maze_files = MAZE,MAZE\n"),
+}
+FUZZ_JUNK = st.sampled_from(["", "x", "1.5", "1e3", "nan", "true", "-1"])
+FUZZ_FLOATS = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["1e-320", "5e-324", "1e-300", "1e-160", "1e200",
+                     "1e308", "-0.0", "0", "1e-3", "0.5", "0.99", "1000"]),
+    FUZZ_JUNK)
+FUZZ_TOPOLOGIES = st.sampled_from([
+    "line", "ring", "complete", "star", "wheel", "", "edges:[[0,1],[1,2]]",
+    "edges:[[0,1]]", "edges:[[0,9]]", "edges:[[0,0]]", "edges:[[0,1,2]]",
+    "edges:[0]", "edges:{}", "edges:nope", 'edges:[["a","b"]]',
+    "edges:[[0.5,1]]", "edges:[[-1,0]]"])
+
+
+def fuzz_ints(lo, hi):
+    return st.integers(lo, hi).map(str) | FUZZ_JUNK
+
+
+# every config key, and adversarial values for it: N <= 12, d <= 6,
+# H <= 200 and eval batches <= 50 keep each run small
+FUZZ_VALUES = {
+    "scenario": st.sampled_from(["system_id", "gridworld", "warp"]),
+    "n_agents": fuzz_ints(-2, 12),
+    "dim": fuzz_ints(-2, 6),
+    "seed": st.integers(-2**70, 2**70).map(str) | FUZZ_JUNK,
+    "horizon": fuzz_ints(-5, 200),
+    "stride": st.integers(-5, 10**12).map(str) | FUZZ_JUNK,
+    "topology": FUZZ_TOPOLOGIES,
+    "frames": st.lists(FUZZ_TOPOLOGIES, max_size=3).map(";".join),
+    "period_b": fuzz_ints(-2, 300),
+    "step_kind": st.sampled_from(["constant", "diminishing", "", "linear"]),
+    "step_eps": FUZZ_FLOATS,
+    "noise_clip": FUZZ_FLOATS,
+    "gamma": FUZZ_FLOATS,
+    "beta": FUZZ_FLOATS,
+    "maze_files": st.sampled_from(["", "missing.txt", "MAZE", "MAZE,MAZE",
+                                   "MAZE,MAZE,MAZE", "MAZE,BIG", ".",
+                                   "BAD,BAD"]),
+    "eval_batch_size": fuzz_ints(-2, 50),
+    "compute_constants": st.sampled_from(["true", "false", "yes", "2", ""]),
+}
+
+
+@given(base=st.sampled_from(sorted(FUZZ_BASES)),
+       mutation=st.sampled_from(sorted(FUZZ_VALUES)).flatmap(
+           lambda key: st.tuples(st.just(key), FUZZ_VALUES[key])),
+       command=st.sampled_from(["run", "check"]))
+@example(base="system_id", mutation=("step_eps", "1e-320"), command="run")
+@example(base="system_id", mutation=("step_eps", "1e-320"), command="check")
+@example(base="system_id", mutation=("beta", "1e308"), command="run")
+@example(base="system_id", mutation=("beta", "1e308"), command="check")
+@example(base="system_id", mutation=("noise_clip", "1e-300"), command="run")
+@example(base="system_id", mutation=("noise_clip", "1e-300"),
+         command="check")
+@settings(max_examples=150, deadline=None)
+def test_cli_exit_code_contract_on_mutated_configs(base, mutation, command):
+    """One key of a small valid config set to an adversarial value: `dcsa
+    run` and `dcsa check` exit 0, 1 or 2 and raise nothing. Exit 1 prints
+    one `error:` line, and exit 2, a run's abort, one `run aborted:`
+    line."""
+    key, value = mutation
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"MAZE": ("S.\n.G\n", "maze.txt"),
+                 "BIG": ("S..\n..G\n", "big.txt"),
+                 "BAD": ("SS\n..\n", "bad.txt")}
+        for name, (maze, file) in paths.items():
+            with open(os.path.join(tmp, file), "w", encoding="utf-8") as fh:
+                fh.write(maze)
+            value = value.replace(name, os.path.join(tmp, file))
+        text = re.sub(rf"(?m)^{key} = .*\n", "", FUZZ_BASES[base])
+        text = text.replace("MAZE", os.path.join(tmp, "maze.txt"))
+        cfg = os.path.join(tmp, "fuzz.cfg")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write(f"{text}{key} = {value}\n")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--config", cfg, "--out",
+                         os.path.join(tmp, "o")])
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert lines == []
+    elif code == 1:
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    else:
+        assert command == "run"
+        assert len(lines) == 1 and lines[0].startswith("run aborted: ")
 
 
 def test_cli_check_reports_constants(tmp_path, capsys):
