@@ -5,11 +5,13 @@ import dataclasses
 import json
 import math
 import os
+import platform
 import sys
+from time import perf_counter
 
 import numpy as np
 
-from .config import ConfigError, parse_config, maze_paths
+from .config import ConfigError, config_to_text, parse_config, maze_paths
 from .core import CoreError, admissible_step_check, run
 from .experiments import (ScenarioError, build_scenario, fit_rate_series,
                           greedy_policy_rollout, plateau_level)
@@ -52,7 +54,9 @@ def cmd_run(args):
     cfg = _load_config(args)
     scenario = build_scenario(cfg)
     os.makedirs(args.out, exist_ok=True)
+    t0 = perf_counter()
     traj = run(scenario)
+    wall_s = perf_counter() - t0
     emit_metrics(traj, os.path.join(args.out, "metrics.csv"))
     np.save(os.path.join(args.out, "theta_final.npy"), traj.theta_final)
 
@@ -81,6 +85,13 @@ def cmd_run(args):
         "plateau": plateau, "solved_mazes": solved,
         "admissibility": _admissibility(cfg, scenario),
         "aborted": traj.aborted, "abort_reason": traj.abort_reason,
+        # timings of run() alone; an aborted run has no rate over its horizon
+        "wall_s": wall_s,
+        "iters_per_s": None if traj.aborted else cfg.horizon / wall_s,
+        **{f"{phase}_s": secs for phase, secs in traj.phase_s.items()},
+        "python_version": platform.python_version(),
+        "numpy_version": np.__version__,
+        "config": config_to_text(cfg),
     }, os.path.join(args.out, "summary.json"))
     if traj.aborted:
         print(f"run aborted: {traj.abort_reason}", file=sys.stderr)

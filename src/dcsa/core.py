@@ -11,6 +11,7 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass
+from time import perf_counter
 
 import numpy as np
 
@@ -382,6 +383,9 @@ class MetricsTrajectory:
     abort_reason: str = ""
     min_lemma3_slack: float = math.nan
     theta_bar_hist: np.ndarray = None
+    # seconds per phase of the engine (sample, step, measure, log); a
+    # stacked pass is timed once, and each of its runs carries its totals
+    phase_s: dict = dataclasses.field(default_factory=dict, compare=False)
 
     def column(self, name):
         return np.array([getattr(r, name) for r in self.records])
@@ -486,6 +490,12 @@ def _step_stack(scs, collect_theta_bar):
     measured; rows holds each other scenario's records still to be logged
     (see _log_records). Returns None when an iterate of a stack of more
     than one scenario goes non-finite.
+
+    Each block is timed in four phases, one perf_counter reading at the
+    end of each: sample (block_drift draws the block), step (the T steps
+    and the finiteness check), measure (R, S, theta_bar and the lemma-3
+    slack) and log (the records, TD error included). Every trajectory
+    gets the pass's totals as phase_s.
     """
     from .rng import derive_stream
 
@@ -523,9 +533,9 @@ def _step_stack(scs, collect_theta_bar):
     reason = ""
 
     def measure(k_lo, thetas, eps_prev):
-        """Metrics and records of the iterates thetas = Theta_{k_lo..} of
-        every run, of shape (S, m, N, d); eps_prev holds the steps that
-        produced them."""
+        """R, S, theta_bar and the lemma-3 slack of the iterates thetas =
+        Theta_{k_lo..} of every run, of shape (S, m, N, d); eps_prev holds
+        the steps that produced them. Returns the (S, m) slacks."""
         m = thetas.shape[1]
         ks = slice(k_lo, k_lo + m)
         theta_bar = thetas.mean(axis=2, out=bar_buf[:, :m])
@@ -548,12 +558,34 @@ def _step_stack(scs, collect_theta_bar):
             np.fmin(min_slack, np.fmin.reduce(slack, axis=1,
                                               initial=math.inf),
                     out=min_slack)
-        for k in range(k_lo, k_lo + m):
+        return slack
+
+    def log(k_lo, thetas, slack):
+        """The records of the logged k among thetas = Theta_{k_lo..}: the
+        first run's are logged, the others' kept in rows."""
+        for k in range(k_lo, k_lo + thetas.shape[1]):
             if k % sc.stride == 0 or k == horizon:
                 for s in range(n_runs):
                     theta = thetas[s, k - k_lo].copy() if keep_theta else None
                     rows[s].append((k, theta, slack[s, k - k_lo]))
                 _log_records(scs[0], rows[0], trajs[0])
+
+    phase_s = dict.fromkeys(("sample", "step", "measure", "log"), 0.0)
+    tick = perf_counter()
+
+    def lap(phase):
+        """Add the time since the last lap to phase: one perf_counter
+        reading per phase of a block."""
+        nonlocal tick
+        now = perf_counter()
+        phase_s[phase] += now - tick
+        tick = now
+
+    def measure_and_log(k_lo, thetas, eps_prev):
+        slack = measure(k_lo, thetas, eps_prev)
+        lap("measure")
+        log(k_lo, thetas, slack)
+        lap("log")
 
     # the block's iterates, time-major so that each step's (S, N, d) row is
     # contiguous, and the two temporaries of measure, reused by every block:
@@ -566,10 +598,11 @@ def _step_stack(scs, collect_theta_bar):
     # metrics may be inf or NaN, which the block's check turns into an
     # abort, without a warning per operation
     with np.errstate(all="ignore"):
-        measure(0, Theta[:, None], [])
+        measure_and_log(0, Theta[:, None], [])
         for k0 in range(0, horizon, _BLOCK):
             T = min(_BLOCK, horizon - k0)
             step = block_drift(T)
+            lap("sample")
             eps = sc.step.values(k0, T)
             for t in range(T):
                 out = buf[t]
@@ -584,7 +617,8 @@ def _step_stack(scs, collect_theta_bar):
                 aborted = True
                 reason = f"non-finite iterate at k={k0 + done + 1}"
                 Theta = buf[done]
-            measure(k0 + 1, buf[:done].swapaxes(0, 1), eps[:done])
+            lap("step")
+            measure_and_log(k0 + 1, buf[:done].swapaxes(0, 1), eps[:done])
             if aborted:
                 break
 
@@ -595,6 +629,7 @@ def _step_stack(scs, collect_theta_bar):
         traj.min_lemma3_slack = (float(min_slack[s]) if check_lemma3
                                  else math.nan)
         traj.theta_bar_hist = None if tb_hist is None else tb_hist[s]
+        traj.phase_s = dict(phase_s)
     return list(zip(trajs, rows))
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -187,6 +188,26 @@ def test_cli_run_writes_outputs(tmp_path, capsys):
     assert not summary["aborted"]
 
 
+def test_cli_run_summary_reports_time_and_versions(tmp_path):
+    """summary.json says where the run's time went, with what it ran and
+    on which config; the four engine phases lie inside run()'s wall time."""
+    cfg = write_cfg(tmp_path, SYSTEM_ID_CFG)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out),
+                 "--seed", "7"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    phases = [summary[f"{p}_s"] for p in ("sample", "step", "measure", "log")]
+    assert all(t >= 0 for t in phases)
+    assert 0 < sum(phases) <= summary["wall_s"]
+    horizon = parse_config((tmp_path / "run.cfg").read_text()).horizon
+    assert summary["iters_per_s"] == pytest.approx(horizon
+                                                   / summary["wall_s"])
+    assert summary["python_version"] == platform.python_version()
+    assert summary["numpy_version"] == np.__version__
+    resolved = parse_config(summary["config"])
+    assert resolved.seed == 7 and resolved.horizon == horizon
+
+
 def test_cli_run_byte_identical(tmp_path):
     cfg = write_cfg(tmp_path, SYSTEM_ID_CFG)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -273,6 +294,7 @@ def test_cli_runtime_abort_exit_code(tmp_path, capsys):
     assert code == 2
     summary = json.loads((tmp_path / "o" / "summary.json").read_text())
     assert summary["aborted"]
+    assert summary["iters_per_s"] is None   # the horizon was not run
 
 
 # Small valid configs for the mutation test below; MAZE stands for the path
