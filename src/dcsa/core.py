@@ -402,15 +402,18 @@ def run(scenario: Scenario, collect_theta_bar: bool = False, *,
     iteration, logging a MetricsRecord every stride (and at k=0 and the end).
 
     The iteration advances in blocks of up to _BLOCK steps: each block's
-    observations are drawn up front (they never depend on Theta), and each
-    step writes W Theta straight into its row of a time-major buffer of
-    iterates, to which the drift's step adds eps F in place. The block is
-    stepped under np.errstate(all="ignore"), so neither the engine nor an
-    operator's eval warns about overflow inside it; one isfinite pass over
-    the buffer then finds the first non-finite iterate, and the run aborts
-    at its exact k with that iterate as theta_final. R, S, theta_bar and
-    the lemma-3 slack of the block's finite iterates are computed on the
-    buffer. No operator's eval ever sees a non-finite iterate.
+    observations are drawn up front (they never depend on Theta), by a
+    block sampler built once per run, and each step writes W Theta
+    straight into its row of a time-major buffer of iterates, to which the
+    drift's step adds eps F in place. The block is stepped under
+    np.errstate(all="ignore"), so neither the engine nor an operator's
+    eval warns about overflow inside it; one isfinite pass over the buffer
+    then finds the first non-finite iterate, and the run aborts at its
+    exact k with that iterate as theta_final. R, S, theta_bar and the
+    lemma-3 slack of the block's finite iterates are computed on the
+    time-major buffer as it stands. No operator's eval ever sees a
+    non-finite iterate. The trajectory's phase_s holds the seconds spent
+    drawing, stepping, measuring and logging.
 
     Bit-deterministic for a fixed seed: per-agent sample streams are derived
     from (seed, agent, 'sample') and agents are reduced in index order.
@@ -465,12 +468,10 @@ def run_ensemble(scenarios, collect_theta_bar: bool = False) -> list:
 
 
 def _log_records(sc, rows, traj):
-    """Append one MetricsRecord to traj.records per row (k, theta, lemma-3
-    slack) of scenario sc, and empty rows; theta is None without eval
-    batches."""
-    for k, theta, slack in rows:
-        eps_k = sc.step.value(k)
-        t = tau_k(sc.beta, eps_k, sc.rho)
+    """Append one MetricsRecord to traj.records per row (k, eps_k, tau_k,
+    theta, lemma-3 slack) of scenario sc, and empty rows; theta is None
+    without eval batches."""
+    for k, eps_k, t, theta, slack in rows:
         r_val = traj.R_hist[k]
         s_val = traj.S_hist[k]
         s_del = traj.S_hist[max(0, k - t)]
@@ -488,8 +489,13 @@ def _step_stack(scs, collect_theta_bar):
     (S, N, d) stack and return one (MetricsTrajectory, rows) pair per
     scenario. The first scenario's records are logged as they are
     measured; rows holds each other scenario's records still to be logged
-    (see _log_records). Returns None when an iterate of a stack of more
+    (see _log_records), with eps_k and tau_k computed once per logged k
+    for the whole stack. Returns None when an iterate of a stack of more
     than one scenario goes non-finite.
+
+    Each block's iterates are a (T, S, N, d) buffer, and measure reads
+    them in that order: theta_bar adds the agents' slices, and R and S go
+    into the (S, horizon+1) histories through their transposes.
 
     Each block is timed in four phases, one perf_counter reading at the
     end of each: sample (block_drift draws the block), step (the T steps
@@ -514,7 +520,7 @@ def _step_stack(scs, collect_theta_bar):
     tb_hist = np.zeros((n_runs, horizon + 1, d)) if collect_theta_bar else None
     theta_star = None
     if sc.theta_star is not None:
-        theta_star = np.stack([np.asarray(s.theta_star) for s in scs])[:, None]
+        theta_star = np.stack([np.asarray(s.theta_star) for s in scs])
     check_lemma3 = sc.constants is not None and theta_star is not None
     if check_lemma3:
         # lemma3_residual broadcasts each run's B and C0, held as (S, 1)
@@ -534,20 +540,32 @@ def _step_stack(scs, collect_theta_bar):
 
     def measure(k_lo, thetas, eps_prev):
         """R, S, theta_bar and the lemma-3 slack of the iterates thetas =
-        Theta_{k_lo..} of every run, of shape (S, m, N, d); eps_prev holds
-        the steps that produced them. Returns the (S, m) slacks."""
-        m = thetas.shape[1]
+        Theta_{k_lo..} of every run, time-major of shape (m, S, N, d);
+        eps_prev holds the steps that produced them. Returns the (S, m)
+        slacks."""
+        m = len(thetas)
         ks = slice(k_lo, k_lo + m)
-        theta_bar = thetas.mean(axis=2, out=bar_buf[:, :m])
+        theta_bar = bar_buf[:m]
+        if d == 1:
+            # the agent axis is contiguous, and numpy sums it pairwise
+            thetas.mean(axis=2, out=theta_bar)
+        else:
+            # thetas.mean(axis=2) adds the agents' rows to +0.0 in index
+            # order, then divides by N, but with one inner loop of length d
+            # per (step, run, agent); slice by slice it is N + 1 calls
+            np.add(thetas[:, :, 0], 0.0, out=theta_bar)
+            for i in range(1, n):
+                theta_bar += thetas[:, :, i]
+            theta_bar /= n
         if theta_star is not None:
             diff = theta_bar - theta_star
-            R_hist[:, ks] = (diff[..., None, :] @ diff[..., None]).reshape(
-                n_runs, m)
-        dev = np.subtract(thetas, theta_bar[:, :, None], out=dev_buf[:, :m])
+            R_hist.T[ks] = (diff[..., None, :] @ diff[..., None]).reshape(
+                m, n_runs)
+        dev = np.subtract(thetas, theta_bar[:, :, None], out=dev_buf[:m])
         np.multiply(dev, dev, out=dev)
-        S_hist[:, ks] = dev.reshape(n_runs, m, n * d).sum(axis=-1)
+        S_hist.T[ks] = np.add.reduce(dev.reshape(m, n_runs, n * d), axis=-1)
         if collect_theta_bar:
-            tb_hist[:, ks] = theta_bar
+            tb_hist.swapaxes(0, 1)[ks] = theta_bar
         slack = np.full((n_runs, m), math.nan)
         if check_lemma3 and k_lo >= 1:
             prev = slice(k_lo - 1, k_lo - 1 + m)
@@ -562,12 +580,15 @@ def _step_stack(scs, collect_theta_bar):
 
     def log(k_lo, thetas, slack):
         """The records of the logged k among thetas = Theta_{k_lo..}: the
-        first run's are logged, the others' kept in rows."""
-        for k in range(k_lo, k_lo + thetas.shape[1]):
+        first run's are logged, the others' kept in rows. eps_k and tau_k
+        are the same for every run, so each is computed once per k."""
+        for k in range(k_lo, k_lo + len(thetas)):
             if k % sc.stride == 0 or k == horizon:
+                eps_k = sc.step.value(k)
+                t = tau_k(sc.beta, eps_k, sc.rho)
                 for s in range(n_runs):
-                    theta = thetas[s, k - k_lo].copy() if keep_theta else None
-                    rows[s].append((k, theta, slack[s, k - k_lo]))
+                    theta = thetas[k - k_lo, s].copy() if keep_theta else None
+                    rows[s].append((k, eps_k, t, theta, slack[s, k - k_lo]))
                 _log_records(scs[0], rows[0], trajs[0])
 
     phase_s = dict.fromkeys(("sample", "step", "measure", "log"), 0.0)
@@ -592,13 +613,13 @@ def _step_stack(scs, collect_theta_bar):
     # fresh block-sized temporaries cost the allocator more than the
     # arithmetic; one row at least, for the k = 0 measure
     buf = np.empty((max(1, min(_BLOCK, horizon)), n_runs, n, d))
-    dev_buf = np.empty((n_runs,) + buf.shape[:1] + (n, d))
-    bar_buf = np.empty(dev_buf.shape[:2] + (d,))
+    dev_buf = np.empty_like(buf)
+    bar_buf = np.empty(buf.shape[:2] + (d,))
     # a diverging run overflows before its iterate does: its iterates and
     # metrics may be inf or NaN, which the block's check turns into an
     # abort, without a warning per operation
     with np.errstate(all="ignore"):
-        measure_and_log(0, Theta[:, None], [])
+        measure_and_log(0, Theta[None], [])
         for k0 in range(0, horizon, _BLOCK):
             T = min(_BLOCK, horizon - k0)
             step = block_drift(T)
@@ -618,7 +639,7 @@ def _step_stack(scs, collect_theta_bar):
                 reason = f"non-finite iterate at k={k0 + done + 1}"
                 Theta = buf[done]
             lap("step")
-            measure_and_log(k0 + 1, buf[:done].swapaxes(0, 1), eps[:done])
+            measure_and_log(k0 + 1, buf[:done], eps[:done])
             if aborted:
                 break
 
@@ -662,8 +683,9 @@ def _block_drift(ops, sources, rngs, shape):
     array that holds W Theta, gains eps times the drift rows of Theta at
     step t of the block, in place. Built-in quadratic-gradient operators,
     or built-in Q-learning ones with one features and gamma, over sources
-    of one class with sample_blocks share one batched step; anything else
-    is sampled and evaluated agent by agent. That per-agent step never
+    of one class with a block_sampler share one batched step, and the
+    sampler is built once, here, for the whole run; anything else is
+    sampled and evaluated agent by agent. That per-agent step never
     hands an operator's eval a non-finite iterate: when Theta has a
     non-finite entry, out is set to NaN, and the run aborts at that step
     all the same."""
@@ -676,12 +698,13 @@ def _block_drift(ops, sources, rngs, shape):
         if len(shared) == 1:
             batched = functools.partial(qlearning_block_drift, *shared.pop())
     source_class = type(sources[0])
-    if (batched is not None and hasattr(source_class, "sample_blocks")
+    if (batched is not None and hasattr(source_class, "block_sampler")
             and all(type(src) is source_class for src in sources)):
+        draw = source_class.block_sampler(sources, rngs)
+
         def sampled(T):
-            blocks = source_class.sample_blocks(sources, rngs, T)
             return batched(*(x.reshape(x.shape[:1] + shape + x.shape[2:])
-                             for x in blocks))
+                             for x in draw(T)))
 
         return sampled
     ops_eval = [op.eval for op in ops]

@@ -62,13 +62,24 @@ def quadratic_block_drift(x1, x2):
     out + eps * eval bit for bit: both sum a row's products over the
     contiguous last axis, where a (T, d) @ product would round otherwise,
     and both round 2 * resid, its product with x1 and eps times that in
-    this order."""
+    this order.
+
+    For d = 2 the row sum is one elementwise add, p0 + p1: numpy's reduce
+    adds the row to +0.0, which rounds the same but for the sign of a zero
+    sum (see sources.row_sums), and x2 - sum keeps that sign only where x2
+    is zero. So a block whose x2 has no zero takes the add; any other keeps
+    np.add.reduce."""
     x2 = np.asarray(x2)[..., None]
+    two_terms = np.shape(x1)[-1] == 2 and bool(np.all(x2 != 0))
 
     def step(Theta, t, eps, out):
         x1_t = x1[t]
-        # np.add.reduce: ndarray.sum goes through a Python wrapper
-        resid = x2[t] - np.add.reduce(x1_t * Theta, axis=-1, keepdims=True)
+        p = x1_t * Theta
+        if two_terms:
+            resid = x2[t] - (p[..., :1] + p[..., 1:])
+        else:
+            # np.add.reduce: ndarray.sum goes through a Python wrapper
+            resid = x2[t] - np.add.reduce(p, axis=-1, keepdims=True)
         resid *= 2.0
         y = resid * x1_t
         y *= eps

@@ -260,37 +260,64 @@ class ARSource:
     def sample_block(self, rng, T):
         """The next T samples as arrays x1 (T, d) and x2 (T,), with the
         values, final state and stream of T sample calls."""
-        x1, x2 = ARSource.sample_blocks([self], [rng], T)
+        x1, x2 = ARSource.block_sampler([self], [rng])(T)
         return x1[:, 0], x2[:, 0]
 
     @staticmethod
-    def sample_blocks(sources, rngs, T):
-        """The next T samples of each of R ARSources of one dim, each from
-        its own stream, time-major: x1 (T, R, d) and x2 (T, R), with the
-        values, final states and streams of T sample calls per source.
+    def block_sampler(sources, rngs):
+        """draw(T): the next T samples of each of R ARSources of one dim,
+        each from its own stream, time-major: x1 (T, R, d) and x2 (T, R),
+        with the values, final states and streams of T sample calls per
+        source.
+
+        The sources' clips, gains, u and states are gathered into arrays
+        once, here. draw carries the states from block to block itself and
+        hands each source its new state after every block, so a source
+        must not be sampled by other means between draws.
 
         Each stream fills its (T, 2) noise with one standard_normal call,
         as T sample calls would draw it; the clip, the shift and the sums
         then act on all R sources at once. Column m of X(1) is A[m, m-1]
         times column m-1 one step earlier: one array op per column over a
-        buffer whose step 0 is the state. x2 sums each row over the
-        contiguous last axis, which rounds as sample's 1-D sum does."""
-        noise = np.empty((len(rngs), T, 2))
-        for rng, rows in zip(rngs, noise):
-            rng.standard_normal(out=rows)
+        buffer whose step 0 is the state. x2 sums each row as sample's 1-D
+        sum does (see row_sums)."""
         clip = np.array([src.noise_clip for src in sources])[:, None, None]
-        np.minimum(np.maximum(noise, -clip, out=noise), clip, out=noise)
-        x = np.empty((T + 1, len(sources), sources[0].dim))
-        x[0] = [src.state for src in sources]
-        x[1:, :, 0] = noise[..., 0].T
-        gains = np.array([src.A.diagonal(-1) for src in sources])
-        for m in range(1, x.shape[-1]):
-            np.multiply(gains[:, m - 1], x[:-1, :, m - 1], out=x[1:, :, m])
-        for src, state in zip(sources, x[-1].copy()):
-            src.state = state
-        x1 = x[1:]
+        gains = np.array([src.A.diagonal(-1) for src in sources]).T
         u = np.array([src.u for src in sources])
-        return x1, (x1 * u).sum(axis=-1) + noise[..., 1].T
+        state = np.array([src.state for src in sources])
+
+        def draw(T):
+            nonlocal state
+            noise = np.empty((len(rngs), T, 2))
+            for rng, rows in zip(rngs, noise):
+                rng.standard_normal(out=rows)
+            np.minimum(np.maximum(noise, -clip, out=noise), clip, out=noise)
+            x = np.empty((T + 1,) + state.shape)
+            x[0] = state
+            x[1:, :, 0] = noise[..., 0].T
+            for m in range(1, x.shape[-1]):
+                np.multiply(gains[m - 1], x[:-1, :, m - 1], out=x[1:, :, m])
+            state = x[-1].copy()
+            for src, row in zip(sources, state):
+                src.state = row
+            x1 = x[1:]
+            x2 = row_sums(x1 * u)
+            x2 += noise[..., 1].T
+            return x1, x2
+
+        return draw
+
+
+def row_sums(p):
+    """np.add.reduce(p, axis=-1), bit for bit. numpy adds a short row to
+    +0.0 one term at a time, ((0.0 + p0) + p1) + ...: for two terms that
+    is one elementwise add, p0 + p1 (two terms round alike in either
+    order), with a -0.0 sum made +0.0; longer rows keep the reduce."""
+    if p.shape[-1] != 2:
+        return np.add.reduce(p, axis=-1)
+    s = np.add(p[..., 0], p[..., 1])
+    s += 0.0
+    return s
 
 
 def ar_state_bound(A, noise_clip) -> np.ndarray:
@@ -437,31 +464,36 @@ class MDPSource:
     def sample_block(self, rng, T):
         """The next T samples as arrays (s, a, r, s'): the same values, and
         the same final state, as T calls of sample."""
-        blocks = MDPSource.sample_blocks([self], [rng], T)
+        blocks = MDPSource.block_sampler([self], [rng])(T)
         return tuple(x[:, 0] for x in blocks)
 
     @staticmethod
-    def sample_blocks(sources, rngs, T):
-        """The next T samples of each of R MDPSources, each from its own
-        stream, as time-major arrays (s, a, r, s') of shape (T, R): the
-        values, and the final states, of T sample calls per source. Each
-        source draws one integers(0, 4, size=T) and walks its maze's
-        transition table."""
-        walks = []
-        for src, rng in zip(sources, rngs):
-            nxt, rew, after = src.maze.transitions
-            n_actions = src.maze.n_actions
-            actions = rng.integers(0, n_actions, size=T)
-            s = src.state
-            states, rewards, s_next = [], [], []
-            for a in actions.tolist():
-                i = s * n_actions + a
-                states.append(s)
-                rewards.append(rew[i])
-                s_next.append(nxt[i])
-                s = after[i]
-            src.state = s
-            walks.append((states, actions, rewards, s_next))
-        return tuple(np.array(column, dtype=dtype).T
-                     for column, dtype in zip(zip(*walks),
-                                              (int, int, float, int)))
+    def block_sampler(sources, rngs):
+        """draw(T): the next T samples of each of R MDPSources, each from
+        its own stream, as time-major arrays (s, a, r, s') of shape (T, R):
+        the values, and the final states, of T sample calls per source.
+        Each maze's transition table is fetched once, here; each draw has
+        every source draw one integers(0, 4, size=T) and walk its table."""
+        tables = [src.maze.transitions + (src.maze.n_actions,)
+                  for src in sources]
+
+        def draw(T):
+            walks = []
+            for src, rng, (nxt, rew, after, n_actions) in zip(sources, rngs,
+                                                              tables):
+                actions = rng.integers(0, n_actions, size=T)
+                s = src.state
+                states, rewards, s_next = [], [], []
+                for a in actions.tolist():
+                    i = s * n_actions + a
+                    states.append(s)
+                    rewards.append(rew[i])
+                    s_next.append(nxt[i])
+                    s = after[i]
+                src.state = s
+                walks.append((states, actions, rewards, s_next))
+            return tuple(np.array(column, dtype=dtype).T
+                         for column, dtype in zip(zip(*walks),
+                                                  (int, int, float, int)))
+
+        return draw

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dcsa.config import ScenarioConfig
@@ -160,6 +160,14 @@ HORIZONS = st.one_of(
        time_varying=st.booleans(), constants=st.booleans(),
        collect_theta_bar=st.booleans(), batched=st.booleans(),
        seed=st.integers(0, 2**31 - 1))
+# d = 1: measure keeps numpy's pairwise mean over the contiguous agent axis,
+# which differs from adding agent slices from n = 8 on
+@example(n=3, d=1, horizon=300, stride=7, step=("constant", 0.3),
+         time_varying=False, constants=True, collect_theta_bar=True,
+         batched=True, seed=5)
+@example(n=8, d=1, horizon=300, stride=7, step=("diminishing", 1.0),
+         time_varying=True, constants=True, collect_theta_bar=True,
+         batched=True, seed=5)
 @settings(max_examples=60, deadline=None)
 def test_run_matches_reference_loop(n, d, horizon, stride, step, time_varying,
                                     constants, collect_theta_bar, batched,
@@ -398,6 +406,13 @@ def test_system_id_path_choice(first_op):
        constants=st.none() | st.lists(st.floats(0.5, 500.0), min_size=6,
                                       max_size=6),
        collect_theta_bar=st.booleans())
+# d = 1: see test_run_matches_reference_loop
+@example(seeds=[3, 1, 4], n=3, d=1, horizon=300, stride=7,
+         step=("constant", 0.3), time_varying=False,
+         constants=[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], collect_theta_bar=True)
+@example(seeds=[3, 1, 4], n=8, d=1, horizon=300, stride=7,
+         step=("diminishing", 1.0), time_varying=True, constants=None,
+         collect_theta_bar=True)
 @settings(max_examples=40, deadline=None)
 def test_run_ensemble_matches_single_runs(seeds, n, d, horizon, stride, step,
                                           time_varying, constants,

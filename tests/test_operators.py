@@ -1,7 +1,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dcsa.operators import (LocalOperator, OperatorError, ProblemSpec,
@@ -87,27 +87,51 @@ def signed_zeros(rng, shape):
 
 
 @given(st.integers(1, 5), st.integers(1, 10), st.integers(0, 130),
-       st.floats(1e-3, 10.0), st.integers(0, 2**31 - 1))
+       st.floats(1e-3, 10.0), st.integers(0, 2**31 - 1),
+       st.sampled_from([1.0, 3e307]))
+# theta near 3e307 puts some r * x1 just below the overflow threshold and
+# 2 * r * x1 above it, where a step that rounded (2 eps) * (r * x1) would
+# give a finite entry for eval's inf
+@example(n=3, d=2, T=20, eps=0.5, seed=0, scale=3e307)
 @settings(max_examples=60, deadline=None)
-def test_quadratic_block_drift_matches_eval(n, d, T, eps, seed):
+def test_quadratic_block_drift_matches_eval(n, d, T, eps, seed, scale):
     """The batched step adds eps times its agent's operator eval at that
     step to every row of out in place: out0 + eps * eval, bit for bit and
     signed zeros included, for N agents with their own AR sources and at
-    any theta; d above 8 takes numpy's pairwise sums."""
+    any theta, overflowing ones included; d = 2 takes the two-term row
+    sum, and d above 8 numpy's pairwise sums."""
     op = quadratic_grad_operator(d)
     blocks = [ar_block(seed, i, d, T) for i in range(n)]
     step = quadratic_block_drift(*(np.stack(x, axis=1)
                                    for x in zip(*blocks)))
     rng = np.random.default_rng(seed)
     for t in range(T):
-        theta = signed_zeros(rng, (n, d))
+        theta = scale * signed_zeros(rng, (n, d))
         out0 = signed_zeros(rng, (n, d))
-        expected = out0 + eps * np.stack(
-            [op.eval((x1[t], float(x2[t])), theta[i])
-             for i, (x1, x2) in enumerate(blocks)])
-        out = out0.copy()
-        step(theta, t, eps, out)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = out0 + eps * np.stack(
+                [op.eval((x1[t], float(x2[t])), theta[i])
+                 for i, (x1, x2) in enumerate(blocks)])
+            out = out0.copy()
+            step(theta, t, eps, out)
         assert out.tobytes() == expected.tobytes()
+
+
+def test_quadratic_block_drift_two_terms_with_zero_x2():
+    """Where x2 is zero, the sign of a zero row sum shows in the residual:
+    x2 = -0.0 with both products -0.0 gives -0.0 - (+0.0) = -0.0 in eval,
+    whose sum starts from +0.0, and -0.0 - (-0.0) = +0.0 for p0 + p1. The
+    d = 2 step must still equal out0 + eps * eval, bit for bit."""
+    op = quadratic_grad_operator(2)
+    x1 = np.array([[[1.0, 2.0]]])          # (T, agents, d)
+    x2 = np.array([[-0.0]])                # (T, agents)
+    theta = np.array([[-0.0, -0.0]])       # both products are -0.0
+    out0 = np.array([[-0.0, -0.0]])
+    expected = out0 + 0.5 * op.eval((x1[0, 0], float(x2[0, 0])), theta[0])
+    out = out0.copy()
+    quadratic_block_drift(x1, x2)(theta, 0, 0.5, out)
+    assert out.tobytes() == expected.tobytes()
+    assert np.signbit(expected).all()
 
 
 def test_eval_local_dimension_check():

@@ -9,8 +9,8 @@ from dcsa.rng import derive_stream
 from dcsa.sources import (ARSource, FiniteChain, MDPSource, SourceError,
                           ar_state_bound, ergodicity_report,
                           fit_mixing_profile, global_tau, mixing_time,
-                          parse_maze, slem, stationary_distribution,
-                          tv_distance)
+                          parse_maze, row_sums, slem,
+                          stationary_distribution, tv_distance)
 
 from strategies import mazes
 
@@ -370,27 +370,51 @@ BLOCK_LENGTHS = st.one_of(st.sampled_from([0, 1, 127, 128, 129]),
                           st.integers(0, 300))
 
 
-@given(mazes(), BLOCK_LENGTHS, BLOCK_LENGTHS, st.integers(0, 3),
+def three_blocks(t1, t2, zero_at):
+    """Block lengths t1 and t2 with an empty block put at zero_at."""
+    lengths = [t1, t2]
+    lengths.insert(zero_at, 0)
+    return lengths
+
+
+@given(mazes(), st.lists(st.integers(0, 3), min_size=1, max_size=3),
+       BLOCK_LENGTHS, BLOCK_LENGTHS, st.integers(0, 2),
        st.integers(0, 2**31 - 1))
 @settings(max_examples=150, deadline=None)
-def test_mdp_sample_block_matches_sample(maze, t1, t2, warmup, seed):
-    """Two blocks of t1 and t2 samples hold the values of t1 + t2 sample
-    calls, and leave the source's state and the stream where those calls
-    leave them."""
-    one, block = MDPSource(maze=maze), MDPSource(maze=maze)
-    rng_one = derive_stream(seed, 0, "sample")
-    rng_block = derive_stream(seed, 0, "sample")
-    for _ in range(warmup):   # so that a block need not begin at the start
-        one.sample(rng_one)
-        block.sample(rng_block)
-    for T in (t1, t2):
-        expected = [one.sample(rng_one) for _ in range(T)]
-        s, a, r, s_next = block.sample_block(rng_block, T)
-        assert [x.dtype.kind for x in (s, a, r, s_next)] == list("iifi")
-        assert list(zip(s.tolist(), a.tolist(), r.tolist(),
-                        s_next.tolist())) == expected
-        assert block.state == one.state
-    assert rng_block.integers(0, 2**63) == rng_one.integers(0, 2**63)
+def test_mdp_sample_block_matches_sample(maze, warmups, t1, t2, zero_at,
+                                         seed):
+    """One block_sampler of a stack of 1 to 3 sources on a maze, drawn
+    through three consecutive blocks of t1, t2 and 0 samples (the empty
+    block in any place), holds in each column the values of as many sample
+    calls of that source, and leaves every source's state and stream where
+    those calls leave them. A stack of one is drawn with sample_block."""
+    ones, blocks, rngs_one, rngs_block = [], [], [], []
+    for i, warmup in enumerate(warmups):
+        one, block = MDPSource(maze=maze), MDPSource(maze=maze)
+        rng_one = derive_stream(seed, i, "sample")
+        rng_block = derive_stream(seed, i, "sample")
+        for _ in range(warmup):   # so that a block need not begin at the start
+            one.sample(rng_one)
+            block.sample(rng_block)
+        ones.append(one)
+        blocks.append(block)
+        rngs_one.append(rng_one)
+        rngs_block.append(rng_block)
+    draw = MDPSource.block_sampler(blocks, rngs_block)
+    for T in three_blocks(t1, t2, zero_at):
+        if len(blocks) == 1:
+            columns = tuple(x[:, None] for x in blocks[0].sample_block(
+                rngs_block[0], T))
+        else:
+            columns = draw(T)
+        assert [x.dtype.kind for x in columns] == list("iifi")
+        assert all(x.shape == (T, len(blocks)) for x in columns)
+        for i, (one, rng_one) in enumerate(zip(ones, rngs_one)):
+            expected = [one.sample(rng_one) for _ in range(T)]
+            assert list(zip(*(x[:, i].tolist() for x in columns))) == expected
+            assert blocks[i].state == one.state
+    for rng_one, rng_block in zip(rngs_one, rngs_block):
+        assert rng_block.integers(0, 2**63) == rng_one.integers(0, 2**63)
 
 
 @given(st.integers(1, 6),
@@ -399,14 +423,16 @@ def test_mdp_sample_block_matches_sample(maze, t1, t2, warmup, seed):
                                    min_size=5, max_size=5),
                           st.sampled_from([0.5, 3.0]), st.integers(0, 3)),
                 min_size=1, max_size=4),
-       BLOCK_LENGTHS, BLOCK_LENGTHS, st.integers(0, 2**31 - 1))
+       BLOCK_LENGTHS, BLOCK_LENGTHS, st.integers(0, 2),
+       st.integers(0, 2**31 - 1))
 @settings(max_examples=150, deadline=None)
-def test_ar_sample_block_matches_sample(d, specs, t1, t2, seed):
-    """Two blocks of t1 and t2 samples of a stack of 1 to 4 d x d AR
-    sources, d = 1 to 6, that differ in A, u, clip and warm-up hold in each
-    row the values of t1 + t2 sample calls of that source, and leave every
-    source's state and stream where those calls leave them. A stack of one
-    is drawn with sample_block."""
+def test_ar_sample_block_matches_sample(d, specs, t1, t2, zero_at, seed):
+    """One block_sampler of a stack of 1 to 4 d x d AR sources, d = 1 to
+    6, that differ in A, u, clip and warm-up, drawn through three
+    consecutive blocks of t1, t2 and 0 samples (the empty block in any
+    place), holds in each row the values of as many sample calls of that
+    source, and leaves every source's state and stream where those calls
+    leave them. A stack of one is drawn with sample_block."""
     ones, blocks, rngs_one, rngs_block = [], [], [], []
     for i, (subdiagonal, clip, warmup) in enumerate(specs):
         u = np.random.default_rng([seed, i]).standard_normal(d)
@@ -422,12 +448,13 @@ def test_ar_sample_block_matches_sample(d, specs, t1, t2, seed):
         blocks.append(block)
         rngs_one.append(rng_one)
         rngs_block.append(rng_block)
-    for T in (t1, t2):
+    draw = ARSource.block_sampler(blocks, rngs_block)
+    for T in three_blocks(t1, t2, zero_at):
         if len(blocks) == 1:
             x1, x2 = (x[:, None] for x in blocks[0].sample_block(
                 rngs_block[0], T))
         else:
-            x1, x2 = ARSource.sample_blocks(blocks, rngs_block, T)
+            x1, x2 = draw(T)
         assert x1.shape == (T, len(blocks), d) and x2.shape == (T, len(blocks))
         for i, (one, rng_one) in enumerate(zip(ones, rngs_one)):
             expected = [one.sample(rng_one) for _ in range(T)]
@@ -437,6 +464,19 @@ def test_ar_sample_block_matches_sample(d, specs, t1, t2, seed):
             np.testing.assert_array_equal(blocks[i].state, one.state)
     for rng_one, rng_block in zip(rngs_one, rngs_block):
         assert rng_block.integers(0, 2**63) == rng_one.integers(0, 2**63)
+
+
+@given(st.integers(1, 10), st.integers(0, 2**31 - 1))
+@settings(max_examples=100, deadline=None)
+def test_row_sums_match_reduce(d, seed):
+    """row_sums equals np.add.reduce over the last axis bit for bit,
+    signed zeros included; d = 2 takes the elementwise add."""
+    rng = np.random.default_rng(seed)
+    p = rng.standard_normal((20, 3, d))
+    u = rng.random(p.shape)
+    p[u < 0.3] = -0.0
+    p[u > 0.8] = 0.0
+    assert row_sums(p).tobytes() == np.add.reduce(p, axis=-1).tobytes()
 
 
 def test_maze_transitions_table_is_built_on_first_use():
