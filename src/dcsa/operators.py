@@ -118,11 +118,16 @@ class TabularFeatures:
 
 def bellman_residual(features: TabularFeatures, gamma, theta, s, a, r, s_next):
     """r + gamma max_a' Q(s', a') - Q(s, a), with theta viewed as the
-    (states x actions) table Q; elementwise over scalars or index arrays."""
+    (states x actions) table Q; elementwise over scalars or index arrays.
+
+    The max runs across the action rows of the gathered (actions, ...)
+    block, one elementwise maximum per action in action order, not as a
+    short inner loop per index. Up to 8 actions that is
+    q[s_next].max(axis=-1) bit for bit, NaN and signed zeros included;
+    numpy reduces a longer contiguous row with SIMD, which can pick the
+    other zero of a tie of +0.0 and -0.0."""
     q = np.asarray(theta).reshape(features.n_states, features.n_actions)
-    # take and maximum.reduce: the same values as q[s_next].max(axis=-1),
-    # with less call overhead on the few-row arrays of one step
-    return (r + gamma * np.maximum.reduce(q.take(s_next, axis=0), axis=-1)
+    return (r + gamma * np.maximum.reduce(q.T.take(s_next, axis=1), axis=0)
             - q[s, a])
 
 
@@ -154,31 +159,38 @@ def qlearning_block_drift(features: TabularFeatures, gamma, s, a, r, s_next):
     one slot per agent, so only those slots are added to; every slot equals
     out + eps * eval, bit for bit.
 
-    One bellman_residual call per step treats Theta as the stacked
-    (agents * states) x actions table, in which the state s of the agent in
-    C-order row i is row i * states + s, and each residual goes to its
-    one-hot slot.
+    Theta is read flat, as the stacked (agents * states) x actions table in
+    which the state s of the agent in C-order row i is row i * states + s.
+    The flat indices are computed once per block: slot[t] (agents,) holds
+    each agent's Q(s, a) and nxt[t] (actions, agents) its Q(s', .), one
+    action per row, so a step is two gathers, a max across the action rows
+    and one scatter-add. It rounds as bellman_residual does: gamma * max,
+    then + r, then - Q(s, a), then * eps.
     """
     shape = (np.shape(s)[0], math.prod(np.shape(s)[1:]))   # (T, agents)
-    # contiguous rows: strided index arrays index more slowly
-    s, a, r, s_next = (np.ascontiguousarray(np.reshape(x, shape))
-                       for x in (s, a, r, s_next))
-    n_states = features.n_states
+    s, a, r, s_next = (np.reshape(x, shape) for x in (s, a, r, s_next))
+    n_states, n_actions = features.n_states, features.n_actions
     if s.size and max(s.max(), s_next.max()) >= n_states:
         raise OperatorError("a sampled state lies beyond the features' states")
-    rows = n_states * np.arange(s.shape[1])
-    s, s_next = s + rows, s_next + rows
-    stacked = TabularFeatures(n_states * s.shape[1], features.n_actions)
-    slot = s * features.n_actions + a   # flat index into the drift
-    # lists of per-step rows index faster than the (T, agents) arrays
-    s, a, r, s_next, slot = map(list, (s, a, r, s_next, slot))
+    rows = n_states * np.arange(shape[1], dtype=np.intp)
+    slot = (s + rows) * n_actions + a
+    nxt = ((s_next + rows) * n_actions)[:, None] + np.arange(
+        n_actions, dtype=np.intp)[:, None]
+    # lists of contiguous per-step rows: indexing the (T, ...) arrays per
+    # step costs more, and a list of Python ints more still
+    slot, nxt, r = (list(np.ascontiguousarray(x, dtype=dtype))
+                    for x, dtype in ((slot, np.intp), (nxt, np.intp),
+                                     (r, float)))
 
     def step(Theta, t, eps, out):
-        res = bellman_residual(stacked, gamma, Theta, s[t], a[t], r[t],
-                               s_next[t])
+        flat = Theta.ravel()
+        res = np.maximum.reduce(flat.take(nxt[t]), axis=0)
+        res *= gamma
+        res += r[t]
+        res -= flat.take(slot[t])
         res *= eps
         # a view of the contiguous out: a copy would lose the update
-        out.reshape(-1)[slot[t]] += res
+        out.ravel()[slot[t]] += res
 
     return step
 

@@ -279,8 +279,9 @@ class ARSource:
         as T sample calls would draw it; the clip, the shift and the sums
         then act on all R sources at once. Column m of X(1) is A[m, m-1]
         times column m-1 one step earlier: one array op per column over a
-        buffer whose step 0 is the state. x2 sums each row as sample's 1-D
-        sum does (see row_sums)."""
+        buffer whose step 0 is the state, and one + 0.0 that makes a zero
+        product +0.0, as sample's A @ state does. x2 sums each row as
+        sample's 1-D sum does (see row_sums)."""
         clip = np.array([src.noise_clip for src in sources])[:, None, None]
         gains = np.array([src.A.diagonal(-1) for src in sources]).T
         u = np.array([src.u for src in sources])
@@ -303,6 +304,7 @@ class ARSource:
             x[1:, :, 0] = noise[..., 0].T
             for m in range(1, x.shape[-1]):
                 np.multiply(gains[m - 1], x[:-1, :, m - 1], out=x[1:, :, m])
+                x[1:, :, m] += 0.0
             state = x[-1].copy()
             for src, row in zip(sources, state):
                 src.state = row

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from dcsa.operators import (LocalOperator, OperatorError, ProblemSpec,
                             TabularFeatures, ar_stationary_covariance,
+                            bellman_residual,
                             clipped_normal_variance, estimate_constants,
                             estimate_mean_field, eval_local, eval_mean_field,
                             fixed_point_oracle, probe_thetas,
@@ -194,16 +195,64 @@ def test_qlearning_eval_matches_explicit_formula(maze, gamma, seed):
         np.testing.assert_array_equal(eval_local(op, x, theta), expected)
 
 
+def row_wise_residual(q, gamma, s, a, r, s_next):
+    """The reference Bellman residual on the (states x actions) table q:
+    one max per gathered row, as bellman_residual once computed it."""
+    return (r + gamma * np.maximum.reduce(q.take(s_next, axis=0), axis=-1)
+            - q[s, a])
+
+
+def special_values(rng, shape):
+    """Standard normals with about half the entries +0.0, -0.0, inf, -inf
+    or NaN, in equal shares."""
+    x = rng.standard_normal(shape)
+    special = rng.random(shape) < 0.5
+    x[special] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan],
+                            size=int(special.sum()))
+    return x
+
+
+@given(st.integers(1, 6), st.integers(1, 8), GAMMAS,
+       st.sampled_from([(), (1,), (7,), (200,), (20, 3)]),
+       st.integers(0, 2**31 - 1))
+@settings(max_examples=200, deadline=None)
+def test_bellman_residual_matches_row_wise_max(n_states, n_actions, gamma,
+                                               shape, seed):
+    """bellman_residual equals the row-wise reference bit for bit, NaN and
+    signed zeros included, on tables with +-0.0, +-inf and NaN entries,
+    for scalar indices (eval), 1-D ones (td_error, value_iteration_q) and
+    (T, agents) ones. Up to 8 actions: numpy reduces a longer contiguous
+    row with SIMD, which can give the other zero of a tie of +0.0 and
+    -0.0."""
+    rng = np.random.default_rng(seed)
+    q = special_values(rng, (n_states, n_actions))
+    s, s_next = rng.integers(0, n_states, size=(2,) + shape)
+    a = rng.integers(0, n_actions, size=shape)
+    r = signed_zeros(rng, shape)
+    if shape == ():
+        s, a, s_next, r = int(s), int(a), int(s_next), float(r)
+    with np.errstate(invalid="ignore"):   # inf - inf
+        got = bellman_residual(TabularFeatures(n_states, n_actions), gamma,
+                               q.ravel(), s, a, r, s_next)
+        expected = row_wise_residual(q, gamma, s, a, r, s_next)
+    assert np.shape(got) == shape
+    assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+
 @given(st.lists(mazes((4, 3)), min_size=1, max_size=4), GAMMAS,
        st.integers(0, 130), st.floats(1e-3, 10.0), st.integers(0, 2**31 - 1))
 @settings(max_examples=60, deadline=None)
 def test_qlearning_block_drift_matches_eval(maze_list, gamma, T, eps, seed):
-    """The batched step adds eps times its agent's operator eval at that
-    step to the agent's one-hot slot of out in place, out0 + eps * eval
-    bit for bit (signed zeros included), for N agents on their own mazes,
-    at any theta. Every other entry of out keeps its bytes, which equal
-    out0 + eps * eval unless out0 is -0.0 there: W @ Theta, what the
-    engine passes as out0, has no -0.0."""
+    """The batched step adds eps times its agent's Bellman residual at that
+    step, by the row-wise reference, to the agent's one-hot slot of out in
+    place, bit for bit (signed zeros and NaN included), for N agents on
+    their own mazes, at any theta: every third step's theta has +-inf and
+    NaN entries, as the first non-finite iterate of a diverging run does,
+    which the engine steps before its per-block check aborts the run. Every
+    other entry of out keeps its bytes. The slots also equal out0 + eps *
+    eval, the per-agent step; elsewhere that sum differs from out0 only
+    where out0 is -0.0, which W @ Theta, what the engine passes as out0,
+    never holds."""
     feats = TabularFeatures(12, 4)
     op = qlearning_operator(feats, gamma)
     blocks = [MDPSource(maze=m).sample_block(derive_stream(seed, i, "sample"),
@@ -214,22 +263,27 @@ def test_qlearning_block_drift_matches_eval(maze_list, gamma, T, eps, seed):
     rng = np.random.default_rng(seed)
     n = len(maze_list)
     for t in range(T):
-        theta = signed_zeros(rng, (n, feats.dim))
+        draw = special_values if t % 3 == 0 else signed_zeros
+        theta = draw(rng, (n, feats.dim))
         out0 = signed_zeros(rng, (n, feats.dim))
-        evals = np.stack([
-            op.eval((int(s[t]), int(a[t]), float(r[t]), int(s_next[t])),
-                    theta[i])
-            for i, (s, a, r, s_next) in enumerate(blocks)])
+        expected = out0.copy()
         in_slot = np.zeros(out0.shape, dtype=bool)
-        for i, (s, a, _, _) in enumerate(blocks):
-            in_slot[i, feats.index(s[t], a[t])] = True
-        assert not evals[~in_slot].any()
-        expected = out0 + eps * evals
-        expected[~in_slot] = out0[~in_slot]
-        assert (expected == out0 + eps * evals).all()
-        out = out0.copy()
-        step(theta, t, eps, out)
+        with np.errstate(invalid="ignore"):   # inf - inf
+            for i, (s, a, r, s_next) in enumerate(blocks):
+                res = row_wise_residual(theta[i].reshape(12, 4), gamma,
+                                        s[t], a[t], r[t], s_next[t])
+                j = feats.index(s[t], a[t])
+                expected[i, j] += eps * res
+                in_slot[i, j] = True
+            evals = np.stack([
+                op.eval((int(s[t]), int(a[t]), float(r[t]), int(s_next[t])),
+                        theta[i])
+                for i, (s, a, r, s_next) in enumerate(blocks)])
+            out = out0.copy()
+            step(theta, t, eps, out)
         assert out.tobytes() == expected.tobytes()
+        assert ((out0 + eps * evals)[in_slot].tobytes()
+                == expected[in_slot].tobytes())
 
 
 def test_qlearning_block_drift_rejects_states_beyond_features():

@@ -426,13 +426,18 @@ def test_mdp_sample_block_matches_sample(maze, warmups, t1, t2, zero_at,
        BLOCK_LENGTHS, BLOCK_LENGTHS, st.integers(0, 2),
        st.integers(0, 2**31 - 1))
 @settings(max_examples=150, deadline=None)
+@example(3, [([0.0, 0.5, 0.0, 0.0, 0.0], 3.0, 0)], 20, 0, 2, 7)
+@example(3, [([0.0, 0.5, 0.0, 0.0, 0.0], 3.0, 0),
+             ([-0.5, 0.0, 0.0, 0.0, 0.0], 0.5, 2)], 20, 5, 0, 7)
 def test_ar_sample_block_matches_sample(d, specs, t1, t2, zero_at, seed):
     """One block_sampler of a stack of 1 to 4 d x d AR sources, d = 1 to
     6, that differ in A, u, clip and warm-up, drawn through three
     consecutive blocks of t1, t2 and 0 samples (the empty block in any
-    place), holds in each row the values of as many sample calls of that
-    source, and leaves every source's state and stream where those calls
-    leave them. A stack of one is drawn with sample_block."""
+    place), holds in each row the bytes of as many sample calls of that
+    source, signed zeros included (a zero gain makes its product -0.0 where
+    sample's A @ state gives +0.0), and leaves every source's state and
+    stream where those calls leave them. A stack of one is drawn with
+    sample_block."""
     ones, blocks, rngs_one, rngs_block = [], [], [], []
     for i, (subdiagonal, clip, warmup) in enumerate(specs):
         u = np.random.default_rng([seed, i]).standard_normal(d)
@@ -458,10 +463,11 @@ def test_ar_sample_block_matches_sample(d, specs, t1, t2, zero_at, seed):
         assert x1.shape == (T, len(blocks), d) and x2.shape == (T, len(blocks))
         for i, (one, rng_one) in enumerate(zip(ones, rngs_one)):
             expected = [one.sample(rng_one) for _ in range(T)]
-            np.testing.assert_array_equal(
-                x1[:, i], np.array([x for x, _ in expected]).reshape(T, d))
-            np.testing.assert_array_equal(x2[:, i], [x for _, x in expected])
-            np.testing.assert_array_equal(blocks[i].state, one.state)
+            assert x1[:, i].tobytes() == np.array(
+                [x for x, _ in expected]).reshape(T, d).tobytes()
+            assert x2[:, i].tobytes() == np.array(
+                [x for _, x in expected]).reshape(T).tobytes()
+            assert blocks[i].state.tobytes() == one.state.tobytes()
     for rng_one, rng_block in zip(rngs_one, rngs_block):
         assert rng_block.integers(0, 2**63) == rng_one.integers(0, 2**63)
 
