@@ -172,15 +172,14 @@ def qlearning_block_drift(features: TabularFeatures, gamma, s, a, r, s_next):
     n_states, n_actions = features.n_states, features.n_actions
     if s.size and max(s.max(), s_next.max()) >= n_states:
         raise OperatorError("a sampled state lies beyond the features' states")
-    rows = n_states * np.arange(shape[1], dtype=np.intp)
+    rows = n_states * np.arange(shape[1])
     slot = (s + rows) * n_actions + a
-    nxt = ((s_next + rows) * n_actions)[:, None] + np.arange(
-        n_actions, dtype=np.intp)[:, None]
-    # lists of contiguous per-step rows: indexing the (T, ...) arrays per
-    # step costs more, and a list of Python ints more still
-    slot, nxt, r = (list(np.ascontiguousarray(x, dtype=dtype))
-                    for x, dtype in ((slot, np.intp), (nxt, np.intp),
-                                     (r, float)))
+    nxt = (((s_next + rows) * n_actions)[:, None]
+           + np.arange(n_actions)[:, None])
+    # lists of per-step rows, made contiguous (the arithmetic keeps the
+    # strided layout of a sampler's arrays): indexing the (T, ...) arrays
+    # per step costs more, and a list of Python ints more still
+    slot, nxt, r = (list(np.ascontiguousarray(x)) for x in (slot, nxt, r))
 
     def step(Theta, t, eps, out):
         flat = Theta.ravel()
