@@ -279,8 +279,9 @@ class ARSource:
         as T sample calls would draw it; the clip, the shift and the sums
         then act on all R sources at once. Column m of X(1) is A[m, m-1]
         times column m-1 one step earlier: one array op per column over a
-        buffer whose step 0 is the state, and one + 0.0 that makes a zero
-        product +0.0, as sample's A @ state does. x2 sums each row as
+        buffer whose step 0 is the state. One + 0.0 over the block then
+        makes every -0.0 +0.0, as sample's A @ state, which adds each
+        product to +0.0, does for a zero gain or state. x2 sums each row as
         sample's 1-D sum does (see row_sums)."""
         clip = np.array([src.noise_clip for src in sources])[:, None, None]
         gains = np.array([src.A.diagonal(-1) for src in sources]).T
@@ -304,11 +305,11 @@ class ARSource:
             x[1:, :, 0] = noise[..., 0].T
             for m in range(1, x.shape[-1]):
                 np.multiply(gains[m - 1], x[:-1, :, m - 1], out=x[1:, :, m])
-                x[1:, :, m] += 0.0
+            x1 = x[1:]
+            x1 += 0.0
             state = x[-1].copy()
             for src, row in zip(sources, state):
                 src.state = row
-            x1 = x[1:]
             x2 = row_sums(x1 * u)
             x2 += noise[..., 1].T
             return x1, x2
