@@ -197,7 +197,7 @@ def test_qlearning_eval_matches_explicit_formula(maze, gamma, seed):
 
 def row_wise_residual(q, gamma, s, a, r, s_next):
     """The reference Bellman residual on the (states x actions) table q:
-    one max per gathered row, as bellman_residual once computed it."""
+    one max per gathered row."""
     return (r + gamma * np.maximum.reduce(q.take(s_next, axis=0), axis=-1)
             - q[s, a])
 

@@ -466,7 +466,7 @@ def test_ar_sample_block_matches_sample(d, specs, t1, t2, zero_at, seed):
             assert x1[:, i].tobytes() == np.array(
                 [x for x, _ in expected]).reshape(T, d).tobytes()
             assert x2[:, i].tobytes() == np.array(
-                [x for _, x in expected]).reshape(T).tobytes()
+                [x for _, x in expected]).tobytes()
             assert blocks[i].state.tobytes() == one.state.tobytes()
     for rng_one, rng_block in zip(rngs_one, rngs_block):
         assert rng_block.integers(0, 2**63) == rng_one.integers(0, 2**63)
