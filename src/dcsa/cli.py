@@ -146,6 +146,9 @@ def cmd_fit(args):
 
 def cmd_rollout(args):
     cfg = _load_config(args)
+    paths = maze_paths(cfg)
+    if not paths:
+        raise ConfigError("rollout needs a config that names maze_files")
     try:
         theta = np.asarray(np.load(args.theta), dtype=float)
     except (ValueError, TypeError, EOFError) as exc:
@@ -153,7 +156,7 @@ def cmd_rollout(args):
     if theta.ndim == 2:
         theta = theta.mean(axis=0)
     results = []
-    for path in maze_paths(cfg):
+    for path in paths:
         maze = load_maze(path)
         res = greedy_policy_rollout(theta, maze, args.max_steps)
         results.append({"maze": path, "reached": res.reached,

@@ -282,20 +282,43 @@ def lemma4_residual(R_by_seed, S_by_seed, eps_fn, tau_fn, rc: RateConstants,
     return k_all, slack, stderr
 
 
-def td_error(theta_rows, eval_batches, ops) -> float:
-    """Mean absolute Bellman residual over agents and their eval batches."""
+class _EvalColumns(list):
+    """Each agent's eval batch as bellman_residual's arguments, built once:
+    (agent, features, gamma, s, a, r, s') with s, a and s' int and r float
+    arrays, for every agent whose batch is not empty."""
+
+
+def _eval_columns(eval_batches, ops) -> _EvalColumns:
+    """The _EvalColumns of per-agent batches of (s, a, r, s') rows; raises
+    CoreError for no transition at all or an operator that is not
+    Q-learning."""
     if not eval_batches or all(len(b) == 0 for b in eval_batches):
         raise CoreError("td_error needs a nonempty eval batch")
-    total = 0.0
-    count = 0
-    for theta, batch, op in zip(theta_rows, eval_batches, ops):
+    columns = _EvalColumns()
+    for i, (batch, op) in enumerate(zip(eval_batches, ops)):
         if op.kind != "qlearning":
             raise CoreError("td_error applies to Q-learning operators only")
         if len(batch) == 0:
             continue
         s, a, r, s_next = np.asarray(batch, dtype=float).T
-        res = bellman_residual(op.params["features"], op.params["gamma"], theta,
-                               s.astype(int), a.astype(int), r, s_next.astype(int))
+        columns.append((i, op.params["features"], op.params["gamma"],
+                        s.astype(int), a.astype(int), np.ascontiguousarray(r),
+                        s_next.astype(int)))
+    return columns
+
+
+def td_error(theta_rows, eval_batches, ops) -> float:
+    """Mean absolute Bellman residual over agents and their eval batches.
+
+    eval_batches holds each agent's (s, a, r, s') rows; run() passes the
+    columns it converts once per run instead, so that a record costs one
+    bellman_residual call per agent."""
+    if not isinstance(eval_batches, _EvalColumns):
+        eval_batches = _eval_columns(eval_batches, ops)
+    total = 0.0
+    count = 0
+    for i, features, gamma, s, a, r, s_next in eval_batches:
+        res = bellman_residual(features, gamma, theta_rows[i], s, a, r, s_next)
         total += float(np.abs(res).sum())
         count += res.size
     return total / count
@@ -459,25 +482,25 @@ def run_ensemble(scenarios, collect_theta_bar: bool = False) -> list:
             stacked.append(_step_stack(scs, collect_theta_bar))
         if stacked[0] is None:
             return _step_stack([scs[i]], collect_theta_bar)[0][0]
-        traj, rows = stacked[0][i]
-        _log_records(scs[i], rows, traj)
+        traj, rows, columns = stacked[0][i]
+        _log_records(scs[i], rows, traj, columns)
         return traj
 
     return [run(sc, collect_theta_bar, _share=functools.partial(share, i))
             for i, sc in enumerate(scs)]
 
 
-def _log_records(sc, rows, traj):
+def _log_records(sc, rows, traj, columns):
     """Append one MetricsRecord to traj.records per row (k, eps_k, tau_k,
-    theta, lemma-3 slack) of scenario sc, and empty rows; theta is None
-    without eval batches."""
+    theta, lemma-3 slack) of scenario sc, and empty rows; theta and the
+    eval batches' columns are None without eval batches."""
     for k, eps_k, t, theta, slack in rows:
         r_val = traj.R_hist[k]
         s_val = traj.S_hist[k]
         s_del = traj.S_hist[max(0, k - t)]
         td = math.nan
-        if sc.eval_batches is not None:
-            td = td_error(theta, sc.eval_batches, sc.ops)
+        if columns is not None:
+            td = td_error(theta, columns, sc.ops)
         traj.records.append(MetricsRecord(
             k=k, eps_k=eps_k, tau_k=t, R=r_val, S=s_val, S_delayed=s_del,
             V=lyapunov(r_val, s_val, s_del), td_error=td, lemma3_slack=slack))
@@ -486,16 +509,22 @@ def _log_records(sc, rows, traj):
 
 def _step_stack(scs, collect_theta_bar):
     """The one iteration engine: step the scenarios scs of one config as an
-    (S, N, d) stack and return one (MetricsTrajectory, rows) pair per
-    scenario. The first scenario's records are logged as they are
-    measured; rows holds each other scenario's records still to be logged
-    (see _log_records), with eps_k and tau_k computed once per logged k
-    for the whole stack. Returns None when an iterate of a stack of more
+    (S, N, d) stack and return one (MetricsTrajectory, rows, columns)
+    triple per scenario. The first scenario's records are logged as they
+    are measured; rows holds each other scenario's records still to be
+    logged, and columns its eval batches as td_error's index columns (see
+    _log_records), with eps_k and tau_k computed once per logged k for the
+    whole stack. Returns None when an iterate of a stack of more
     than one scenario goes non-finite.
 
     Each block's iterates are a (T, S, N, d) buffer, and measure reads
     them in that order: theta_bar adds the agents' slices, and R and S go
-    into the (S, horizon+1) histories through their transposes.
+    into the (S, horizon+1) histories through their transposes. A step
+    zips over views of the buffer's rows, built once per run, the block's
+    steps eps and its weight frames, sliced from a cycled list of frames:
+    W Theta goes into the row, as one 2-D gemm for a stack of one and a
+    broadcast (S, N, d) matmul otherwise (see mix below), and the drift's
+    step then adds eps F to the row's 2-D (S*N, d) view.
 
     Each block is timed in four phases, one perf_counter reading at the
     end of each: sample (block_drift draws the block), step (the T steps
@@ -510,7 +539,7 @@ def _step_stack(scs, collect_theta_bar):
     rngs = [derive_stream(s.seed, i, "sample") for s in scs for i in range(n)]
     block_drift = _block_drift(
         [op for s in scs for op in s.ops],
-        [copy.copy(src) for s in scs for src in s.sources], rngs, (n_runs, n))
+        [copy.copy(src) for s in scs for src in s.sources], rngs)
     frames = [w.entries for w in sc.weights]
     Theta = np.stack([s.theta0 for s in scs])
 
@@ -531,6 +560,9 @@ def _step_stack(scs, collect_theta_bar):
                              for name in ("B", "C0")})
     min_slack = np.full(n_runs, math.inf)
     keep_theta = sc.eval_batches is not None
+    # each run's eval batches as index columns, converted once per run
+    columns = [_eval_columns(s.eval_batches, s.ops) if keep_theta else None
+               for s in scs]
 
     trajs = [MetricsTrajectory(records=[], R_hist=R_hist[s], S_hist=S_hist[s],
                                theta_final=None) for s in range(n_runs)]
@@ -589,7 +621,7 @@ def _step_stack(scs, collect_theta_bar):
                 for s in range(n_runs):
                     theta = thetas[k - k_lo, s].copy() if keep_theta else None
                     rows[s].append((k, eps_k, t, theta, slack[s, k - k_lo]))
-                _log_records(scs[0], rows[0], trajs[0])
+                _log_records(scs[0], rows[0], trajs[0], columns[0])
 
     phase_s = dict.fromkeys(("sample", "step", "measure", "log"), 0.0)
     tick = perf_counter()
@@ -615,6 +647,18 @@ def _step_stack(scs, collect_theta_bar):
     buf = np.empty((max(1, min(_BLOCK, horizon)), n_runs, n, d))
     dev_buf = np.empty_like(buf)
     bar_buf = np.empty(buf.shape[:2] + (d,))
+    # the views of the buffer's rows, built once per run: the step reads and
+    # writes each row as (S*N, d); a stack of one is mixed in that form too,
+    # one gemm, while S > 1 keeps the (S, N, d) broadcast matmul
+    rows_2d = list(buf.reshape(len(buf), n_runs * n, d))
+    rows_mix = rows_2d if n_runs == 1 else list(buf)
+    theta = Theta.reshape(n_runs * n, d)
+    theta_mix = theta if n_runs == 1 else Theta
+    # np.dot makes the gemm call without matmul's ufunc machinery, and
+    # rounds as matmul does, but for a 1 x 1 W, which it takes for a scalar
+    mix = np.dot if n_runs == 1 and n > 1 else np.matmul
+    # frame (k0 + t) mod F of a block is item (k0 mod F) + t of this list
+    frame_cycle = frames * (_BLOCK // len(frames) + 2)
     # a diverging run overflows before its iterate does: its iterates and
     # metrics may be inf or NaN, which the block's check turns into an
     # abort, without a warning per operation
@@ -625,11 +669,12 @@ def _step_stack(scs, collect_theta_bar):
             step = block_drift(T)
             lap("sample")
             eps = sc.step.values(k0, T)
-            for t in range(T):
-                out = buf[t]
-                np.matmul(frames[(k0 + t) % len(frames)], Theta, out=out)
-                step(Theta, t, eps[t], out)
-                Theta = out
+            first = k0 % len(frames)
+            for t, (w, e, out, out_mix) in enumerate(zip(
+                    frame_cycle[first:first + T], eps, rows_2d, rows_mix)):
+                mix(w, theta_mix, out_mix)
+                step(theta, t, e, out)
+                theta, theta_mix = out, out_mix
             finite = np.isfinite(buf[:T]).all(axis=(1, 2, 3))
             done = T if finite.all() else int(finite.argmin())
             if done < T:
@@ -637,12 +682,13 @@ def _step_stack(scs, collect_theta_bar):
                     return None
                 aborted = True
                 reason = f"non-finite iterate at k={k0 + done + 1}"
-                Theta = buf[done]
+                theta = rows_2d[done]
             lap("step")
             measure_and_log(k0 + 1, buf[:done], eps[:done])
             if aborted:
                 break
 
+    Theta = theta.reshape(n_runs, n, d)
     for s, traj in enumerate(trajs):
         traj.theta_final = Theta[s].copy()
         traj.aborted = aborted
@@ -651,7 +697,7 @@ def _step_stack(scs, collect_theta_bar):
                                  else math.nan)
         traj.theta_bar_hist = None if tb_hist is None else tb_hist[s]
         traj.phase_s = dict(phase_s)
-    return list(zip(trajs, rows))
+    return list(zip(trajs, rows, columns))
 
 
 def _require_one_config(scs):
@@ -676,15 +722,15 @@ def _require_one_config(scs):
                 "have")
 
 
-def _block_drift(ops, sources, rngs, shape):
-    """block_drift(T) draws the next T observations of every agent of the
-    stack `shape` = (S, N) from its source and stream (agents in C order)
-    and returns step(Theta, t, eps, out): out, a C-contiguous (S, N, d)
-    array that holds W Theta, gains eps times the drift rows of Theta at
-    step t of the block, in place. Built-in quadratic-gradient operators,
-    or built-in Q-learning ones with one features and gamma, over sources
-    of one class with a block_sampler share one batched step, and the
-    sampler is built once, here, for the whole run; anything else is
+def _block_drift(ops, sources, rngs):
+    """block_drift(T) draws the next T observations of every one of the S*N
+    agents of a stack from its source and stream (agents in C order) and
+    returns step(Theta, t, eps, out): out, a C-contiguous (S*N, d) array
+    that holds W Theta, gains eps times the drift rows of the (S*N, d)
+    Theta at step t of the block, in place. Built-in quadratic-gradient
+    operators, or built-in Q-learning ones with one features and gamma,
+    over sources of one class with a block_sampler share one batched step,
+    and the sampler is built once, here, for the whole run; anything else is
     sampled and evaluated agent by agent. That per-agent step never
     hands an operator's eval a non-finite iterate: when Theta has a
     non-finite entry, out is set to NaN, and the run aborts at that step
@@ -703,8 +749,7 @@ def _block_drift(ops, sources, rngs, shape):
         draw = source_class.block_sampler(sources, rngs)
 
         def sampled(T):
-            return batched(*(x.reshape(x.shape[:1] + shape + x.shape[2:])
-                             for x in draw(T)))
+            return batched(*draw(T))
 
         return sampled
     ops_eval = [op.eval for op in ops]

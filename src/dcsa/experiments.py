@@ -216,6 +216,8 @@ class RolloutResult:
 def greedy_policy_rollout(theta, maze: Maze, max_steps: int) -> RolloutResult:
     """Follow argmax_a Q(s,a) from the start (ties -> smallest action index)
     until a goal is reached or max_steps elapse."""
+    if max_steps < 0:
+        raise ScenarioError(f"max_steps must be >= 0, got {max_steps}")
     feats = TabularFeatures(maze.n_cells, maze.n_actions)
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (feats.dim,):

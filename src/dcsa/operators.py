@@ -57,12 +57,17 @@ def quadratic_grad_operator(dim: int, u=None) -> LocalOperator:
 def quadratic_block_drift(x1, x2):
     """step(Theta, t, eps, out) of a stack of quadratic-gradient agents, whose
     time-major blocks of samples are x1 (T, ..., d) and x2 (T, ...): for
-    Theta of shape (..., d), it adds eps times each agent's map at its t-th
-    sample to out, which holds W Theta, in place. The result equals
-    out + eps * eval bit for bit: both sum a row's products over the
-    contiguous last axis, where a (T, d) @ product would round otherwise,
-    and both round 2 * resid, its product with x1 and eps times that in
-    this order.
+    Theta of the shape (..., d) of x1[t], it adds eps times each agent's
+    map at its t-th sample to out, which holds W Theta, in place. The
+    result equals out + eps * eval bit for bit: both sum a row's products
+    over the contiguous last axis, where a (T, d) @ product would round
+    otherwise, and both round 2 * resid, its product with x1 and eps times
+    that in this order.
+
+    The step's temporaries are allocated once per block and reused by every
+    step: the products x1[t] * Theta, which then hold the update, and the
+    row sums, which then hold the residuals. Each ufunc writes into them
+    through a positional out.
 
     For d = 2 the row sum is one elementwise add, p0 + p1: numpy's reduce
     adds the row to +0.0, which rounds the same but for the sign of a zero
@@ -71,19 +76,24 @@ def quadratic_block_drift(x1, x2):
     np.add.reduce."""
     x2 = np.asarray(x2)[..., None]
     two_terms = np.shape(x1)[-1] == 2 and bool(np.all(x2 != 0))
+    p = np.empty(np.shape(x1)[1:])
+    s = np.empty(p.shape[:-1] + (1,))
+    p0, p1 = p[..., :1], p[..., 1:]
+    two = np.array(2.0)   # 0-d: a Python float is converted at every call
 
     def step(Theta, t, eps, out):
         x1_t = x1[t]
-        p = x1_t * Theta
+        np.multiply(x1_t, Theta, p)
         if two_terms:
-            resid = x2[t] - (p[..., :1] + p[..., 1:])
+            np.add(p0, p1, s)
         else:
             # np.add.reduce: ndarray.sum goes through a Python wrapper
-            resid = x2[t] - np.add.reduce(p, axis=-1, keepdims=True)
-        resid *= 2.0
-        y = resid * x1_t
-        y *= eps
-        out += y
+            np.add.reduce(p, -1, None, s, True)
+        np.subtract(x2[t], s, s)
+        np.multiply(s, two, s)
+        np.multiply(s, x1_t, p)
+        np.multiply(p, eps, p)
+        np.add(out, p, out)
 
     return step
 
@@ -154,24 +164,33 @@ def qlearning_block_drift(features: TabularFeatures, gamma, s, a, r, s_next):
     """step(Theta, t, eps, out) of a stack of Q-learning agents that share
     features and gamma, whose time-major blocks of samples are the
     (s, a, r, s') arrays of shape (T, ...): for Theta of shape (..., dim),
-    it adds eps times each agent's Q-learning map at its t-th sample to the
-    C-contiguous out, which holds W Theta, in place. The map is nonzero in
-    one slot per agent, so only those slots are added to; every slot equals
+    it adds eps times each agent's Q-learning map at its t-th sample to
+    out, which holds W Theta, in place. The map is nonzero in one slot per
+    agent, so only those slots are added to; every slot equals
     out + eps * eval, bit for bit.
 
-    Theta is read flat, as the stacked (agents * states) x actions table in
-    which the state s of the agent in C-order row i is row i * states + s.
-    The flat indices are computed once per block: slot[t] (agents,) holds
-    each agent's Q(s, a) and nxt[t] (actions, agents) its Q(s', .), one
-    action per row, so a step is two gathers, a max across the action rows
-    and one scatter-add. It rounds as bellman_residual does: gamma * max,
-    then + r, then - Q(s, a), then * eps.
+    Theta and out are read flat, as the stacked (agents * states) x actions
+    table in which the state s of the agent in C-order row i is row
+    i * states + s. The flat indices are computed once per block: slot[t]
+    (agents,) holds each agent's Q(s, a) and nxt[t] (actions, agents) its
+    Q(s', .), one action per row, so a step is three gathers (Q(s', .),
+    Q(s, a) and out's slots), a max across the action rows and one
+    scatter. It rounds as bellman_residual does: gamma * max, then + r,
+    then - Q(s, a), then * eps, and out's slot plus that.
+
+    The gather and the residuals are scratch arrays allocated once per
+    block, which every ufunc and take writes through a positional out; the
+    block's indices are checked once, here, so take clips rather than
+    checking them at every step.
     """
     shape = (np.shape(s)[0], math.prod(np.shape(s)[1:]))   # (T, agents)
     s, a, r, s_next = (np.reshape(x, shape) for x in (s, a, r, s_next))
     n_states, n_actions = features.n_states, features.n_actions
-    if s.size and max(s.max(), s_next.max()) >= n_states:
-        raise OperatorError("a sampled state lies beyond the features' states")
+    if s.size and (max(s.max(), s_next.max()) >= n_states
+                   or min(s.min(), s_next.min(), a.min()) < 0
+                   or a.max() >= n_actions):
+        raise OperatorError("a sampled state or action lies beyond the "
+                            "features' states and actions")
     rows = n_states * np.arange(shape[1])
     slot = (s + rows) * n_actions + a
     nxt = (((s_next + rows) * n_actions)[:, None]
@@ -180,16 +199,22 @@ def qlearning_block_drift(features: TabularFeatures, gamma, s, a, r, s_next):
     # strided layout of a sampler's arrays): indexing the (T, ...) arrays
     # per step costs more, and a list of Python ints more still
     slot, nxt, r = (list(np.ascontiguousarray(x)) for x in (slot, nxt, r))
+    gamma = np.array(gamma)   # 0-d: a Python float is converted at every call
+    gather = np.empty((n_actions, shape[1]))
+    q = gather[0]   # Q(s, a), then out's slots, once the max has read it
+    res = np.empty(shape[1])
 
     def step(Theta, t, eps, out):
-        flat = Theta.ravel()
-        res = np.maximum.reduce(flat.take(nxt[t]), axis=0)
-        res *= gamma
-        res += r[t]
-        res -= flat.take(slot[t])
-        res *= eps
-        # a view of the contiguous out: a copy would lose the update
-        out.ravel()[slot[t]] += res
+        Theta.take(nxt[t], None, gather, "clip")
+        np.maximum.reduce(gather, 0, None, res)
+        np.multiply(res, gamma, res)
+        np.add(res, r[t], res)
+        Theta.take(slot[t], None, q, "clip")
+        np.subtract(res, q, res)
+        np.multiply(res, eps, res)
+        out.take(slot[t], None, q, "clip")
+        np.add(q, res, q)
+        out.put(slot[t], q)
 
     return step
 

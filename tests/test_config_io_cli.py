@@ -233,9 +233,14 @@ def test_cli_validation_error_exit_code(tmp_path, capsys):
 
 def bad_path_argv(case, tmp_path):
     """argv for one CLI call whose user-named path is missing or the wrong
-    kind: a directory where a file is read, a file where --out must go."""
+    kind (a directory where a file is read, a file where --out must go), or
+    a rollout that has no maze to roll out on or a negative step limit."""
     cfg = write_cfg(tmp_path, SYSTEM_ID_CFG)
     out = str(tmp_path / "o")
+    theta = tmp_path / "theta.npy"
+    np.save(theta, np.zeros(8))
+    if case == "rollout-no-mazes":
+        return ["rollout", "--config", cfg, "--theta", str(theta)]
     if case == "missing-config":
         return ["run", "--config", str(tmp_path / "nope.cfg"), "--out", out]
     if case == "config-dir":
@@ -247,15 +252,22 @@ def bad_path_argv(case, tmp_path):
     if case == "csv-dir":
         return ["fit", "--csv", str(tmp_path)]
     cfg, _ = rollout_setup(tmp_path)
+    if case == "rollout-negative-steps":
+        return ["rollout", "--config", cfg, "--theta", str(theta),
+                "--max-steps", "-1"]
     return ["rollout", "--config", cfg, "--theta", str(tmp_path)]
 
 
 @pytest.mark.parametrize("case", ["missing-config", "config-dir", "out-file",
-                                  "check-out-file", "csv-dir", "theta-dir"])
+                                  "check-out-file", "csv-dir", "theta-dir",
+                                  "rollout-no-mazes",
+                                  "rollout-negative-steps"])
 def test_cli_bad_path_exit_code(case, tmp_path, capsys):
+    """Exit 1 with one `error:` line on stderr and nothing on stdout."""
     assert main(bad_path_argv(case, tmp_path)) == 1
     captured = capsys.readouterr()
-    assert "error:" in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in captured.err
     assert captured.out == ""
 

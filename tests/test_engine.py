@@ -189,6 +189,31 @@ def test_run_matches_reference_loop(n, d, horizon, stride, step, time_varying,
                            run_reference(sc, collect_theta_bar))
 
 
+def three_frames(n):
+    """Three frames of the path's neighbour pairs (i, i + 1), grouped by
+    i mod 3: a 128-step block is not a whole number of their cycles."""
+    groups = [[[i, i + 1] for i in range(r, n - 1, 3)] for r in range(3)]
+    return ";".join(f"edges:{json.dumps(g)}" for g in groups)
+
+
+@pytest.mark.parametrize("horizon", [2 * _BLOCK + 1, 300, 3 * _BLOCK])
+def test_three_frames_keep_their_order_across_blocks(horizon):
+    """Step k mixes with frame k mod 3 at every block start too, where
+    k = 128 and k = 256 are not multiples of 3: run(), and every run of a
+    stacked run_ensemble, give the per-step loop's trajectory bit for bit
+    over two block boundaries."""
+    cfg = ScenarioConfig(scenario="system_id", n_agents=6, dim=3,
+                         horizon=horizon, stride=7, frames=three_frames(6),
+                         period_b=3, compute_constants=True)
+    scs = [build_scenario(dataclasses.replace(cfg, seed=seed))
+           for seed in (2, 7)]
+    assert len(scs[0].weights) == 3
+    refs = [run_reference(sc, collect_theta_bar=True) for sc in scs]
+    assert_identical(run(scs[0], collect_theta_bar=True), refs[0])
+    for new, ref in zip(run_ensemble(scs, collect_theta_bar=True), refs):
+        assert_identical(new, ref)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_matches_reference_on_divergence():
     """A batched system-id run whose iterates overflow aborts where the
