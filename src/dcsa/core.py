@@ -9,6 +9,7 @@ import bisect
 import copy
 import dataclasses
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from time import perf_counter
@@ -521,10 +522,11 @@ def _step_stack(scs, collect_theta_bar):
     them in that order: theta_bar adds the agents' slices, and R and S go
     into the (S, horizon+1) histories through their transposes. A step
     zips over views of the buffer's rows, built once per run, the block's
-    steps eps and its weight frames, sliced from a cycled list of frames:
-    W Theta goes into the row, as one 2-D gemm for a stack of one and a
-    broadcast (S, N, d) matmul otherwise (see mix below), and the drift's
-    step then adds eps F to the row's 2-D (S*N, d) view.
+    steps eps (one 0-d array for a constant step, the block's floats for a
+    diminishing one) and its weight frames, sliced from a cycled list of
+    frames: W Theta goes into the row, as one 2-D gemm for a stack of one
+    and a broadcast (S, N, d) matmul otherwise (see mix below), and the
+    drift's step then adds eps F to the row's 2-D (S*N, d) view.
 
     Each block is timed in four phases, one perf_counter reading at the
     end of each: sample (block_drift draws the block), step (the T steps
@@ -649,9 +651,11 @@ def _step_stack(scs, collect_theta_bar):
     bar_buf = np.empty(buf.shape[:2] + (d,))
     # the views of the buffer's rows, built once per run: the step reads and
     # writes each row as (S*N, d); a stack of one is mixed in that form too,
-    # one gemm, while S > 1 keeps the (S, N, d) broadcast matmul
+    # one gemm, while S > 1 keeps the (S, N, d) broadcast matmul, whose row
+    # views are taken from the buffer as a block iterates it (a second list
+    # of them raised a 30-run stack's peak RSS by 0.46 MB)
     rows_2d = list(buf.reshape(len(buf), n_runs * n, d))
-    rows_mix = rows_2d if n_runs == 1 else list(buf)
+    rows_mix = rows_2d if n_runs == 1 else buf
     theta = Theta.reshape(n_runs * n, d)
     theta_mix = theta if n_runs == 1 else Theta
     # np.dot makes the gemm call without matmul's ufunc machinery, and
@@ -659,6 +663,11 @@ def _step_stack(scs, collect_theta_bar):
     mix = np.dot if n_runs == 1 and n > 1 else np.matmul
     # frame (k0 + t) mod F of a block is item (k0 mod F) + t of this list
     frame_cycle = frames * (_BLOCK // len(frames) + 2)
+    # a constant step passes one 0-d array for the whole run, as a Python
+    # float operand is converted at every ufunc call; a diminishing step
+    # passes its block's floats, which 0-d views would cost as much to make
+    const_eps = (itertools.repeat(np.array(sc.step.eps))
+                 if sc.step.kind == "constant" else None)
     # a diverging run overflows before its iterate does: its iterates and
     # metrics may be inf or NaN, which the block's check turns into an
     # abort, without a warning per operation
@@ -669,9 +678,11 @@ def _step_stack(scs, collect_theta_bar):
             step = block_drift(T)
             lap("sample")
             eps = sc.step.values(k0, T)
+            step_eps = eps if const_eps is None else const_eps
             first = k0 % len(frames)
             for t, (w, e, out, out_mix) in enumerate(zip(
-                    frame_cycle[first:first + T], eps, rows_2d, rows_mix)):
+                    frame_cycle[first:first + T], step_eps, rows_2d,
+                    rows_mix)):
                 mix(w, theta_mix, out_mix)
                 step(theta, t, e, out)
                 theta, theta_mix = out, out_mix
@@ -727,14 +738,15 @@ def _block_drift(ops, sources, rngs):
     agents of a stack from its source and stream (agents in C order) and
     returns step(Theta, t, eps, out): out, a C-contiguous (S*N, d) array
     that holds W Theta, gains eps times the drift rows of the (S*N, d)
-    Theta at step t of the block, in place. Built-in quadratic-gradient
-    operators, or built-in Q-learning ones with one features and gamma,
-    over sources of one class with a block_sampler share one batched step,
-    and the sampler is built once, here, for the whole run; anything else is
-    sampled and evaluated agent by agent. That per-agent step never
-    hands an operator's eval a non-finite iterate: when Theta has a
-    non-finite entry, out is set to NaN, and the run aborts at that step
-    all the same."""
+    Theta at step t of the block, in place; eps is a float or a 0-d array.
+    Built-in quadratic-gradient operators, or built-in Q-learning ones with
+    one features and gamma, over sources of one class with a block_sampler
+    share one batched step. The sampler, and the Q-learning builder with
+    its _BLOCK-row buffers, are made once, here, for the whole run;
+    anything else is sampled and evaluated agent by agent. That per-agent
+    step never hands an operator's eval a non-finite iterate: when Theta
+    has a non-finite entry, out is set to NaN, and the run aborts at that
+    step all the same."""
     kinds = {op.kind for op in ops}
     batched = None
     if kinds == {"quadratic-gradient"}:
@@ -742,7 +754,7 @@ def _block_drift(ops, sources, rngs):
     elif kinds == {"qlearning"}:
         shared = {(op.params["features"], op.params["gamma"]) for op in ops}
         if len(shared) == 1:
-            batched = functools.partial(qlearning_block_drift, *shared.pop())
+            batched = qlearning_block_drift(*shared.pop(), len(ops), _BLOCK)
     source_class = type(sources[0])
     if (batched is not None and hasattr(source_class, "block_sampler")
             and all(type(src) is source_class for src in sources)):

@@ -160,63 +160,80 @@ def qlearning_operator(features: TabularFeatures, gamma: float) -> LocalOperator
                          params={"features": features, "gamma": gamma})
 
 
-def qlearning_block_drift(features: TabularFeatures, gamma, s, a, r, s_next):
-    """step(Theta, t, eps, out) of a stack of Q-learning agents that share
-    features and gamma, whose time-major blocks of samples are the
-    (s, a, r, s') arrays of shape (T, ...): for Theta of shape (..., dim),
-    it adds eps times each agent's Q-learning map at its t-th sample to
-    out, which holds W Theta, in place. The map is nonzero in one slot per
-    agent, so only those slots are added to; every slot equals
-    out + eps * eval, bit for bit.
+def qlearning_block_drift(features: TabularFeatures, gamma, agents, rows):
+    """block(s, a, r, s') of a stack of `agents` Q-learning agents that
+    share features and gamma, built once per run: for time-major blocks of
+    (s, a, r, s') samples of shape (T, agents), T <= rows, it returns
+    step(Theta, t, eps, out). For Theta of shape (..., dim), the step adds
+    eps times each agent's Q-learning map at its t-th sample to out, which
+    holds W Theta, in place. The map is nonzero in one slot per agent, so
+    only those slots are added to; every slot equals out + eps * eval, bit
+    for bit.
 
     Theta and out are read flat, as the stacked (agents * states) x actions
     table in which the state s of the agent in C-order row i is row
-    i * states + s. The flat indices are computed once per block: slot[t]
-    (agents,) holds each agent's Q(s, a) and nxt[t] (actions, agents) its
-    Q(s', .), one action per row, so a step is three gathers (Q(s', .),
-    Q(s, a) and out's slots), a max across the action rows and one
-    scatter. It rounds as bellman_residual does: gamma * max, then + r,
-    then - Q(s, a), then * eps, and out's slot plus that.
+    i * states + s. Every buffer is allocated once per run, with `rows`
+    steps: the slots (rows, agents), each agent's flat Q(s, a) index; the
+    gather indices (rows, actions + 1, agents), whose first `actions` rows
+    at a step are each agent's Q(s', .), one action per row, and whose last
+    row is its slot; the rewards; the lists of their per-step row views;
+    gamma as a 0-d array (a Python float is converted at every call); and
+    the step's scratch. A block checks its states and actions against the
+    features, since take clips rather than checking them at every step, and
+    fills the buffers' first T rows by ufuncs with out.
 
-    The gather and the residuals are scratch arrays allocated once per
-    block, which every ufunc and take writes through a positional out; the
-    block's indices are checked once, here, so take clips rather than
-    checking them at every step.
+    A step is one take of its gather indices into an (actions + 1, agents)
+    scratch, a max across the contiguous action rows, one take of out's
+    slots and one put. It rounds as bellman_residual does: gamma * max,
+    then + r, then - Q(s, a), then * eps, and out's slot plus that.
     """
-    shape = (np.shape(s)[0], math.prod(np.shape(s)[1:]))   # (T, agents)
-    s, a, r, s_next = (np.reshape(x, shape) for x in (s, a, r, s_next))
     n_states, n_actions = features.n_states, features.n_actions
-    if s.size and (max(s.max(), s_next.max()) >= n_states
-                   or min(s.min(), s_next.min(), a.min()) < 0
-                   or a.max() >= n_actions):
-        raise OperatorError("a sampled state or action lies beyond the "
-                            "features' states and actions")
-    rows = n_states * np.arange(shape[1])
-    slot = (s + rows) * n_actions + a
-    nxt = (((s_next + rows) * n_actions)[:, None]
-           + np.arange(n_actions)[:, None])
-    # lists of per-step rows, made contiguous (the arithmetic keeps the
-    # strided layout of a sampler's arrays): indexing the (T, ...) arrays
-    # per step costs more, and a list of Python ints more still
-    slot, nxt, r = (list(np.ascontiguousarray(x)) for x in (slot, nxt, r))
-    gamma = np.array(gamma)   # 0-d: a Python float is converted at every call
-    gather = np.empty((n_actions, shape[1]))
-    q = gather[0]   # Q(s, a), then out's slots, once the max has read it
-    res = np.empty(shape[1])
+    slot = np.empty((rows, agents), dtype=np.intp)
+    index = np.empty((rows, n_actions + 1, agents), dtype=np.intp)
+    reward = np.empty((rows, agents))
+    slot_rows, index_rows, reward_rows = (list(x)
+                                          for x in (slot, index, reward))
+    offsets = n_states * np.arange(agents)
+    action_rows = [index[:, action] for action in range(n_actions)]
+    gamma = np.array(gamma)
+    gather = np.empty((n_actions + 1, agents))
+    q_next, q = gather[:n_actions], gather[n_actions]   # Q(s', .), Q(s, a)
+    res = np.empty(agents)
 
     def step(Theta, t, eps, out):
-        Theta.take(nxt[t], None, gather, "clip")
-        np.maximum.reduce(gather, 0, None, res)
+        Theta.take(index_rows[t], None, gather, "clip")
+        np.maximum.reduce(q_next, 0, None, res)
         np.multiply(res, gamma, res)
-        np.add(res, r[t], res)
-        Theta.take(slot[t], None, q, "clip")
+        np.add(res, reward_rows[t], res)
         np.subtract(res, q, res)
         np.multiply(res, eps, res)
-        out.take(slot[t], None, q, "clip")
+        out.take(slot_rows[t], None, q, "clip")
         np.add(q, res, q)
-        out.put(slot[t], q)
+        out.put(slot_rows[t], q)
 
-    return step
+    def block(s, a, r, s_next):
+        T = len(s)
+        if T and (max(s.max(), s_next.max()) >= n_states
+                  or min(s.min(), s_next.min(), a.min()) < 0
+                  or a.max() >= n_actions):
+            raise OperatorError("a sampled state or action lies beyond the "
+                                "features' states and actions")
+        slots = slot[:T]
+        # Q(s', .): (s' + i * states) * actions + a', one row per a' (one
+        # add per action: a broadcast add over the rows costs more)
+        np.add(s_next, offsets, slots)
+        np.multiply(slots, n_actions, slots)
+        for action, target in enumerate(action_rows):
+            np.add(slots, action, target[:T])
+        # Q(s, a): (s + i * states) * actions + a
+        np.add(s, offsets, slots)
+        np.multiply(slots, n_actions, slots)
+        np.add(slots, a, slots)
+        np.copyto(index[:T, n_actions], slots)
+        np.copyto(reward[:T], r)
+        return step
+
+    return block
 
 
 # ---------------------------------------------------------------------------

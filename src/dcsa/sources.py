@@ -480,29 +480,37 @@ class MDPSource:
     def block_sampler(sources, rngs):
         """draw(T): the next T samples of each of R MDPSources, each from
         its own stream, as time-major arrays (s, a, r, s') of shape (T, R):
-        the values, and the final states, of T sample calls per source.
-        Each maze's transition table is fetched once, here; each draw has
-        every source draw one integers(0, 4, size=T) and walk its table."""
-        tables = [src.maze.transitions + (src.maze.n_actions,)
-                  for src in sources]
+        the values, dtypes and final states of T sample calls per source.
+
+        The mazes' tables are fetched once, here: each source's chain moves
+        as a list of next row starts after[i] * actions, and the mazes'
+        rewards and next states as one array each, the source's table at
+        its offset. A draw has every source draw one integers(0, actions,
+        size=T) and walk its list, appending one flat table index
+        i = s * actions + a per step; r and s' are then gathered from the
+        arrays at the offset indices, and s and a come from one divmod."""
+        n_actions = len(ACTIONS)   # every maze's
+        tables = [src.maze.transitions for src in sources]
+        row_starts = [[n_actions * t for t in after]
+                      for _, _, after in tables]
+        offsets = np.cumsum([0] + [len(nxt) for nxt, _, _ in tables[:-1]])
+        next_states = np.array([t for nxt, _, _ in tables for t in nxt],
+                               dtype=int)
+        rewards = np.array([r for _, rew, _ in tables for r in rew],
+                           dtype=float)
 
         def draw(T):
-            walks = []
-            for src, rng, (nxt, rew, after, n_actions) in zip(sources, rngs,
-                                                              tables):
-                actions = rng.integers(0, n_actions, size=T)
-                s = src.state
-                states, rewards, s_next = [], [], []
-                for a in actions.tolist():
-                    i = s * n_actions + a
-                    states.append(s)
-                    rewards.append(rew[i])
-                    s_next.append(nxt[i])
-                    s = after[i]
-                src.state = s
-                walks.append((states, actions, rewards, s_next))
-            return tuple(np.array(column, dtype=dtype).T
-                         for column, dtype in zip(zip(*walks),
-                                                  (int, int, float, int)))
+            walk = []   # every source's T indices in turn
+            for src, rng, after in zip(sources, rngs, row_starts):
+                row = src.state * n_actions
+                for a in rng.integers(0, n_actions, size=T).tolist():
+                    i = row + a
+                    walk.append(i)
+                    row = after[i]
+                src.state = row // n_actions
+            i = np.fromiter(walk, int, len(walk)).reshape(len(sources), T).T
+            s, a = divmod(i, n_actions)
+            i = i + offsets
+            return s, a, rewards[i], next_states[i]
 
         return draw

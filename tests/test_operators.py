@@ -258,10 +258,10 @@ def test_qlearning_block_drift_matches_eval(maze_list, gamma, T, eps, seed):
     blocks = [MDPSource(maze=m).sample_block(derive_stream(seed, i, "sample"),
                                              T)
               for i, m in enumerate(maze_list)]
-    step = qlearning_block_drift(feats, gamma, *(np.stack(x, axis=1)
-                                                 for x in zip(*blocks)))
-    rng = np.random.default_rng(seed)
     n = len(maze_list)
+    step = qlearning_block_drift(feats, gamma, n, T)(
+        *(np.stack(x, axis=1) for x in zip(*blocks)))
+    rng = np.random.default_rng(seed)
     for t in range(T):
         draw = special_values if t % 3 == 0 else signed_zeros
         theta = draw(rng, (n, feats.dim))
@@ -292,8 +292,71 @@ def test_qlearning_block_drift_rejects_states_beyond_features():
     block = MDPSource(maze=parse_maze("S...G")).sample_block(
         np.random.default_rng(0), 50)
     with pytest.raises(OperatorError):
-        qlearning_block_drift(TabularFeatures(3, 4), 0.9,
-                              *(np.stack([x, x], axis=1) for x in block))
+        qlearning_block_drift(TabularFeatures(3, 4), 0.9, 2, 50)(
+            *(np.stack([x, x], axis=1) for x in block))
+
+
+@given(st.lists(mazes((4, 3)), min_size=1, max_size=4), GAMMAS,
+       st.floats(1e-3, 10.0), st.integers(0, 2**31 - 1))
+@settings(max_examples=15, deadline=None)
+def test_qlearning_block_drift_refills_its_buffers_every_block(
+        maze_list, gamma, eps, seed):
+    """One builder, made once as the engine makes it per run, and driven
+    through consecutive blocks of 128, 1, 0, 77 and 128 steps drawn by one
+    MDPSource.block_sampler: every step of every block adds eps times the
+    row-wise reference's residual to its agent's slot of out, bit for bit,
+    and the slots equal out0 + eps * eval. A block that left a row of the
+    per-run index or reward buffers as the block before it filled it would
+    step from that block's samples."""
+    feats = TabularFeatures(12, 4)
+    op = qlearning_operator(feats, gamma)
+    n = len(maze_list)
+    draw = MDPSource.block_sampler(
+        [MDPSource(maze=m) for m in maze_list],
+        [derive_stream(seed, i, "sample") for i in range(n)])
+    block = qlearning_block_drift(feats, gamma, n, 128)
+    eps = np.array(eps)   # as the engine passes a constant step
+    rng = np.random.default_rng(seed)
+    for T in (128, 1, 0, 77, 128):
+        samples = draw(T)
+        step = block(*samples)
+        for t in range(T):
+            theta = signed_zeros(rng, (n, feats.dim))
+            out0 = signed_zeros(rng, (n, feats.dim))
+            expected = out0.copy()
+            evals = np.zeros_like(out0)
+            in_slot = np.zeros(out0.shape, dtype=bool)
+            for i, (s, a, r, s_next) in enumerate(zip(*(x[t]
+                                                        for x in samples))):
+                j = feats.index(s, a)
+                expected[i, j] += eps * row_wise_residual(
+                    theta[i].reshape(12, 4), gamma, s, a, r, s_next)
+                evals[i] = op.eval((int(s), int(a), float(r), int(s_next)),
+                                   theta[i])
+                in_slot[i, j] = True
+            out = out0.copy()
+            step(theta, t, eps, out)
+            assert out.tobytes() == expected.tobytes()
+            assert ((out0 + eps * evals)[in_slot].tobytes()
+                    == expected[in_slot].tobytes())
+
+
+@pytest.mark.parametrize("name, value", [("s", 3), ("s", -1), ("a", 4),
+                                         ("a", -1), ("s_next", 3),
+                                         ("s_next", -1)])
+def test_qlearning_block_drift_checks_every_block(name, value):
+    """The builder checks the states and actions of every block, not only
+    of its first: one out-of-range entry in a later block raises."""
+    block = qlearning_block_drift(TabularFeatures(3, 4), 0.9, 2, 50)
+    samples = [np.stack([x, x], axis=1) for x in MDPSource(
+        maze=parse_maze("S.G")).sample_block(np.random.default_rng(0), 100)]
+    block(*(x[:50] for x in samples))
+    later = dict(zip(("s", "a", "r", "s_next"),
+                     (x[50:].copy() for x in samples)))
+    block(*later.values())
+    later[name][37, 1] = value
+    with pytest.raises(OperatorError):
+        block(*later.values())
 
 
 def test_qlearning_rejects_bad_gamma():
