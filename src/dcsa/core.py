@@ -521,12 +521,13 @@ def _step_stack(scs, collect_theta_bar):
     Each block's iterates are a (T, S, N, d) buffer, and measure reads
     them in that order: theta_bar adds the agents' slices, and R and S go
     into the (S, horizon+1) histories through their transposes. A step
-    zips over views of the buffer's rows, built once per run, the block's
-    steps eps (one 0-d array for a constant step, the block's floats for a
-    diminishing one) and its weight frames, sliced from a cycled list of
-    frames: W Theta goes into the row, as one 2-D gemm for a stack of one
-    and a broadcast (S, N, d) matmul otherwise (see mix below), and the
-    drift's step then adds eps F to the row's 2-D (S*N, d) view.
+    zips over views of the buffer's rows (for a stack of one, a list of
+    them built once per run), the block's steps eps (one 0-d array for a
+    constant step, the block's floats for a diminishing one) and its
+    weight frames, sliced from a cycled list of frames: W Theta goes into
+    the row, as one 2-D gemm for a stack of one and a broadcast (S, N, d)
+    matmul otherwise (see mix below), and the drift's step then adds eps F
+    to the row's 2-D (S*N, d) view.
 
     Each block is timed in four phases, one perf_counter reading at the
     end of each: sample (block_drift draws the block), step (the T steps
@@ -649,13 +650,15 @@ def _step_stack(scs, collect_theta_bar):
     buf = np.empty((max(1, min(_BLOCK, horizon)), n_runs, n, d))
     dev_buf = np.empty_like(buf)
     bar_buf = np.empty(buf.shape[:2] + (d,))
-    # the views of the buffer's rows, built once per run: the step reads and
-    # writes each row as (S*N, d); a stack of one is mixed in that form too,
-    # one gemm, while S > 1 keeps the (S, N, d) broadcast matmul, whose row
-    # views are taken from the buffer as a block iterates it (a second list
-    # of them raised a 30-run stack's peak RSS by 0.46 MB)
-    rows_2d = list(buf.reshape(len(buf), n_runs * n, d))
-    rows_mix = rows_2d if n_runs == 1 else buf
+    # the views of the buffer's rows: the step reads and writes each row as
+    # (S*N, d), and a stack of one is mixed in that form too, one gemm, from
+    # a list of the views built once per run; S > 1 keeps the (S, N, d)
+    # broadcast matmul and takes both views from the buffer as a block
+    # iterates it, since lists of them raised a 30-run stack's peak RSS by
+    # 0.4 MB, and S runs share the cost of a view per step
+    rows_2d, rows_mix = buf.reshape(len(buf), n_runs * n, d), buf
+    if n_runs == 1:
+        rows_2d = rows_mix = list(rows_2d)
     theta = Theta.reshape(n_runs * n, d)
     theta_mix = theta if n_runs == 1 else Theta
     # np.dot makes the gemm call without matmul's ufunc machinery, and
