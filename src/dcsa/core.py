@@ -652,10 +652,11 @@ def _step_stack(scs, collect_theta_bar):
     bar_buf = np.empty(buf.shape[:2] + (d,))
     # the views of the buffer's rows: the step reads and writes each row as
     # (S*N, d), and a stack of one is mixed in that form too, one gemm, from
-    # a list of the views built once per run; S > 1 keeps the (S, N, d)
-    # broadcast matmul and takes both views from the buffer as a block
-    # iterates it, since lists of them raised a 30-run stack's peak RSS by
-    # 0.4 MB, and S runs share the cost of a view per step
+    # a list of the views built once per run (iterating the buffer for both
+    # views cost 0.29 against 0.08 us per step by timeit); S > 1 keeps the
+    # (S, N, d) broadcast matmul and takes both views from the buffer as a
+    # block iterates it, since a list of them raised a 30-run stack's peak
+    # RSS by about 0.5 MB, and S runs share the cost of a view per step
     rows_2d, rows_mix = buf.reshape(len(buf), n_runs * n, d), buf
     if n_runs == 1:
         rows_2d = rows_mix = list(rows_2d)

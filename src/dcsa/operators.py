@@ -173,14 +173,16 @@ def qlearning_block_drift(features: TabularFeatures, gamma, agents, rows):
     Theta and out are read flat, as the stacked (agents * states) x actions
     table in which the state s of the agent in C-order row i is row
     i * states + s. Every buffer is allocated once per run, with `rows`
-    steps: the slots (rows, agents), each agent's flat Q(s, a) index; the
-    gather indices (rows, actions + 1, agents), whose first `actions` rows
-    at a step are each agent's Q(s', .), one action per row, and whose last
-    row is its slot; the rewards; the lists of their per-step row views;
-    gamma as a 0-d array (a Python float is converted at every call); and
-    the step's scratch. A block checks its states and actions against the
-    features, since take clips rather than checking them at every step, and
-    fills the buffers' first T rows by ufuncs with out.
+    steps: the gather indices (rows, actions + 1, agents), whose first
+    `actions` rows at a step are each agent's flat Q(s', .) index, one
+    action per row, and whose last row is its slot, its flat Q(s, a) index;
+    the rewards; the lists of the per-step index, slot and reward rows,
+    each slot row a view of its index row; a contiguous (rows, agents)
+    scratch for the block's row bases; gamma as a 0-d array (a Python float
+    is converted at every call); and the step's scratch. A block checks its
+    states and actions against the features, since take clips rather than
+    checking them at every step, and fills the buffers' first T rows by
+    ufuncs with out.
 
     A step is one take of its gather indices into an (actions + 1, agents)
     scratch, a max across the contiguous action rows, one take of out's
@@ -188,11 +190,11 @@ def qlearning_block_drift(features: TabularFeatures, gamma, agents, rows):
     then + r, then - Q(s, a), then * eps, and out's slot plus that.
     """
     n_states, n_actions = features.n_states, features.n_actions
-    slot = np.empty((rows, agents), dtype=np.intp)
     index = np.empty((rows, n_actions + 1, agents), dtype=np.intp)
+    base = np.empty((rows, agents), dtype=np.intp)
     reward = np.empty((rows, agents))
-    slot_rows, index_rows, reward_rows = (list(x)
-                                          for x in (slot, index, reward))
+    index_rows, reward_rows = list(index), list(reward)
+    slot_rows = [row[n_actions] for row in index_rows]
     offsets = n_states * np.arange(agents)
     action_rows = [index[:, action] for action in range(n_actions)]
     gamma = np.array(gamma)
@@ -218,18 +220,20 @@ def qlearning_block_drift(features: TabularFeatures, gamma, agents, rows):
                   or a.max() >= n_actions):
             raise OperatorError("a sampled state or action lies beyond the "
                                 "features' states and actions")
-        slots = slot[:T]
+        # the bases (s + i * states) * actions go into a contiguous scratch:
+        # arithmetic on the strided slot rows makes one inner loop of
+        # length agents per step
+        bases = base[:T]
         # Q(s', .): (s' + i * states) * actions + a', one row per a' (one
         # add per action: a broadcast add over the rows costs more)
-        np.add(s_next, offsets, slots)
-        np.multiply(slots, n_actions, slots)
+        np.add(s_next, offsets, bases)
+        np.multiply(bases, n_actions, bases)
         for action, target in enumerate(action_rows):
-            np.add(slots, action, target[:T])
-        # Q(s, a): (s + i * states) * actions + a
-        np.add(s, offsets, slots)
-        np.multiply(slots, n_actions, slots)
-        np.add(slots, a, slots)
-        np.copyto(index[:T, n_actions], slots)
+            np.add(bases, action, target[:T])
+        # the slots, Q(s, a): (s + i * states) * actions + a
+        np.add(s, offsets, bases)
+        np.multiply(bases, n_actions, bases)
+        np.add(bases, a, index[:T, n_actions])
         np.copyto(reward[:T], r)
         return step
 
