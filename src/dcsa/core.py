@@ -283,19 +283,15 @@ def lemma4_residual(R_by_seed, S_by_seed, eps_fn, tau_fn, rc: RateConstants,
     return k_all, slack, stderr
 
 
-class _EvalColumns(list):
-    """Each agent's eval batch as bellman_residual's arguments, built once:
-    (agent, features, gamma, s, a, r, s') with s, a and s' int and r float
-    arrays, for every agent whose batch is not empty."""
-
-
-def _eval_columns(eval_batches, ops) -> _EvalColumns:
-    """The _EvalColumns of per-agent batches of (s, a, r, s') rows; raises
+def eval_columns(eval_batches, ops) -> list:
+    """Per-agent batches of (s, a, r, s') rows as td_error's columns, built
+    once: (agent, features, gamma, s, a, r, s') with s, a and s' int and r
+    float arrays, for every agent whose batch is not empty. Raises
     CoreError for no transition at all or an operator that is not
     Q-learning."""
     if not eval_batches or all(len(b) == 0 for b in eval_batches):
         raise CoreError("td_error needs a nonempty eval batch")
-    columns = _EvalColumns()
+    columns = []
     for i, (batch, op) in enumerate(zip(eval_batches, ops)):
         if op.kind != "qlearning":
             raise CoreError("td_error applies to Q-learning operators only")
@@ -308,17 +304,12 @@ def _eval_columns(eval_batches, ops) -> _EvalColumns:
     return columns
 
 
-def td_error(theta_rows, eval_batches, ops) -> float:
-    """Mean absolute Bellman residual over agents and their eval batches.
-
-    eval_batches holds each agent's (s, a, r, s') rows; run() passes the
-    columns it converts once per run instead, so that a record costs one
-    bellman_residual call per agent."""
-    if not isinstance(eval_batches, _EvalColumns):
-        eval_batches = _eval_columns(eval_batches, ops)
+def td_error(theta_rows, columns) -> float:
+    """Mean absolute Bellman residual over agents and their eval batches,
+    given as eval_columns: one bellman_residual call per agent."""
     total = 0.0
     count = 0
-    for i, features, gamma, s, a, r, s_next in eval_batches:
+    for i, features, gamma, s, a, r, s_next in columns:
         res = bellman_residual(features, gamma, theta_rows[i], s, a, r, s_next)
         total += float(np.abs(res).sum())
         count += res.size
@@ -484,24 +475,24 @@ def run_ensemble(scenarios, collect_theta_bar: bool = False) -> list:
         if stacked[0] is None:
             return _step_stack([scs[i]], collect_theta_bar)[0][0]
         traj, rows, columns = stacked[0][i]
-        _log_records(scs[i], rows, traj, columns)
+        _log_records(rows, traj, columns)
         return traj
 
     return [run(sc, collect_theta_bar, _share=functools.partial(share, i))
             for i, sc in enumerate(scs)]
 
 
-def _log_records(sc, rows, traj, columns):
+def _log_records(rows, traj, columns):
     """Append one MetricsRecord to traj.records per row (k, eps_k, tau_k,
-    theta, lemma-3 slack) of scenario sc, and empty rows; theta and the
-    eval batches' columns are None without eval batches."""
+    theta, lemma-3 slack), and empty rows; theta and the eval batches'
+    columns are None without eval batches."""
     for k, eps_k, t, theta, slack in rows:
         r_val = traj.R_hist[k]
         s_val = traj.S_hist[k]
         s_del = traj.S_hist[max(0, k - t)]
         td = math.nan
         if columns is not None:
-            td = td_error(theta, columns, sc.ops)
+            td = td_error(theta, columns)
         traj.records.append(MetricsRecord(
             k=k, eps_k=eps_k, tau_k=t, R=r_val, S=s_val, S_delayed=s_del,
             V=lyapunov(r_val, s_val, s_del), td_error=td, lemma3_slack=slack))
@@ -564,7 +555,7 @@ def _step_stack(scs, collect_theta_bar):
     min_slack = np.full(n_runs, math.inf)
     keep_theta = sc.eval_batches is not None
     # each run's eval batches as index columns, converted once per run
-    columns = [_eval_columns(s.eval_batches, s.ops) if keep_theta else None
+    columns = [eval_columns(s.eval_batches, s.ops) if keep_theta else None
                for s in scs]
 
     trajs = [MetricsTrajectory(records=[], R_hist=R_hist[s], S_hist=S_hist[s],
@@ -624,7 +615,7 @@ def _step_stack(scs, collect_theta_bar):
                 for s in range(n_runs):
                     theta = thetas[k - k_lo, s].copy() if keep_theta else None
                     rows[s].append((k, eps_k, t, theta, slack[s, k - k_lo]))
-                _log_records(scs[0], rows[0], trajs[0], columns[0])
+                _log_records(rows[0], trajs[0], columns[0])
 
     phase_s = dict.fromkeys(("sample", "step", "measure", "log"), 0.0)
     tick = perf_counter()

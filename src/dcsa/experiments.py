@@ -61,7 +61,7 @@ def build_system_id_scenario(cfg: ScenarioConfig) -> Scenario:
         for m in range(1, d):
             A[m, m - 1] = rng.uniform(0.8, 0.99)
         sources.append(ARSource(A=A, u=u, noise_clip=cfg.noise_clip))
-    ops = [quadratic_grad_operator(d, u) for _ in range(n)]
+    ops = [quadratic_grad_operator(d) for _ in range(n)]
     frames, sigma2 = _topology_for(cfg, n)
     step = StepSchedule(kind=cfg.step_kind, eps=cfg.step_eps)
     rho = 0.0  # every A is nilpotent: X(1) forgets its start after d steps

@@ -134,7 +134,7 @@ class WeightMatrix:
             off = ~np.eye(n, dtype=bool)
             if not np.array_equal((w > 0)[off], (adj > 0)[off]):
                 raise GraphError("support pattern does not match the graph")
-        return cls(entries=w, sigma2=_second_singular_value(w))
+        return cls(entries=w, sigma2=second_singular_value(w))
 
 
 def lazy_metropolis(g: Graph, require_connected: bool = True) -> WeightMatrix:
@@ -155,10 +155,15 @@ def lazy_metropolis(g: Graph, require_connected: bool = True) -> WeightMatrix:
         w[i, j] = w[j, i] = 1.0 / (2.0 * max(deg[i], deg[j]))
     for i in range(n):
         w[i, i] = 1.0 - w[i].sum()
-    return WeightMatrix(entries=w, sigma2=_second_singular_value(w))
+    return WeightMatrix(entries=w, sigma2=second_singular_value(w))
 
 
-def _second_singular_value(w):
+def second_singular_value(w) -> float:
+    """Second largest singular value of a weight matrix, given as an array.
+
+    Symmetric matrices go through the eigendecomposition (exact for the
+    lazy Metropolis construction); anything else falls back to the SVD.
+    """
     w = np.asarray(w, dtype=float)
     if w.shape == (1, 1):
         return 0.0
@@ -167,17 +172,6 @@ def _second_singular_value(w):
     else:
         vals = np.linalg.svd(w, compute_uv=False)
     return float(vals[1])
-
-
-def second_singular_value(w) -> float:
-    """Second largest singular value of a weight matrix.
-
-    Symmetric matrices go through the eigendecomposition (exact for the
-    lazy Metropolis construction); anything else falls back to the SVD.
-    """
-    if isinstance(w, WeightMatrix):
-        return _second_singular_value(w.entries)
-    return _second_singular_value(w)
 
 
 @dataclass(frozen=True)
@@ -218,7 +212,8 @@ def validate_b_connectivity(s: GraphSchedule) -> bool:
 
 
 def time_varying_eta(s: GraphSchedule, weights) -> float:
-    """Contraction factor eta for a time-varying schedule:
+    """Contraction factor eta for a time-varying schedule with one
+    WeightMatrix per frame:
     min{1 - 1/(2N^3), min over window alignments of max sigma2 in window}.
 
     All cyclic window alignments are evaluated (the alignment of windows to
@@ -231,8 +226,7 @@ def time_varying_eta(s: GraphSchedule, weights) -> float:
         raise GraphError("need one weight matrix per frame")
     n = s.n_agents
     p = len(weights)
-    sig = [w.sigma2 if isinstance(w, WeightMatrix) else second_singular_value(w)
-           for w in weights]
+    sig = [w.sigma2 for w in weights]
     window_max = min(
         max(sig[(start + t) % p] for t in range(s.period_B))
         for start in range(p)

@@ -1,4 +1,4 @@
-"""Local operators F_i(x, theta), mean-field versions, and problem constants.
+"""Local operators F_i(x, theta), problem constants and the Q* oracle.
 
 Two built-in operator families: the quadratic-loss gradient map used in
 system identification, and the linear-function-approximation Q-learning map.
@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sources import (ARSource, FiniteChain, Maze, ar_state_bound,
-                      stationary_distribution)
+from .sources import ARSource, Maze, ar_state_bound
 
 
 class OperatorError(ValueError):
@@ -38,7 +37,7 @@ def eval_local(op: LocalOperator, x, theta) -> np.ndarray:
 # quadratic-gradient operator (system identification)
 
 
-def quadratic_grad_operator(dim: int, u=None) -> LocalOperator:
+def quadratic_grad_operator(dim: int) -> LocalOperator:
     """F(x, theta) = -grad_theta (<theta, x1> - x2)^2 = -2(<theta,x1> - x2) x1.
 
     Descent orientation: the negative gradient makes the aggregate map
@@ -50,8 +49,7 @@ def quadratic_grad_operator(dim: int, u=None) -> LocalOperator:
         x1 = np.asarray(x1, dtype=float)
         return 2.0 * (float(x2) - float((x1 * theta).sum())) * x1
 
-    params = {} if u is None else {"u": np.asarray(u, dtype=float)}
-    return LocalOperator(dim=dim, eval=_eval, kind="quadratic-gradient", params=params)
+    return LocalOperator(dim=dim, eval=_eval, kind="quadratic-gradient")
 
 
 def quadratic_block_drift(x1, x2):
@@ -115,11 +113,6 @@ class TabularFeatures:
 
     def index(self, s, a):
         return int(s) * self.n_actions + int(a)
-
-    def vector(self, s, a):
-        phi = np.zeros(self.dim)
-        phi[self.index(s, a)] = 1.0
-        return phi
 
     def q_values(self, theta, s):
         base = int(s) * self.n_actions
@@ -241,43 +234,6 @@ def qlearning_block_drift(features: TabularFeatures, gamma, agents, rows):
 
 
 # ---------------------------------------------------------------------------
-# mean fields
-
-
-def eval_mean_field(op: LocalOperator, src, theta) -> np.ndarray:
-    """Exact expectation over a finite chain's stationary distribution.
-
-    The observation passed to the operator is the chain state index."""
-    if not isinstance(src, FiniteChain):
-        raise OperatorError(
-            "exact mean field requires a FiniteChain; use estimate_mean_field "
-            "for continuous sources")
-    mu = stationary_distribution(src)
-    theta = np.asarray(theta, dtype=float)
-    total = np.zeros(op.dim)
-    for x, weight in enumerate(mu):
-        total += weight * eval_local(op, x, theta)
-    return total
-
-
-def estimate_mean_field(op: LocalOperator, src, theta, n_samples, rng,
-                        burn_in=1000):
-    """Monte Carlo mean-field estimate (mean, standard error per coordinate)."""
-    theta = np.asarray(theta, dtype=float)
-    for _ in range(burn_in):
-        src.sample(rng)
-    acc = np.zeros(op.dim)
-    acc2 = np.zeros(op.dim)
-    for _ in range(n_samples):
-        v = eval_local(op, src.sample(rng), theta)
-        acc += v
-        acc2 += v * v
-    mean = acc / n_samples
-    var = np.clip(acc2 / n_samples - mean**2, 0.0, None)
-    return mean, np.sqrt(var / n_samples)
-
-
-# ---------------------------------------------------------------------------
 # constants
 
 
@@ -383,39 +339,7 @@ def system_id_constants(sources) -> OperatorConstants:
 
 
 # ---------------------------------------------------------------------------
-# problem spec and fixed-point oracles
-
-
-@dataclass
-class ProblemSpec:
-    operators: list
-    sources: list
-    alpha: float = math.nan
-    theta_star: np.ndarray = None
-
-    def __post_init__(self):
-        if len(self.operators) != len(self.sources):
-            raise OperatorError("one source per operator required")
-        dims = {op.dim for op in self.operators}
-        if len(dims) != 1:
-            raise OperatorError("operators disagree on dimension")
-        if self.theta_star is not None:
-            self.theta_star = np.asarray(self.theta_star, dtype=float)
-
-    @property
-    def dim(self):
-        return self.operators[0].dim
-
-    @property
-    def n_agents(self):
-        return len(self.operators)
-
-
-@dataclass(frozen=True)
-class FixedPoint:
-    theta: np.ndarray
-    unique: bool = True
-    method: str = "analytic"
+# the Q* oracle
 
 
 def value_iteration_q(maze: Maze, gamma: float, tol=1e-12, max_iter=200_000):
@@ -435,52 +359,3 @@ def value_iteration_q(maze: Maze, gamma: float, tol=1e-12, max_iter=200_000):
         if np.max(np.abs(res)) <= tol:
             return q.ravel()
     raise OperatorError("value iteration did not converge")
-
-
-def fixed_point_oracle(spec: ProblemSpec) -> FixedPoint:
-    """Root of the aggregate mean field.
-
-    quadratic  -> theta* = u (zero-mean residual noise);
-    qlearning  -> value iteration on the (single) task;
-    custom     -> mean-field probe for degeneracy, else long SA run.
-    """
-    kinds = {op.kind for op in spec.operators}
-    if kinds == {"quadratic-gradient"}:
-        us = [op.params.get("u") for op in spec.operators]
-        if any(u is None for u in us):
-            raise OperatorError("quadratic operators lack the parameter u")
-        u0 = us[0]
-        if any(not np.array_equal(u, u0) for u in us):
-            raise OperatorError("agents disagree on the shared parameter u")
-        return FixedPoint(theta=np.array(u0, dtype=float), method="quadratic-root")
-    if kinds == {"qlearning"}:
-        mazes = {id(s.maze) for s in spec.sources}
-        if len(mazes) != 1:
-            raise OperatorError("analytic Q fixed point needs a single shared task")
-        gamma = spec.operators[0].params["gamma"]
-        q = value_iteration_q(spec.sources[0].maze, gamma)
-        return FixedPoint(theta=q, method="value-iteration")
-    if all(isinstance(s, FiniteChain) for s in spec.sources):
-        return _finite_chain_oracle(spec)
-    raise OperatorError("no fixed-point method applicable to this spec")
-
-
-def _finite_chain_oracle(spec, probes=8, tol=1e-10):
-    rng = np.random.default_rng(0)
-    d = spec.dim
-
-    def aggregate(theta):
-        return sum(eval_mean_field(op, src, theta)
-                   for op, src in zip(spec.operators, spec.sources))
-
-    # degeneracy probe: identically-zero aggregate has no unique root
-    if all(np.linalg.norm(aggregate(rng.standard_normal(d) * 5)) < tol
-           for _ in range(probes)) and np.linalg.norm(aggregate(np.zeros(d))) < tol:
-        return FixedPoint(theta=np.zeros(d), unique=False, method="degenerate")
-    theta = np.zeros(d)
-    for _ in range(500_000):
-        g = aggregate(theta)
-        if np.linalg.norm(g) < tol:
-            return FixedPoint(theta=theta, method="mean-field-iteration")
-        theta = theta + 0.05 * g
-    raise OperatorError("mean-field iteration did not converge to a root")

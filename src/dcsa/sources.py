@@ -192,15 +192,6 @@ def fit_mixing_profile(c: FiniteChain, eps_grid) -> MixingProfile:
     return MixingProfile(m=m, rho=rho, beta=beta)
 
 
-def global_tau(profiles, eps: float, per_agent_tau) -> int:
-    """Network-level tau(eps) = max{ceil(rho/(1-rho)), max_i tau(i,eps)}."""
-    if not profiles or not per_agent_tau:
-        raise SourceError("profiles and per-agent taus must be nonempty")
-    rho = max(p.rho for p in profiles)
-    floor_term = math.ceil(rho / (1.0 - rho) - 1e-9) if rho > 0 else 0
-    return max(floor_term, max(int(t) for t in per_agent_tau))
-
-
 # ---------------------------------------------------------------------------
 # autoregressive source
 

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from dcsa.core import (AdmissibilityReport, CoreError, RateConstants, Scenario,
                        StepSchedule, admissible_step_check, fit_c_tau,
-                       lemma3_residual, lemma4_residual, lyapunov, run, tau_k,
-                       td_error)
+                       eval_columns, lemma3_residual, lemma4_residual,
+                       lyapunov, run, tau_k, td_error)
 from dcsa.graphs import WeightMatrix, lazy_metropolis, line_graph
 from dcsa.operators import (LocalOperator, TabularFeatures,
                             qlearning_operator, quadratic_grad_operator)
@@ -455,12 +455,13 @@ def test_td_error_values(maze, gamma, sizes, seed):
     feats = TabularFeatures(n_states=1, n_actions=1)
     op = qlearning_operator(feats, gamma=0.5)
     batch = [(0, 0, 1.0, 0)]
-    assert td_error([np.zeros(1)], [batch], [op]) == pytest.approx(1.0)
-    assert td_error([np.array([2.0])], [batch], [op]) == pytest.approx(0.0)
+    columns = eval_columns([batch], [op])
+    assert td_error([np.zeros(1)], columns) == pytest.approx(1.0)
+    assert td_error([np.array([2.0])], columns) == pytest.approx(0.0)
     with pytest.raises(CoreError):
-        td_error([np.zeros(1)], [[]], [op])
+        eval_columns([[]], [op])
     with pytest.raises(CoreError):
-        td_error([np.zeros(1)], [batch], [quadratic_grad_operator(1)])
+        eval_columns([batch], [quadratic_grad_operator(1)])
 
     # random maze batches against the loop; the last agent's batch is empty
     feats = TabularFeatures(maze.n_cells, maze.n_actions)
@@ -471,9 +472,10 @@ def test_td_error_values(maze, gamma, sizes, seed):
     theta_rows = rng.standard_normal((len(ops), feats.dim))
     if sum(sizes) == 0:
         with pytest.raises(CoreError):
-            td_error(theta_rows, batches, ops)
+            eval_columns(batches, ops)
     else:
-        assert td_error(theta_rows, batches, ops) == pytest.approx(
+        columns = eval_columns(batches, ops)
+        assert td_error(theta_rows, columns) == pytest.approx(
             td_error_loop(theta_rows, batches, ops), rel=1e-12, abs=0)
 
 
@@ -630,7 +632,7 @@ def test_run_lemma2_drift_bound():
     rng = np.random.default_rng(4)
     u = rng.standard_normal(d) * 0.3
     srcs = [ARSource(A=np.zeros((d, d)), u=u, noise_clip=3.0) for _ in range(n)]
-    ops = [quadratic_grad_operator(d, u) for _ in range(n)]
+    ops = [quadratic_grad_operator(d) for _ in range(n)]
     sc = consensus_scenario(n, d, ops, horizon=2000,
                             step=StepSchedule(kind="constant", eps=1e-3),
                             sources=srcs, theta_star=u, beta=1.0)

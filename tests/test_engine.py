@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 from dcsa.config import ScenarioConfig
 from dcsa.core import (CoreError, MetricsRecord, MetricsTrajectory,
                        RateConstants, Scenario, StepSchedule, _BLOCK,
-                       lemma3_residual, lyapunov, run, run_ensemble, tau_k,
-                       td_error)
+                       eval_columns, lemma3_residual, lyapunov, run,
+                       run_ensemble, tau_k, td_error)
 from dcsa.experiments import build_gridworld_scenario, build_scenario
 from dcsa.graphs import lazy_metropolis, line_graph
 from dcsa.operators import LocalOperator, qlearning_operator
@@ -58,7 +58,7 @@ def run_reference(sc, collect_theta_bar=False):
         s_del = S_hist[max(0, k - t)]
         td = math.nan
         if sc.eval_batches is not None:
-            td = td_error(Theta, sc.eval_batches, sc.ops)
+            td = td_error(Theta, eval_columns(sc.eval_batches, sc.ops))
         records.append(MetricsRecord(
             k=k, eps_k=sc.step.value(k), tau_k=t, R=r_val, S=s_val,
             S_delayed=s_del, V=lyapunov(r_val, s_val, s_del),

@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcsa.config import ScenarioConfig
-from dcsa.core import CoreError, MetricsTrajectory, run, td_error
+from dcsa.core import (CoreError, MetricsTrajectory, eval_columns, run,
+                       td_error)
 from dcsa.experiments import (ScenarioError, build_gridworld_scenario,
                               build_scenario, build_system_id_scenario,
                               fit_rate, fit_rate_series, greedy_policy_rollout,
                               plateau_level, run_seed_ensemble)
-from dcsa.operators import (ProblemSpec, fixed_point_oracle,
-                            value_iteration_q)
+from dcsa.operators import value_iteration_q
 from dcsa.rng import derive_stream
 from dcsa.sources import MDPSource, parse_maze
 
@@ -126,13 +126,6 @@ def test_system_id_seed_changes_parameters():
     a = build_system_id_scenario(cfg1)
     b = build_system_id_scenario(cfg2)
     assert not np.array_equal(a.theta_star, b.theta_star)
-
-
-def test_system_id_theta_star_is_u_oracle():
-    cfg = ScenarioConfig(scenario="system_id", n_agents=3, dim=2, seed=5)
-    sc = build_system_id_scenario(cfg)
-    fp = fixed_point_oracle(ProblemSpec(operators=sc.ops, sources=sc.sources))
-    np.testing.assert_array_equal(fp.theta, sc.theta_star)
 
 
 def test_system_id_root_condition_monte_carlo():
@@ -277,8 +270,8 @@ def test_gridworld_eval_batches_are_arrays():
     rng = np.random.default_rng(0)
     for _ in range(20):
         theta = rng.standard_normal((3, sc.dim))
-        assert (td_error(theta, sc.eval_batches, sc.ops)
-                == td_error(theta, listed, sc.ops))
+        assert (td_error(theta, eval_columns(sc.eval_batches, sc.ops))
+                == td_error(theta, eval_columns(listed, sc.ops)))
 
 
 def test_gridworld_builder_agent_count_mismatch():

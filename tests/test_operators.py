@@ -4,18 +4,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dcsa.operators import (LocalOperator, OperatorError, ProblemSpec,
-                            TabularFeatures, ar_stationary_covariance,
-                            bellman_residual,
+from dcsa.operators import (LocalOperator, OperatorError, TabularFeatures,
+                            ar_stationary_covariance, bellman_residual,
                             clipped_normal_variance, estimate_constants,
-                            estimate_mean_field, eval_local, eval_mean_field,
-                            fixed_point_oracle, probe_thetas,
+                            eval_local, probe_thetas,
                             qlearning_block_drift, qlearning_operator,
                             quadratic_block_drift, quadratic_grad_operator,
                             system_id_constants, value_iteration_q)
 from dcsa.rng import derive_stream
-from dcsa.sources import (ARSource, FiniteChain, MDPSource, SourceError,
-                          ar_state_bound, parse_maze)
+from dcsa.sources import (ARSource, MDPSource, SourceError, ar_state_bound,
+                          parse_maze)
 
 from strategies import GAMMAS, mazes
 
@@ -40,7 +38,7 @@ def test_quadratic_op_d1_derived():
 
 def test_quadratic_op_residual_zero_at_u():
     u = np.array([0.3, -0.4])
-    op = quadratic_grad_operator(2, u)
+    op = quadratic_grad_operator(2)
     x1 = np.array([1.5, 2.5])
     x2 = float(u @ x1)  # noise-free observation
     np.testing.assert_allclose(eval_local(op, (x1, x2), u), np.zeros(2),
@@ -364,54 +362,13 @@ def test_qlearning_rejects_bad_gamma():
         qlearning_operator(one_state_one_action(), gamma=1.0)
 
 
-def test_tabular_features_one_hot():
+def test_tabular_features_index():
     feats = TabularFeatures(n_states=3, n_actions=4)
-    phi = feats.vector(2, 1)
-    assert phi.sum() == 1.0
-    assert phi[feats.index(2, 1)] == 1.0
     assert feats.dim == 12
-
-
-# ---------------------------------------------------------------------------
-# mean fields
-
-
-def test_eval_mean_field_constant_operator():
-    const = LocalOperator(dim=1, eval=lambda x, t: np.array([7.0]))
-    chain = FiniteChain(transition=[[0.7, 0.3], [0.3, 0.7]])
-    assert eval_mean_field(const, chain, np.zeros(1))[0] == pytest.approx(7.0)
-
-
-def test_eval_mean_field_symmetric_cancellation():
-    op = LocalOperator(dim=1,
-                       eval=lambda x, t: np.array([1.0 if x == 0 else -1.0]))
-    chain = FiniteChain(transition=[[0.7, 0.3], [0.3, 0.7]])  # mu = (1/2, 1/2)
-    assert eval_mean_field(op, chain, np.zeros(1))[0] == pytest.approx(0.0)
-
-
-def test_eval_mean_field_weighted():
-    op = LocalOperator(dim=1,
-                       eval=lambda x, t: np.array([3.0 if x == 0 else 0.0]))
-    chain = FiniteChain(transition=[[0.8, 0.2], [0.1, 0.9]])  # mu = (1/3, 2/3)
-    assert eval_mean_field(op, chain, np.zeros(1))[0] == pytest.approx(1.0)
-
-
-def test_eval_mean_field_rejects_continuous_source():
-    op = quadratic_grad_operator(1)
-    src = ARSource(A=np.zeros((1, 1)), u=np.ones(1))
-    with pytest.raises(OperatorError, match="estimate_mean_field"):
-        eval_mean_field(op, src, np.zeros(1))
-
-
-def test_monte_carlo_mean_field_matches_exact():
-    op = LocalOperator(dim=1,
-                       eval=lambda x, t: np.array([3.0 if x == 0 else 0.0]))
-    chain = FiniteChain(transition=[[0.8, 0.2], [0.1, 0.9]])
-    exact = eval_mean_field(op, chain, np.zeros(1))
-    mean, stderr = estimate_mean_field(op, chain, np.zeros(1), 100_000,
-                                       derive_stream(0, 0, "probe"))
-    # Markov samples are correlated; allow a generous multiple of the iid SE
-    assert abs(mean[0] - exact[0]) <= 25 * max(stderr[0], 1e-12)
+    # row-major over (state, action): every pair has its own slot in range
+    slots = [feats.index(s, a) for s in range(3) for a in range(4)]
+    assert slots == list(range(12))
+    assert feats.index(2, 1) == 9
 
 
 # ---------------------------------------------------------------------------
@@ -592,16 +549,7 @@ def test_one_point_monotonicity_quadratic():
 
 
 # ---------------------------------------------------------------------------
-# fixed points
-
-
-def test_fixed_point_quadratic_is_u():
-    u = np.array([1.0, 0.0, 0.0])
-    ops = [quadratic_grad_operator(3, u) for _ in range(3)]
-    srcs = [ARSource(A=np.zeros((3, 3)), u=u) for _ in range(3)]
-    fp = fixed_point_oracle(ProblemSpec(operators=ops, sources=srcs))
-    np.testing.assert_array_equal(fp.theta, u)
-    assert fp.unique
+# the Q* oracle
 
 
 def test_fixed_point_single_state_qlearning():
@@ -657,34 +605,3 @@ def value_iteration_loop(maze, gamma, tol=1e-12):
 def test_value_iteration_matches_scalar_sweep(maze, gamma):
     np.testing.assert_allclose(value_iteration_q(maze, gamma),
                                value_iteration_loop(maze, gamma), rtol=1e-12)
-
-
-def test_fixed_point_degenerate_flags_non_unique():
-    zero_op = LocalOperator(dim=2, eval=lambda x, t: np.zeros(2))
-    chain = FiniteChain(transition=[[0.5, 0.5], [0.5, 0.5]])
-    fp = fixed_point_oracle(ProblemSpec(operators=[zero_op], sources=[chain]))
-    assert not fp.unique
-    np.testing.assert_array_equal(fp.theta, np.zeros(2))
-
-
-def test_fixed_point_finite_chain_linear():
-    op = LocalOperator(dim=1, eval=lambda x, t: np.array([1.0]) - np.asarray(t))
-    chain = FiniteChain(transition=[[0.5, 0.5], [0.5, 0.5]])
-    fp = fixed_point_oracle(ProblemSpec(operators=[op], sources=[chain]))
-    assert fp.theta[0] == pytest.approx(1.0, abs=1e-9)
-
-
-def test_root_condition_at_fixed_point():
-    op = LocalOperator(dim=1, eval=lambda x, t: np.array([1.0]) - np.asarray(t))
-    chain = FiniteChain(transition=[[0.5, 0.5], [0.5, 0.5]])
-    fp = fixed_point_oracle(ProblemSpec(operators=[op], sources=[chain]))
-    resid = eval_mean_field(op, chain, fp.theta)
-    assert np.linalg.norm(resid) <= 1e-8
-
-
-def test_fixed_point_requires_shared_u():
-    ops = [quadratic_grad_operator(1, np.array([1.0])),
-           quadratic_grad_operator(1, np.array([2.0]))]
-    srcs = [ARSource(A=np.zeros((1, 1)), u=np.ones(1)) for _ in range(2)]
-    with pytest.raises(OperatorError):
-        fixed_point_oracle(ProblemSpec(operators=ops, sources=srcs))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dcsa.rng import derive_stream
 from dcsa.sources import (ARSource, FiniteChain, MDPSource, SourceError,
                           ar_state_bound, ergodicity_report,
-                          fit_mixing_profile, global_tau, mixing_time,
+                          fit_mixing_profile, mixing_time,
                           parse_maze, row_sums, slem,
                           stationary_distribution, tv_distance)
 
@@ -207,17 +207,6 @@ def test_mixing_profile_bound_holds():
 def test_slem_values():
     assert slem(two_state_chain(0.3, 0.3)) == pytest.approx(0.4)
     assert slem(two_state_chain(0.2, 0.1)) == pytest.approx(0.7)
-
-
-def test_global_tau():
-    p1 = fit_mixing_profile(two_state_chain(0.3, 0.3), [0.01])
-    assert global_tau([p1], 0.01, [5]) == 5
-    high = fit_mixing_profile(two_state_chain(0.05, 0.05), [0.01])
-    assert high.rho == pytest.approx(0.9)
-    assert global_tau([high], 0.01, [3]) == 9
-    uniform = fit_mixing_profile(FiniteChain(transition=np.full((2, 2), 0.5)),
-                                 [0.01])
-    assert global_tau([uniform], 0.01, [0]) == 0
 
 
 # ---------------------------------------------------------------------------
