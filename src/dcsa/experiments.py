@@ -144,59 +144,95 @@ class RateFit:
     n_points: int
 
 
+# points per block of a rate fit: its two log buffers take 64 KB each
+_FIT_BLOCK = 8192
+
+
 def fit_rate_series(ks, values) -> RateFit:
-    """Least-squares slope of log(value) against log(k)."""
+    """Least-squares slope of log(value) against log(k) over the points with
+    k >= 1, in closed form: with x = log k and y = log value each centered,
+    slope = sum(xy) / sum(xx) and r2 = slope sum(xy) / sum(yy), that is
+    1 - sum((y - slope x)^2) / sum(yy).
+
+    The centered sums are taken block by block in two reused buffers, each
+    block centered on its own mean and merged into the running sums by the
+    pairwise update of Chan, Golub & LeVeque, so a fit allocates nothing of
+    the series' length but for a copy that drops points with k < 1."""
     ks = np.asarray(ks, dtype=float)
     values = np.asarray(values, dtype=float)
     keep = ks >= 1
-    ks, values = ks[keep], values[keep]
+    if not keep.all():
+        ks, values = ks[keep], values[keep]
     if len(ks) < 2:
         raise CoreError("rate fit needs at least two points with k >= 1")
-    if np.any(~np.isfinite(values)) or np.any(values <= 0):
+    if not np.isfinite(values).all() or (values <= 0).any():
         raise CoreError("rate fit requires positive finite metric values")
-    x = np.log(ks)
-    y = np.log(values)
-    slope, intercept = np.polyfit(x, y, 1)
-    yhat = slope * x + intercept
-    ss_res = float(np.sum((y - yhat) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return RateFit(slope=float(slope), r2=r2, n_points=len(ks))
+    # k's so close that their logs are equal leave no line either
+    log_lo, log_hi = np.log(ks.min()), np.log(ks.max())
+    if log_lo == log_hi:
+        raise CoreError("rate fit needs at least two distinct k")
+    if not np.isfinite(log_hi):
+        raise CoreError("rate fit requires finite k")
+    x_buf = np.empty(min(_FIT_BLOCK, len(ks)))
+    y_buf = np.empty_like(x_buf)
+    n, mean_x, mean_y, sxx, sxy, syy = 0, 0.0, 0.0, 0.0, 0.0, 0.0
+    for lo in range(0, len(ks), _FIT_BLOCK):
+        m = min(_FIT_BLOCK, len(ks) - lo)
+        x = np.log(ks[lo:lo + m], out=x_buf[:m])
+        y = np.log(values[lo:lo + m], out=y_buf[:m])
+        block_x, block_y = x.mean(), y.mean()
+        x -= block_x
+        y -= block_y
+        dx, dy = block_x - mean_x, block_y - mean_y
+        w = n * m / (n + m)
+        sxx += float(x @ x) + dx * dx * w
+        sxy += float(x @ y) + dx * dy * w
+        syy += float(y @ y) + dy * dy * w
+        n += m
+        mean_x += dx * m / n
+        mean_y += dy * m / n
+    slope = sxy / sxx
+    # slope * sxy = sxy^2 / sxx <= syy, but may round a few ulps above it
+    r2 = 1.0 if syy == 0 else min(1.0, slope * sxy / syy)
+    return RateFit(slope=float(slope), r2=float(r2), n_points=n)
 
 
-def _metric_series(traj, metric):
+def _metric_values(traj, metric):
+    """R and S for every k (the history index), td at the logged records."""
     if metric == "R":
-        vals = traj.R_hist
-        return np.arange(len(vals)), vals
+        return traj.R_hist
     if metric == "S":
-        vals = traj.S_hist
-        return np.arange(len(vals)), vals
+        return traj.S_hist
     if metric == "td":
-        ks = traj.column("k")
-        return ks, traj.column("td_error")
+        return traj.column("td_error")
     raise CoreError(f"unknown metric {metric!r} (use R, S, or td)")
 
 
 def fit_rate(traj, metric, window) -> RateFit:
     """Log-log slope of a trajectory metric over window = (k_min, k_max).
 
-    The window must span at least one decade of k.
+    The window must span at least one decade of k. R and S are fitted on a
+    view of their history over the window.
     """
     k_min, k_max = window
     if k_max < 10 * k_min or k_min < 1:
         raise CoreError("fit window must span at least one decade with k_min >= 1")
-    ks, vals = _metric_series(traj, metric)
-    keep = (ks >= k_min) & (ks <= k_max)
-    return fit_rate_series(ks[keep], vals[keep])
+    vals = _metric_values(traj, metric)
+    if metric == "td":
+        ks = traj.column("k")
+        keep = (ks >= k_min) & (ks <= k_max)
+        return fit_rate_series(ks[keep], vals[keep])
+    lo = math.ceil(k_min)
+    vals = vals[lo:int(min(k_max, len(vals))) + 1]
+    return fit_rate_series(np.arange(lo, lo + len(vals), dtype=float), vals)
 
 
 def plateau_level(traj, metric, tail_fraction) -> float:
     """Median metric over the trailing tail_fraction of iterations."""
     if not (0.0 < tail_fraction <= 1.0):
         raise CoreError("tail_fraction must lie in (0,1]")
-    ks, vals = _metric_series(traj, metric)
-    start = int(math.floor(len(ks) * (1.0 - tail_fraction)))
-    tail = vals[start:]
+    vals = _metric_values(traj, metric)
+    tail = vals[int(math.floor(len(vals) * (1.0 - tail_fraction))):]
     tail = tail[np.isfinite(tail)]
     if len(tail) < 10:
         raise CoreError("horizon too short for a plateau estimate")

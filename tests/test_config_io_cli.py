@@ -522,6 +522,15 @@ def test_cli_fit_non_numeric_cell_exit_code(tmp_path, capsys):
     assert_fit_rejects(path, capsys)
 
 
+def test_cli_fit_one_k_exit_code(tmp_path, capsys):
+    """Rows that all share one k give no line to fit."""
+    path = emitted_csv(tmp_path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([lines[0]] + ["5" + row[row.index(","):]
+                                            for row in lines[1:]]) + "\n")
+    assert_fit_rejects(path, capsys)
+
+
 def test_read_metrics_rejects_short_row(tmp_path):
     path = emitted_csv(tmp_path)
     path.write_text(path.read_text() + "3,0.1\n")

@@ -61,6 +61,95 @@ def test_fit_rate_rejects_nonpositive():
         fit_rate_series(np.arange(1, 50), np.zeros(49))
 
 
+def polyfit_rate(ks, values):
+    """The degree-1 np.polyfit line that fit_rate_series replaced, with r2
+    from its residuals, over the points with k >= 1."""
+    ks = np.asarray(ks, dtype=float)
+    values = np.asarray(values, dtype=float)
+    keep = ks >= 1
+    x, y = np.log(ks[keep]), np.log(values[keep])
+    slope, intercept = np.polyfit(x, y, 1)
+    ss_res = float(np.sum((y - (slope * x + intercept)) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    return float(slope), 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
+
+
+@st.composite
+def noisy_power_laws(draw):
+    """(c, slope, noise, seed, length, window): a history of length values
+    c k^slope exp(noise z) for k = 0, 1, ... with z standard normal, and a
+    fit window of at least one decade that ends up to 50 points inside the
+    history or past its end. The history covers at least a decade of the
+    window, and may span up to five of the fit's 8192-point blocks."""
+    k_min = draw(st.integers(1, 300))
+    length = (k_min + draw(st.integers(9 * k_min + 1, 9 * k_min + 2000))
+              + 8192 * draw(st.sampled_from([0, 1, 2, 4])))
+    k_max = max(10 * k_min, length - 1 + draw(st.integers(-50, 50)))
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    return (draw(st.floats(1e-6, 1e6)),
+            sign * draw(st.floats(0.25, 3.0)), draw(st.floats(0.0, 0.05)),
+            draw(st.integers(0, 2**32 - 1)), length, (k_min, k_max))
+
+
+def power_law_history(c, slope, noise, seed, length):
+    k = np.arange(length, dtype=float)
+    z = np.random.default_rng(seed).standard_normal(length)
+    return c * np.maximum(k, 1.0) ** slope * np.exp(noise * z)
+
+
+@given(noisy_power_laws(), st.integers(0, 3))
+@settings(max_examples=100, deadline=None)
+def test_fit_rate_series_matches_polyfit(law, below_one):
+    """The closed-form line equals np.polyfit's on noisy power laws, with
+    points at k < 1 in front of the series dropped."""
+    c, slope, noise, seed, length, (k_min, k_max) = law
+    vals = power_law_history(c, slope, noise, seed, length)[k_min:k_max + 1]
+    ks = np.arange(k_min, k_min + len(vals), dtype=float)
+    ks = np.concatenate([[0.0, 0.25, 0.5][:below_one], ks])
+    vals = np.concatenate([[7.0, 8.0, 9.0][:below_one], vals])
+    fit = fit_rate_series(ks, vals)
+    ref_slope, ref_r2 = polyfit_rate(ks, vals)
+    assert fit.n_points == len(ks) - below_one
+    np.testing.assert_allclose(fit.slope, ref_slope, rtol=1e-12, atol=0)
+    assert abs(fit.r2 - ref_r2) <= 1e-12
+
+
+@given(noisy_power_laws())
+@settings(max_examples=100, deadline=None)
+def test_fit_rate_window_is_the_mask_selection(law):
+    """fit_rate's slice of R_hist and S_hist holds the points that the mask
+    (k_min <= k <= k_max) over k = 0 .. len - 1 selects, and gives their
+    fit."""
+    c, slope, noise, seed, length, window = law
+    traj = synthetic_traj(power_law_history(c, slope, noise, seed, length))
+    ks = np.arange(length)
+    keep = (ks >= window[0]) & (ks <= window[1])
+    for metric in ("R", "S"):
+        fit = fit_rate(traj, metric, window)
+        masked = fit_rate_series(ks[keep], traj.R_hist[keep])
+        assert fit.n_points == masked.n_points == int(keep.sum())
+        assert fit.slope == masked.slope
+        ref_slope, _ = polyfit_rate(ks[keep], traj.R_hist[keep])
+        np.testing.assert_allclose(fit.slope, ref_slope, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("ks, values, match", [
+    ([5.0], [1.0], "at least two points"),
+    ([0.0, 0.5, 3.0], [1.0, 2.0, 3.0], "at least two points"),
+    ([4.0, 4.0, 4.0], [1.0, 2.0, 3.0], "two distinct k"),
+    ([0.0, 7.0, 7.0], [1.0, 2.0, 3.0], "two distinct k"),
+    ([1e16, 1e16 + 2.0], [1.0, 2.0], "two distinct k"),   # equal logs
+    ([1.0, 2.0, 3.0], [1.0, 0.0, 3.0], "positive finite"),
+    ([1.0, 2.0, 3.0], [1.0, -2.0, 3.0], "positive finite"),
+    ([1.0, 2.0, 3.0], [1.0, np.nan, 3.0], "positive finite"),
+    ([1.0, 2.0, 3.0], [1.0, np.inf, 3.0], "positive finite"),
+    ([1.0, 2.0, np.inf], [1.0, 2.0, 3.0], "finite k"),
+])
+def test_fit_rate_series_rejects(ks, values, match):
+    with pytest.raises(CoreError, match=match):
+        fit_rate_series(ks, values)
+
+
 def test_fit_rate_on_trajectory_window():
     vals = np.concatenate([[np.nan], 1.0 / np.arange(1, 1000)])
     traj = synthetic_traj(vals)
