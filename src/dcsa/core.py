@@ -16,8 +16,8 @@ from time import perf_counter
 
 import numpy as np
 
-from .operators import (bellman_residual, qlearning_block_drift,
-                        quadratic_block_drift)
+from .operators import (TabularFeatures, bellman_residual,
+                        qlearning_block_drift, quadratic_block_drift)
 
 
 class CoreError(ValueError):
@@ -283,37 +283,60 @@ def lemma4_residual(R_by_seed, S_by_seed, eps_fn, tau_fn, rc: RateConstants,
     return k_all, slack, stderr
 
 
-def eval_columns(eval_batches, ops) -> list:
+def eval_columns(eval_batches, ops) -> tuple:
     """Per-agent batches of (s, a, r, s') rows as td_error's columns, built
-    once: (agent, features, gamma, s, a, r, s') with s, a and s' int and r
-    float arrays, for every agent whose batch is not empty. Raises
-    CoreError for no transition at all or an operator that is not
-    Q-learning."""
+    once: every agent's nonempty batch stacked in agent order, with the
+    states of agent i offset by i * states as the Q-learning step offsets
+    them, so that one bellman_residual call on the (agents * states) x
+    actions table of the agents' theta rows serves them all. Returns
+    (features, gamma, s, a, r, s', ends): the stacked features, each
+    transition's agent's gamma, s, a and s' as int and r as float arrays,
+    and the end of each agent's transitions. Raises CoreError for no
+    transition at all, an operator that is not Q-learning, agents whose
+    batches are not empty but whose features differ, or a state or action
+    beyond them (which would read another agent's rows)."""
     if not eval_batches or all(len(b) == 0 for b in eval_batches):
         raise CoreError("td_error needs a nonempty eval batch")
-    columns = []
-    for i, (batch, op) in enumerate(zip(eval_batches, ops)):
-        if op.kind != "qlearning":
-            raise CoreError("td_error applies to Q-learning operators only")
-        if len(batch) == 0:
-            continue
-        s, a, r, s_next = np.asarray(batch, dtype=float).T
-        columns.append((i, op.params["features"], op.params["gamma"],
-                        s.astype(int), a.astype(int), np.ascontiguousarray(r),
-                        s_next.astype(int)))
-    return columns
+    if any(op.kind != "qlearning" for op in ops):
+        raise CoreError("td_error applies to Q-learning operators only")
+    used = [(i, np.asarray(batch, dtype=float), op.params)
+            for i, (batch, op) in enumerate(zip(eval_batches, ops))
+            if len(batch) > 0]
+    features = used[0][2]["features"]
+    if any(params["features"] != features for _, _, params in used):
+        raise CoreError("td_error needs one features for all agents")
+    s, a, r, s_next = np.concatenate([batch for _, batch, _ in used]).T
+    s, a, s_next = s.astype(int), a.astype(int), s_next.astype(int)
+    if (min(s.min(), a.min(), s_next.min()) < 0
+            or max(s.max(), s_next.max()) >= features.n_states
+            or a.max() >= features.n_actions):
+        raise CoreError("an eval transition's state or action lies beyond "
+                        "the features' states and actions")
+    offsets = np.concatenate([np.full(len(batch), i * features.n_states)
+                              for i, batch, _ in used])
+    gamma = np.concatenate([np.full(len(batch), params["gamma"])
+                            for _, batch, params in used])
+    ends = np.cumsum([len(batch) for _, batch, _ in used]).tolist()
+    stacked = TabularFeatures(len(ops) * features.n_states,
+                              features.n_actions)
+    return (stacked, gamma, s + offsets, a, np.ascontiguousarray(r),
+            s_next + offsets, ends)
 
 
 def td_error(theta_rows, columns) -> float:
     """Mean absolute Bellman residual over agents and their eval batches,
-    given as eval_columns: one bellman_residual call per agent."""
+    given as eval_columns: one bellman_residual call for all agents, whose
+    |residuals| are then summed agent by agent and added in agent order,
+    as a call per agent would sum them."""
+    features, gamma, s, a, r, s_next, ends = columns
+    res = np.abs(bellman_residual(features, gamma, theta_rows, s, a, r,
+                                  s_next))
     total = 0.0
-    count = 0
-    for i, features, gamma, s, a, r, s_next in columns:
-        res = bellman_residual(features, gamma, theta_rows[i], s, a, r, s_next)
-        total += float(np.abs(res).sum())
-        count += res.size
-    return total / count
+    lo = 0
+    for hi in ends:
+        total += float(res[lo:hi].sum())
+        lo = hi
+    return total / len(res)
 
 
 # ---------------------------------------------------------------------------
@@ -515,10 +538,11 @@ def _step_stack(scs, collect_theta_bar):
     zips over views of the buffer's rows (for a stack of one, a list of
     them built once per run), the block's steps eps (one 0-d array for a
     constant step, the block's floats for a diminishing one) and its
-    weight frames, sliced from a cycled list of frames: W Theta goes into
-    the row, as one 2-D gemm for a stack of one and a broadcast (S, N, d)
-    matmul otherwise (see mix below), and the drift's step then adds eps F
-    to the row's 2-D (S*N, d) view.
+    frames' mixers, sliced from a cycled list of them built once per run:
+    mix(Theta, out) writes W Theta into the row, as one 2-D gemm by the
+    frame's bound ndarray.dot for a stack of one (of N >= 2 agents), and a
+    broadcast (S, N, d) np.matmul with the frame bound otherwise, and the
+    drift's step then adds eps F to the row's 2-D (S*N, d) view.
 
     Each block is timed in four phases, one perf_counter reading at the
     end of each: sample (block_drift draws the block), step (the T steps
@@ -534,7 +558,6 @@ def _step_stack(scs, collect_theta_bar):
     block_drift = _block_drift(
         [op for s in scs for op in s.ops],
         [copy.copy(src) for s in scs for src in s.sources], rngs)
-    frames = [w.entries for w in sc.weights]
     Theta = np.stack([s.theta0 for s in scs])
 
     horizon = sc.horizon
@@ -653,11 +676,17 @@ def _step_stack(scs, collect_theta_bar):
         rows_2d = rows_mix = list(rows_2d)
     theta = Theta.reshape(n_runs * n, d)
     theta_mix = theta if n_runs == 1 else Theta
-    # np.dot makes the gemm call without matmul's ufunc machinery, and
-    # rounds as matmul does, but for a 1 x 1 W, which it takes for a scalar
-    mix = np.dot if n_runs == 1 and n > 1 else np.matmul
+    # mix(Theta, out) writes W Theta into out, one per frame. A frame's
+    # bound dot makes the gemm call without matmul's ufunc machinery and
+    # without np.dot's __array_function__ dispatch, and rounds as matmul
+    # does, but for a 1 x 1 W, which it takes for a scalar
+    frames = [w.entries for w in sc.weights]
+    if n_runs == 1 and n > 1:
+        mixers = [w.dot for w in frames]
+    else:
+        mixers = [functools.partial(np.matmul, w) for w in frames]
     # frame (k0 + t) mod F of a block is item (k0 mod F) + t of this list
-    frame_cycle = frames * (_BLOCK // len(frames) + 2)
+    mix_cycle = mixers * (_BLOCK // len(mixers) + 2)
     # a constant step passes one 0-d array for the whole run, as a Python
     # float operand is converted at every ufunc call; a diminishing step
     # passes its block's floats, which 0-d views would cost as much to make
@@ -674,11 +703,11 @@ def _step_stack(scs, collect_theta_bar):
             lap("sample")
             eps = sc.step.values(k0, T)
             step_eps = eps if const_eps is None else const_eps
-            first = k0 % len(frames)
-            for t, (w, e, out, out_mix) in enumerate(zip(
-                    frame_cycle[first:first + T], step_eps, rows_2d,
+            first = k0 % len(mixers)
+            for t, (mix, e, out, out_mix) in enumerate(zip(
+                    mix_cycle[first:first + T], step_eps, rows_2d,
                     rows_mix)):
-                mix(w, theta_mix, out_mix)
+                mix(theta_mix, out_mix)
                 step(theta, t, e, out)
                 theta, theta_mix = out, out_mix
             finite = np.isfinite(buf[:T]).all(axis=(1, 2, 3))
@@ -736,8 +765,9 @@ def _block_drift(ops, sources, rngs):
     Theta at step t of the block, in place; eps is a float or a 0-d array.
     Built-in quadratic-gradient operators, or built-in Q-learning ones with
     one features and gamma, over sources of one class with a block_sampler
-    share one batched step. The sampler, and the Q-learning builder with
-    its _BLOCK-row buffers, are made once, here, for the whole run;
+    share one batched step. The sampler and the operators' builder, with
+    its _BLOCK-row buffers, are made once, here, for the whole run, and a
+    block is one draw whose samples the builder turns into the step;
     anything else is sampled and evaluated agent by agent. That per-agent
     step never hands an operator's eval a non-finite iterate: when Theta
     has a non-finite entry, out is set to NaN, and the run aborts at that
@@ -745,7 +775,7 @@ def _block_drift(ops, sources, rngs):
     kinds = {op.kind for op in ops}
     batched = None
     if kinds == {"quadratic-gradient"}:
-        batched = quadratic_block_drift
+        batched = quadratic_block_drift(ops[0].dim, len(ops), _BLOCK)
     elif kinds == {"qlearning"}:
         shared = {(op.params["features"], op.params["gamma"]) for op in ops}
         if len(shared) == 1:

@@ -228,12 +228,17 @@ def fit_rate(traj, metric, window) -> RateFit:
 
 
 def plateau_level(traj, metric, tail_fraction) -> float:
-    """Median metric over the trailing tail_fraction of iterations."""
+    """Median metric over the finite values of the trailing tail_fraction
+    of iterations."""
     if not (0.0 < tail_fraction <= 1.0):
         raise CoreError("tail_fraction must lie in (0,1]")
     vals = _metric_values(traj, metric)
     tail = vals[int(math.floor(len(vals) * (1.0 - tail_fraction))):]
-    tail = tail[np.isfinite(tail)]
+    finite = np.isfinite(tail)
+    if not finite.all():
+        # a copy only when there is a value to drop: np.median copies the
+        # tail again to partition it
+        tail = tail[finite]
     if len(tail) < 10:
         raise CoreError("horizon too short for a plateau estimate")
     return float(np.median(tail))

@@ -52,48 +52,64 @@ def quadratic_grad_operator(dim: int) -> LocalOperator:
     return LocalOperator(dim=dim, eval=_eval, kind="quadratic-gradient")
 
 
-def quadratic_block_drift(x1, x2):
-    """step(Theta, t, eps, out) of a stack of quadratic-gradient agents, whose
-    time-major blocks of samples are x1 (T, ..., d) and x2 (T, ...): for
-    Theta of the shape (..., d) of x1[t], it adds eps times each agent's
-    map at its t-th sample to out, which holds W Theta, in place. The
-    result equals out + eps * eval bit for bit: both sum a row's products
-    over the contiguous last axis, where a (T, d) @ product would round
-    otherwise, and both round 2 * resid, its product with x1 and eps times
-    that in this order.
+def quadratic_block_drift(dim, agents, rows):
+    """block(x1, x2) of a stack of `agents` quadratic-gradient agents of
+    dimension dim, built once per run: for time-major blocks of samples x1
+    (T, agents, dim) and x2 (T, agents), T <= rows, it returns
+    step(Theta, t, eps, out). For Theta of shape (agents, dim), the step
+    adds eps times each agent's map at its t-th sample to out, which holds
+    W Theta, in place. The result equals out + eps * eval bit for bit: both
+    sum a row's products over the contiguous last axis, where a (T, d) @
+    product would round otherwise, and both round 2 * resid, its product
+    with x1 and eps times that in this order.
 
-    The step's temporaries are allocated once per block and reused by every
-    step: the products x1[t] * Theta, which then hold the update, and the
-    row sums, which then hold the residuals. Each ufunc writes into them
-    through a positional out.
+    Every buffer is allocated once per run: the (rows, agents, dim) x1 and
+    (rows, agents, 1) x2 buffers, into which a block copies its samples,
+    the lists of their per-step rows, 2 as a 0-d array (a Python float is
+    converted at every call), and the step's scratch: the products x1[t] *
+    Theta, which then hold the update, and the row sums, which then hold
+    the residuals. Each ufunc writes into them through a positional out,
+    and the step calls them through local names, not np. attributes.
 
-    For d = 2 the row sum is one elementwise add, p0 + p1: numpy's reduce
+    For dim = 2 the row sum is one elementwise add, p0 + p1: numpy's reduce
     adds the row to +0.0, which rounds the same but for the sign of a zero
     sum (see sources.row_sums), and x2 - sum keeps that sign only where x2
     is zero. So a block whose x2 has no zero takes the add; any other keeps
     np.add.reduce."""
-    x2 = np.asarray(x2)[..., None]
-    two_terms = np.shape(x1)[-1] == 2 and bool(np.all(x2 != 0))
-    p = np.empty(np.shape(x1)[1:])
-    s = np.empty(p.shape[:-1] + (1,))
-    p0, p1 = p[..., :1], p[..., 1:]
-    two = np.array(2.0)   # 0-d: a Python float is converted at every call
+    x1_buf = np.empty((rows, agents, dim))
+    x2_buf = np.empty((rows, agents, 1))
+    x1_rows, x2_rows = list(x1_buf), list(x2_buf)
+    p = np.empty((agents, dim))
+    s = np.empty((agents, 1))
+    p0, p1 = p[:, :1], p[:, 1:]
+    two = np.array(2.0)
+    two_terms = False
+    mul, add, sub = np.multiply, np.add, np.subtract
+    # np.add.reduce: ndarray.sum goes through a Python wrapper
+    row_sum = np.add.reduce
 
     def step(Theta, t, eps, out):
-        x1_t = x1[t]
-        np.multiply(x1_t, Theta, p)
+        x1_t = x1_rows[t]
+        mul(x1_t, Theta, p)
         if two_terms:
-            np.add(p0, p1, s)
+            add(p0, p1, s)
         else:
-            # np.add.reduce: ndarray.sum goes through a Python wrapper
-            np.add.reduce(p, -1, None, s, True)
-        np.subtract(x2[t], s, s)
-        np.multiply(s, two, s)
-        np.multiply(s, x1_t, p)
-        np.multiply(p, eps, p)
-        np.add(out, p, out)
+            row_sum(p, -1, None, s, True)
+        sub(x2_rows[t], s, s)
+        mul(s, two, s)
+        mul(s, x1_t, p)
+        mul(p, eps, p)
+        add(out, p, out)
 
-    return step
+    def block(x1, x2):
+        nonlocal two_terms
+        T = len(x1)
+        np.copyto(x1_buf[:T], x1)
+        np.copyto(x2_buf[:T, :, 0], x2)
+        two_terms = dim == 2 and bool(np.all(x2 != 0))
+        return step
+
+    return block
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +188,8 @@ def qlearning_block_drift(features: TabularFeatures, gamma, agents, rows):
     the rewards; the lists of the per-step index, slot and reward rows,
     each slot row a view of its index row; a contiguous (rows, agents)
     scratch for the block's row bases; gamma as a 0-d array (a Python float
-    is converted at every call); and the step's scratch. A block checks its
+    is converted at every call); and the step's scratch, whose ufuncs the
+    step calls through local names, not np. attributes. A block checks its
     states and actions against the features, since take clips rather than
     checking them at every step, and fills the buffers' first T rows by
     ufuncs with out.
@@ -194,16 +211,18 @@ def qlearning_block_drift(features: TabularFeatures, gamma, agents, rows):
     gather = np.empty((n_actions + 1, agents))
     q_next, q = gather[:n_actions], gather[n_actions]   # Q(s', .), Q(s, a)
     res = np.empty(agents)
+    col_max, mul, add, sub = (np.maximum.reduce, np.multiply, np.add,
+                              np.subtract)
 
     def step(Theta, t, eps, out):
         Theta.take(index_rows[t], None, gather, "clip")
-        np.maximum.reduce(q_next, 0, None, res)
-        np.multiply(res, gamma, res)
-        np.add(res, reward_rows[t], res)
-        np.subtract(res, q, res)
-        np.multiply(res, eps, res)
+        col_max(q_next, 0, None, res)
+        mul(res, gamma, res)
+        add(res, reward_rows[t], res)
+        sub(res, q, res)
+        mul(res, eps, res)
         out.take(slot_rows[t], None, q, "clip")
-        np.add(q, res, q)
+        add(q, res, q)
         out.put(slot_rows[t], q)
 
     def block(s, a, r, s_next):

@@ -462,6 +462,15 @@ def test_td_error_values(maze, gamma, sizes, seed):
         eval_columns([[]], [op])
     with pytest.raises(CoreError):
         eval_columns([batch], [quadratic_grad_operator(1)])
+    # the agents' states are offset into one table: their features must
+    # agree, and a state or action beyond them would read another agent's
+    with pytest.raises(CoreError):
+        eval_columns([batch, batch],
+                     [op, qlearning_operator(TabularFeatures(1, 2), 0.5)])
+    for beyond in [(1, 0, 1.0, 0), (0, 1, 1.0, 0), (0, 0, 1.0, 1),
+                   (-1, 0, 1.0, 0)]:
+        with pytest.raises(CoreError):
+            eval_columns([[beyond], batch], [op, op])
 
     # random maze batches against the loop; the last agent's batch is empty
     feats = TabularFeatures(maze.n_cells, maze.n_actions)

@@ -439,6 +439,30 @@ def test_system_id_path_choice(first_op):
         assert getattr(new, name).tobytes() == getattr(batched, name).tobytes()
 
 
+def test_batched_drift_builders_are_made_once_per_run(monkeypatch):
+    """Each batched drift's builder, with its per-run buffers, is made once
+    per run, not once per block: a three-block run of each kind calls it
+    once."""
+    import dcsa.core
+
+    calls = []
+    for name in ("quadratic_block_drift", "qlearning_block_drift"):
+        def counting(*args, name=name, plain=getattr(dcsa.core, name)):
+            calls.append(name)
+            return plain(*args)
+
+        monkeypatch.setattr(dcsa.core, name, counting)
+    horizon = 3 * _BLOCK
+    run(build_scenario(ScenarioConfig(scenario="system_id", n_agents=3,
+                                      dim=2, horizon=horizon, stride=100)))
+    assert calls == ["quadratic_block_drift"]
+    run(build_gridworld_scenario(
+        ScenarioConfig(scenario="gridworld", n_agents=3, dim=100,
+                       horizon=horizon, stride=100, maze_files="unused"),
+        mazes=[parse_maze(m) for m in MAZES]))
+    assert calls == ["quadratic_block_drift", "qlearning_block_drift"]
+
+
 @given(seeds=st.lists(st.integers(0, 2**31 - 1), min_size=1, max_size=6),
        n=st.integers(1, 10), d=st.integers(1, 5), horizon=HORIZONS,
        stride=st.integers(1, 300),

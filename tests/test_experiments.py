@@ -173,6 +173,13 @@ def test_plateau_converged_zero_noise():
     assert plateau_level(traj, "R", 0.25) == 0.0
 
 
+def test_plateau_skips_non_finite_values():
+    """The median of the tail's finite values: 75..98 without 80 and 85."""
+    vals = np.arange(100.0)
+    vals[[80, 85, 99]] = [np.nan, np.inf, np.nan]
+    assert plateau_level(synthetic_traj(vals), "R", 0.25) == 87.5
+
+
 def test_plateau_short_horizon_rejected():
     traj = synthetic_traj(np.full(5, 1.0))
     with pytest.raises(CoreError):

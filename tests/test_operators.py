@@ -67,12 +67,17 @@ def test_quadratic_op_matches_finite_differences():
         np.testing.assert_allclose(val, -grad, rtol=1e-6, atol=1e-6)
 
 
-def ar_block(seed, i, d, T):
-    """T samples of an ARSource with a random subdiagonal A."""
+def ar_source(seed, i, d):
+    """An ARSource with a random subdiagonal A."""
     rng = np.random.default_rng([seed, i])
     A = np.diag(rng.uniform(0.8, 0.99, d - 1), k=-1)
-    src = ARSource(A=A, u=rng.standard_normal(d))
-    return src.sample_block(derive_stream(seed, i, "sample"), T)
+    return ARSource(A=A, u=rng.standard_normal(d))
+
+
+def ar_block(seed, i, d, T):
+    """T samples of ar_source(seed, i, d)."""
+    return ar_source(seed, i, d).sample_block(derive_stream(seed, i, "sample"),
+                                              T)
 
 
 def signed_zeros(rng, shape):
@@ -101,8 +106,8 @@ def test_quadratic_block_drift_matches_eval(n, d, T, eps, seed, scale):
     sum, and d above 8 numpy's pairwise sums."""
     op = quadratic_grad_operator(d)
     blocks = [ar_block(seed, i, d, T) for i in range(n)]
-    step = quadratic_block_drift(*(np.stack(x, axis=1)
-                                   for x in zip(*blocks)))
+    step = quadratic_block_drift(d, n, T)(*(np.stack(x, axis=1)
+                                            for x in zip(*blocks)))
     rng = np.random.default_rng(seed)
     for t in range(T):
         theta = scale * signed_zeros(rng, (n, d))
@@ -128,9 +133,53 @@ def test_quadratic_block_drift_two_terms_with_zero_x2():
     out0 = np.array([[-0.0, -0.0]])
     expected = out0 + 0.5 * op.eval((x1[0, 0], float(x2[0, 0])), theta[0])
     out = out0.copy()
-    quadratic_block_drift(x1, x2)(theta, 0, 0.5, out)
+    quadratic_block_drift(2, 1, 1)(x1, x2)(theta, 0, 0.5, out)
     assert out.tobytes() == expected.tobytes()
     assert np.signbit(expected).all()
+
+
+@pytest.mark.parametrize("d", [2, 5])
+@given(st.integers(1, 4), st.floats(1e-3, 10.0), st.integers(0, 2**31 - 1))
+@settings(max_examples=15, deadline=None)
+def test_quadratic_block_drift_refills_its_buffers_every_block(d, n, eps,
+                                                               seed):
+    """One builder, made once as the engine makes it per run, and driven
+    through consecutive blocks of 128, 1, 0, 77 and 128 steps drawn by one
+    ARSource.block_sampler: every step of every block equals out0 + eps *
+    eval, bit for bit. For d = 2 the 77-step block has a zero x2, at a step
+    whose products x1 * theta are both -0.0, and the blocks around it have
+    none, so the two-term row sum is on, off and on again: a block that
+    kept the choice of the block before it would step with p0 + p1, whose
+    +0.0 residual flips the sign of every entry of that agent's -0.0 row
+    of out0 plus its zero update. A block that left a row of the per-run
+    x1 or x2 buffers as the block before it filled it would step from that
+    block's samples."""
+    op = quadratic_grad_operator(d)
+    draw = ARSource.block_sampler(
+        [ar_source(seed, i, d) for i in range(n)],
+        [derive_stream(seed, i, "sample") for i in range(n)])
+    block = quadratic_block_drift(d, n, 128)
+    eps = np.array(eps)   # as the engine passes a constant step
+    rng = np.random.default_rng(seed)
+    for T in (128, 1, 0, 77, 128):
+        x1, x2 = draw(T)
+        assert np.all(x2 != 0)
+        zero_at = 40 if d == 2 and T == 77 else None
+        if zero_at is not None:
+            x2[zero_at, 0] = -0.0
+        step = block(x1, x2)
+        for t in range(T):
+            theta = signed_zeros(rng, (n, d))
+            out0 = signed_zeros(rng, (n, d))
+            if t == zero_at:
+                theta[0] = np.copysign(0.0, -x1[t, 0])
+                out0[0] = -0.0   # where the sign of the zero update shows
+            expected = out0 + eps * np.stack(
+                [op.eval((x1[t, i], float(x2[t, i])), theta[i])
+                 for i in range(n)])
+            out = out0.copy()
+            step(theta, t, eps, out)
+            assert out.tobytes() == expected.tobytes()
 
 
 def test_eval_local_dimension_check():
