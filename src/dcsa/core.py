@@ -448,7 +448,7 @@ def run(scenario: Scenario, collect_theta_bar: bool = False, *,
     eval warns about overflow inside it; one isfinite pass over the buffer
     then finds the first non-finite iterate, and the run aborts at its
     exact k with that iterate as theta_final. R, S, theta_bar and the
-    lemma-3 slack of the block's finite iterates are computed on the
+    lemma-3 slack of the block's finite iterates are computed from the
     time-major buffer as it stands. No operator's eval ever sees a
     non-finite iterate. The trajectory's phase_s holds the seconds spent
     drawing, stepping, measuring and logging.
@@ -532,9 +532,12 @@ def _step_stack(scs, collect_theta_bar):
     whole stack. Returns None when an iterate of a stack of more
     than one scenario goes non-finite.
 
-    Each block's iterates are a (T, S, N, d) buffer, and measure reads
-    them in that order: theta_bar adds the agents' slices, and R and S go
-    into the (S, horizon+1) histories through their transposes. A step
+    Each block's iterates are a (T, S, N, d) buffer. For N*d < 8 measure
+    copies them once into component-major (N, d, T*S) rows in the memory
+    of its deviation buffer and sums theta_bar and S by row adds; longer
+    rows are read in the buffer's order, theta_bar adding the agents'
+    slices and S reducing each step's N*d squares. R and S go into the (S,
+    horizon+1) histories through their transposes. A step
     zips over views of the buffer's rows (for a stack of one, a list of
     them built once per run), the block's steps eps (one 0-d array for a
     constant step, the block's floats for a diminishing one) and its
@@ -591,28 +594,59 @@ def _step_stack(scs, collect_theta_bar):
         """R, S, theta_bar and the lemma-3 slack of the iterates thetas =
         Theta_{k_lo..} of every run, time-major of shape (m, S, N, d);
         eps_prev holds the steps that produced them. Returns the (S, m)
-        slacks."""
+        slacks.
+
+        theta_bar is what thetas.mean(axis=2) gives, and S what
+        np.add.reduce gives over each (step, run)'s N*d squared deviations
+        in C order. For N*d < 8 numpy adds such a short row to +0.0 one
+        term at a time, so the block is copied once into component-major
+        rows of length m*S, and each sum is a chain of row adds in the same
+        order: theta_bar N + 1 calls, and S N*d - 1 adds of squares, which
+        are never -0.0, so the +0.0 start changes nothing. Longer rows,
+        which numpy sums pairwise, keep the time-major reductions."""
         m = len(thetas)
         ks = slice(k_lo, k_lo + m)
         theta_bar = bar_buf[:m]
-        if d == 1:
-            # the agent axis is contiguous, and numpy sums it pairwise
-            thetas.mean(axis=2, out=theta_bar)
-        else:
-            # thetas.mean(axis=2) adds the agents' rows to +0.0 in index
-            # order, then divides by N, but with one inner loop of length d
-            # per (step, run, agent); slice by slice it is N + 1 calls
-            np.add(thetas[:, :, 0], 0.0, out=theta_bar)
+        if short:
+            ms = m * n_runs
+            comp = dev_flat[:n * d * ms].reshape(n, d, ms)
+            np.copyto(comp.reshape(n, d, m, n_runs),
+                      thetas.transpose(2, 3, 0, 1))
+            bar = bar_flat[:d * ms].reshape(d, ms)
+            np.add(comp[0], 0.0, out=bar)
             for i in range(1, n):
-                theta_bar += thetas[:, :, i]
-            theta_bar /= n
+                bar += comp[i]
+            bar /= n
+            np.copyto(theta_bar,
+                      bar.reshape(d, m, n_runs).transpose(1, 2, 0))
+            np.subtract(comp, bar, out=comp)
+            np.multiply(comp, comp, out=comp)
+            squares = comp.reshape(n * d, ms)
+            total = squares[0]
+            for row in squares[1:]:
+                total += row
+            S_hist.T[ks] = total.reshape(m, n_runs)
+        else:
+            if d == 1:
+                # the agent axis is contiguous, and numpy sums it pairwise
+                thetas.mean(axis=2, out=theta_bar)
+            else:
+                # thetas.mean(axis=2) adds the agents' rows to +0.0 in
+                # index order, then divides by N, but with one inner loop
+                # of length d per (step, run, agent); slice by slice it is
+                # N + 1 calls
+                np.add(thetas[:, :, 0], 0.0, out=theta_bar)
+                for i in range(1, n):
+                    theta_bar += thetas[:, :, i]
+                theta_bar /= n
+            dev = np.subtract(thetas, theta_bar[:, :, None], out=dev_buf[:m])
+            np.multiply(dev, dev, out=dev)
+            S_hist.T[ks] = np.add.reduce(dev.reshape(m, n_runs, n * d),
+                                         axis=-1)
         if theta_star is not None:
             diff = theta_bar - theta_star
             R_hist.T[ks] = (diff[..., None, :] @ diff[..., None]).reshape(
                 m, n_runs)
-        dev = np.subtract(thetas, theta_bar[:, :, None], out=dev_buf[:m])
-        np.multiply(dev, dev, out=dev)
-        S_hist.T[ks] = np.add.reduce(dev.reshape(m, n_runs, n * d), axis=-1)
         if collect_theta_bar:
             tb_hist.swapaxes(0, 1)[ks] = theta_bar
         slack = np.full((n_runs, m), math.nan)
@@ -664,6 +698,12 @@ def _step_stack(scs, collect_theta_bar):
     buf = np.empty((max(1, min(_BLOCK, horizon)), n_runs, n, d))
     dev_buf = np.empty_like(buf)
     bar_buf = np.empty(buf.shape[:2] + (d,))
+    # measure's component-major rows for N*d < 8: the block's copy in
+    # dev_buf's memory, and theta_bar's (d, m*S) rows
+    short = n * d < 8
+    if short:
+        dev_flat = dev_buf.reshape(-1)
+        bar_flat = np.empty(bar_buf.size)
     # the views of the buffer's rows: the step reads and writes each row as
     # (S*N, d), and a stack of one is mixed in that form too, one gemm, from
     # a list of the views built once per run (iterating the buffer for both
@@ -763,32 +803,42 @@ def _block_drift(ops, sources, rngs):
     returns step(Theta, t, eps, out): out, a C-contiguous (S*N, d) array
     that holds W Theta, gains eps times the drift rows of the (S*N, d)
     Theta at step t of the block, in place; eps is a float or a 0-d array.
-    Built-in quadratic-gradient operators, or built-in Q-learning ones with
-    one features and gamma, over sources of one class with a block_sampler
-    share one batched step. The sampler and the operators' builder, with
-    its _BLOCK-row buffers, are made once, here, for the whole run, and a
-    block is one draw whose samples the builder turns into the step;
-    anything else is sampled and evaluated agent by agent. That per-agent
-    step never hands an operator's eval a non-finite iterate: when Theta
-    has a non-finite entry, out is set to NaN, and the run aborts at that
-    step all the same."""
-    kinds = {op.kind for op in ops}
-    batched = None
-    if kinds == {"quadratic-gradient"}:
-        batched = quadratic_block_drift(ops[0].dim, len(ops), _BLOCK)
-    elif kinds == {"qlearning"}:
-        shared = {(op.params["features"], op.params["gamma"]) for op in ops}
-        if len(shared) == 1:
-            batched = qlearning_block_drift(*shared.pop(), len(ops), _BLOCK)
+    Over sources of one class with a block_sampler, built-in
+    quadratic-gradient operators, or built-in Q-learning ones with one
+    features and gamma, share one batched step. The sampler and the
+    operators' builder, with its _BLOCK-row buffers, are then made once,
+    here, for the whole run, and a block is one draw whose samples the
+    builder turns into the step; the quadratic builder's buffers are the
+    ones the sampler draws into. Anything else is sampled and evaluated
+    agent by agent, and makes no builder. That per-agent step never hands
+    an operator's eval a non-finite iterate: when Theta has a non-finite
+    entry, out is set to NaN, and the run aborts at that step all the
+    same."""
     source_class = type(sources[0])
-    if (batched is not None and hasattr(source_class, "block_sampler")
+    if (hasattr(source_class, "block_sampler")
             and all(type(src) is source_class for src in sources)):
-        draw = source_class.block_sampler(sources, rngs)
+        kinds = {op.kind for op in ops}
+        if kinds == {"quadratic-gradient"}:
+            out, block = quadratic_block_drift(ops[0].dim, len(ops), _BLOCK)
+            draw = source_class.block_sampler(sources, rngs)
 
-        def sampled(T):
-            return batched(*draw(T))
+            def sampled(T):
+                draw(T, out)
+                return block(T)
 
-        return sampled
+            return sampled
+        if kinds == {"qlearning"}:
+            shared = {(op.params["features"], op.params["gamma"])
+                      for op in ops}
+            if len(shared) == 1:
+                block = qlearning_block_drift(*shared.pop(), len(ops),
+                                              _BLOCK)
+                draw = source_class.block_sampler(sources, rngs)
+
+                def sampled(T):
+                    return block(*draw(T))
+
+                return sampled
     ops_eval = [op.eval for op in ops]
 
     def per_agent(T):

@@ -53,32 +53,40 @@ def quadratic_grad_operator(dim: int) -> LocalOperator:
 
 
 def quadratic_block_drift(dim, agents, rows):
-    """block(x1, x2) of a stack of `agents` quadratic-gradient agents of
-    dimension dim, built once per run: for time-major blocks of samples x1
-    (T, agents, dim) and x2 (T, agents), T <= rows, it returns
-    step(Theta, t, eps, out). For Theta of shape (agents, dim), the step
-    adds eps times each agent's map at its t-th sample to out, which holds
-    W Theta, in place. The result equals out + eps * eval bit for bit: both
-    sum a row's products over the contiguous last axis, where a (T, d) @
-    product would round otherwise, and both round 2 * resid, its product
-    with x1 and eps times that in this order.
+    """(x, x2), block: the block layer of a stack of `agents`
+    quadratic-gradient agents of dimension dim, built once per run. A
+    block's T <= rows samples are drawn straight into the buffers x, of
+    shape (rows + 1, agents, dim), whose rows 1..T hold X(1) (row 0 is the
+    sampler's, for the states it starts from; see
+    sources.ARSource.block_sampler), and x2, of shape (rows, agents),
+    whose first T rows hold X(2). block(T) then returns step(Theta, t, eps,
+    out). For Theta of shape (agents, dim), the step adds eps times each
+    agent's map at its t-th sample to out, which holds W Theta, in place.
+    The result equals out + eps * eval bit for bit: both sum a row's
+    products over the contiguous last axis, where a (T, d) @ product would
+    round otherwise, and both round 2 * resid, its product with x1 and eps
+    times that in this order.
 
-    Every buffer is allocated once per run: the (rows, agents, dim) x1 and
-    (rows, agents, 1) x2 buffers, into which a block copies its samples,
-    the lists of their per-step rows, 2 as a 0-d array (a Python float is
-    converted at every call), and the step's scratch: the products x1[t] *
-    Theta, which then hold the update, and the row sums, which then hold
-    the residuals. Each ufunc writes into them through a positional out,
-    and the step calls them through local names, not np. attributes.
+    Every buffer is allocated once per run: x and x2, the lists of their
+    per-step rows, 2 as a 0-d array (a Python float is converted at every
+    call), and the step's scratch: the products x1[t] * Theta, which then
+    hold the update, and the row sums, which then hold the residuals. Each
+    ufunc writes into them through a positional out, and the step calls
+    them through local names, not np. attributes.
 
     For dim = 2 the row sum is one elementwise add, p0 + p1: numpy's reduce
     adds the row to +0.0, which rounds the same but for the sign of a zero
-    sum (see sources.row_sums), and x2 - sum keeps that sign only where x2
+    sum (see sources.row_dots), and x2 - sum keeps that sign only where x2
     is zero. So a block whose x2 has no zero takes the add; any other keeps
     np.add.reduce."""
-    x1_buf = np.empty((rows, agents, dim))
+    x = np.empty((rows + 1, agents, dim))
+    # a step reads x2's rows as (agents, 1) rows of a (rows, agents, 1)
+    # buffer: a row[:, None] view of a (rows, agents) one has a 0 stride,
+    # which takes numpy's slower strided loop (1.1 against 0.8 us per
+    # subtract by timeit)
     x2_buf = np.empty((rows, agents, 1))
-    x1_rows, x2_rows = list(x1_buf), list(x2_buf)
+    x2 = x2_buf[..., 0]
+    x1_rows, x2_rows = list(x[1:]), list(x2_buf)
     p = np.empty((agents, dim))
     s = np.empty((agents, 1))
     p0, p1 = p[:, :1], p[:, 1:]
@@ -101,15 +109,12 @@ def quadratic_block_drift(dim, agents, rows):
         mul(p, eps, p)
         add(out, p, out)
 
-    def block(x1, x2):
+    def block(T):
         nonlocal two_terms
-        T = len(x1)
-        np.copyto(x1_buf[:T], x1)
-        np.copyto(x2_buf[:T, :, 0], x2)
-        two_terms = dim == 2 and bool(np.all(x2 != 0))
+        two_terms = dim == 2 and bool(np.all(x2[:T] != 0))
         return step
 
-    return block
+    return (x, x2), block
 
 
 # ---------------------------------------------------------------------------

@@ -256,10 +256,16 @@ class ARSource:
 
     @staticmethod
     def block_sampler(sources, rngs):
-        """draw(T): the next T samples of each of R ARSources of one dim,
-        each from its own stream, time-major: x1 (T, R, d) and x2 (T, R),
-        with the values, final states and streams of T sample calls per
-        source.
+        """draw(T, out=None): the next T samples of each of R ARSources of
+        one dim, each from its own stream, time-major: x1 (T, R, d) and x2
+        (T, R), with the values, final states and streams of T sample calls
+        per source.
+
+        out, when given, is a pair of buffers (x, x2) with at least T + 1
+        and T rows, of shapes (rows + 1, R, d) and (rows, R): the block is
+        drawn into them, row 0 of x taking the states it starts from, and
+        draw returns their views x[1:T + 1] and x2[:T]. Without out, draw
+        makes a fresh pair for the block.
 
         The sources' clips, gains, u and states are gathered into arrays
         once, here. draw carries the states from block to block itself and
@@ -269,55 +275,69 @@ class ARSource:
         Each stream fills its (T, 2) noise with one standard_normal call,
         as T sample calls would draw it; the clip, the shift and the sums
         then act on all R sources at once. Column m of X(1) is A[m, m-1]
-        times column m-1 one step earlier: one array op per column over a
-        buffer whose step 0 is the state. One + 0.0 over the block then
-        makes every -0.0 +0.0, as sample's A @ state, which adds each
-        product to +0.0, does for a zero gain or state. x2 sums each row as
-        sample's 1-D sum does (see row_sums)."""
+        times column m-1 one step earlier: one array op per column over
+        rows whose first is the state. One + 0.0 over the block then makes
+        every -0.0 +0.0, as sample's A @ state, which adds each product to
+        +0.0, does for a zero gain or state. x2 sums each row of x1 * u as
+        sample's 1-D sum does (see row_dots)."""
+        n_sources, dim = len(sources), sources[0].dim
         clip = np.array([src.noise_clip for src in sources])[:, None, None]
         gains = np.array([src.A.diagonal(-1) for src in sources]).T
         u = np.array([src.u for src in sources])
         state = np.array([src.state for src in sources])
-        # one noise buffer, grown to the longest block: no array that draw
-        # returns refers to it, and a fresh one per block raised the peak
-        # RSS of the 30-seed lemma4_ensemble benchmark by about 0.2 MB
-        noise_buf = np.empty((len(sources), 0, 2))
+        # the noise and the products of row_dots, grown to the longest
+        # block: no array that draw returns refers to them, and a fresh
+        # noise buffer per block raised the peak RSS of the 30-seed
+        # lemma4_ensemble benchmark by about 0.2 MB
+        noise_buf = np.empty((n_sources, 0, 2))
+        products = np.empty((0, n_sources))
 
-        def draw(T):
-            nonlocal state, noise_buf
+        def draw(T, out=None):
+            nonlocal state, noise_buf, products
             if noise_buf.shape[1] < T:
-                noise_buf = np.empty((len(sources), T, 2))
+                noise_buf = np.empty((n_sources, T, 2))
+                products = np.empty((T, n_sources))
+            if out is None:
+                out = (np.empty((T + 1, n_sources, dim)),
+                       np.empty((T, n_sources)))
+            x, x2 = out[0][:T + 1], out[1][:T]
             noise = noise_buf[:, :T]
             for rng, rows in zip(rngs, noise):
                 rng.standard_normal(out=rows)
             np.minimum(np.maximum(noise, -clip, out=noise), clip, out=noise)
-            x = np.empty((T + 1,) + state.shape)
             x[0] = state
             x[1:, :, 0] = noise[..., 0].T
-            for m in range(1, x.shape[-1]):
+            for m in range(1, dim):
                 np.multiply(gains[m - 1], x[:-1, :, m - 1], out=x[1:, :, m])
             x1 = x[1:]
             x1 += 0.0
             state = x[-1].copy()
             for src, row in zip(sources, state):
                 src.state = row
-            x2 = row_sums(x1 * u)
+            row_dots(x1, u, x2, products[:T])
             x2 += noise[..., 1].T
             return x1, x2
 
         return draw
 
 
-def row_sums(p):
-    """np.add.reduce(p, axis=-1), bit for bit. numpy adds a short row to
-    +0.0 one term at a time, ((0.0 + p0) + p1) + ...: for two terms that
-    is one elementwise add, p0 + p1 (two terms round alike in either
-    order), with a -0.0 sum made +0.0; longer rows keep the reduce."""
-    if p.shape[-1] != 2:
-        return np.add.reduce(p, axis=-1)
-    s = np.add(p[..., 0], p[..., 1])
-    s += 0.0
-    return s
+def row_dots(x, u, out, scratch):
+    """np.add.reduce(x * u, axis=-1) into out, bit for bit, for x of shape
+    (..., d) and u broadcast against it; scratch has out's shape. numpy
+    adds a row shorter than 8 to +0.0 one term at a time, ((0.0 + p0) + p1)
+    + ...: for d < 8 that is a chain of column adds, each column's product
+    made in scratch, then + 0.0, which makes a -0.0 sum +0.0 as the start
+    from +0.0 does, so no (..., d) product is made. Longer rows, which
+    numpy sums pairwise, keep the reduce."""
+    d = x.shape[-1]
+    if d >= 8:
+        return np.add.reduce(x * u, axis=-1, out=out)
+    np.multiply(x[..., 0], u[..., 0], out=out)
+    for m in range(1, d):
+        np.multiply(x[..., m], u[..., m], out=scratch)
+        out += scratch
+    out += 0.0
+    return out
 
 
 def ar_state_bound(A, noise_clip) -> np.ndarray:

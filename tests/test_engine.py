@@ -176,25 +176,45 @@ HORIZONS = st.one_of(
                              ("diminishing", 0.03), ("diminishing", 1.0)]),
        time_varying=st.booleans(), constants=st.booleans(),
        collect_theta_bar=st.booleans(), batched=st.booleans(),
-       seed=st.integers(0, 2**31 - 1))
+       seed=st.integers(0, 2**31 - 1), negative_zeros=st.booleans())
 # d = 1: measure keeps numpy's pairwise mean over the contiguous agent axis,
 # which differs from adding agent slices from n = 8 on
 @example(n=3, d=1, horizon=300, stride=7, step=("constant", 0.3),
          time_varying=False, constants=True, collect_theta_bar=True,
-         batched=True, seed=5)
+         batched=True, seed=5, negative_zeros=False)
 @example(n=8, d=1, horizon=300, stride=7, step=("diminishing", 1.0),
          time_varying=True, constants=True, collect_theta_bar=True,
-         batched=True, seed=5)
+         batched=True, seed=5, negative_zeros=False)
+# N*d = 7, 7 and 8: measure sums a row of N*d terms by a chain of row adds
+# below 8 terms, where numpy's sum is one, and keeps numpy's pairwise sum
+# from 8 on; a theta0 of -0.0 shows whether theta_bar starts from +0.0,
+# and N, d >= 2 whether S adds its terms in (agent, coordinate) order
+@example(n=7, d=1, horizon=300, stride=7, step=("constant", 0.3),
+         time_varying=False, constants=True, collect_theta_bar=True,
+         batched=True, seed=5, negative_zeros=False)
+@example(n=1, d=7, horizon=300, stride=7, step=("diminishing", 1.0),
+         time_varying=False, constants=True, collect_theta_bar=True,
+         batched=True, seed=5, negative_zeros=False)
+@example(n=4, d=2, horizon=300, stride=7, step=("constant", 0.3),
+         time_varying=True, constants=True, collect_theta_bar=True,
+         batched=True, seed=5, negative_zeros=False)
+@example(n=3, d=2, horizon=300, stride=7, step=("constant", 0.3),
+         time_varying=False, constants=True, collect_theta_bar=True,
+         batched=True, seed=5, negative_zeros=True)
 @settings(max_examples=60, deadline=None)
 def test_run_matches_reference_loop(n, d, horizon, stride, step, time_varying,
                                     constants, collect_theta_bar, batched,
-                                    seed):
+                                    seed, negative_zeros):
+    """run() equals the per-step reference loop bit for bit, on the batched
+    and the per-agent drift path, from a theta0 of +0.0 or -0.0."""
     cfg = ScenarioConfig(scenario="system_id", n_agents=n, dim=d, seed=seed,
                          horizon=horizon, stride=stride, step_kind=step[0],
                          step_eps=step[1],
                          frames=alternating_frames(n) if time_varying else "",
                          period_b=2)
     sc = build_scenario(cfg)
+    if negative_zeros:
+        sc.theta0 = np.full((n, d), -0.0)
     if constants:
         # fixed constants: the builder's need a horizon longer than tau_k
         sc.constants = RateConstants.from_problem(
@@ -202,8 +222,8 @@ def test_run_matches_reference_loop(n, d, horizon, stride, step, time_varying,
             theta_star_norm=1.0, c_tau=0.5)
     if not batched:   # a custom-kind operator takes the per-agent loop
         sc.ops[0] = dataclasses.replace(sc.ops[0], kind="custom")
-    assert_same_trajectory(run(sc, collect_theta_bar),
-                           run_reference(sc, collect_theta_bar))
+    assert_identical(run(sc, collect_theta_bar),
+                     run_reference(sc, collect_theta_bar))
 
 
 def three_frames(n):
@@ -439,10 +459,23 @@ def test_system_id_path_choice(first_op):
         assert getattr(new, name).tobytes() == getattr(batched, name).tobytes()
 
 
+@dataclasses.dataclass
+class Unbatched:
+    """A source behind a class with no block_sampler."""
+
+    source: object
+
+    def sample(self, rng):
+        return self.source.sample(rng)
+
+    def __copy__(self):
+        return Unbatched(copy.copy(self.source))
+
+
 def test_batched_drift_builders_are_made_once_per_run(monkeypatch):
     """Each batched drift's builder, with its per-run buffers, is made once
     per run, not once per block: a three-block run of each kind calls it
-    once."""
+    once. A run that falls back to the per-agent loop calls none."""
     import dcsa.core
 
     calls = []
@@ -453,14 +486,21 @@ def test_batched_drift_builders_are_made_once_per_run(monkeypatch):
 
         monkeypatch.setattr(dcsa.core, name, counting)
     horizon = 3 * _BLOCK
-    run(build_scenario(ScenarioConfig(scenario="system_id", n_agents=3,
-                                      dim=2, horizon=horizon, stride=100)))
+    sc = build_scenario(ScenarioConfig(scenario="system_id", n_agents=3,
+                                       dim=2, horizon=horizon, stride=100))
+    batched = run(sc)
     assert calls == ["quadratic_block_drift"]
     run(build_gridworld_scenario(
         ScenarioConfig(scenario="gridworld", n_agents=3, dim=100,
                        horizon=horizon, stride=100, maze_files="unused"),
         mazes=[parse_maze(m) for m in MAZES]))
     assert calls == ["quadratic_block_drift", "qlearning_block_drift"]
+    # sources of a class without a block_sampler take the per-agent loop,
+    # and no builder is made for it
+    calls.clear()
+    sc.sources = [Unbatched(src) for src in sc.sources]
+    assert_identical(run(sc), batched)
+    assert calls == []
 
 
 @given(seeds=st.lists(st.integers(0, 2**31 - 1), min_size=1, max_size=6),
@@ -471,30 +511,50 @@ def test_batched_drift_builders_are_made_once_per_run(monkeypatch):
        time_varying=st.booleans(),
        constants=st.none() | st.lists(st.floats(0.5, 500.0), min_size=6,
                                       max_size=6),
-       collect_theta_bar=st.booleans())
+       collect_theta_bar=st.booleans(), negative_zeros=st.booleans())
 # d = 1: see test_run_matches_reference_loop
 @example(seeds=[3, 1, 4], n=3, d=1, horizon=300, stride=7,
          step=("constant", 0.3), time_varying=False,
-         constants=[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], collect_theta_bar=True)
+         constants=[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], collect_theta_bar=True,
+         negative_zeros=False)
 @example(seeds=[3, 1, 4], n=8, d=1, horizon=300, stride=7,
          step=("diminishing", 1.0), time_varying=True, constants=None,
-         collect_theta_bar=True)
+         collect_theta_bar=True, negative_zeros=False)
 # one (N, N) x (N, S*d) gemm for the whole stack rounds otherwise than the
 # per-run products under some BLAS kernels: under OpenBLAS's Nehalem ones
 # these two stacks tell them apart, where the stacks above do not
 @example(seeds=[3, 1, 4, 1, 5, 9], n=5, d=5, horizon=300, stride=7,
          step=("constant", 0.3), time_varying=False, constants=None,
-         collect_theta_bar=False)
+         collect_theta_bar=False, negative_zeros=False)
 @example(seeds=[2, 7, 1, 8, 2, 8], n=10, d=5, horizon=300, stride=7,
          step=("diminishing", 1.0), time_varying=False,
-         constants=[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], collect_theta_bar=True)
+         constants=[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], collect_theta_bar=True,
+         negative_zeros=False)
+# N*d = 7, 7 and 8, and a theta0 of -0.0: see test_run_matches_reference_loop
+@example(seeds=[3, 1, 4, 1, 5], n=7, d=1, horizon=300, stride=7,
+         step=("constant", 0.3), time_varying=False,
+         constants=[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], collect_theta_bar=True,
+         negative_zeros=False)
+@example(seeds=[3, 1, 4, 1, 5], n=1, d=7, horizon=300, stride=7,
+         step=("diminishing", 1.0), time_varying=False,
+         constants=[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], collect_theta_bar=True,
+         negative_zeros=False)
+@example(seeds=[3, 1, 4, 1, 5], n=4, d=2, horizon=300, stride=7,
+         step=("constant", 0.3), time_varying=True,
+         constants=[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], collect_theta_bar=True,
+         negative_zeros=False)
+@example(seeds=[2, 7, 1, 8, 2, 8], n=3, d=2, horizon=300, stride=7,
+         step=("constant", 0.3), time_varying=False,
+         constants=[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], collect_theta_bar=True,
+         negative_zeros=True)
 @settings(max_examples=40, deadline=None)
 def test_run_ensemble_matches_single_runs(seeds, n, d, horizon, stride, step,
                                           time_varying, constants,
-                                          collect_theta_bar):
+                                          collect_theta_bar, negative_zeros):
     """Every run of a stacked system-id ensemble of 1 to 6 seeds equals
     run() and the per-step reference loop of its scenario alone, bit for
-    bit; with constants, each seed has its own B, hence its own C0."""
+    bit; with constants, each seed has its own B, hence its own C0. Every
+    run starts from a theta0 of +0.0 or, with negative_zeros, -0.0."""
     cfg = ScenarioConfig(scenario="system_id", n_agents=n, dim=d,
                          horizon=horizon, stride=stride, step_kind=step[0],
                          step_eps=step[1],
@@ -502,6 +562,9 @@ def test_run_ensemble_matches_single_runs(seeds, n, d, horizon, stride, step,
                          period_b=2)
     scs = [build_scenario(dataclasses.replace(cfg, seed=seed))
            for seed in seeds]
+    if negative_zeros:
+        for sc in scs:
+            sc.theta0 = np.full((n, d), -0.0)
     if constants is not None:
         for sc, B in zip(scs, constants):
             sc.constants = RateConstants.from_problem(

@@ -106,8 +106,10 @@ def test_quadratic_block_drift_matches_eval(n, d, T, eps, seed, scale):
     sum, and d above 8 numpy's pairwise sums."""
     op = quadratic_grad_operator(d)
     blocks = [ar_block(seed, i, d, T) for i in range(n)]
-    step = quadratic_block_drift(d, n, T)(*(np.stack(x, axis=1)
-                                            for x in zip(*blocks)))
+    (x, x2), block = quadratic_block_drift(d, n, T)
+    x[1:] = np.stack([b1 for b1, _ in blocks], axis=1)
+    x2[:] = np.stack([b2 for _, b2 in blocks], axis=1)
+    step = block(T)
     rng = np.random.default_rng(seed)
     for t in range(T):
         theta = scale * signed_zeros(rng, (n, d))
@@ -127,13 +129,14 @@ def test_quadratic_block_drift_two_terms_with_zero_x2():
     whose sum starts from +0.0, and -0.0 - (-0.0) = +0.0 for p0 + p1. The
     d = 2 step must still equal out0 + eps * eval, bit for bit."""
     op = quadratic_grad_operator(2)
-    x1 = np.array([[[1.0, 2.0]]])          # (T, agents, d)
-    x2 = np.array([[-0.0]])                # (T, agents)
+    (x, x2), block = quadratic_block_drift(2, 1, 1)
+    x[1] = [[1.0, 2.0]]                    # X(1) of step 0: (agents, d)
+    x2[0] = [-0.0]                         # X(2) of step 0: (agents,)
     theta = np.array([[-0.0, -0.0]])       # both products are -0.0
     out0 = np.array([[-0.0, -0.0]])
-    expected = out0 + 0.5 * op.eval((x1[0, 0], float(x2[0, 0])), theta[0])
+    expected = out0 + 0.5 * op.eval((x[1, 0], float(x2[0, 0])), theta[0])
     out = out0.copy()
-    quadratic_block_drift(2, 1, 1)(x1, x2)(theta, 0, 0.5, out)
+    block(1)(theta, 0, 0.5, out)
     assert out.tobytes() == expected.tobytes()
     assert np.signbit(expected).all()
 
@@ -144,30 +147,30 @@ def test_quadratic_block_drift_two_terms_with_zero_x2():
 def test_quadratic_block_drift_refills_its_buffers_every_block(d, n, eps,
                                                                seed):
     """One builder, made once as the engine makes it per run, and driven
-    through consecutive blocks of 128, 1, 0, 77 and 128 steps drawn by one
-    ARSource.block_sampler: every step of every block equals out0 + eps *
-    eval, bit for bit. For d = 2 the 77-step block has a zero x2, at a step
-    whose products x1 * theta are both -0.0, and the blocks around it have
-    none, so the two-term row sum is on, off and on again: a block that
-    kept the choice of the block before it would step with p0 + p1, whose
-    +0.0 residual flips the sign of every entry of that agent's -0.0 row
-    of out0 plus its zero update. A block that left a row of the per-run
-    x1 or x2 buffers as the block before it filled it would step from that
-    block's samples."""
+    through consecutive blocks of 128, 1, 0, 77 and 128 steps that one
+    ARSource.block_sampler draws into its buffers: every step of every
+    block equals out0 + eps * eval, bit for bit. For d = 2 the 77-step
+    block has a zero x2, at a step whose products x1 * theta are both
+    -0.0, and the blocks around it have none, so the two-term row sum is
+    on, off and on again: a block that kept the choice of the block before
+    it would step with p0 + p1, whose +0.0 residual flips the sign of
+    every entry of that agent's -0.0 row of out0 plus its zero update. A
+    draw that left a row of the builder's x1 or x2 buffers as the block
+    before it filled it would make the step read that block's samples."""
     op = quadratic_grad_operator(d)
     draw = ARSource.block_sampler(
         [ar_source(seed, i, d) for i in range(n)],
         [derive_stream(seed, i, "sample") for i in range(n)])
-    block = quadratic_block_drift(d, n, 128)
+    buffers, block = quadratic_block_drift(d, n, 128)
     eps = np.array(eps)   # as the engine passes a constant step
     rng = np.random.default_rng(seed)
     for T in (128, 1, 0, 77, 128):
-        x1, x2 = draw(T)
+        x1, x2 = draw(T, buffers)
         assert np.all(x2 != 0)
         zero_at = 40 if d == 2 and T == 77 else None
         if zero_at is not None:
             x2[zero_at, 0] = -0.0
-        step = block(x1, x2)
+        step = block(T)
         for t in range(T):
             theta = signed_zeros(rng, (n, d))
             out0 = signed_zeros(rng, (n, d))

@@ -9,7 +9,7 @@ from dcsa.rng import derive_stream
 from dcsa.sources import (ARSource, FiniteChain, MDPSource, SourceError,
                           ar_state_bound, ergodicity_report,
                           fit_mixing_profile, mixing_time,
-                          parse_maze, row_sums, slem,
+                          parse_maze, row_dots, slem,
                           stationary_distribution, tv_distance)
 
 from strategies import mazes
@@ -426,7 +426,9 @@ def test_ar_sample_block_matches_sample(d, specs, t1, t2, zero_at, seed):
     source, signed zeros included (a zero gain makes its product -0.0 where
     sample's A @ state gives +0.0), and leaves every source's state and
     stream where those calls leave them. A stack of one is drawn with
-    sample_block."""
+    sample_block, in fresh arrays per block; a larger stack is drawn into
+    one pair of buffers for all three blocks, as the engine draws it, and
+    the rows of x past the block are left as they were."""
     ones, blocks, rngs_one, rngs_block = [], [], [], []
     for i, (subdiagonal, clip, warmup) in enumerate(specs):
         u = np.random.default_rng([seed, i]).standard_normal(d)
@@ -443,12 +445,19 @@ def test_ar_sample_block_matches_sample(d, specs, t1, t2, zero_at, seed):
         rngs_one.append(rng_one)
         rngs_block.append(rng_block)
     draw = ARSource.block_sampler(blocks, rngs_block)
+    rows = max(t1, t2) + 1
+    buffers = (np.full((rows + 1, len(blocks), d), np.inf),
+               np.full((rows, len(blocks)), np.inf))
     for T in three_blocks(t1, t2, zero_at):
         if len(blocks) == 1:
             x1, x2 = (x[:, None] for x in blocks[0].sample_block(
                 rngs_block[0], T))
         else:
-            x1, x2 = draw(T)
+            past = buffers[0][T + 1:].copy(), buffers[1][T:].copy()
+            x1, x2 = draw(T, buffers)
+            assert x1.base is buffers[0] and x2.base is buffers[1]
+            assert buffers[0][T + 1:].tobytes() == past[0].tobytes()
+            assert buffers[1][T:].tobytes() == past[1].tobytes()
         assert x1.shape == (T, len(blocks), d) and x2.shape == (T, len(blocks))
         for i, (one, rng_one) in enumerate(zip(ones, rngs_one)):
             expected = [one.sample(rng_one) for _ in range(T)]
@@ -461,17 +470,41 @@ def test_ar_sample_block_matches_sample(d, specs, t1, t2, zero_at, seed):
         assert rng_block.integers(0, 2**63) == rng_one.integers(0, 2**63)
 
 
-@given(st.integers(1, 10), st.integers(0, 2**31 - 1))
-@settings(max_examples=100, deadline=None)
-def test_row_sums_match_reduce(d, seed):
-    """row_sums equals np.add.reduce over the last axis bit for bit,
-    signed zeros included; d = 2 takes the elementwise add."""
+def special_floats(rng, shape):
+    """Standard normals with about a fifth of the entries -0.0, a fifth
+    +0.0, and a few subnormals, infinities of either sign and NaNs. The
+    NaNs are the one that inf - inf gives, as are those of inf * 0 among
+    the products: where a sum meets NaNs of both signs, which of them it
+    carries depends on the operand order numpy's loops were compiled with,
+    which neither the reduce nor a chain of adds promises."""
+    x = rng.standard_normal(shape)
+    u = rng.random(shape)
+    x[u < 0.2] = -0.0
+    x[u > 0.8] = 0.0
+    x[(u > 0.2) & (u < 0.3)] *= 1e-310   # subnormal
+    x[(u > 0.4) & (u < 0.41)] = np.inf
+    x[(u > 0.5) & (u < 0.51)] = -np.inf
+    with np.errstate(invalid="ignore"):
+        x[(u > 0.6) & (u < 0.61)] = np.subtract(np.inf, np.inf)
+    return x
+
+
+@given(st.integers(0, 2**31 - 1))
+@settings(max_examples=30, deadline=None)
+def test_row_dots_match_reduce(seed):
+    """row_dots gives np.add.reduce(x * u, axis=-1) bit for bit, for x of
+    shape (T, R, d) and u of shape (R, d) as the AR sampler passes them: for
+    each d = 1 to 7 its chain of column adds and + 0.0, for d = 8 to 10 the
+    reduce, with +-0.0, subnormals, +-inf and NaN among the entries."""
     rng = np.random.default_rng(seed)
-    p = rng.standard_normal((20, 3, d))
-    u = rng.random(p.shape)
-    p[u < 0.3] = -0.0
-    p[u > 0.8] = 0.0
-    assert row_sums(p).tobytes() == np.add.reduce(p, axis=-1).tobytes()
+    for d in range(1, 11):
+        x = special_floats(rng, (20, 3, d))
+        u = special_floats(rng, (3, d))
+        out = np.empty((20, 3))
+        with np.errstate(invalid="ignore"):
+            expected = np.add.reduce(x * u, axis=-1)
+            assert row_dots(x, u, out, np.empty_like(out)) is out
+        assert out.tobytes() == expected.tobytes(), d
 
 
 def test_maze_transitions_table_is_built_on_first_use():
