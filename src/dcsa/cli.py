@@ -154,6 +154,8 @@ def cmd_rollout(args):
     except (ValueError, TypeError, EOFError) as exc:
         raise FormatError(f"cannot read theta from {args.theta}: {exc}") from exc
     if theta.ndim == 2:
+        if len(theta) == 0:
+            raise FormatError(f"theta in {args.theta} has no rows")
         theta = theta.mean(axis=0)
     results = []
     for path in paths:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .operators import (TabularFeatures, bellman_residual,
                         qlearning_block_drift, quadratic_block_drift)
+from .sources import _SHORT_ROW, ordered_sum
 
 
 class CoreError(ValueError):
@@ -394,6 +395,8 @@ class Scenario:
         self.theta0 = np.asarray(self.theta0, dtype=float)
         if self.theta0.shape != (n, d):
             raise CoreError(f"theta0 must have shape ({n},{d})")
+        if not np.isfinite(self.theta0).all():
+            raise CoreError("theta0 must be finite")
         if self.horizon < 0 or self.stride < 1:
             raise CoreError("horizon must be >= 0 and stride >= 1")
 
@@ -532,16 +535,11 @@ def _step_stack(scs, collect_theta_bar):
     whole stack. Returns None when an iterate of a stack of more
     than one scenario goes non-finite.
 
-    Each block's iterates are a (T, S, N, d) buffer. For N*d < 8 measure
-    copies them once into component-major (N, d, T*S) rows in the memory
-    of its deviation buffer and sums theta_bar and S by row adds; longer
-    rows are read in the buffer's order, theta_bar adding the agents'
-    slices and S reducing each step's N*d squares. R and S go into the (S,
-    horizon+1) histories through their transposes. A step
-    zips over views of the buffer's rows (for a stack of one, a list of
-    them built once per run), the block's steps eps (one 0-d array for a
-    constant step, the block's floats for a diminishing one) and its
-    frames' mixers, sliced from a cycled list of them built once per run:
+    Each block's iterates are a (T, S, N, d) buffer. A step zips over
+    views of the buffer's rows (for a stack of one, a list of them built
+    once per run), the block's steps eps (one 0-d array for a constant
+    step, the block's floats for a diminishing one) and its frames'
+    mixers, sliced from a cycled list of them built once per run:
     mix(Theta, out) writes W Theta into the row, as one 2-D gemm by the
     frame's bound ndarray.dot for a stack of one (of N >= 2 agents), and a
     broadcast (S, N, d) np.matmul with the frame bound otherwise, and the
@@ -596,14 +594,12 @@ def _step_stack(scs, collect_theta_bar):
         eps_prev holds the steps that produced them. Returns the (S, m)
         slacks.
 
-        theta_bar is what thetas.mean(axis=2) gives, and S what
-        np.add.reduce gives over each (step, run)'s N*d squared deviations
-        in C order. For N*d < 8 numpy adds such a short row to +0.0 one
-        term at a time, so the block is copied once into component-major
-        rows of length m*S, and each sum is a chain of row adds in the same
-        order: theta_bar N + 1 calls, and S N*d - 1 adds of squares, which
-        are never -0.0, so the +0.0 start changes nothing. Longer rows,
-        which numpy sums pairwise, keep the time-major reductions."""
+        theta_bar is thetas.mean(axis=2) and S np.add.reduce over each
+        (step, run)'s N*d squared deviations in C order, bit for bit (see
+        ordered_sum): for a short N*d, ordered_sums of the block copied
+        once into component-major rows of length m*S; otherwise theta_bar
+        sums the agents' slices (numpy's mean for d = 1) and S reduces.
+        R and S go into the histories through their transposes."""
         m = len(thetas)
         ks = slice(k_lo, k_lo + m)
         theta_bar = bar_buf[:m]
@@ -612,32 +608,21 @@ def _step_stack(scs, collect_theta_bar):
             comp = dev_flat[:n * d * ms].reshape(n, d, ms)
             np.copyto(comp.reshape(n, d, m, n_runs),
                       thetas.transpose(2, 3, 0, 1))
-            bar = bar_flat[:d * ms].reshape(d, ms)
-            np.add(comp[0], 0.0, out=bar)
-            for i in range(1, n):
-                bar += comp[i]
+            bar = ordered_sum(comp, bar_flat[:d * ms].reshape(d, ms))
             bar /= n
             np.copyto(theta_bar,
                       bar.reshape(d, m, n_runs).transpose(1, 2, 0))
             np.subtract(comp, bar, out=comp)
             np.multiply(comp, comp, out=comp)
             squares = comp.reshape(n * d, ms)
-            total = squares[0]
-            for row in squares[1:]:
-                total += row
-            S_hist.T[ks] = total.reshape(m, n_runs)
+            S_hist.T[ks] = ordered_sum(squares, squares[0]).reshape(
+                m, n_runs)
         else:
             if d == 1:
-                # the agent axis is contiguous, and numpy sums it pairwise
+                # the agent axis is a contiguous row of N >= _SHORT_ROW
                 thetas.mean(axis=2, out=theta_bar)
             else:
-                # thetas.mean(axis=2) adds the agents' rows to +0.0 in
-                # index order, then divides by N, but with one inner loop
-                # of length d per (step, run, agent); slice by slice it is
-                # N + 1 calls
-                np.add(thetas[:, :, 0], 0.0, out=theta_bar)
-                for i in range(1, n):
-                    theta_bar += thetas[:, :, i]
+                ordered_sum(thetas.transpose(2, 0, 1, 3), theta_bar)
                 theta_bar /= n
             dev = np.subtract(thetas, theta_bar[:, :, None], out=dev_buf[:m])
             np.multiply(dev, dev, out=dev)
@@ -698,19 +683,17 @@ def _step_stack(scs, collect_theta_bar):
     buf = np.empty((max(1, min(_BLOCK, horizon)), n_runs, n, d))
     dev_buf = np.empty_like(buf)
     bar_buf = np.empty(buf.shape[:2] + (d,))
-    # measure's component-major rows for N*d < 8: the block's copy in
+    # measure's component-major rows for a short N*d: the block's copy in
     # dev_buf's memory, and theta_bar's (d, m*S) rows
-    short = n * d < 8
+    short = n * d < _SHORT_ROW
     if short:
         dev_flat = dev_buf.reshape(-1)
         bar_flat = np.empty(bar_buf.size)
     # the views of the buffer's rows: the step reads and writes each row as
     # (S*N, d), and a stack of one is mixed in that form too, one gemm, from
-    # a list of the views built once per run (iterating the buffer for both
-    # views cost 0.29 against 0.08 us per step by timeit); S > 1 keeps the
-    # (S, N, d) broadcast matmul and takes both views from the buffer as a
-    # block iterates it, since a list of them raised a 30-run stack's peak
-    # RSS by about 0.5 MB, and S runs share the cost of a view per step
+    # a list of the views built once per run; S > 1 keeps the (S, N, d)
+    # broadcast matmul and takes both views as a block iterates the buffer,
+    # since a list of them raised a 30-run stack's peak RSS
     rows_2d, rows_mix = buf.reshape(len(buf), n_runs * n, d), buf
     if n_runs == 1:
         rows_2d = rows_mix = list(rows_2d)

@@ -74,11 +74,10 @@ def quadratic_block_drift(dim, agents, rows):
     ufunc writes into them through a positional out, and the step calls
     them through local names, not np. attributes.
 
-    For dim = 2 the row sum is one elementwise add, p0 + p1: numpy's reduce
-    adds the row to +0.0, which rounds the same but for the sign of a zero
-    sum (see sources.row_dots), and x2 - sum keeps that sign only where x2
-    is zero. So a block whose x2 has no zero takes the add; any other keeps
-    np.add.reduce."""
+    For dim = 2 the row sum is one elementwise add, p0 + p1: the reduce's
+    ordered_sum but for the sign of a zero sum (see sources.ordered_sum),
+    which x2 - sum keeps only where x2 is zero. So a block whose x2 has no
+    zero takes the add; any other keeps np.add.reduce."""
     x = np.empty((rows + 1, agents, dim))
     # a step reads x2's rows as (agents, 1) rows of a (rows, agents, 1)
     # buffer: a row[:, None] view of a (rows, agents) one has a 0 stride,

@@ -276,10 +276,9 @@ class ARSource:
         as T sample calls would draw it; the clip, the shift and the sums
         then act on all R sources at once. Column m of X(1) is A[m, m-1]
         times column m-1 one step earlier: one array op per column over
-        rows whose first is the state. One + 0.0 over the block then makes
-        every -0.0 +0.0, as sample's A @ state, which adds each product to
-        +0.0, does for a zero gain or state. x2 sums each row of x1 * u as
-        sample's 1-D sum does (see row_dots)."""
+        rows whose first is the state, then one + 0.0 over the block, as
+        sample's A @ state sums (see ordered_sum). x2 is row_dots of x1
+        and u, as sample's 1-D sum."""
         n_sources, dim = len(sources), sources[0].dim
         clip = np.array([src.noise_clip for src in sources])[:, None, None]
         gains = np.array([src.A.diagonal(-1) for src in sources]).T
@@ -321,23 +320,36 @@ class ARSource:
         return draw
 
 
+_SHORT_ROW = 8
+
+
+def ordered_sum(terms, out):
+    """out = terms[0] + 0.0, then out += each later term, in order; returns
+    out. terms may be a generator whose terms share one scratch.
+
+    This is np.add.reduce's order wherever it chains: it adds a contiguous
+    row shorter than _SHORT_ROW to +0.0 one term at a time, ((0.0 + t0) +
+    t1) + ..., sums a longer one pairwise, and chains a reduce across a
+    strided axis at any length. The chain gives the reduce's bytes, -0.0
+    included, in one array call per term where the reduce runs one short
+    inner loop per row; test_ordered_sum_is_numpys_order checks the rule."""
+    terms = iter(terms)
+    np.add(next(terms), 0.0, out=out)
+    for term in terms:
+        out += term
+    return out
+
+
 def row_dots(x, u, out, scratch):
     """np.add.reduce(x * u, axis=-1) into out, bit for bit, for x of shape
-    (..., d) and u broadcast against it; scratch has out's shape. numpy
-    adds a row shorter than 8 to +0.0 one term at a time, ((0.0 + p0) + p1)
-    + ...: for d < 8 that is a chain of column adds, each column's product
-    made in scratch, then + 0.0, which makes a -0.0 sum +0.0 as the start
-    from +0.0 does, so no (..., d) product is made. Longer rows, which
-    numpy sums pairwise, keep the reduce."""
+    (..., d) and u broadcast against it; scratch has out's shape. A short
+    row is the ordered_sum of its columns' products, each made in scratch,
+    so no (..., d) product is made; a longer one keeps the reduce."""
     d = x.shape[-1]
-    if d >= 8:
+    if d >= _SHORT_ROW:
         return np.add.reduce(x * u, axis=-1, out=out)
-    np.multiply(x[..., 0], u[..., 0], out=out)
-    for m in range(1, d):
-        np.multiply(x[..., m], u[..., m], out=scratch)
-        out += scratch
-    out += 0.0
-    return out
+    return ordered_sum((np.multiply(x[..., m], u[..., m], out=scratch)
+                        for m in range(d)), out)
 
 
 def ar_state_bound(A, noise_clip) -> np.ndarray:

@@ -561,6 +561,15 @@ def test_cli_rollout_wrong_theta_length_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_rollout_theta_without_rows_exit_code(tmp_path, capsys):
+    """A (0, d) theta has no row to average: a validation error, not an
+    all-NaN rollout."""
+    cfg, theta = rollout_setup(tmp_path)
+    np.save(theta, np.zeros((0, 8)))
+    assert main(["rollout", "--config", cfg, "--theta", str(theta)]) == 1
+    assert "no rows" in capsys.readouterr().err
+
+
 def test_cli_rollout(tmp_path, capsys):
     maze = tmp_path / "maze.txt"
     maze.write_text("SG\n")

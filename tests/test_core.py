@@ -283,6 +283,15 @@ def test_dcsa_step_dimension_check():
     with pytest.raises(CoreError):
         Scenario(sources=[NullSource()] * 3, ops=[zero_op(1)] * 3, step=step,
                  horizon=1, seed=0, weights=())
+    w3 = lazy_metropolis(line_graph(3))
+    with pytest.raises(CoreError, match="shape"):
+        Scenario(sources=[NullSource()] * 3, ops=[zero_op(2)] * 3, step=step,
+                 horizon=1, seed=0, weights=(w3,), theta0=np.zeros((3, 1)))
+    # a non-finite theta0 would be measured at k = 0, before any abort
+    with pytest.raises(CoreError, match="finite"):
+        Scenario(sources=[NullSource()] * 3, ops=[zero_op(2)] * 3, step=step,
+                 horizon=1, seed=0, weights=(w3,),
+                 theta0=[[np.inf, 1], [-np.inf, 1], [np.nan, 3]])
 
 
 def test_consensus_error_values():

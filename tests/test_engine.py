@@ -201,6 +201,14 @@ HORIZONS = st.one_of(
 @example(n=3, d=2, horizon=300, stride=7, step=("constant", 0.3),
          time_varying=False, constants=True, collect_theta_bar=True,
          batched=True, seed=5, negative_zeros=True)
+# N = 9, d >= 2: theta_bar adds the agents' slices across a strided axis,
+# which numpy chains at any N, on both drift paths
+@example(n=9, d=2, horizon=300, stride=7, step=("diminishing", 1.0),
+         time_varying=True, constants=True, collect_theta_bar=True,
+         batched=True, seed=5, negative_zeros=True)
+@example(n=9, d=3, horizon=300, stride=7, step=("constant", 0.03),
+         time_varying=False, constants=True, collect_theta_bar=True,
+         batched=False, seed=5, negative_zeros=False)
 @settings(max_examples=60, deadline=None)
 def test_run_matches_reference_loop(n, d, horizon, stride, step, time_varying,
                                     constants, collect_theta_bar, batched,

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from dcsa.rng import derive_stream
 from dcsa.sources import (ARSource, FiniteChain, MDPSource, SourceError,
                           ar_state_bound, ergodicity_report,
-                          fit_mixing_profile, mixing_time,
+                          fit_mixing_profile, mixing_time, ordered_sum,
                           parse_maze, row_dots, slem,
-                          stationary_distribution, tv_distance)
+                          stationary_distribution, tv_distance, _SHORT_ROW)
 
 from strategies import mazes
 
@@ -505,6 +505,32 @@ def test_row_dots_match_reduce(seed):
             expected = np.add.reduce(x * u, axis=-1)
             assert row_dots(x, u, out, np.empty_like(out)) is out
         assert out.tobytes() == expected.tobytes(), d
+
+
+def test_ordered_sum_is_numpys_order():
+    """The installed numpy sums as ordered_sum says: np.add.reduce over a
+    contiguous row of 1 to _SHORT_ROW - 1 terms, and over the first axis
+    of an (N, d >= 2) array for N up to 20, equals the chain from +0.0
+    byte for byte, with +-0.0, subnormals, +-inf and NaN among the terms;
+    a row of _SHORT_ROW terms is summed pairwise, which the chain is not.
+    A numpy release that changes the rule fails here, by name, before the
+    engine's byte-equality tests fail by scattered bytes."""
+    rng = np.random.default_rng(21)
+    with np.errstate(invalid="ignore"):
+        for d in range(1, _SHORT_ROW):
+            x = special_floats(rng, (2000, d))
+            chain = ordered_sum(x.T, np.empty(2000))
+            assert np.add.reduce(x, axis=-1).tobytes() == chain.tobytes(), d
+        for n in range(1, 21):
+            for _ in range(25):
+                a = special_floats(rng, (n, int(rng.integers(2, 6))))
+                chain = ordered_sum(a, np.empty(a.shape[1]))
+                assert np.add.reduce(a, axis=0).tobytes() == chain.tobytes()
+    # 1e16 + 1.0 rounds back to 1e16, so the chain loses every 1.0; the
+    # pairwise sum adds 1.0 + 1.0 pairs before they meet 1e16
+    row = np.array([1e16] + [1.0] * (_SHORT_ROW - 1))
+    assert np.add.reduce(row) - 1e16 == 6.0
+    assert ordered_sum(row, np.empty(())) - 1e16 == 0.0
 
 
 def test_maze_transitions_table_is_built_on_first_use():
