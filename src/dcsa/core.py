@@ -448,10 +448,10 @@ def run(scenario: Scenario, collect_theta_bar: bool = False, *,
     straight into its row of a time-major buffer of iterates, to which the
     drift's step adds eps F in place. The block is stepped under
     np.errstate(all="ignore"), so neither the engine nor an operator's
-    eval warns about overflow inside it; one isfinite pass over the buffer
+    eval warns about overflow inside it; an isfinite check of the buffer
     then finds the first non-finite iterate, and the run aborts at its
     exact k with that iterate as theta_final. R, S, theta_bar and the
-    lemma-3 slack of the block's finite iterates are computed from the
+    lemma-3 slack of the block's iterates before it are computed from the
     time-major buffer as it stands. No operator's eval ever sees a
     non-finite iterate. The trajectory's phase_s holds the seconds spent
     drawing, stepping, measuring and logging.
@@ -486,9 +486,8 @@ def run_ensemble(scenarios, collect_theta_bar: bool = False) -> list:
     Every scenario's records are still logged inside one run() call of its
     own, so that a wrapper of run() sees each seed run: the first call
     makes the stacked pass, and each later one logs the records the pass
-    kept for its scenario. When an iterate of any scenario goes non-finite,
-    each scenario is run again on its own, so that every abort keeps its
-    exact k and reason.
+    kept for its scenario. A scenario whose iterate goes non-finite aborts
+    at its own k, as it does alone, and the others step on.
     """
     scs = list(scenarios)
     if scs:
@@ -498,10 +497,9 @@ def run_ensemble(scenarios, collect_theta_bar: bool = False) -> list:
     def share(i):
         if not stacked:
             stacked.append(_step_stack(scs, collect_theta_bar))
-        if stacked[0] is None:
-            return _step_stack([scs[i]], collect_theta_bar)[0][0]
         traj, rows, columns = stacked[0][i]
-        _log_records(rows, traj, columns)
+        with np.errstate(all="ignore"):   # as the pass logs the first run's
+            _log_records(rows, traj, columns)
         return traj
 
     return [run(sc, collect_theta_bar, _share=functools.partial(share, i))
@@ -532,8 +530,9 @@ def _step_stack(scs, collect_theta_bar):
     are measured; rows holds each other scenario's records still to be
     logged, and columns its eval batches as td_error's index columns (see
     _log_records), with eps_k and tau_k computed once per logged k for the
-    whole stack. Returns None when an iterate of a stack of more
-    than one scenario goes non-finite.
+    whole stack. Each run aborts on its own: its first non-finite iterate,
+    at k = end[s], is its theta_final, and nothing from that k on is kept
+    for it. The stack steps on until every run has aborted.
 
     Each block's iterates are a (T, S, N, d) buffer. A step zips over
     views of the buffer's rows (for a stack of one, a list of them built
@@ -585,8 +584,7 @@ def _step_stack(scs, collect_theta_bar):
     trajs = [MetricsTrajectory(records=[], R_hist=R_hist[s], S_hist=S_hist[s],
                                theta_final=None) for s in range(n_runs)]
     rows = [[] for _ in scs]
-    aborted = False
-    reason = ""
+    end = [horizon + 1] * n_runs   # each run's abort k; horizon + 1 if none
 
     def measure(k_lo, thetas, eps_prev):
         """R, S, theta_bar and the lemma-3 slack of the iterates thetas =
@@ -647,14 +645,16 @@ def _step_stack(scs, collect_theta_bar):
         return slack
 
     def log(k_lo, thetas, slack):
-        """The records of the logged k among thetas = Theta_{k_lo..}: the
-        first run's are logged, the others' kept in rows. eps_k and tau_k
-        are the same for every run, so each is computed once per k."""
+        """Each run s's records of the logged k < end[s] among thetas =
+        Theta_{k_lo..}: the first run's are logged, the others' kept in
+        rows; eps_k and tau_k are computed once per k for all runs."""
         for k in range(k_lo, k_lo + len(thetas)):
             if k % sc.stride == 0 or k == horizon:
                 eps_k = sc.step.value(k)
                 t = tau_k(sc.beta, eps_k, sc.rho)
                 for s in range(n_runs):
+                    if k >= end[s]:
+                        continue
                     theta = thetas[k - k_lo, s].copy() if keep_theta else None
                     rows[s].append((k, eps_k, t, theta, slack[s, k - k_lo]))
                 _log_records(rows[0], trajs[0], columns[0])
@@ -716,8 +716,9 @@ def _step_stack(scs, collect_theta_bar):
     const_eps = (itertools.repeat(np.array(sc.step.eps))
                  if sc.step.kind == "constant" else None)
     # a diverging run overflows before its iterate does: its iterates and
-    # metrics may be inf or NaN, which the block's check turns into an
-    # abort, without a warning per operation
+    # metrics may be inf or NaN, which the block's check turns into its
+    # abort, without a warning per operation. S is NaN at every non-finite
+    # iterate, so np.fmin skips the slacks of a run from its abort on
     with np.errstate(all="ignore"):
         measure_and_log(0, Theta[None], [])
         for k0 in range(0, horizon, _BLOCK):
@@ -733,24 +734,28 @@ def _step_stack(scs, collect_theta_bar):
                 mix(theta_mix, out_mix)
                 step(theta, t, e, out)
                 theta, theta_mix = out, out_mix
-            finite = np.isfinite(buf[:T]).all(axis=(1, 2, 3))
-            done = T if finite.all() else int(finite.argmin())
-            if done < T:
-                if n_runs > 1:
-                    return None
-                aborted = True
-                reason = f"non-finite iterate at k={k0 + done + 1}"
-                theta = rows_2d[done]
+            if not np.isfinite(buf[:T]).all():
+                # split by run only for a block that holds a non-finite value
+                finite = np.isfinite(buf[:T]).all(axis=(2, 3))
+                for s, t in enumerate(finite.argmin(axis=0).tolist()):
+                    if end[s] > horizon and not finite[t, s]:
+                        end[s] = k0 + t + 1
+                        # a copy: the next block overwrites the buffer
+                        trajs[s].theta_final = buf[t, s].copy()
             lap("step")
-            measure_and_log(k0 + 1, buf[:done], eps[:done])
-            if aborted:
+            measure_and_log(k0 + 1, buf[:T], eps)
+            if max(end) <= horizon:
                 break
 
-    Theta = theta.reshape(n_runs, n, d)
     for s, traj in enumerate(trajs):
-        traj.theta_final = Theta[s].copy()
-        traj.aborted = aborted
-        traj.abort_reason = reason
+        traj.aborted = end[s] <= horizon
+        if traj.aborted:   # its later iterates were measured with the block
+            traj.abort_reason = f"non-finite iterate at k={end[s]}"
+            R_hist[s, end[s]:] = S_hist[s, end[s]:] = math.nan
+            if tb_hist is not None:
+                tb_hist[s, end[s]:] = 0.0
+        else:
+            traj.theta_final = theta.reshape(n_runs, n, d)[s].copy()
         traj.min_lemma3_slack = (float(min_slack[s]) if check_lemma3
                                  else math.nan)
         traj.theta_bar_hist = None if tb_hist is None else tb_hist[s]
@@ -794,9 +799,9 @@ def _block_drift(ops, sources, rngs):
     builder turns into the step; the quadratic builder's buffers are the
     ones the sampler draws into. Anything else is sampled and evaluated
     agent by agent, and makes no builder. That per-agent step never hands
-    an operator's eval a non-finite iterate: when Theta has a non-finite
-    entry, out is set to NaN, and the run aborts at that step all the
-    same."""
+    an operator's eval a non-finite iterate: an agent whose row of Theta
+    has a non-finite entry gets a NaN drift row instead, and its run
+    aborts at that step all the same."""
     source_class = type(sources[0])
     if (hasattr(source_class, "block_sampler")
             and all(type(src) is source_class for src in sources)):
@@ -829,14 +834,9 @@ def _block_drift(ops, sources, rngs):
                for src, rng in zip(sources, rngs)]
 
         def step(Theta, t, eps, out):
-            if not np.isfinite(Theta).all():
-                out[...] = math.nan
-                return
             drift = np.empty_like(Theta)
-            rows = drift.reshape(-1, Theta.shape[-1])
-            theta_rows = Theta.reshape(-1, Theta.shape[-1])
-            for i, op_eval in enumerate(ops_eval):
-                rows[i] = op_eval(obs[i][t], theta_rows[i])
+            for i, ok in enumerate(np.isfinite(Theta).all(axis=1).tolist()):
+                drift[i] = ops_eval[i](obs[i][t], Theta[i]) if ok else math.nan
             out += eps * drift
 
         return step

@@ -11,6 +11,7 @@ import copy
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -283,44 +284,58 @@ class StepCounter:
         return self.k
 
 
-@pytest.mark.parametrize("bad_step", [0, 1, 100, _BLOCK - 1, _BLOCK,
-                                      _BLOCK + 1, 2 * _BLOCK - 1])
-def test_run_aborts_at_the_exact_step(bad_step):
+@pytest.mark.parametrize("bad_step, stacked", [
+    pytest.param(bad_step, stacked, id=f"{bad_step}-stacked" if stacked
+                 else str(bad_step))
+    for stacked in (False, True)
+    for bad_step in [0, 1, 100, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                     2 * _BLOCK - 1]])
+def test_run_aborts_at_the_exact_step(bad_step, stacked):
     """The first non-finite iterate ends the run at its k, whether it falls
     on the first, a middle or the last step of a block; nothing after it is
-    measured or logged."""
+    measured or logged. Stacked, it is the second run of a run_ensemble
+    stack whose first run never blows up and steps on to the horizon."""
     n, d = 3, 2
 
     def blowup_at(x, theta):
         return np.full(d, np.inf) if x == bad_step else 1.0 - theta
 
     w = lazy_metropolis(line_graph(n))
-    theta_star = np.ones(d)
     rc = RateConstants.from_problem(B=2.0, L=1.5, alpha=0.8, sigma2=w.sigma2,
                                     n_agents=n, theta_star_norm=1.0, c_tau=0.5)
-    sc = Scenario(sources=[StepCounter() for _ in range(n)],
-                  ops=[LocalOperator(dim=d, eval=blowup_at)] * n,
-                  step=StepSchedule(kind="constant", eps=0.1), horizon=300,
-                  seed=0, stride=7, weights=(w,),
-                  theta0=np.arange(n * d, dtype=float).reshape(n, d),
-                  theta_star=theta_star, constants=rc, sigma2=w.sigma2)
-    new = run(sc, collect_theta_bar=True)
+    scs = [Scenario(sources=[StepCounter() for _ in range(n)],
+                    ops=[LocalOperator(dim=d, eval=op_eval)] * n,
+                    step=StepSchedule(kind="constant", eps=0.1), horizon=300,
+                    seed=0, stride=7, weights=(w,),
+                    theta0=np.arange(n * d, dtype=float).reshape(n, d),
+                    theta_star=np.ones(d), constants=rc, sigma2=w.sigma2)
+           for op_eval in [lambda x, theta: 1.0 - theta, blowup_at]]
+    if stacked:
+        trajs = run_ensemble(scs, collect_theta_bar=True)
+        assert not trajs[0].aborted
+    else:
+        scs = scs[1:]
+        trajs = [run(scs[0], collect_theta_bar=True)]
+    new = trajs[-1]
     assert new.abort_reason == f"non-finite iterate at k={bad_step + 1}"
     assert np.isnan(new.S_hist[bad_step + 1:]).all()
     assert not np.isnan(new.S_hist[:bad_step + 1]).any()
     assert new.records[-1].k == bad_step // 7 * 7
-    assert_same_trajectory(new, run_reference(sc, collect_theta_bar=True))
+    for sc, traj in zip(scs, trajs):
+        assert_same_trajectory(traj, run_reference(sc, collect_theta_bar=True))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_per_agent_eval_never_sees_a_non_finite_iterate():
     """A custom eval that asserts a finite iterate is never handed the
     overflowed iterate of a diverging run, nor any after it in its block:
-    the run aborts where the per-step loop does, bit for bit."""
+    the run aborts where the per-step loop does, bit for bit. In a stack
+    whose runs 1 and 3 abort in the first block, every run does."""
     cfg = ScenarioConfig(scenario="system_id", n_agents=3, dim=2, seed=3,
                          horizon=600, stride=7, step_kind="constant",
                          step_eps=5.0, compute_constants=True)
     sc = build_scenario(cfg)
+    scs = system_id_stack(**ABORTING_STACK)
 
     def finite_only(op_eval):
         def eval_(x, theta):
@@ -328,11 +343,17 @@ def test_per_agent_eval_never_sees_a_non_finite_iterate():
             return op_eval(x, theta)
         return eval_
 
-    sc.ops = [dataclasses.replace(op, kind="custom", eval=finite_only(op.eval))
-              for op in sc.ops]
+    for s in [sc] + scs:
+        s.ops = [dataclasses.replace(op, kind="custom",
+                                     eval=finite_only(op.eval))
+                 for op in s.ops]
     new = run(sc, collect_theta_bar=True)
     assert new.aborted and not np.isfinite(new.theta_final).all()
     assert_identical(new, run_reference(sc, collect_theta_bar=True))
+    stacked = run_ensemble(scs, collect_theta_bar=True)
+    assert [t.aborted for t in stacked] == [False, True, False, True]
+    for s, new in zip(scs, stacked):
+        assert_identical(new, run_reference(s, collect_theta_bar=True))
 
 
 MAZES = ["S....\n.....\n..#..\n.....\n....G\n",
@@ -511,6 +532,14 @@ def test_batched_drift_builders_are_made_once_per_run(monkeypatch):
     assert calls == []
 
 
+# runs 1 and 3 start far out and abort at k = 12 and k = 118, in the first
+# of three blocks; runs 0 and 2 step on through all three
+ABORTING_STACK = dict(seeds=[2, 1, 3, 4], n=3, d=2, horizon=300, stride=7,
+                      step=("constant", 1.0), time_varying=False,
+                      constants=[1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+                      negative_zeros=False, blowups={1: 1e306, 3: -1e290})
+
+
 @given(seeds=st.lists(st.integers(0, 2**31 - 1), min_size=1, max_size=6),
        n=st.integers(1, 10), d=st.integers(1, 5), horizon=HORIZONS,
        stride=st.integers(1, 300),
@@ -519,50 +548,72 @@ def test_batched_drift_builders_are_made_once_per_run(monkeypatch):
        time_varying=st.booleans(),
        constants=st.none() | st.lists(st.floats(0.5, 500.0), min_size=6,
                                       max_size=6),
-       collect_theta_bar=st.booleans(), negative_zeros=st.booleans())
+       collect_theta_bar=st.booleans(), negative_zeros=st.booleans(),
+       blowups=st.dictionaries(st.integers(0, 5),
+                               st.sampled_from([1e306, -1e290])))
 # d = 1: see test_run_matches_reference_loop
 @example(seeds=[3, 1, 4], n=3, d=1, horizon=300, stride=7,
          step=("constant", 0.3), time_varying=False,
          constants=[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], collect_theta_bar=True,
-         negative_zeros=False)
+         negative_zeros=False, blowups={})
 @example(seeds=[3, 1, 4], n=8, d=1, horizon=300, stride=7,
          step=("diminishing", 1.0), time_varying=True, constants=None,
-         collect_theta_bar=True, negative_zeros=False)
+         collect_theta_bar=True, negative_zeros=False, blowups={})
 # one (N, N) x (N, S*d) gemm for the whole stack rounds otherwise than the
 # per-run products under some BLAS kernels: under OpenBLAS's Nehalem ones
 # these two stacks tell them apart, where the stacks above do not
 @example(seeds=[3, 1, 4, 1, 5, 9], n=5, d=5, horizon=300, stride=7,
          step=("constant", 0.3), time_varying=False, constants=None,
-         collect_theta_bar=False, negative_zeros=False)
+         collect_theta_bar=False, negative_zeros=False, blowups={})
 @example(seeds=[2, 7, 1, 8, 2, 8], n=10, d=5, horizon=300, stride=7,
          step=("diminishing", 1.0), time_varying=False,
          constants=[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], collect_theta_bar=True,
-         negative_zeros=False)
+         negative_zeros=False, blowups={})
 # N*d = 7, 7 and 8, and a theta0 of -0.0: see test_run_matches_reference_loop
 @example(seeds=[3, 1, 4, 1, 5], n=7, d=1, horizon=300, stride=7,
          step=("constant", 0.3), time_varying=False,
          constants=[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], collect_theta_bar=True,
-         negative_zeros=False)
+         negative_zeros=False, blowups={})
 @example(seeds=[3, 1, 4, 1, 5], n=1, d=7, horizon=300, stride=7,
          step=("diminishing", 1.0), time_varying=False,
          constants=[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], collect_theta_bar=True,
-         negative_zeros=False)
+         negative_zeros=False, blowups={})
 @example(seeds=[3, 1, 4, 1, 5], n=4, d=2, horizon=300, stride=7,
          step=("constant", 0.3), time_varying=True,
          constants=[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], collect_theta_bar=True,
-         negative_zeros=False)
+         negative_zeros=False, blowups={})
 @example(seeds=[2, 7, 1, 8, 2, 8], n=3, d=2, horizon=300, stride=7,
          step=("constant", 0.3), time_varying=False,
          constants=[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], collect_theta_bar=True,
-         negative_zeros=True)
+         negative_zeros=True, blowups={})
+@example(collect_theta_bar=True, **ABORTING_STACK)
 @settings(max_examples=40, deadline=None)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_ensemble_matches_single_runs(seeds, n, d, horizon, stride, step,
                                           time_varying, constants,
-                                          collect_theta_bar, negative_zeros):
+                                          collect_theta_bar, negative_zeros,
+                                          blowups):
     """Every run of a stacked system-id ensemble of 1 to 6 seeds equals
     run() and the per-step reference loop of its scenario alone, bit for
-    bit; with constants, each seed has its own B, hence its own C0. Every
-    run starts from a theta0 of +0.0 or, with negative_zeros, -0.0."""
+    bit, an abort included; with constants, each seed has its own B, hence
+    its own C0. See system_id_stack for theta0. The stacked pass warns of
+    no overflow."""
+    scs = system_id_stack(seeds, n, d, horizon, stride, step, time_varying,
+                          constants, negative_zeros, blowups)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = run_ensemble(scs, collect_theta_bar)
+    assert len(stacked) == len(scs)
+    for sc, new in zip(scs, stacked):
+        assert_identical(new, run(sc, collect_theta_bar))
+        assert_identical(new, run_reference(sc, collect_theta_bar))
+
+
+def system_id_stack(seeds, n, d, horizon, stride, step, time_varying,
+                    constants, negative_zeros, blowups):
+    """System-id scenarios of one config, one per seed. Every run starts
+    from a theta0 of +0.0 or, with negative_zeros, -0.0, but run i of
+    blowups from blowups[i] in every entry, far enough out to diverge."""
     cfg = ScenarioConfig(scenario="system_id", n_agents=n, dim=d,
                          horizon=horizon, stride=stride, step_kind=step[0],
                          step_eps=step[1],
@@ -570,19 +621,17 @@ def test_run_ensemble_matches_single_runs(seeds, n, d, horizon, stride, step,
                          period_b=2)
     scs = [build_scenario(dataclasses.replace(cfg, seed=seed))
            for seed in seeds]
-    if negative_zeros:
-        for sc in scs:
+    for i, sc in enumerate(scs):
+        if negative_zeros:
             sc.theta0 = np.full((n, d), -0.0)
+        if i in blowups:
+            sc.theta0 = np.full((n, d), blowups[i])
     if constants is not None:
         for sc, B in zip(scs, constants):
             sc.constants = RateConstants.from_problem(
                 B=B, L=0.5, alpha=0.8, sigma2=sc.sigma2, n_agents=n,
                 theta_star_norm=1.0, c_tau=0.5)
-    stacked = run_ensemble(scs, collect_theta_bar)
-    assert len(stacked) == len(scs)
-    for sc, new in zip(scs, stacked):
-        assert_identical(new, run(sc, collect_theta_bar))
-        assert_identical(new, run_reference(sc, collect_theta_bar))
+    return scs
 
 
 @given(gridworld_ensembles())
@@ -596,7 +645,7 @@ def test_run_ensemble_matches_single_runs_gridworld(scs):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_run_ensemble_reruns_on_divergence():
+def test_run_ensemble_aborts_each_run_on_its_own():
     """At eps = 2.2 seed 1 overflows at k = 593 and seeds 2 and 3 do not:
     the ensemble gives every seed the run it has alone, abort included."""
     cfg = ScenarioConfig(scenario="system_id", n_agents=3, dim=2,
@@ -610,6 +659,20 @@ def test_run_ensemble_reruns_on_divergence():
     for sc, new in zip(scs, stacked):
         assert_identical(new, run(sc, collect_theta_bar=True))
         assert_identical(new, run_reference(sc, collect_theta_bar=True))
+
+
+def test_run_ensemble_warns_of_no_overflow():
+    """Seed 184 at eps = 3 has a record whose finite R and S overflow in V:
+    its stacked run logs it, after the pass, without a warning (which the
+    suite turns into an error)."""
+    cfg = ScenarioConfig(scenario="system_id", n_agents=3, dim=2,
+                         horizon=300, stride=1, step_kind="constant",
+                         step_eps=3.0)
+    scs = [build_scenario(dataclasses.replace(cfg, seed=seed))
+           for seed in (2, 184)]
+    stacked = run_ensemble(scs)
+    assert any(math.isinf(r.V) and np.isfinite([r.R, r.S, r.S_delayed]).all()
+               for r in stacked[1].records)
 
 
 def test_run_ensemble_of_nothing():
