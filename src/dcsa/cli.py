@@ -134,10 +134,9 @@ def cmd_fit(args):
     ks = cols["k"]
     name = {"R": "R", "S": "S", "td": "td_error"}.get(args.metric)
     if name is None:
-        print(f"unknown metric {args.metric!r}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise CoreError(f"unknown metric {args.metric!r} (use R, S, or td)")
     vals = cols[name]
-    keep = (ks >= args.kmin) & (ks <= args.kmax) & np.isfinite(vals) & (ks >= 1)
+    keep = (ks >= args.kmin) & (ks <= args.kmax) & np.isfinite(vals)
     fit = fit_rate_series(ks[keep], vals[keep])
     print(json.dumps({"metric": args.metric, "slope": fit.slope,
                       "r2": fit.r2, "n_points": fit.n_points}))

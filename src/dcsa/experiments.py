@@ -9,7 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ScenarioConfig, frame_specs, maze_paths, parse_topology
-from .core import (CoreError, RateConstants, Scenario, StepSchedule, fit_c_tau)
+from .core import (CoreError, RateConstants, Scenario, StepSchedule, fit_c_tau,
+                   run_ensemble)
 from .graphs import (GraphSchedule, lazy_metropolis, time_varying_eta,
                      validate_graph)
 from .operators import (TabularFeatures, qlearning_operator,
@@ -46,7 +47,7 @@ def sample_unit_ball(rng, dim):
 def build_system_id_scenario(cfg: ScenarioConfig) -> Scenario:
     """Decentralized quadratic regression on clipped-noise AR sources.
 
-    A_i is subdiagonal with entries uniform in [0.8, 0.99]; the regression
+    Each A_i's subdiagonal gains are uniform in [0.8, 0.99]; the regression
     target u is shared across agents and drawn uniformly in the unit ball,
     making theta* = u the root of the aggregate mean field.
     """
@@ -57,10 +58,8 @@ def build_system_id_scenario(cfg: ScenarioConfig) -> Scenario:
     sources = []
     for i in range(n):
         rng = derive_stream(cfg.seed, i, "scenario")
-        A = np.zeros((d, d))
-        for m in range(1, d):
-            A[m, m - 1] = rng.uniform(0.8, 0.99)
-        sources.append(ARSource(A=A, u=u, noise_clip=cfg.noise_clip))
+        gains = [rng.uniform(0.8, 0.99) for _ in range(d - 1)]
+        sources.append(ARSource(gains=gains, u=u, noise_clip=cfg.noise_clip))
     ops = [quadratic_grad_operator(d) for _ in range(n)]
     frames, sigma2 = _topology_for(cfg, n)
     step = StepSchedule(kind=cfg.step_kind, eps=cfg.step_eps)
@@ -279,8 +278,6 @@ def run_seed_ensemble(cfg: ScenarioConfig, seeds, collect_theta_bar=False):
     """Independent runs of the configured scenario, one per seed, in seed
     order (aggregation is order-fixed by seed index): every seed is built
     on its own and all are stepped together by one run_ensemble call."""
-    from .core import run_ensemble
-
     scenarios = [build_scenario(dataclasses.replace(cfg, seed=int(seed)))
                  for seed in seeds]
     return run_ensemble(scenarios, collect_theta_bar=collect_theta_bar)

@@ -101,17 +101,14 @@ class WeightMatrix:
     """Doubly stochastic consensus weights with second singular value."""
 
     entries: np.ndarray
-    sigma2: float
+    sigma2: float = field(init=False)
 
     def __post_init__(self):
         w = np.asarray(self.entries, dtype=float)
         w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "entries", w)
-
-    @property
-    def n_agents(self):
-        return self.entries.shape[0]
+        object.__setattr__(self, "sigma2", second_singular_value(w))
 
     @classmethod
     def from_matrix(cls, entries, graph: Graph = None) -> "WeightMatrix":
@@ -134,7 +131,7 @@ class WeightMatrix:
             off = ~np.eye(n, dtype=bool)
             if not np.array_equal((w > 0)[off], (adj > 0)[off]):
                 raise GraphError("support pattern does not match the graph")
-        return cls(entries=w, sigma2=second_singular_value(w))
+        return cls(entries=w)
 
 
 def lazy_metropolis(g: Graph, require_connected: bool = True) -> WeightMatrix:
@@ -155,7 +152,7 @@ def lazy_metropolis(g: Graph, require_connected: bool = True) -> WeightMatrix:
         w[i, j] = w[j, i] = 1.0 / (2.0 * max(deg[i], deg[j]))
     for i in range(n):
         w[i, i] = 1.0 - w[i].sum()
-    return WeightMatrix(entries=w, sigma2=second_singular_value(w))
+    return WeightMatrix(entries=w)
 
 
 def second_singular_value(w) -> float:

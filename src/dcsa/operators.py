@@ -322,13 +322,13 @@ def clipped_normal_variance(clip: float) -> float:
     return math.erf(z) - two_c_pdf + c * c * math.erfc(z)
 
 
-def ar_stationary_covariance(A, noise_clip) -> np.ndarray:
+def ar_stationary_covariance(gains, noise_clip) -> np.ndarray:
     """Stationary covariance of the AR state, Sigma = A Sigma A^T + q e1 e1^T
-    with q the clipped noise variance. A is nilpotent, so X(1)_m is the gain
-    g_m = ar_state_bound(A, 1)[m] times noise drawn m steps earlier, and
-    Sigma = diag(q g^2)."""
-    gains = ar_state_bound(A, 1.0)
-    return np.diag(clipped_normal_variance(noise_clip) * gains**2)
+    with q the clipped noise variance and A the subdiagonal of the gains.
+    A is nilpotent, so X(1)_m is g_m = ar_state_bound(gains, 1)[m] times
+    noise drawn m steps earlier, and Sigma = diag(q g^2)."""
+    g = ar_state_bound(gains, 1.0)
+    return np.diag(clipped_normal_variance(noise_clip) * g**2)
 
 
 def system_id_constants(sources) -> OperatorConstants:
@@ -347,10 +347,10 @@ def system_id_constants(sources) -> OperatorConstants:
         # a clip far from 1 can take the constants out of range: they come
         # back inf or 0 without a warning, and RateConstants rejects them
         with np.errstate(all="ignore"):
-            xmax = ar_state_bound(src.A, src.noise_clip)
+            xmax = ar_state_bound(src.gains, src.noise_clip)
             x1_norm = float(np.linalg.norm(xmax))
             x2_max = float(np.abs(src.u) @ xmax) + src.noise_clip
-            var_sum += np.diagonal(ar_stationary_covariance(src.A,
+            var_sum += np.diagonal(ar_stationary_covariance(src.gains,
                                                             src.noise_clip))
         try:
             l_max = max(l_max, 2.0 * x1_norm**2)

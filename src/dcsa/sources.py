@@ -200,50 +200,44 @@ def clipped_normal(rng, clip):
     return float(np.clip(rng.standard_normal(), -clip, clip))
 
 
-def _subdiagonal(A) -> np.ndarray:
-    """The first subdiagonal of A, which must be square and zero everywhere
-    else: the one form of A that an ARSource holds."""
-    A = np.asarray(A, dtype=float)
-    if (A.ndim != 2 or A.shape[0] != A.shape[1]
-            or np.any(A != np.diag(np.diagonal(A, offset=-1), k=-1))):
-        raise SourceError("A must be square and zero off its first subdiagonal")
-    return np.diagonal(A, offset=-1)
-
-
 @dataclass
 class ARSource:
     """X(1) <- A X(1) + clip(noise) e1;  X(2) = <u, X(1)> + clip(noise).
 
-    A is nonzero only on its first subdiagonal (nilpotent, hence stable).
-    Noise clipping keeps the observation space compact (default clip 3).
+    A is zero off its first subdiagonal, whose d - 1 entries are the gains
+    (nilpotent, hence stable): X(1)_m <- gains[m-1] X(1)_{m-1}. Noise
+    clipping keeps the observation space compact (default clip 3).
     """
 
-    A: np.ndarray
+    gains: np.ndarray
     u: np.ndarray
     noise_clip: float = 3.0
     state: np.ndarray = None
 
     def __post_init__(self):
-        self.A = np.asarray(self.A, dtype=float)
+        self.gains = np.asarray(self.gains, dtype=float)
         self.u = np.asarray(self.u, dtype=float)
-        d = self.A.shape[0]
-        if self.A.shape != (d, d) or self.u.shape != (d,):
-            raise SourceError("A must be d x d and u length d")
-        _subdiagonal(self.A)
+        if self.u.ndim != 1 or len(self.u) < 1:
+            raise SourceError("u must be a vector of length d >= 1")
+        if self.gains.shape != (len(self.u) - 1,):
+            raise SourceError("gains must be a vector of length d - 1")
+        if not np.isfinite(self.gains).all():
+            raise SourceError("gains must be finite")
         if not self.noise_clip > 0:   # NaN fails this too
             raise SourceError("noise_clip must be positive")
         if self.state is None:
-            self.state = np.zeros(d)
+            self.state = np.zeros(self.dim)
         else:
             self.state = np.asarray(self.state, dtype=float).copy()
 
     @property
     def dim(self):
-        return self.A.shape[0]
+        return len(self.u)
 
     def sample(self, rng):
-        x1 = self.A @ self.state
-        x1[0] += clipped_normal(rng, self.noise_clip)
+        x1 = np.empty(self.dim)
+        x1[0] = clipped_normal(rng, self.noise_clip)
+        np.multiply(self.gains, self.state[:-1], out=x1[1:])
         x2 = float((x1 * self.u).sum()) + clipped_normal(rng, self.noise_clip)
         self.state = x1
         return x1.copy(), x2
@@ -274,14 +268,13 @@ class ARSource:
 
         Each stream fills its (T, 2) noise with one standard_normal call,
         as T sample calls would draw it; the clip, the shift and the sums
-        then act on all R sources at once. Column m of X(1) is A[m, m-1]
+        then act on all R sources at once. Column m of X(1) is gains[m-1]
         times column m-1 one step earlier: one array op per column over
-        rows whose first is the state, then one + 0.0 over the block, as
-        sample's A @ state sums (see ordered_sum). x2 is row_dots of x1
-        and u, as sample's 1-D sum."""
+        rows whose first is the state, the products sample forms. x2 is
+        row_dots of x1 and u, as sample's 1-D sum."""
         n_sources, dim = len(sources), sources[0].dim
         clip = np.array([src.noise_clip for src in sources])[:, None, None]
-        gains = np.array([src.A.diagonal(-1) for src in sources]).T
+        gains = np.array([src.gains for src in sources]).T
         u = np.array([src.u for src in sources])
         state = np.array([src.state for src in sources])
         # the noise and the products of row_dots, grown to the longest
@@ -309,7 +302,6 @@ class ARSource:
             for m in range(1, dim):
                 np.multiply(gains[m - 1], x[:-1, :, m - 1], out=x[1:, :, m])
             x1 = x[1:]
-            x1 += 0.0
             state = x[-1].copy()
             for src, row in zip(sources, state):
                 src.state = row
@@ -352,12 +344,12 @@ def row_dots(x, u, out, scratch):
                         for m in range(d)), out)
 
 
-def ar_state_bound(A, noise_clip) -> np.ndarray:
-    """Componentwise bound on |X(1)| reachable from X(0)=0: clip * g with the
-    gains g = cumprod([1, |a_1|, ..., |a_{d-1}|]) of the subdiagonal a, since
+def ar_state_bound(gains, noise_clip) -> np.ndarray:
+    """Componentwise bound on |X(1)| reachable from X(0)=0: clip * g with
+    g = cumprod([1, |a_1|, ..., |a_{d-1}|]) for the gains a, since
     X(1)_m(k) = a_1 ... a_m w(k-m) for the clipped noise w."""
-    gains = np.cumprod(np.abs(np.concatenate(([1.0], _subdiagonal(A)))))
-    return gains * float(noise_clip)
+    g = np.cumprod(np.abs(np.concatenate(([1.0], gains))))
+    return g * float(noise_clip)
 
 
 # ---------------------------------------------------------------------------

@@ -348,7 +348,7 @@ def test_criterion_11_invariant_micro_suite():
     # affine bound of the drift (estimated B on probes)
     probe_rng = derive_stream(3, 0, "probe")
     op = quadratic_grad_operator(d)
-    src = ARSource(A=np.zeros((d, d)), u=probe_rng.standard_normal(d),
+    src = ARSource(gains=np.zeros(d - 1), u=probe_rng.standard_normal(d),
                    noise_clip=3.0)
     samples = [src.sample(probe_rng) for _ in range(200)]
     pairs = probe_thetas(d, probe_rng)

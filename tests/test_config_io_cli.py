@@ -18,8 +18,10 @@ from dcsa.cli import main
 from dcsa.config import (ConfigError, ScenarioConfig, config_to_text,
                          parse_config, parse_topology)
 from dcsa.core import MetricsRecord, MetricsTrajectory
+from dcsa.experiments import greedy_policy_rollout
 from dcsa.io import (CSV_COLUMNS, FormatError, emit_metrics, emit_summary,
                      read_metrics)
+from dcsa.sources import load_maze
 
 
 def empty_traj(records=()):
@@ -216,6 +218,21 @@ def test_cli_run_byte_identical(tmp_path):
     assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
 
 
+def test_cli_run_stride_override(tmp_path):
+    """--stride replaces the config's stride: a record every K steps from
+    k = 0, plus the last step, and the summary's config says K."""
+    cfg = write_cfg(tmp_path, SYSTEM_ID_CFG.replace("horizon = 300",
+                                                    "horizon = 2000"))
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out),
+                 "--stride", "7"]) == 0
+    ks = read_metrics(out / "metrics.csv")["k"]
+    assert ks.tolist() == list(range(0, 2000, 7)) + [2000]
+    assert len(ks) == 287
+    summary = json.loads((out / "summary.json").read_text())
+    assert parse_config(summary["config"]).stride == 7
+
+
 def test_cli_seed_override(tmp_path):
     cfg = write_cfg(tmp_path, SYSTEM_ID_CFG)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -276,21 +293,28 @@ def test_cli_bad_path_exit_code(case, tmp_path, capsys):
 @pytest.mark.parametrize("line", [
     "beta = nan", "beta = inf", "beta = -5", "beta = 0", "step_eps = nan",
     "noise_clip = nan",
-    "eval_batch_size = -5", "eval_batch_size = 0"])
+    "eval_batch_size = -5", "eval_batch_size = 0",
+    "dim = 0", "stride = 0", "period_b = 0", "topology = edges:[[0,1"])
 def test_cli_rejects_bad_config_values(line, command, tmp_path, capsys):
-    """A non-finite float, a beta that is not positive or an eval batch
-    below one transition is a validation error, reported before --out is
-    created."""
-    if line.startswith("eval_batch_size"):
+    """A non-finite float, a beta that is not positive, an eval batch
+    below one transition, a zero dim, stride or period, or an edge list
+    that is not JSON is a validation error that names the key, reported
+    before --out is created. The line replaces the base config's line for
+    its key, if it has one."""
+    key = line.split(" = ")[0]
+    if key == "eval_batch_size":
         cfg, _ = rollout_setup(tmp_path)
         with open(cfg, "a", encoding="utf-8") as fh:
             fh.write(line + "\n")
     else:
-        cfg = write_cfg(tmp_path, SYSTEM_ID_CFG + line + "\n")
+        base = [row for row in SYSTEM_ID_CFG.splitlines()
+                if not row.startswith(key + " ")]
+        cfg = write_cfg(tmp_path, "\n".join(base + [line]) + "\n")
     out = tmp_path / "o"
     assert main([command, "--config", cfg, "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
+    assert key in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert not out.exists()
@@ -503,6 +527,16 @@ def assert_fit_rejects(path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_fit_unknown_metric_exit_code(tmp_path, capsys):
+    """An unknown --metric is a validation error: one `error:` line on
+    stderr and nothing on stdout."""
+    assert main(["fit", "--csv", str(emitted_csv(tmp_path)),
+                 "--metric", "V"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: unknown metric 'V' (use R, S, or td)\n"
+    assert captured.out == ""
+
+
 def test_cli_fit_wrong_header_exit_code(tmp_path, capsys):
     path = emitted_csv(tmp_path)
     lines = path.read_text().splitlines()
@@ -570,6 +604,28 @@ def test_cli_rollout_theta_without_rows_exit_code(tmp_path, capsys):
     assert "no rows" in capsys.readouterr().err
 
 
+def test_cli_rollout_on_run_output(tmp_path, capsys):
+    """rollout reads the (N, d) theta_final.npy that run writes and rolls
+    out the agents' mean on each maze."""
+    maze = tmp_path / "maze.txt"
+    maze.write_text("S.\n.G\n")
+    cfg = write_cfg(tmp_path, (
+        "scenario = gridworld\nn_agents = 2\ndim = 16\nseed = 1\n"
+        f"maze_files = {maze},{maze}\nhorizon = 500\n"))
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    theta = np.load(out / "theta_final.npy")
+    assert theta.shape == (2, 16)
+    capsys.readouterr()
+    assert main(["rollout", "--config", cfg, "--theta",
+                 str(out / "theta_final.npy"), "--max-steps", "20"]) == 0
+    results = json.loads(capsys.readouterr().out)
+    expected = greedy_policy_rollout(theta.mean(axis=0),
+                                     load_maze(str(maze)), 20)
+    assert results == [{"maze": str(maze), "reached": expected.reached,
+                        "steps": len(expected.path) - 1}] * 2
+
+
 def test_cli_rollout(tmp_path, capsys):
     maze = tmp_path / "maze.txt"
     maze.write_text("SG\n")
@@ -577,7 +633,6 @@ def test_cli_rollout(tmp_path, capsys):
         "scenario = gridworld\nn_agents = 1\ndim = 8\nseed = 1\n"
         f"maze_files = {maze}\nhorizon = 10\n"))
     from dcsa.operators import value_iteration_q
-    from dcsa.sources import load_maze
     q = value_iteration_q(load_maze(str(maze)), gamma=0.5)
     theta = tmp_path / "theta.npy"
     np.save(theta, q)

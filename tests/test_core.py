@@ -272,7 +272,7 @@ def test_dcsa_step_single_agent_derived():
 
 def test_dcsa_step_dimension_check():
     step = StepSchedule(kind="constant", eps=0.1)
-    eye2 = WeightMatrix(entries=np.eye(2), sigma2=0.0)
+    eye2 = WeightMatrix(entries=np.eye(2))
     with pytest.raises(CoreError):
         Scenario(sources=[NullSource()] * 3, ops=[zero_op(1)] * 3, step=step,
                  horizon=1, seed=0, weights=(eye2,))
@@ -649,7 +649,8 @@ def test_run_lemma2_drift_bound():
     n, d = 3, 2
     rng = np.random.default_rng(4)
     u = rng.standard_normal(d) * 0.3
-    srcs = [ARSource(A=np.zeros((d, d)), u=u, noise_clip=3.0) for _ in range(n)]
+    srcs = [ARSource(gains=np.zeros(d - 1), u=u, noise_clip=3.0)
+            for _ in range(n)]
     ops = [quadratic_grad_operator(d) for _ in range(n)]
     sc = consensus_scenario(n, d, ops, horizon=2000,
                             step=StepSchedule(kind="constant", eps=1e-3),
@@ -657,7 +658,7 @@ def test_run_lemma2_drift_bound():
     traj = run(sc, collect_theta_bar=True)
     # B bound for this instance: ||x1|| <= 3, |x2| <= |u| . 3 + 3
     from dcsa.sources import ar_state_bound
-    xb = ar_state_bound(np.zeros((d, d)), 3.0)
+    xb = ar_state_bound(np.zeros(d - 1), 3.0)
     x1n = float(np.linalg.norm(xb))
     B = max(2 * x1n**2, 2 * (float(np.abs(u) @ xb) + 3.0) * x1n)
     t = tau_k(1.0, 1e-3, 0.0)

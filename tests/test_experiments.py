@@ -202,9 +202,8 @@ def test_system_id_builder_shapes_and_structure():
     assert sc.n_agents == 10 and sc.dim == 5
     assert np.linalg.norm(sc.theta_star) <= 1.0
     for src in sc.sources:
-        sub = np.diag(src.A, k=-1)
-        assert np.all((0.8 <= sub) & (sub <= 0.99))
-        assert np.count_nonzero(src.A) == 4
+        assert src.gains.shape == (4,)
+        assert np.all((0.8 <= src.gains) & (src.gains <= 0.99))
     # subdiagonal A is nilpotent: the chain forgets its past in d steps
     assert sc.rho == 0.0
 
@@ -216,7 +215,7 @@ def test_system_id_builder_deterministic():
     b = build_system_id_scenario(cfg)
     np.testing.assert_array_equal(a.theta_star, b.theta_star)
     for sa, sb in zip(a.sources, b.sources):
-        np.testing.assert_array_equal(sa.A, sb.A)
+        np.testing.assert_array_equal(sa.gains, sb.gains)
 
 
 def test_system_id_seed_changes_parameters():
@@ -446,7 +445,7 @@ class StationaryARSource(ARSource):
         0 of x, the chain's starting state there, is left as it is."""
         n_sources, dim = len(sources), sources[0].dim
         clip = np.array([src.noise_clip for src in sources])[:, None]
-        gains = np.cumprod([np.concatenate(([1.0], src.A.diagonal(-1)))
+        gains = np.cumprod([np.concatenate(([1.0], src.gains))
                             for src in sources], axis=1)
         u = np.array([src.u for src in sources])
 

@@ -214,26 +214,26 @@ def test_slem_values():
 
 
 def test_ar_source_zero_dynamics():
-    src = ARSource(A=np.zeros((2, 2)), u=np.zeros(2), noise_clip=1e-12)
+    src = ARSource(gains=[0.0], u=np.zeros(2), noise_clip=1e-12)
     x1, x2 = src.sample(derive_stream(0, 0, "sample"))
     assert np.max(np.abs(x1)) <= 1e-12
     assert abs(x2) <= 2e-12
 
 
-def test_ar_source_rejects_unstable():
-    with pytest.raises(SourceError):
-        ARSource(A=np.eye(2), u=np.zeros(2))
+def test_ar_source_rejects_bad_gains():
+    """A d-dim source takes d - 1 finite gains: a wrong length, a 2-D
+    array or a non-finite gain is refused."""
+    ARSource(gains=[0.9, 0.8], u=np.zeros(3))
+    for gains in ([0.9], [0.9, 0.8, 0.7], [[0.9, 0.8]], [0.9, math.nan],
+                  [math.inf, 0.8]):
+        with pytest.raises(SourceError, match="gains"):
+            ARSource(gains=gains, u=np.zeros(3))
 
 
-@pytest.mark.parametrize("entry", [(0, 0), (0, 1), (2, 0), (1, 2)])
-def test_ar_source_rejects_non_subdiagonal_A(entry):
-    """sample_block's column shift holds only for an A that is zero off its
-    first subdiagonal, so any other nonzero entry is refused."""
-    A = np.diag([0.9, 0.8], k=-1)
-    ARSource(A=A, u=np.zeros(3))
-    A[entry] = 0.1
-    with pytest.raises(SourceError, match="subdiagonal"):
-        ARSource(A=A, u=np.zeros(3))
+@pytest.mark.parametrize("u", [np.zeros(0), np.zeros((1, 3))])
+def test_ar_source_rejects_bad_u(u):
+    with pytest.raises(SourceError, match="u must be"):
+        ARSource(gains=np.zeros(max(u.size - 1, 0)), u=u)
 
 
 @pytest.mark.parametrize("clip", [math.nan, 0.0, -1.0])
@@ -241,11 +241,11 @@ def test_ar_source_rejects_bad_noise_clip(clip):
     """A clip that is not positive, NaN included, would give NaN state
     bounds and constants."""
     with pytest.raises(SourceError, match="noise_clip"):
-        ARSource(A=np.zeros((2, 2)), u=np.zeros(2), noise_clip=clip)
+        ARSource(gains=[0.0], u=np.zeros(2), noise_clip=clip)
 
 
 def test_ar_noise_is_clipped():
-    src = ARSource(A=np.zeros((1, 1)), u=np.ones(1), noise_clip=0.5)
+    src = ARSource(gains=[], u=np.ones(1), noise_clip=0.5)
     rng = derive_stream(0, 0, "sample")
     for _ in range(1000):
         x1, _ = src.sample(rng)
@@ -253,20 +253,12 @@ def test_ar_noise_is_clipped():
 
 
 def test_ar_state_bound_holds_empirically():
-    A = np.array([[0.0, 0.0], [0.9, 0.0]])
-    src = ARSource(A=A, u=np.ones(2), noise_clip=3.0)
-    bound = ar_state_bound(A, 3.0)
+    src = ARSource(gains=[0.9], u=np.ones(2), noise_clip=3.0)
+    bound = ar_state_bound(src.gains, 3.0)
     np.testing.assert_allclose(bound, [3.0, 2.7])
     rng = derive_stream(1, 0, "sample")
     x1, _ = src.sample_block(rng, 100_000)
     assert np.all(np.abs(x1) <= bound + 1e-12)
-
-
-def test_ar_subdiagonal_is_nilpotent():
-    A = np.zeros((3, 3))
-    A[1, 0] = A[2, 1] = 0.9
-    src = ARSource(A=A, u=np.zeros(3))
-    assert np.max(np.abs(np.linalg.eigvals(src.A))) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -419,22 +411,22 @@ def test_mdp_sample_block_matches_sample(maze, warmups, t1, t2, zero_at,
 @example(3, [([0.0, 0.5, 0.0, 0.0, 0.0], 3.0, 0),
              ([-0.5, 0.0, 0.0, 0.0, 0.0], 0.5, 2)], 20, 5, 0, 7)
 def test_ar_sample_block_matches_sample(d, specs, t1, t2, zero_at, seed):
-    """One block_sampler of a stack of 1 to 4 d x d AR sources, d = 1 to
-    6, that differ in A, u, clip and warm-up, drawn through three
+    """One block_sampler of a stack of 1 to 4 d-dim AR sources, d = 1 to
+    6, that differ in gains, u, clip and warm-up, drawn through three
     consecutive blocks of t1, t2 and 0 samples (the empty block in any
     place), holds in each row the bytes of as many sample calls of that
-    source, signed zeros included (a zero gain makes its product -0.0 where
-    sample's A @ state gives +0.0), and leaves every source's state and
+    source, signed zeros included (a zero gain times a negative state is
+    -0.0 in both, and a + 0.0 in either one alone would make it +0.0),
+    and leaves every source's state and
     stream where those calls leave them. A stack of one is drawn with
     sample_block, in fresh arrays per block; a larger stack is drawn into
     one pair of buffers for all three blocks, as the engine draws it, and
     the rows of x past the block are left as they were."""
     ones, blocks, rngs_one, rngs_block = [], [], [], []
-    for i, (subdiagonal, clip, warmup) in enumerate(specs):
+    for i, (gains, clip, warmup) in enumerate(specs):
         u = np.random.default_rng([seed, i]).standard_normal(d)
-        A = np.diag(np.array(subdiagonal[:d - 1], dtype=float), k=-1)
-        one = ARSource(A=A, u=u, noise_clip=clip)
-        block = ARSource(A=A, u=u, noise_clip=clip)
+        one = ARSource(gains=gains[:d - 1], u=u, noise_clip=clip)
+        block = ARSource(gains=gains[:d - 1], u=u, noise_clip=clip)
         rng_one = derive_stream(seed, i, "sample")
         rng_block = derive_stream(seed, i, "sample")
         for _ in range(warmup):   # so that a block need not begin at zero
