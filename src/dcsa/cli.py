@@ -11,6 +11,7 @@ from time import perf_counter
 
 import numpy as np
 
+from . import operators
 from .config import ConfigError, config_to_text, parse_config, maze_paths
 from .core import CoreError, admissible_step_check, run
 from .experiments import (ScenarioError, build_scenario, fit_rate_series,
@@ -91,6 +92,7 @@ def cmd_run(args):
         **{f"{phase}_s": secs for phase, secs in traj.phase_s.items()},
         "python_version": platform.python_version(),
         "numpy_version": np.__version__,
+        "compiled_step": operators.STEP is not None,
         "config": config_to_text(cfg),
     }, os.path.join(args.out, "summary.json"))
     if traj.aborted:

@@ -16,6 +16,7 @@ from time import perf_counter
 
 import numpy as np
 
+from . import operators
 from .operators import (TabularFeatures, bellman_residual,
                         qlearning_block_drift, quadratic_block_drift)
 from .sources import _SHORT_ROW, ordered_sum
@@ -797,17 +798,19 @@ def _block_drift(ops, sources, rngs):
     operators' builder, with its _BLOCK-row buffers, are then made once,
     here, for the whole run, and a block is one draw whose samples the
     builder turns into the step; the quadratic builder's buffers are the
-    ones the sampler draws into. Anything else is sampled and evaluated
-    agent by agent, and makes no builder. That per-agent step never hands
-    an operator's eval a non-finite iterate: an agent whose row of Theta
-    has a non-finite entry gets a NaN drift row instead, and its run
-    aborts at that step all the same."""
+    ones the sampler draws into. Each builder gets operators.STEP, the
+    compiled step where it loaded, read here at every run. Anything else
+    is sampled and evaluated agent by agent, and makes no builder. That
+    per-agent step never hands an operator's eval a non-finite iterate: an
+    agent whose row of Theta has a non-finite entry gets a NaN drift row
+    instead, and its run aborts at that step all the same."""
     source_class = type(sources[0])
     if (hasattr(source_class, "block_sampler")
             and all(type(src) is source_class for src in sources)):
         kinds = {op.kind for op in ops}
         if kinds == {"quadratic-gradient"}:
-            out, block = quadratic_block_drift(ops[0].dim, len(ops), _BLOCK)
+            out, block = quadratic_block_drift(ops[0].dim, len(ops), _BLOCK,
+                                               operators.STEP)
             draw = source_class.block_sampler(sources, rngs)
 
             def sampled(T):
@@ -820,7 +823,7 @@ def _block_drift(ops, sources, rngs):
                       for op in ops}
             if len(shared) == 1:
                 block = qlearning_block_drift(*shared.pop(), len(ops),
-                                              _BLOCK)
+                                              _BLOCK, operators.STEP)
                 draw = source_class.block_sampler(sources, rngs)
 
                 def sampled(T):

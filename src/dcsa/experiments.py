@@ -151,12 +151,7 @@ def fit_rate_series(ks, values) -> RateFit:
     """Least-squares slope of log(value) against log(k) over the points with
     k >= 1, in closed form: with x = log k and y = log value each centered,
     slope = sum(xy) / sum(xx) and r2 = slope sum(xy) / sum(yy), that is
-    1 - sum((y - slope x)^2) / sum(yy).
-
-    The centered sums are taken block by block in two reused buffers, each
-    block centered on its own mean and merged into the running sums by the
-    pairwise update of Chan, Golub & LeVeque, so a fit allocates nothing of
-    the series' length but for a copy that drops points with k < 1."""
+    1 - sum((y - slope x)^2) / sum(yy)."""
     ks = np.asarray(ks, dtype=float)
     values = np.asarray(values, dtype=float)
     keep = ks >= 1
@@ -164,20 +159,33 @@ def fit_rate_series(ks, values) -> RateFit:
         ks, values = ks[keep], values[keep]
     if len(ks) < 2:
         raise CoreError("rate fit needs at least two points with k >= 1")
+    return _log_log_fit(values, ks.min(), ks.max(),
+                        lambda lo, x: np.log(ks[lo:lo + len(x)], out=x))
+
+
+def _log_log_fit(values, k_min, k_max, log_ks):
+    """fit_rate_series's line through at least two points (k, values) with
+    1 <= k_min <= k <= k_max; log_ks(lo, x) writes log k of the points lo,
+    lo + 1, ... into the buffer x and returns it.
+
+    The centered sums are taken block by block in two reused buffers, each
+    block centered on its own mean and merged into the running sums by the
+    pairwise update of Chan, Golub & LeVeque, so a fit allocates nothing of
+    the series' length."""
     if not np.isfinite(values).all() or (values <= 0).any():
         raise CoreError("rate fit requires positive finite metric values")
     # k's so close that their logs are equal leave no line either
-    log_lo, log_hi = np.log(ks.min()), np.log(ks.max())
+    log_lo, log_hi = np.log(k_min), np.log(k_max)
     if log_lo == log_hi:
         raise CoreError("rate fit needs at least two distinct k")
     if not np.isfinite(log_hi):
         raise CoreError("rate fit requires finite k")
-    x_buf = np.empty(min(_FIT_BLOCK, len(ks)))
+    x_buf = np.empty(min(_FIT_BLOCK, len(values)))
     y_buf = np.empty_like(x_buf)
     n, mean_x, mean_y, sxx, sxy, syy = 0, 0.0, 0.0, 0.0, 0.0, 0.0
-    for lo in range(0, len(ks), _FIT_BLOCK):
-        m = min(_FIT_BLOCK, len(ks) - lo)
-        x = np.log(ks[lo:lo + m], out=x_buf[:m])
+    for lo in range(0, len(values), _FIT_BLOCK):
+        m = min(_FIT_BLOCK, len(values) - lo)
+        x = log_ks(lo, x_buf[:m])
         y = np.log(values[lo:lo + m], out=y_buf[:m])
         block_x, block_y = x.mean(), y.mean()
         x -= block_x
@@ -211,7 +219,8 @@ def fit_rate(traj, metric, window) -> RateFit:
     """Log-log slope of a trajectory metric over window = (k_min, k_max).
 
     The window must span at least one decade of k. R and S are fitted on a
-    view of their history over the window.
+    view of their history over the window, with each block's log k filled
+    from the window's integer bounds.
     """
     k_min, k_max = window
     if k_max < 10 * k_min or k_min < 1:
@@ -223,7 +232,13 @@ def fit_rate(traj, metric, window) -> RateFit:
         return fit_rate_series(ks[keep], vals[keep])
     lo = math.ceil(k_min)
     vals = vals[lo:int(min(k_max, len(vals))) + 1]
-    return fit_rate_series(np.arange(lo, lo + len(vals), dtype=float), vals)
+    if len(vals) < 2:
+        raise CoreError("rate fit needs at least two points with k >= 1")
+
+    def log_ks(i, x):   # the block's k from lo + i on, exact in float64
+        return np.log(np.arange(lo + i, lo + i + len(x), dtype=float), out=x)
+
+    return _log_log_fit(vals, float(lo), float(lo + len(vals) - 1), log_ks)
 
 
 def plateau_level(traj, metric, tail_fraction) -> float:

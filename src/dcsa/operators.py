@@ -11,11 +11,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sources import ARSource, Maze, ar_state_bound
+from ._build import load_step
+from .sources import _SHORT_ROW, ARSource, Maze, ar_state_bound
 
 
 class OperatorError(ValueError):
     """Raised for dimension mismatches and misuse of operator contracts."""
+
+
+# the compiled drift step (_step.c), or None where it cannot be built or
+# loaded; core._block_drift hands it to the batched builders
+STEP = load_step()
 
 
 @dataclass(frozen=True)
@@ -52,7 +58,7 @@ def quadratic_grad_operator(dim: int) -> LocalOperator:
     return LocalOperator(dim=dim, eval=_eval, kind="quadratic-gradient")
 
 
-def quadratic_block_drift(dim, agents, rows):
+def quadratic_block_drift(dim, agents, rows, kernel=None):
     """(x, x2), block: the block layer of a stack of `agents`
     quadratic-gradient agents of dimension dim, built once per run. A
     block's T <= rows samples are drawn straight into the buffers x, of
@@ -67,50 +73,38 @@ def quadratic_block_drift(dim, agents, rows):
     round otherwise, and both round 2 * resid, its product with x1 and eps
     times that in this order.
 
-    Every buffer is allocated once per run: x and x2, the lists of their
-    per-step rows, 2 as a 0-d array (a Python float is converted at every
-    call), and the step's scratch: the products x1[t] * Theta, which then
-    hold the update, and the row sums, which then hold the residuals. Each
-    ufunc writes into them through a positional out, and the step calls
-    them through local names, not np. attributes.
-
-    For dim = 2 the row sum is one elementwise add, p0 + p1: the reduce's
-    ordered_sum but for the sign of a zero sum (see sources.ordered_sum),
-    which x2 - sum keeps only where x2 is zero. So a block whose x2 has no
-    zero takes the add; any other keeps np.add.reduce."""
+    kernel is the compiled step module (see _build), or None. For dim <
+    _SHORT_ROW a step is one call of kernel.quadratic, which chains each
+    row's products from +0.0 as np.add.reduce does there; otherwise, and
+    without a kernel, it is the numpy formula below, in (agents, dim)
+    scratch allocated once per run."""
     x = np.empty((rows + 1, agents, dim))
     # a step reads x2's rows as (agents, 1) rows of a (rows, agents, 1)
-    # buffer: a row[:, None] view of a (rows, agents) one has a 0 stride,
-    # which takes numpy's slower strided loop (1.1 against 0.8 us per
-    # subtract by timeit)
+    # buffer, which broadcast against the (agents, 1) row sums
     x2_buf = np.empty((rows, agents, 1))
     x2 = x2_buf[..., 0]
     x1_rows, x2_rows = list(x[1:]), list(x2_buf)
-    p = np.empty((agents, dim))
-    s = np.empty((agents, 1))
-    p0, p1 = p[:, :1], p[:, 1:]
-    two = np.array(2.0)
-    two_terms = False
-    mul, add, sub = np.multiply, np.add, np.subtract
-    # np.add.reduce: ndarray.sum goes through a Python wrapper
-    row_sum = np.add.reduce
 
-    def step(Theta, t, eps, out):
-        x1_t = x1_rows[t]
-        mul(x1_t, Theta, p)
-        if two_terms:
-            add(p0, p1, s)
-        else:
-            row_sum(p, -1, None, s, True)
-        sub(x2_rows[t], s, s)
-        mul(s, two, s)
-        mul(s, x1_t, p)
-        mul(p, eps, p)
-        add(out, p, out)
+    if kernel is not None and dim < _SHORT_ROW:
+        quadratic = kernel.quadratic
+
+        def step(Theta, t, eps, out):
+            quadratic(Theta, x1_rows[t], x2_rows[t], eps, out)
+    else:
+        p = np.empty((agents, dim))
+        s = np.empty((agents, 1))
+
+        def step(Theta, t, eps, out):
+            x1_t = x1_rows[t]
+            np.multiply(x1_t, Theta, out=p)
+            np.add.reduce(p, axis=-1, keepdims=True, out=s)
+            np.subtract(x2_rows[t], s, out=s)
+            np.multiply(s, 2.0, out=s)
+            np.multiply(s, x1_t, out=p)
+            np.multiply(p, eps, out=p)
+            np.add(out, p, out=out)
 
     def block(T):
-        nonlocal two_terms
-        two_terms = dim == 2 and bool(np.all(x2[:T] != 0))
         return step
 
     return (x, x2), block
@@ -173,7 +167,8 @@ def qlearning_operator(features: TabularFeatures, gamma: float) -> LocalOperator
                          params={"features": features, "gamma": gamma})
 
 
-def qlearning_block_drift(features: TabularFeatures, gamma, agents, rows):
+def qlearning_block_drift(features: TabularFeatures, gamma, agents, rows,
+                          kernel=None):
     """block(s, a, r, s') of a stack of `agents` Q-learning agents that
     share features and gamma, built once per run: for time-major blocks of
     (s, a, r, s') samples of shape (T, agents), T <= rows, it returns
@@ -191,43 +186,46 @@ def qlearning_block_drift(features: TabularFeatures, gamma, agents, rows):
     action per row, and whose last row is its slot, its flat Q(s, a) index;
     the rewards; the lists of the per-step index, slot and reward rows,
     each slot row a view of its index row; a contiguous (rows, agents)
-    scratch for the block's row bases; gamma as a 0-d array (a Python float
-    is converted at every call); and the step's scratch, whose ufuncs the
-    step calls through local names, not np. attributes. A block checks its
-    states and actions against the features, since take clips rather than
-    checking them at every step, and fills the buffers' first T rows by
-    ufuncs with out.
+    scratch for the block's row bases; and the step's scratch. A block
+    checks its states and actions against the features, since take clips
+    rather than checking them at every step, and fills the buffers' first T
+    rows by ufuncs with out.
 
-    A step is one take of its gather indices into an (actions + 1, agents)
-    scratch, a max across the contiguous action rows, one take of out's
-    slots and one put. It rounds as bellman_residual does: gamma * max,
-    then + r, then - Q(s, a), then * eps, and out's slot plus that.
+    kernel is the compiled step module (see _build), or None. With it, a
+    step is one call of kernel.qlearning on the step's index and reward
+    rows; without it, one take of its gather indices into an (actions + 1,
+    agents) scratch, a max across the contiguous action rows, one take of
+    out's slots and one put. Both round as bellman_residual does: gamma *
+    max, then + r, then - Q(s, a), then * eps, and out's slot plus that.
     """
     n_states, n_actions = features.n_states, features.n_actions
     index = np.empty((rows, n_actions + 1, agents), dtype=np.intp)
     base = np.empty((rows, agents), dtype=np.intp)
     reward = np.empty((rows, agents))
     index_rows, reward_rows = list(index), list(reward)
-    slot_rows = [row[n_actions] for row in index_rows]
     offsets = n_states * np.arange(agents)
     action_rows = [index[:, action] for action in range(n_actions)]
-    gamma = np.array(gamma)
-    gather = np.empty((n_actions + 1, agents))
-    q_next, q = gather[:n_actions], gather[n_actions]   # Q(s', .), Q(s, a)
-    res = np.empty(agents)
-    col_max, mul, add, sub = (np.maximum.reduce, np.multiply, np.add,
-                              np.subtract)
+    if kernel is not None:
+        qlearning, gamma = kernel.qlearning, float(gamma)
 
-    def step(Theta, t, eps, out):
-        Theta.take(index_rows[t], None, gather, "clip")
-        col_max(q_next, 0, None, res)
-        mul(res, gamma, res)
-        add(res, reward_rows[t], res)
-        sub(res, q, res)
-        mul(res, eps, res)
-        out.take(slot_rows[t], None, q, "clip")
-        add(q, res, q)
-        out.put(slot_rows[t], q)
+        def step(Theta, t, eps, out):
+            qlearning(Theta, index_rows[t], reward_rows[t], gamma, eps, out)
+    else:
+        slot_rows = [row[n_actions] for row in index_rows]
+        gather = np.empty((n_actions + 1, agents))
+        q_next, q = gather[:n_actions], gather[n_actions]  # Q(s', .), Q(s, a)
+        res = np.empty(agents)
+
+        def step(Theta, t, eps, out):
+            Theta.take(index_rows[t], out=gather, mode="clip")
+            np.maximum.reduce(q_next, axis=0, out=res)
+            np.multiply(res, gamma, out=res)
+            np.add(res, reward_rows[t], out=res)
+            np.subtract(res, q, out=res)
+            np.multiply(res, eps, out=res)
+            out.take(slot_rows[t], out=q, mode="clip")
+            np.add(q, res, out=q)
+            out.put(slot_rows[t], q)
 
     def block(s, a, r, s_next):
         T = len(s)

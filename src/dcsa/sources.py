@@ -229,6 +229,8 @@ class ARSource:
             self.state = np.zeros(self.dim)
         else:
             self.state = np.asarray(self.state, dtype=float).copy()
+            if self.state.shape != (self.dim,):
+                raise SourceError("state must be a vector of length d")
 
     @property
     def dim(self):

@@ -1,5 +1,6 @@
-"""Hypothesis strategies shared by the test modules."""
+"""Hypothesis strategies and sample arrays shared by the test modules."""
 
+import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
 
@@ -24,3 +25,23 @@ def mazes(draw, shape=None):
         return parse_maze(text)
     except SourceError:
         assume(False)
+
+
+def signed_zeros(rng, shape):
+    """Standard normals with about a fifth of the entries -0.0 and a fifth
+    +0.0."""
+    x = rng.standard_normal(shape)
+    u = rng.random(shape)
+    x[u < 0.2] = -0.0
+    x[u > 0.8] = 0.0
+    return x
+
+
+def special_values(rng, shape):
+    """Standard normals with about half the entries +0.0, -0.0, inf, -inf
+    or NaN, in equal shares."""
+    x = rng.standard_normal(shape)
+    special = rng.random(shape) < 0.5
+    x[special] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan],
+                            size=int(special.sum()))
+    return x

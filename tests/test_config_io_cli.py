@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dcsa import operators
 from dcsa.cli import main
 from dcsa.config import (ConfigError, ScenarioConfig, config_to_text,
                          parse_config, parse_topology)
@@ -208,6 +209,24 @@ def test_cli_run_summary_reports_time_and_versions(tmp_path):
     assert summary["numpy_version"] == np.__version__
     resolved = parse_config(summary["config"])
     assert resolved.seed == 7 and resolved.horizon == horizon
+
+
+def test_cli_run_summary_says_whether_the_step_is_compiled(tmp_path,
+                                                          monkeypatch):
+    """compiled_step is true where the compiled drift step loaded and false
+    where the engine steps with numpy; the run's outputs are the same
+    bytes either way."""
+    cfg = write_cfg(tmp_path, SYSTEM_ID_CFG)
+    outputs = []
+    for step in (operators.STEP, None):
+        monkeypatch.setattr(operators, "STEP", step)
+        out = tmp_path / f"out-{len(outputs)}"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["compiled_step"] is (step is not None)
+        outputs.append([(out / name).read_bytes()
+                        for name in ("metrics.csv", "theta_final.npy")])
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_run_byte_identical(tmp_path):

@@ -11,6 +11,7 @@ import copy
 import dataclasses
 import json
 import math
+import types
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dcsa import _build, operators
 from dcsa.config import ScenarioConfig
 from dcsa.core import (CoreError, MetricsRecord, MetricsTrajectory,
                        RateConstants, Scenario, StepSchedule, _BLOCK,
@@ -530,6 +532,83 @@ def test_batched_drift_builders_are_made_once_per_run(monkeypatch):
     sc.sources = [Unbatched(src) for src in sc.sources]
     assert_identical(run(sc), batched)
     assert calls == []
+
+
+def counting_step(calls):
+    """A stand-in for the compiled step module: each call of its quadratic
+    or qlearning appends that name to calls and is passed on to
+    operators.STEP where the step loaded."""
+    compiled = operators.STEP
+
+    def counted(name):
+        def call(*args):
+            calls.append(name)
+            if compiled is not None:
+                getattr(compiled, name)(*args)
+        return call
+
+    return types.SimpleNamespace(quadratic=counted("quadratic"),
+                                 qlearning=counted("qlearning"))
+
+
+def test_block_drift_picks_the_compiled_step(monkeypatch):
+    """_block_drift hands operators.STEP, as it is at the run, to the
+    batched builders: a run, or a stack of runs, makes one call per
+    iteration, of quadratic for d < _SHORT_ROW and of qlearning for
+    Q-learning, and none for d >= _SHORT_ROW, whose rows numpy sums
+    pairwise. With STEP None, it makes none."""
+    calls = []
+    monkeypatch.setattr(operators, "STEP", counting_step(calls))
+    horizon = _BLOCK + 22
+    cfg = ScenarioConfig(scenario="system_id", n_agents=3, dim=5,
+                         horizon=horizon, stride=50)
+    gridworld = build_gridworld_scenario(
+        ScenarioConfig(scenario="gridworld", n_agents=3, dim=100,
+                       horizon=horizon, stride=50, maze_files="unused"),
+        mazes=[parse_maze(m) for m in MAZES])
+    runs = [(lambda: run(build_scenario(cfg)), ["quadratic"] * horizon),
+            (lambda: run_ensemble([build_scenario(dataclasses.replace(
+                cfg, seed=seed)) for seed in (1, 2)]),
+             ["quadratic"] * horizon),
+            (lambda: run(build_scenario(dataclasses.replace(cfg, dim=8))),
+             []),
+            (lambda: run(gridworld), ["qlearning"] * horizon)]
+    for run_it, expected in runs:
+        calls.clear()
+        run_it()
+        assert calls == expected
+    monkeypatch.setattr(operators, "STEP", None)
+    for run_it, _ in runs:
+        calls.clear()
+        run_it()
+        assert calls == []
+
+
+def test_compiled_step_fallback_gives_the_same_bytes(monkeypatch, tmp_path):
+    """Where the step cannot be built, with no compiler and an empty cache,
+    the loader returns None, and runs stepped with numpy equal those
+    stepped by operators.STEP bit for bit: single runs of both kinds and a
+    stack whose runs abort on non-finite iterates."""
+    fallback = _build.load_step(cc=[str(tmp_path / "no-such-cc")],
+                                cache_dir=str(tmp_path / "cache"))
+    assert fallback is None
+    cfg = ScenarioConfig(scenario="system_id", n_agents=10, dim=5,
+                         horizon=300, stride=7, compute_constants=True)
+    gridworld = build_gridworld_scenario(
+        ScenarioConfig(scenario="gridworld", n_agents=3, dim=100,
+                       horizon=300, stride=30, maze_files="unused"),
+        mazes=[parse_maze(m) for m in MAZES])
+    stack = system_id_stack(**ABORTING_STACK)
+
+    def runs():
+        return [run(build_scenario(cfg), collect_theta_bar=True),
+                run(gridworld), *run_ensemble(stack)]
+
+    compiled = runs()
+    monkeypatch.setattr(operators, "STEP", fallback)
+    for new, ref in zip(runs(), compiled, strict=True):
+        assert_identical(new, ref)
+    assert [traj.aborted for traj in compiled[2:]] == [False, True, False, True]
 
 
 # runs 1 and 3 start far out and abort at k = 12 and k = 118, in the first

@@ -122,7 +122,7 @@ def test_fit_rate_series_matches_polyfit(law, below_one):
 def test_fit_rate_window_is_the_mask_selection(law):
     """fit_rate's slice of R_hist and S_hist holds the points that the mask
     (k_min <= k <= k_max) over k = 0 .. len - 1 selects, and gives their
-    fit."""
+    fit, slope and r2 bit for bit."""
     c, slope, noise, seed, length, window = law
     traj = synthetic_traj(power_law_history(c, slope, noise, seed, length))
     ks = np.arange(length)
@@ -131,7 +131,7 @@ def test_fit_rate_window_is_the_mask_selection(law):
         fit = fit_rate(traj, metric, window)
         masked = fit_rate_series(ks[keep], traj.R_hist[keep])
         assert fit.n_points == masked.n_points == int(keep.sum())
-        assert fit.slope == masked.slope
+        assert fit.slope == masked.slope and fit.r2 == masked.r2
         ref_slope, _ = polyfit_rate(ks[keep], traj.R_hist[keep])
         np.testing.assert_allclose(fit.slope, ref_slope, rtol=1e-12, atol=0)
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dcsa import operators
 from dcsa.operators import (LocalOperator, OperatorError, TabularFeatures,
                             ar_stationary_covariance, bellman_residual,
                             clipped_normal_variance, estimate_constants,
@@ -14,7 +15,7 @@ from dcsa.operators import (LocalOperator, OperatorError, TabularFeatures,
 from dcsa.rng import derive_stream
 from dcsa.sources import ARSource, MDPSource, ar_state_bound, parse_maze
 
-from strategies import GAMMAS, mazes
+from strategies import GAMMAS, mazes, signed_zeros, special_values
 
 
 # ---------------------------------------------------------------------------
@@ -79,16 +80,6 @@ def ar_block(seed, i, d, T):
                                               T)
 
 
-def signed_zeros(rng, shape):
-    """Standard normals with about a fifth of the entries -0.0 and a fifth
-    +0.0."""
-    x = rng.standard_normal(shape)
-    u = rng.random(shape)
-    x[u < 0.2] = -0.0
-    x[u > 0.8] = 0.0
-    return x
-
-
 @given(st.integers(1, 5), st.integers(1, 10), st.integers(0, 130),
        st.floats(1e-3, 10.0), st.integers(0, 2**31 - 1),
        st.sampled_from([1.0, 3e307]))
@@ -101,8 +92,8 @@ def test_quadratic_block_drift_matches_eval(n, d, T, eps, seed, scale):
     """The batched step adds eps times its agent's operator eval at that
     step to every row of out in place: out0 + eps * eval, bit for bit and
     signed zeros included, for N agents with their own AR sources and at
-    any theta, overflowing ones included; d = 2 takes the two-term row
-    sum, and d above 8 numpy's pairwise sums."""
+    any theta, overflowing ones included; d above 8 takes numpy's pairwise
+    sums."""
     op = quadratic_grad_operator(d)
     blocks = [ar_block(seed, i, d, T) for i in range(n)]
     (x, x2), block = quadratic_block_drift(d, n, T)
@@ -122,22 +113,28 @@ def test_quadratic_block_drift_matches_eval(n, d, T, eps, seed, scale):
         assert out.tobytes() == expected.tobytes()
 
 
-def test_quadratic_block_drift_two_terms_with_zero_x2():
+@pytest.mark.parametrize("kernel", [None, operators.STEP],
+                         ids=["numpy", "compiled"])
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8])
+def test_quadratic_block_drift_zero_x2_signed_zeros(d, kernel):
     """Where x2 is zero, the sign of a zero row sum shows in the residual:
-    x2 = -0.0 with both products -0.0 gives -0.0 - (+0.0) = -0.0 in eval,
-    whose sum starts from +0.0, and -0.0 - (-0.0) = +0.0 for p0 + p1. The
-    d = 2 step must still equal out0 + eps * eval, bit for bit."""
-    op = quadratic_grad_operator(2)
-    (x, x2), block = quadratic_block_drift(2, 1, 1)
-    x[1] = [[1.0, 2.0]]                    # X(1) of step 0: (agents, d)
-    x2[0] = [-0.0]                         # X(2) of step 0: (agents,)
-    theta = np.array([[-0.0, -0.0]])       # both products are -0.0
-    out0 = np.array([[-0.0, -0.0]])
-    expected = out0 + 0.5 * op.eval((x[1, 0], float(x2[0, 0])), theta[0])
+    with every product -0.0, eval's sum, which starts from +0.0, is +0.0,
+    so x2 = -0.0 gives -0.0 - (+0.0) = -0.0 and x2 = +0.0 gives +0.0. Both
+    steps, numpy's and the compiled one (the numpy step again where it did
+    not load, and for d >= 8), must equal out0 + eps * eval, bit for bit,
+    -0.0 included."""
+    op = quadratic_grad_operator(d)
+    (x, x2), block = quadratic_block_drift(d, 2, 1, kernel)
+    x[1] = np.arange(1.0, d + 1)           # X(1) of step 0: (agents, d)
+    x2[0] = [-0.0, 0.0]                    # X(2) of step 0: (agents,)
+    theta = np.full((2, d), -0.0)          # every product is -0.0
+    out0 = np.full((2, d), -0.0)
+    expected = out0 + 0.5 * np.stack([op.eval((x[1, i], float(x2[0, i])),
+                                              theta[i]) for i in range(2)])
     out = out0.copy()
     block(1)(theta, 0, 0.5, out)
     assert out.tobytes() == expected.tobytes()
-    assert np.signbit(expected).all()
+    assert np.signbit(expected[0]).all() and not np.signbit(expected[1]).any()
 
 
 @pytest.mark.parametrize("d", [2, 5])
@@ -150,12 +147,11 @@ def test_quadratic_block_drift_refills_its_buffers_every_block(d, n, eps,
     ARSource.block_sampler draws into its buffers: every step of every
     block equals out0 + eps * eval, bit for bit. For d = 2 the 77-step
     block has a zero x2, at a step whose products x1 * theta are both
-    -0.0, and the blocks around it have none, so the two-term row sum is
-    on, off and on again: a block that kept the choice of the block before
-    it would step with p0 + p1, whose +0.0 residual flips the sign of
-    every entry of that agent's -0.0 row of out0 plus its zero update. A
-    draw that left a row of the builder's x1 or x2 buffers as the block
-    before it filled it would make the step read that block's samples."""
+    -0.0, where the sign of the zero row sum shows in every entry of that
+    agent's -0.0 row of out0 plus its zero update, and the blocks around
+    it have none. A draw that left a row of the builder's x1 or x2 buffers
+    as the block before it filled it would make the step read that block's
+    samples."""
     op = quadratic_grad_operator(d)
     draw = ARSource.block_sampler(
         [ar_source(seed, i, d) for i in range(n)],
@@ -249,16 +245,6 @@ def row_wise_residual(q, gamma, s, a, r, s_next):
     one max per gathered row."""
     return (r + gamma * np.maximum.reduce(q.take(s_next, axis=0), axis=-1)
             - q[s, a])
-
-
-def special_values(rng, shape):
-    """Standard normals with about half the entries +0.0, -0.0, inf, -inf
-    or NaN, in equal shares."""
-    x = rng.standard_normal(shape)
-    special = rng.random(shape) < 0.5
-    x[special] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan],
-                            size=int(special.sum()))
-    return x
 
 
 @given(st.integers(1, 6), st.integers(1, 8), GAMMAS,

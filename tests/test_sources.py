@@ -236,6 +236,18 @@ def test_ar_source_rejects_bad_u(u):
         ARSource(gains=np.zeros(max(u.size - 1, 0)), u=u)
 
 
+@pytest.mark.parametrize("state", [[1.0, 2.0, 3.0], [1.0], [[1.0, 2.0]]])
+def test_ar_source_rejects_bad_state(state):
+    """A state that is not a vector of length d is refused when the source
+    is built, not by the first sample; a length-d one is kept as a copy."""
+    with pytest.raises(SourceError, match="state must be"):
+        ARSource(gains=[0.9], u=[1.0, 2.0], state=state)
+    given = np.array([1.0, -2.0])
+    src = ARSource(gains=[0.9], u=[1.0, 2.0], state=given)
+    assert src.state is not given and src.state.tolist() == [1.0, -2.0]
+    src.sample(derive_stream(0, 0, "sample"))
+
+
 @pytest.mark.parametrize("clip", [math.nan, 0.0, -1.0])
 def test_ar_source_rejects_bad_noise_clip(clip):
     """A clip that is not positive, NaN included, would give NaN state
