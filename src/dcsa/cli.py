@@ -11,7 +11,6 @@ from time import perf_counter
 
 import numpy as np
 
-from . import operators
 from .config import ConfigError, config_to_text, parse_config, maze_paths
 from .core import CoreError, admissible_step_check, run
 from .experiments import (ScenarioError, build_scenario, fit_rate_series,
@@ -47,7 +46,7 @@ def _admissibility(cfg, scenario):
                         "compute_constants=false)"}
     report = admissible_step_check(
         scenario.constants, scenario.step, scenario.n_agents, scenario.sigma2,
-        scenario.beta, scenario.rho, horizon=min(cfg.horizon, 10_000))
+        scenario.beta, horizon=min(cfg.horizon, 10_000))
     return {"checked": True, "passed": report.passed, "margins": report.margins}
 
 
@@ -92,7 +91,7 @@ def cmd_run(args):
         **{f"{phase}_s": secs for phase, secs in traj.phase_s.items()},
         "python_version": platform.python_version(),
         "numpy_version": np.__version__,
-        "compiled_step": operators.STEP is not None,
+        "compiled_step": traj.compiled_step,
         "config": config_to_text(cfg),
     }, os.path.join(args.out, "summary.json"))
     if traj.aborted:
@@ -115,7 +114,6 @@ def cmd_check(args):
         "n_agents": scenario.n_agents,
         "dim": scenario.dim,
         "sigma2": scenario.sigma2,
-        "rho": scenario.rho,
         "beta": scenario.beta,
     }
     if cfg.scenario == "system_id":

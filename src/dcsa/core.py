@@ -9,7 +9,6 @@ import bisect
 import copy
 import dataclasses
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from time import perf_counter
@@ -60,14 +59,14 @@ class StepSchedule:
         return (self.eps / np.arange(k0 + 1, k0 + T + 1)).tolist()
 
 
-def tau_k(beta: float, eps_k: float, rho: float) -> int:
-    """Delay horizon max{ceil(rho/(1-rho)), ceil(beta log(1/eps_k))}."""
-    if not (0.0 <= rho < 1.0):
-        raise CoreError("rho must lie in [0,1)")
-    floor_term = _ceil_tol(rho / (1.0 - rho)) if rho > 0 else 0
+def tau_k(beta: float, eps_k: float, rho: float = 0.0) -> int:
+    """Delay horizon ceil(beta log(1/eps_k)), and 0 for eps_k >= 1."""
+    # rho: benchmarks/workloads.py passes 0.0 until the next benchmark change
+    if rho != 0.0:
+        raise CoreError(f"tau_k takes no mixing floor, got rho = {rho}")
     if eps_k >= 1.0:
         # log(1/eps_k) <= 0, and for eps_k = inf math.log would fail
-        return floor_term
+        return 0
     if eps_k <= 0:
         raise CoreError("eps_k must be positive")
     log_term = beta * math.log(1.0 / eps_k)
@@ -75,12 +74,9 @@ def tau_k(beta: float, eps_k: float, rho: float) -> int:
         # a subnormal eps_k or a huge beta overflows beta log(1/eps_k)
         raise CoreError(f"tau_k is not finite at beta = {beta}, "
                         f"eps_k = {eps_k}")
-    return max(floor_term, _ceil_tol(log_term))
-
-
-def _ceil_tol(x, tol=1e-9):
-    """Ceiling that forgives round-off just above an integer."""
-    return math.ceil(x - tol)
+    # a ceiling that forgives round-off just above an integer; never below
+    # 0 (for a negative beta), so a record's S_delayed reads no k beyond it
+    return max(0, math.ceil(log_term - 1e-9))
 
 
 # ---------------------------------------------------------------------------
@@ -134,19 +130,19 @@ class RateConstants:
                    c_tau=c_tau, B=B, alpha=alpha)
 
 
-def fit_c_tau(schedule: StepSchedule, beta, rho, horizon) -> float:
+def fit_c_tau(schedule: StepSchedule, beta, horizon) -> float:
     """Largest c in (0,1) with tau_k + 1 <= (1-c)(k+1) for all k > tau_k
     up to the horizon."""
     best = math.inf
     if schedule.kind == "constant" and horizon >= 1:
         # tau_k is one value t, and 1 - (t+1)/(k+1) is least at k = t+1
-        t = tau_k(beta, schedule.eps, rho)
+        t = tau_k(beta, schedule.eps)
         if t + 1 <= horizon:
             best = 1.0 - (t + 1) / (t + 2)
     else:
         # 1 - (t+1)/(k+1) grows with k, so a run of equal tau_k = t attains
         # its least value at its first k > t
-        for first, last, t in _tau_runs(schedule, beta, rho, 1, horizon):
+        for first, last, t in _tau_runs(schedule, beta, 1, horizon):
             k = max(first, t + 1)
             if k <= last:
                 best = min(best, 1.0 - (t + 1) / (k + 1))
@@ -158,7 +154,7 @@ def fit_c_tau(schedule: StepSchedule, beta, rho, horizon) -> float:
     return best
 
 
-def _tau_runs(schedule: StepSchedule, beta, rho, lo, hi):
+def _tau_runs(schedule: StepSchedule, beta, lo, hi):
     """(first, last, t) for each run first..last of equal t = tau_k at the
     steps of the schedule, over lo <= k <= hi.
 
@@ -169,7 +165,7 @@ def _tau_runs(schedule: StepSchedule, beta, rho, lo, hi):
     ks = range(lo, hi + 1)
 
     def tau(k):
-        return tau_k(beta, schedule.value(k), rho)
+        return tau_k(beta, schedule.value(k))
 
     i = 0
     while i < len(ks):
@@ -186,7 +182,7 @@ class AdmissibilityReport:
 
 
 def admissible_step_check(rc: RateConstants, s: StepSchedule, n_agents,
-                          sigma2, beta, rho, horizon=10_000) -> AdmissibilityReport:
+                          sigma2, beta, horizon=10_000) -> AdmissibilityReport:
     """Signed margins for the theoretical step-size conditions.
 
     Report-only: the theoretical bounds are far below practical steps and
@@ -196,14 +192,14 @@ def admissible_step_check(rc: RateConstants, s: StepSchedule, n_agents,
                 (1.0 - sigma2**2) / (n_agents * rc.C_eps2))
     margins = {}
     if s.kind == "constant":
-        t = tau_k(beta, s.eps, rho)
+        t = tau_k(beta, s.eps)
         margins["constant_eps_tau"] = bound - s.eps * t
     else:
         margins["diminishing_eps_vs_8_over_alpha"] = s.eps - 8.0 / rc.alpha
         worst = math.inf
         # the delayed step eps_{k-t} falls as k grows, so a run of equal
         # tau_k = t attains its least margin at its first k >= t
-        for first, last, t in _tau_runs(s, beta, rho, 0, horizon):
+        for first, last, t in _tau_runs(s, beta, 0, horizon):
             k = max(first, t)
             if k <= last:
                 worst = min(worst, bound - s.value(k - t) * t)
@@ -241,12 +237,12 @@ _LEMMA4_ROWS = 256
 
 
 def lemma4_residual(R_by_seed, S_by_seed, eps_fn, tau_fn, rc: RateConstants,
-                    n_agents, min_seeds=30):
+                    n_agents):
     """Expectation-level slack of the optimality-error recursion.
 
     R_by_seed, S_by_seed: arrays of shape (n_seeds, horizon+1) with the
-    per-iteration metrics of seed-replicated runs.  Returns (ks, slack,
-    stderr) for every k with tau_k <= k < horizon, where slack is the
+    per-iteration metrics of n_seeds >= 30 seed-replicated runs.  Returns
+    (ks, slack, stderr) for every k with tau_k <= k < horizon, where slack is the
     seed-averaged bound minus the seed-averaged R^{k+1} and stderr is the
     standard error of the per-seed slack.
     """
@@ -255,8 +251,8 @@ def lemma4_residual(R_by_seed, S_by_seed, eps_fn, tau_fn, rc: RateConstants,
     if R.shape != S.shape or R.ndim != 2:
         raise CoreError("R and S seed arrays must share shape (n_seeds, horizon+1)")
     n_seeds, n_iters = R.shape
-    if n_seeds < min_seeds:
-        raise CoreError(f"need >= {min_seeds} seed replicates, got {n_seeds}")
+    if n_seeds < 30:
+        raise CoreError(f"need >= 30 seed replicates, got {n_seeds}")
     ks, taus = [], []
     for k in range(n_iters - 1):
         t = tau_fn(k)
@@ -377,7 +373,6 @@ class Scenario:
     theta0: np.ndarray = None
     theta_star: np.ndarray = None
     beta: float = 1.0
-    rho: float = 0.0
     constants: RateConstants = None
     sigma2: float = math.nan
     eval_batches: list = None
@@ -414,6 +409,11 @@ class Scenario:
         # None: benchmarks/tracing.py reads it until the next benchmark change
         return None
 
+    @property
+    def rho(self):
+        # 0.0: benchmarks/workloads.py reads it until the next benchmark change
+        return 0.0
+
 
 @dataclass
 class MetricsTrajectory:
@@ -428,6 +428,8 @@ class MetricsTrajectory:
     # seconds per phase of the engine (sample, step, measure, log); a
     # stacked pass is timed once, and each of its runs carries its totals
     phase_s: dict = dataclasses.field(default_factory=dict, compare=False)
+    # whether the steps were the compiled kernel's (see _block_drift)
+    compiled_step: bool = dataclasses.field(default=False, compare=False)
 
     def column(self, name):
         return np.array([getattr(r, name) for r in self.records])
@@ -481,7 +483,7 @@ def run_ensemble(scenarios, collect_theta_bar: bool = False) -> list:
     array, so each numpy call of a step, and of a block's metrics, serves
     every scenario; the shared weight frame mixes every scenario's rows.
     Raises CoreError when the scenarios differ in their weight frames,
-    step, horizon, stride, beta, rho, sigma2, dims or operator kinds, or in
+    step, horizon, stride, beta, sigma2, dims or operator kinds, or in
     which of theta*, constants and eval batches they have.
 
     Every scenario's records are still logged inside one run() call of its
@@ -537,8 +539,7 @@ def _step_stack(scs, collect_theta_bar):
 
     Each block's iterates are a (T, S, N, d) buffer. A step zips over
     views of the buffer's rows (for a stack of one, a list of them built
-    once per run), the block's steps eps (one 0-d array for a constant
-    step, the block's floats for a diminishing one) and its frames'
+    once per run), the block's steps eps, as floats, and its frames'
     mixers, sliced from a cycled list of them built once per run:
     mix(Theta, out) writes W Theta into the row, as one 2-D gemm by the
     frame's bound ndarray.dot for a stack of one (of N >= 2 agents), and a
@@ -549,14 +550,14 @@ def _step_stack(scs, collect_theta_bar):
     end of each: sample (block_drift draws the block), step (the T steps
     and the finiteness check), measure (R, S, theta_bar and the lemma-3
     slack) and log (the records, TD error included). Every trajectory
-    gets the pass's totals as phase_s.
+    gets the pass's totals as phase_s and _block_drift's compiled_step.
     """
     from .rng import derive_stream
 
     sc = scs[0]
     n_runs, n, d = len(scs), sc.n_agents, sc.dim
     rngs = [derive_stream(s.seed, i, "sample") for s in scs for i in range(n)]
-    block_drift = _block_drift(
+    block_drift, compiled_step = _block_drift(
         [op for s in scs for op in s.ops],
         [copy.copy(src) for s in scs for src in s.sources], rngs)
     Theta = np.stack([s.theta0 for s in scs])
@@ -652,7 +653,7 @@ def _step_stack(scs, collect_theta_bar):
         for k in range(k_lo, k_lo + len(thetas)):
             if k % sc.stride == 0 or k == horizon:
                 eps_k = sc.step.value(k)
-                t = tau_k(sc.beta, eps_k, sc.rho)
+                t = tau_k(sc.beta, eps_k)
                 for s in range(n_runs):
                     if k >= end[s]:
                         continue
@@ -711,11 +712,6 @@ def _step_stack(scs, collect_theta_bar):
         mixers = [functools.partial(np.matmul, w) for w in frames]
     # frame (k0 + t) mod F of a block is item (k0 mod F) + t of this list
     mix_cycle = mixers * (_BLOCK // len(mixers) + 2)
-    # a constant step passes one 0-d array for the whole run, as a Python
-    # float operand is converted at every ufunc call; a diminishing step
-    # passes its block's floats, which 0-d views would cost as much to make
-    const_eps = (itertools.repeat(np.array(sc.step.eps))
-                 if sc.step.kind == "constant" else None)
     # a diverging run overflows before its iterate does: its iterates and
     # metrics may be inf or NaN, which the block's check turns into its
     # abort, without a warning per operation. S is NaN at every non-finite
@@ -727,11 +723,9 @@ def _step_stack(scs, collect_theta_bar):
             step = block_drift(T)
             lap("sample")
             eps = sc.step.values(k0, T)
-            step_eps = eps if const_eps is None else const_eps
             first = k0 % len(mixers)
             for t, (mix, e, out, out_mix) in enumerate(zip(
-                    mix_cycle[first:first + T], step_eps, rows_2d,
-                    rows_mix)):
+                    mix_cycle[first:first + T], eps, rows_2d, rows_mix)):
                 mix(theta_mix, out_mix)
                 step(theta, t, e, out)
                 theta, theta_mix = out, out_mix
@@ -761,6 +755,7 @@ def _step_stack(scs, collect_theta_bar):
                                  else math.nan)
         traj.theta_bar_hist = None if tb_hist is None else tb_hist[s]
         traj.phase_s = dict(phase_s)
+        traj.compiled_step = compiled_step
     return list(zip(trajs, rows, columns))
 
 
@@ -770,7 +765,7 @@ def _require_one_config(scs):
     def shared(sc):
         sigma2 = None if math.isnan(sc.sigma2) else sc.sigma2
         return (sc.n_agents, sc.dim, sc.step, sc.horizon, sc.stride, sc.beta,
-                sc.rho, sigma2, tuple(op.kind for op in sc.ops),
+                sigma2, tuple(op.kind for op in sc.ops),
                 len(sc.weights), sc.theta_star is None, sc.constants is None,
                 sc.eval_batches is None)
 
@@ -781,26 +776,27 @@ def _require_one_config(scs):
                 for w, w0 in zip(sc.weights, scs[0].weights)):
             raise CoreError(
                 "stacked scenarios must share weight frames, step, horizon, "
-                "stride, beta, rho, sigma2, dims and operator kinds, and "
+                "stride, beta, sigma2, dims and operator kinds, and "
                 "agree in which of theta*, constants and eval batches they "
                 "have")
 
 
 def _block_drift(ops, sources, rngs):
-    """block_drift(T) draws the next T observations of every one of the S*N
-    agents of a stack from its source and stream (agents in C order) and
-    returns step(Theta, t, eps, out): out, a C-contiguous (S*N, d) array
-    that holds W Theta, gains eps times the drift rows of the (S*N, d)
-    Theta at step t of the block, in place; eps is a float or a 0-d array.
-    Over sources of one class with a block_sampler, built-in
-    quadratic-gradient operators, or built-in Q-learning ones with one
-    features and gamma, share one batched step. The sampler and the
-    operators' builder, with its _BLOCK-row buffers, are then made once,
-    here, for the whole run, and a block is one draw whose samples the
-    builder turns into the step; the quadratic builder's buffers are the
-    ones the sampler draws into. Each builder gets operators.STEP, the
-    compiled step where it loaded, read here at every run. Anything else
-    is sampled and evaluated agent by agent, and makes no builder. That
+    """(block_drift, compiled): block_drift(T) draws the next T
+    observations of every one of the S*N agents of a stack from its source
+    and stream (agents in C order) and returns step(Theta, t, eps, out):
+    out, a C-contiguous (S*N, d) array that holds W Theta, gains eps times
+    the drift rows of the (S*N, d) Theta at step t of the block, in place;
+    eps is a float. Over sources of one class with a block_sampler,
+    built-in quadratic-gradient operators, or built-in Q-learning ones
+    with one features and gamma, share one batched step. The sampler and
+    the operators' builder, with its _BLOCK-row buffers, are then made
+    once, here, for the whole run, and a block is one draw whose samples
+    the builder turns into the step; the quadratic builder's buffers are
+    the ones the sampler draws into. Each builder gets operators.STEP, the
+    compiled step where it loaded, read here at every run, and compiled is
+    the builder's report of whether its step calls it. Anything else is
+    sampled and evaluated agent by agent, and makes no builder. That
     per-agent step never hands an operator's eval a non-finite iterate: an
     agent whose row of Theta has a non-finite entry gets a NaN drift row
     instead, and its run aborts at that step all the same."""
@@ -809,27 +805,27 @@ def _block_drift(ops, sources, rngs):
             and all(type(src) is source_class for src in sources)):
         kinds = {op.kind for op in ops}
         if kinds == {"quadratic-gradient"}:
-            out, block = quadratic_block_drift(ops[0].dim, len(ops), _BLOCK,
-                                               operators.STEP)
+            out, step, compiled = quadratic_block_drift(
+                ops[0].dim, len(ops), _BLOCK, operators.STEP)
             draw = source_class.block_sampler(sources, rngs)
 
             def sampled(T):
                 draw(T, out)
-                return block(T)
+                return step
 
-            return sampled
+            return sampled, compiled
         if kinds == {"qlearning"}:
             shared = {(op.params["features"], op.params["gamma"])
                       for op in ops}
             if len(shared) == 1:
-                block = qlearning_block_drift(*shared.pop(), len(ops),
-                                              _BLOCK, operators.STEP)
+                block, compiled = qlearning_block_drift(
+                    *shared.pop(), len(ops), _BLOCK, operators.STEP)
                 draw = source_class.block_sampler(sources, rngs)
 
                 def sampled(T):
                     return block(*draw(T))
 
-                return sampled
+                return sampled, compiled
     ops_eval = [op.eval for op in ops]
 
     def per_agent(T):
@@ -844,4 +840,4 @@ def _block_drift(ops, sources, rngs):
 
         return step
 
-    return per_agent
+    return per_agent, False

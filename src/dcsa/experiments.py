@@ -63,7 +63,6 @@ def build_system_id_scenario(cfg: ScenarioConfig) -> Scenario:
     ops = [quadratic_grad_operator(d) for _ in range(n)]
     frames, sigma2 = _topology_for(cfg, n)
     step = StepSchedule(kind=cfg.step_kind, eps=cfg.step_eps)
-    rho = 0.0  # every A is nilpotent: X(1) forgets its start after d steps
     constants = None
     if cfg.compute_constants:
         oc = system_id_constants(sources)
@@ -71,7 +70,7 @@ def build_system_id_scenario(cfg: ScenarioConfig) -> Scenario:
         # still gets the constants of the first steps
         span = max(cfg.horizon, 2)
         try:
-            c_tau = fit_c_tau(step, cfg.beta, rho, span)
+            c_tau = fit_c_tau(step, cfg.beta, span)
         except CoreError:
             if span == cfg.horizon:
                 raise
@@ -85,15 +84,16 @@ def build_system_id_scenario(cfg: ScenarioConfig) -> Scenario:
     return Scenario(
         sources=sources, ops=ops, step=step, horizon=cfg.horizon,
         seed=cfg.seed, stride=cfg.stride, weights=frames, theta_star=u,
-        beta=cfg.beta, rho=rho, constants=constants, sigma2=sigma2)
+        beta=cfg.beta, constants=constants, sigma2=sigma2)
 
 
 def build_gridworld_scenario(cfg: ScenarioConfig, mazes=None) -> Scenario:
     """Multi-task Q-learning over GridWorld mazes on a communication graph.
 
     One maze per agent (mazes must share grid dimensions so the tabular
-    one-hot features live in one space).  theta* is unknown; the TD error
-    over a frozen eval batch is the convergence surrogate.
+    one-hot features live in one space, of the config's dim).  theta* is
+    unknown; the TD error over a frozen eval batch is the convergence
+    surrogate.
     """
     if cfg.scenario != "gridworld":
         raise ScenarioError(f"expected scenario gridworld, got {cfg.scenario}")
@@ -108,6 +108,10 @@ def build_gridworld_scenario(cfg: ScenarioConfig, mazes=None) -> Scenario:
     if len(shapes) != 1:
         raise ScenarioError("all mazes must share the same grid size")
     feats = TabularFeatures(mazes[0].n_cells, mazes[0].n_actions)
+    if cfg.dim != feats.dim:
+        raise ScenarioError(
+            f"config dim={cfg.dim} but the mazes' {feats.n_states} cells x "
+            f"{feats.n_actions} actions make dim={feats.dim}")
     sources = [MDPSource(maze=m) for m in mazes]
     ops = [qlearning_operator(feats, cfg.gamma) for _ in range(n)]
     frames, sigma2 = _topology_for(cfg, n)
@@ -123,7 +127,7 @@ def build_gridworld_scenario(cfg: ScenarioConfig, mazes=None) -> Scenario:
     return Scenario(
         sources=sources, ops=ops, step=step, horizon=cfg.horizon,
         seed=cfg.seed, stride=cfg.stride, weights=frames, theta_star=None,
-        beta=cfg.beta, rho=0.0, sigma2=sigma2, eval_batches=eval_batches)
+        beta=cfg.beta, sigma2=sigma2, eval_batches=eval_batches)
 
 
 def build_scenario(cfg: ScenarioConfig) -> Scenario:

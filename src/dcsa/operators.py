@@ -59,14 +59,14 @@ def quadratic_grad_operator(dim: int) -> LocalOperator:
 
 
 def quadratic_block_drift(dim, agents, rows, kernel=None):
-    """(x, x2), block: the block layer of a stack of `agents`
+    """(x, x2), step, compiled: the step layer of a stack of `agents`
     quadratic-gradient agents of dimension dim, built once per run. A
     block's T <= rows samples are drawn straight into the buffers x, of
     shape (rows + 1, agents, dim), whose rows 1..T hold X(1) (row 0 is the
     sampler's, for the states it starts from; see
     sources.ARSource.block_sampler), and x2, of shape (rows, agents),
-    whose first T rows hold X(2). block(T) then returns step(Theta, t, eps,
-    out). For Theta of shape (agents, dim), the step adds eps times each
+    whose first T rows hold X(2). step(Theta, t, eps, out) reads row t of
+    the block: for Theta of shape (agents, dim), it adds eps times each
     agent's map at its t-th sample to out, which holds W Theta, in place.
     The result equals out + eps * eval bit for bit: both sum a row's
     products over the contiguous last axis, where a (T, d) @ product would
@@ -77,7 +77,7 @@ def quadratic_block_drift(dim, agents, rows, kernel=None):
     _SHORT_ROW a step is one call of kernel.quadratic, which chains each
     row's products from +0.0 as np.add.reduce does there; otherwise, and
     without a kernel, it is the numpy formula below, in (agents, dim)
-    scratch allocated once per run."""
+    scratch allocated once per run; compiled says which."""
     x = np.empty((rows + 1, agents, dim))
     # a step reads x2's rows as (agents, 1) rows of a (rows, agents, 1)
     # buffer, which broadcast against the (agents, 1) row sums
@@ -85,7 +85,8 @@ def quadratic_block_drift(dim, agents, rows, kernel=None):
     x2 = x2_buf[..., 0]
     x1_rows, x2_rows = list(x[1:]), list(x2_buf)
 
-    if kernel is not None and dim < _SHORT_ROW:
+    compiled = kernel is not None and dim < _SHORT_ROW
+    if compiled:
         quadratic = kernel.quadratic
 
         def step(Theta, t, eps, out):
@@ -104,10 +105,7 @@ def quadratic_block_drift(dim, agents, rows, kernel=None):
             np.multiply(p, eps, out=p)
             np.add(out, p, out=out)
 
-    def block(T):
-        return step
-
-    return (x, x2), block
+    return (x, x2), step, compiled
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +167,9 @@ def qlearning_operator(features: TabularFeatures, gamma: float) -> LocalOperator
 
 def qlearning_block_drift(features: TabularFeatures, gamma, agents, rows,
                           kernel=None):
-    """block(s, a, r, s') of a stack of `agents` Q-learning agents that
-    share features and gamma, built once per run: for time-major blocks of
+    """block, compiled: block(s, a, r, s') of a stack of `agents`
+    Q-learning agents that share features and gamma, built once per run,
+    and whether its step is the compiled kernel's. For time-major blocks of
     (s, a, r, s') samples of shape (T, agents), T <= rows, it returns
     step(Theta, t, eps, out). For Theta of shape (..., dim), the step adds
     eps times each agent's Q-learning map at its t-th sample to out, which
@@ -251,7 +250,7 @@ def qlearning_block_drift(features: TabularFeatures, gamma, agents, rows,
         np.copyto(reward[:T], r)
         return step
 
-    return block
+    return block, kernel is not None
 
 
 # ---------------------------------------------------------------------------
@@ -269,26 +268,26 @@ class OperatorConstants:
             raise OperatorError("constant B must dominate L")
 
 
-def probe_thetas(dim, rng, n_pairs=64, radius=10.0):
-    """Probe grid: random theta pairs in the radius-10 ball plus the axes."""
+def probe_thetas(dim, rng):
+    """Probe grid: 64 random pairs in the radius-10 ball plus the axes."""
     pairs = []
-    for _ in range(n_pairs):
+    for _ in range(64):
         a = rng.standard_normal(dim)
         b = rng.standard_normal(dim)
-        a *= radius * rng.random() ** (1.0 / dim) / max(np.linalg.norm(a), 1e-12)
-        b *= radius * rng.random() ** (1.0 / dim) / max(np.linalg.norm(b), 1e-12)
+        a *= 10.0 * rng.random() ** (1.0 / dim) / max(np.linalg.norm(a), 1e-12)
+        b *= 10.0 * rng.random() ** (1.0 / dim) / max(np.linalg.norm(b), 1e-12)
         pairs.append((a, b))
     zero = np.zeros(dim)
     for i in range(dim):
         axis = np.zeros(dim)
-        axis[i] = radius
+        axis[i] = 10.0
         pairs.append((axis, zero))
         pairs.append((-axis, axis))
     return pairs
 
 
-def estimate_constants(op: LocalOperator, observations, theta_pairs,
-                       alpha=math.nan) -> OperatorConstants:
+def estimate_constants(op: LocalOperator, observations,
+                       theta_pairs) -> OperatorConstants:
     """Measured Lipschitz constant and affine bound over probe grids.
 
     L_hat = max ||F(x,t)-F(x,t')|| / ||t-t'||;  B_hat = max{L_hat, ||F(x,0)||}.
@@ -308,7 +307,7 @@ def estimate_constants(op: LocalOperator, observations, theta_pairs,
                 raise OperatorError("degenerate probe pair (identical thetas)")
             diff = eval_local(op, x, ta) - eval_local(op, x, tb)
             l_hat = max(l_hat, float(np.linalg.norm(diff)) / gap)
-    return OperatorConstants(B=max(l_hat, f0_max), L=l_hat, alpha=alpha)
+    return OperatorConstants(B=max(l_hat, f0_max), L=l_hat, alpha=math.nan)
 
 
 def clipped_normal_variance(clip: float) -> float:
@@ -363,7 +362,7 @@ def system_id_constants(sources) -> OperatorConstants:
 # the Q* oracle
 
 
-def value_iteration_q(maze: Maze, gamma: float, tol=1e-12, max_iter=200_000):
+def value_iteration_q(maze: Maze, gamma: float):
     """Tabular Q fixed point under the teleport semantics: goal-state rows
     stay at zero (they are never updated by the sampled chain)."""
     feats = TabularFeatures(maze.n_cells, maze.n_actions)
@@ -374,9 +373,9 @@ def value_iteration_q(maze: Maze, gamma: float, tol=1e-12, max_iter=200_000):
     s_next, r = np.array([maze.move(*sa) for sa in pairs]).T
     s_next = s_next.astype(int)
     q = np.zeros((maze.n_cells, maze.n_actions))
-    for _ in range(max_iter):
+    for _ in range(200_000):
         res = bellman_residual(feats, gamma, q, s, a, r, s_next)
         q[s, a] += res
-        if np.max(np.abs(res)) <= tol:
+        if np.max(np.abs(res)) <= 1e-12:
             return q.ravel()
     raise OperatorError("value iteration did not converge")

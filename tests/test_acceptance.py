@@ -175,7 +175,7 @@ def test_criterion_06_lemma_residuals():
     S = np.vstack([t.S_hist for t in trajs])
     ks, slack, stderr = lemma4_residual(
         R, S, sc.step.value,
-        lambda k: tau_k(cfg.beta, sc.step.value(k), sc.rho), rc, 3)
+        lambda k: tau_k(cfg.beta, sc.step.value(k)), rc, 3)
     violations = int(np.sum(slack < -3.0 * stderr))
     elapsed = time.perf_counter() - t0
     ok = min3 >= -1e-9 and violations == 0 and elapsed < 120.0

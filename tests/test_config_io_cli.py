@@ -213,9 +213,10 @@ def test_cli_run_summary_reports_time_and_versions(tmp_path):
 
 def test_cli_run_summary_says_whether_the_step_is_compiled(tmp_path,
                                                           monkeypatch):
-    """compiled_step is true where the compiled drift step loaded and false
-    where the engine steps with numpy; the run's outputs are the same
-    bytes either way."""
+    """compiled_step is true where the run stepped with the compiled drift
+    step and false where it stepped with numpy: where the step did not
+    load, and for d = 8, whose rows numpy sums pairwise. The run's outputs
+    are the same bytes either way."""
     cfg = write_cfg(tmp_path, SYSTEM_ID_CFG)
     outputs = []
     for step in (operators.STEP, None):
@@ -227,6 +228,11 @@ def test_cli_run_summary_says_whether_the_step_is_compiled(tmp_path,
         outputs.append([(out / name).read_bytes()
                         for name in ("metrics.csv", "theta_final.npy")])
     assert outputs[0] == outputs[1]
+    monkeypatch.undo()
+    cfg = write_cfg(tmp_path, SYSTEM_ID_CFG.replace("dim = 3", "dim = 8"))
+    out = tmp_path / "out-d8"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert not json.loads((out / "summary.json").read_text())["compiled_step"]
 
 
 def test_cli_run_byte_identical(tmp_path):
@@ -455,6 +461,7 @@ def test_cli_check_reports_constants(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["constants"]["B"] > 0
     assert report["admissibility"]["checked"]
+    assert "rho" not in report   # tau_k has no mixing floor
 
 
 def test_cli_check_computes_constants_regardless_of_config(tmp_path, capsys):
@@ -598,6 +605,25 @@ def rollout_setup(tmp_path):
         "scenario = gridworld\nn_agents = 1\ndim = 8\nseed = 1\n"
         f"maze_files = {maze}\nhorizon = 10\n"))
     return cfg, tmp_path / "theta.npy"
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_cli_rejects_a_gridworld_dim_off_the_mazes(command, tmp_path,
+                                                   capsys):
+    """A gridworld's dim is its mazes' cells x actions: the 1 x 2 maze of
+    rollout_setup has 2 x 4 = 8, so dim = 7 is a validation error that
+    names dim, reported before --out is created."""
+    cfg, _ = rollout_setup(tmp_path)
+    with open(cfg, encoding="utf-8") as fh:
+        text = fh.read()
+    cfg = write_cfg(tmp_path, text.replace("dim = 8", "dim = 7"))
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: config dim=7 ")
+    assert "make dim=8" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_cli_rollout_non_array_theta_exit_code(tmp_path, capsys):

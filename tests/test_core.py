@@ -60,7 +60,7 @@ def test_diminishing_schedule_enforces_eps_floor():
 
     def margin(eps):
         rep = admissible_step_check(rc, StepSchedule(kind="diminishing", eps=eps),
-                                    n_agents=4, sigma2=0.75, beta=1.0, rho=0.3,
+                                    n_agents=4, sigma2=0.75, beta=1.0,
                                     horizon=10)
         return rep.margins["diminishing_eps_vs_8_over_alpha"]
 
@@ -76,16 +76,32 @@ def test_schedule_rejects_bad_kind_or_eps():
 
 
 def test_tau_k_values():
-    assert tau_k(1.0, math.exp(-3), 0.1) == 3
-    assert tau_k(1.0, math.exp(-1), 0.9) == 9
-    assert tau_k(1.0, 1.0, 0.5) == 1
+    assert tau_k(1.0, math.exp(-3)) == 3
+    assert tau_k(1.0, 1.0) == 0
+
+
+@pytest.mark.parametrize("rho", [0.3, -0.1, 1.0, math.nan])
+def test_tau_k_rejects_a_nonzero_rho(rho):
+    """The third argument is a read-only 0.0: there is no mixing floor."""
+    assert tau_k(1.0, math.exp(-3), 0.0) == 3
+    with pytest.raises(CoreError, match="no mixing floor"):
+        tau_k(1.0, math.exp(-3), rho)
+
+
+def test_scenario_takes_no_rho():
+    """rho is no field of a Scenario: it reads 0.0 and cannot be set."""
+    step = StepSchedule(kind="constant", eps=0.1)
+    assert consensus_scenario(3, 1, [zero_op(1)] * 3, 1, step).rho == 0.0
+    for rho in (0.0, 0.3):
+        with pytest.raises(TypeError, match="rho"):
+            consensus_scenario(3, 1, [zero_op(1)] * 3, 1, step, rho=rho)
 
 
 def test_tau_k_slow_growth_diminishing():
     sched = StepSchedule(kind="diminishing", eps=0.5)
-    prev = tau_k(1.0, sched.value(0), 0.3)
+    prev = tau_k(1.0, sched.value(0))
     for k in range(1, 2000):
-        t = tau_k(1.0, sched.value(k), 0.3)
+        t = tau_k(1.0, sched.value(k))
         assert t <= prev + 1
         prev = t
 
@@ -112,21 +128,21 @@ def test_rate_constants_formulas():
 
 def test_fit_c_tau_in_unit_interval():
     sched = StepSchedule(kind="diminishing", eps=0.5)
-    c = fit_c_tau(sched, beta=1.0, rho=0.3, horizon=5000)
+    c = fit_c_tau(sched, beta=1.0, horizon=5000)
     assert 0.0 < c < 1.0
     # definition: tau_k + 1 <= (1 - c)(k + 1) whenever k > tau_k
     for k in range(1, 5000):
-        t = tau_k(1.0, sched.value(k), 0.3)
+        t = tau_k(1.0, sched.value(k))
         if k > t:
             assert t + 1 <= (1 - c) * (k + 1) + 1e-9
 
 
-def fit_c_tau_loop(schedule, beta, rho, horizon):
+def fit_c_tau_loop(schedule, beta, horizon):
     """fit_c_tau's search over every k of the horizon."""
     best = 1.0
     found = False
     for k in range(1, horizon + 1):
-        t = tau_k(beta, schedule.value(k), rho)
+        t = tau_k(beta, schedule.value(k))
         if k > t:
             found = True
             best = min(best, 1.0 - (t + 1) / (k + 1))
@@ -145,36 +161,34 @@ def outcome(fn, *args):
         return str(exc)
 
 
-# beta, rho and horizons of the set-up checks; the invalid rho raise
+# beta and horizons of the set-up checks
 BETAS = st.floats(0.0, 20.0)
-RHOS = st.one_of(st.floats(0.0, 0.99), st.sampled_from([-0.1, 1.0]))
 CHECK_HORIZONS = st.one_of(st.integers(0, 400), st.integers(0, 5000))
 
 
 @given(kind=st.sampled_from(["constant", "diminishing"]),
-       eps=st.floats(1e-6, 3.0), beta=BETAS, rho=RHOS,
-       horizon=CHECK_HORIZONS)
+       eps=st.floats(1e-6, 3.0), beta=BETAS, horizon=CHECK_HORIZONS)
 @settings(max_examples=300, deadline=None)
-def test_fit_c_tau_matches_loop(kind, eps, beta, rho, horizon):
+def test_fit_c_tau_matches_loop(kind, eps, beta, horizon):
     """The constant-step closed form and the diminishing-step bisection
     over runs of equal tau_k equal the search, exceptions included."""
     sched = StepSchedule(kind=kind, eps=eps)
-    assert (outcome(fit_c_tau, sched, beta, rho, horizon)
-            == outcome(fit_c_tau_loop, sched, beta, rho, horizon))
+    assert (outcome(fit_c_tau, sched, beta, horizon)
+            == outcome(fit_c_tau_loop, sched, beta, horizon))
 
 
-def admissible_step_check_loop(rc, s, n_agents, sigma2, beta, rho, horizon):
+def admissible_step_check_loop(rc, s, n_agents, sigma2, beta, horizon):
     """admissible_step_check's search over every k of the horizon."""
     bound = min(1.0 / (n_agents * rc.C_eps1),
                 (1.0 - sigma2**2) / (n_agents * rc.C_eps2))
     margins = {}
     if s.kind == "constant":
-        margins["constant_eps_tau"] = bound - s.eps * tau_k(beta, s.eps, rho)
+        margins["constant_eps_tau"] = bound - s.eps * tau_k(beta, s.eps)
     else:
         margins["diminishing_eps_vs_8_over_alpha"] = s.eps - 8.0 / rc.alpha
         worst = math.inf
         for k in range(horizon + 1):
-            t = tau_k(beta, s.value(k), rho)
+            t = tau_k(beta, s.value(k))
             if k < t:
                 continue
             worst = min(worst, bound - s.value(k - t) * t)
@@ -185,16 +199,16 @@ def admissible_step_check_loop(rc, s, n_agents, sigma2, beta, rho, horizon):
 
 @given(kind=st.sampled_from(["constant", "diminishing"]),
        eps=st.one_of(st.floats(1e-6, 3.0), st.floats(1e-6, 1e-3)),
-       beta=BETAS, rho=RHOS, horizon=CHECK_HORIZONS,
+       beta=BETAS, horizon=CHECK_HORIZONS,
        sigma2=st.floats(0.0, 0.99), n_agents=st.integers(1, 10))
 @settings(max_examples=300, deadline=None)
-def test_admissible_step_check_matches_loop(kind, eps, beta, rho, horizon,
+def test_admissible_step_check_matches_loop(kind, eps, beta, horizon,
                                             sigma2, n_agents):
     """The bisection over runs of equal tau_k gives the margins of the
     search over every k, exceptions included."""
     rc = sample_constants(sigma2=sigma2)
     sched = StepSchedule(kind=kind, eps=eps)
-    args = (rc, sched, n_agents, sigma2, beta, rho, horizon)
+    args = (rc, sched, n_agents, sigma2, beta, horizon)
     assert (outcome(admissible_step_check, *args)
             == outcome(admissible_step_check_loop, *args))
 
@@ -206,9 +220,11 @@ def sample_constants(sigma2=0.75, c_tau=0.5):
 
 
 def test_admissibility_gross_violation_fails():
+    """eps = 0.5 has tau_k = ceil(log 2) = 1, so eps tau_k is far above the
+    bound (at eps >= 1, tau_k is 0 and the margin is the bound itself)."""
     rc = sample_constants()
-    rep = admissible_step_check(rc, StepSchedule(kind="constant", eps=1.0),
-                                n_agents=4, sigma2=0.75, beta=1.0, rho=0.3)
+    rep = admissible_step_check(rc, StepSchedule(kind="constant", eps=0.5),
+                                n_agents=4, sigma2=0.75, beta=1.0)
     assert not rep.passed
     assert rep.margins["constant_eps_tau"] < 0
 
@@ -216,7 +232,7 @@ def test_admissibility_gross_violation_fails():
 def test_admissibility_tiny_constant_step_passes():
     rc = sample_constants()
     rep = admissible_step_check(rc, StepSchedule(kind="constant", eps=1e-9),
-                                n_agents=4, sigma2=0.75, beta=1.0, rho=0.3)
+                                n_agents=4, sigma2=0.75, beta=1.0)
     assert rep.passed
 
 
@@ -224,7 +240,7 @@ def test_admissibility_diminishing_boundary_alpha():
     rc = sample_constants()
     sched = StepSchedule(kind="diminishing", eps=8.0 / 0.8)
     rep = admissible_step_check(rc, sched, n_agents=4, sigma2=0.75, beta=1.0,
-                                rho=0.3, horizon=100)
+                                horizon=100)
     assert rep.margins["diminishing_eps_vs_8_over_alpha"] == pytest.approx(0.0)
 
 
@@ -389,16 +405,15 @@ def test_lemma4_requires_30_seeds():
                         lambda k: 0.01, lambda k: 1, rc, n_agents=4)
 
 
-def lemma4_residual_loop(R_by_seed, S_by_seed, eps_fn, tau_fn, rc, n_agents,
-                         min_seeds=30):
+def lemma4_residual_loop(R_by_seed, S_by_seed, eps_fn, tau_fn, rc, n_agents):
     """lemma4_residual one k at a time."""
     R = np.asarray(R_by_seed, dtype=float)
     S = np.asarray(S_by_seed, dtype=float)
     if R.shape != S.shape or R.ndim != 2:
         raise CoreError("R and S seed arrays must share shape (n_seeds, horizon+1)")
     n_seeds, n_iters = R.shape
-    if n_seeds < min_seeds:
-        raise CoreError(f"need >= {min_seeds} seed replicates, got {n_seeds}")
+    if n_seeds < 30:
+        raise CoreError(f"need >= 30 seed replicates, got {n_seeds}")
     ks, slack, stderr = [], [], []
     for k in range(n_iters - 1):
         t = tau_fn(k)
@@ -417,13 +432,13 @@ def lemma4_residual_loop(R_by_seed, S_by_seed, eps_fn, tau_fn, rc, n_agents,
 
 @given(kind=st.sampled_from(["constant", "diminishing"]),
        eps=st.floats(1e-4, 2.0), beta=st.floats(0.0, 5.0),
-       rho=st.floats(0.0, 0.9), n_seeds=st.sampled_from([29, 30, 31, 47]),
+       n_seeds=st.sampled_from([29, 30, 31, 47]),
        horizon=st.one_of(st.integers(0, 80),
                          st.sampled_from([255, 256, 257, 258, 700])),
        scale=st.sampled_from([1e-6, 1.0, 1e3]),
        mismatched=st.booleans(), seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=100, deadline=None)
-def test_lemma4_residual_matches_loop(kind, eps, beta, rho, n_seeds, horizon,
+def test_lemma4_residual_matches_loop(kind, eps, beta, n_seeds, horizon,
                                       scale, mismatched, seed):
     """The array passes over k (chunks of 256 rows) equal the per-k loop
     bit for bit, errors included."""
@@ -432,7 +447,7 @@ def test_lemma4_residual_matches_loop(kind, eps, beta, rho, n_seeds, horizon,
     rng = np.random.default_rng(seed)
     R = scale * rng.random((n_seeds, horizon + 1))
     S = scale * rng.random((n_seeds, horizon + 1 + mismatched))
-    args = (R, S, sched.value, lambda k: tau_k(beta, sched.value(k), rho), rc, 4)
+    args = (R, S, sched.value, lambda k: tau_k(beta, sched.value(k)), rc, 4)
     new, ref = outcome(lemma4_residual, *args), outcome(lemma4_residual_loop, *args)
     if isinstance(ref, str):
         assert new == ref
@@ -661,7 +676,7 @@ def test_run_lemma2_drift_bound():
     xb = ar_state_bound(np.zeros(d - 1), 3.0)
     x1n = float(np.linalg.norm(xb))
     B = max(2 * x1n**2, 2 * (float(np.abs(u) @ xb) + 3.0) * x1n)
-    t = tau_k(1.0, 1e-3, 0.0)
+    t = tau_k(1.0, 1e-3)
     for k in range(t, 2001):
         drift = np.linalg.norm(traj.theta_bar_hist[k] - traj.theta_bar_hist[k - t])
         bound = 3 * 1e-3 * B * t * (np.linalg.norm(traj.theta_bar_hist[k])

@@ -54,7 +54,7 @@ def run_reference(sc, collect_theta_bar=False):
     reason = ""
 
     def log_record(k, Theta, slack=math.nan):
-        t = tau_k(sc.beta, sc.step.value(k), sc.rho)
+        t = tau_k(sc.beta, sc.step.value(k))
         r_val = R_hist[k]
         s_val = S_hist[k]
         s_del = S_hist[max(0, k - t)]
@@ -556,7 +556,9 @@ def test_block_drift_picks_the_compiled_step(monkeypatch):
     batched builders: a run, or a stack of runs, makes one call per
     iteration, of quadratic for d < _SHORT_ROW and of qlearning for
     Q-learning, and none for d >= _SHORT_ROW, whose rows numpy sums
-    pairwise. With STEP None, it makes none."""
+    pairwise, or for sources stepped agent by agent. With STEP None, it
+    makes none. Each trajectory's compiled_step is true exactly for the
+    runs whose steps called it."""
     calls = []
     monkeypatch.setattr(operators, "STEP", counting_step(calls))
     horizon = _BLOCK + 22
@@ -566,21 +568,25 @@ def test_block_drift_picks_the_compiled_step(monkeypatch):
         ScenarioConfig(scenario="gridworld", n_agents=3, dim=100,
                        horizon=horizon, stride=50, maze_files="unused"),
         mazes=[parse_maze(m) for m in MAZES])
-    runs = [(lambda: run(build_scenario(cfg)), ["quadratic"] * horizon),
+    unbatched = build_scenario(cfg)
+    unbatched.sources = [Unbatched(src) for src in unbatched.sources]
+    runs = [(lambda: [run(build_scenario(cfg))], ["quadratic"] * horizon),
             (lambda: run_ensemble([build_scenario(dataclasses.replace(
                 cfg, seed=seed)) for seed in (1, 2)]),
              ["quadratic"] * horizon),
-            (lambda: run(build_scenario(dataclasses.replace(cfg, dim=8))),
+            (lambda: [run(build_scenario(dataclasses.replace(cfg, dim=8)))],
              []),
-            (lambda: run(gridworld), ["qlearning"] * horizon)]
+            (lambda: [run(gridworld)], ["qlearning"] * horizon),
+            (lambda: [run(unbatched)], [])]
     for run_it, expected in runs:
         calls.clear()
-        run_it()
+        trajs = run_it()
         assert calls == expected
+        assert all(traj.compiled_step is bool(expected) for traj in trajs)
     monkeypatch.setattr(operators, "STEP", None)
     for run_it, _ in runs:
         calls.clear()
-        run_it()
+        assert not any(traj.compiled_step for traj in run_it())
         assert calls == []
 
 
@@ -812,8 +818,8 @@ def _mismatch(sc, what):
 
 
 @pytest.mark.parametrize("what", [
-    "frames", "frame entries", "step", "horizon", "stride", "beta", "rho",
-    "sigma2", "dims", "kinds", "theta_star", "constants"])
+    "frames", "frame entries", "step", "horizon", "stride", "beta", "sigma2",
+    "dims", "kinds", "theta_star", "constants"])
 def test_run_ensemble_rejects_mismatched_scenarios(what):
     cfg = ScenarioConfig(scenario="system_id", n_agents=3, dim=2,
                          horizon=300, compute_constants=True)

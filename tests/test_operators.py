@@ -96,10 +96,9 @@ def test_quadratic_block_drift_matches_eval(n, d, T, eps, seed, scale):
     sums."""
     op = quadratic_grad_operator(d)
     blocks = [ar_block(seed, i, d, T) for i in range(n)]
-    (x, x2), block = quadratic_block_drift(d, n, T)
+    (x, x2), step, _ = quadratic_block_drift(d, n, T)
     x[1:] = np.stack([b1 for b1, _ in blocks], axis=1)
     x2[:] = np.stack([b2 for _, b2 in blocks], axis=1)
-    step = block(T)
     rng = np.random.default_rng(seed)
     for t in range(T):
         theta = scale * signed_zeros(rng, (n, d))
@@ -124,7 +123,7 @@ def test_quadratic_block_drift_zero_x2_signed_zeros(d, kernel):
     not load, and for d >= 8), must equal out0 + eps * eval, bit for bit,
     -0.0 included."""
     op = quadratic_grad_operator(d)
-    (x, x2), block = quadratic_block_drift(d, 2, 1, kernel)
+    (x, x2), step, _ = quadratic_block_drift(d, 2, 1, kernel)
     x[1] = np.arange(1.0, d + 1)           # X(1) of step 0: (agents, d)
     x2[0] = [-0.0, 0.0]                    # X(2) of step 0: (agents,)
     theta = np.full((2, d), -0.0)          # every product is -0.0
@@ -132,7 +131,7 @@ def test_quadratic_block_drift_zero_x2_signed_zeros(d, kernel):
     expected = out0 + 0.5 * np.stack([op.eval((x[1, i], float(x2[0, i])),
                                               theta[i]) for i in range(2)])
     out = out0.copy()
-    block(1)(theta, 0, 0.5, out)
+    step(theta, 0, 0.5, out)
     assert out.tobytes() == expected.tobytes()
     assert np.signbit(expected[0]).all() and not np.signbit(expected[1]).any()
 
@@ -156,8 +155,7 @@ def test_quadratic_block_drift_refills_its_buffers_every_block(d, n, eps,
     draw = ARSource.block_sampler(
         [ar_source(seed, i, d) for i in range(n)],
         [derive_stream(seed, i, "sample") for i in range(n)])
-    buffers, block = quadratic_block_drift(d, n, 128)
-    eps = np.array(eps)   # as the engine passes a constant step
+    buffers, step, _ = quadratic_block_drift(d, n, 128)
     rng = np.random.default_rng(seed)
     for T in (128, 1, 0, 77, 128):
         x1, x2 = draw(T, buffers)
@@ -165,7 +163,6 @@ def test_quadratic_block_drift_refills_its_buffers_every_block(d, n, eps,
         zero_at = 40 if d == 2 and T == 77 else None
         if zero_at is not None:
             x2[zero_at, 0] = -0.0
-        step = block(T)
         for t in range(T):
             theta = signed_zeros(rng, (n, d))
             out0 = signed_zeros(rng, (n, d))
@@ -294,7 +291,7 @@ def test_qlearning_block_drift_matches_eval(maze_list, gamma, T, eps, seed):
                                              T)
               for i, m in enumerate(maze_list)]
     n = len(maze_list)
-    step = qlearning_block_drift(feats, gamma, n, T)(
+    step = qlearning_block_drift(feats, gamma, n, T)[0](
         *(np.stack(x, axis=1) for x in zip(*blocks)))
     rng = np.random.default_rng(seed)
     for t in range(T):
@@ -327,7 +324,7 @@ def test_qlearning_block_drift_rejects_states_beyond_features():
     block = MDPSource(maze=parse_maze("S...G")).sample_block(
         np.random.default_rng(0), 50)
     with pytest.raises(OperatorError):
-        qlearning_block_drift(TabularFeatures(3, 4), 0.9, 2, 50)(
+        qlearning_block_drift(TabularFeatures(3, 4), 0.9, 2, 50)[0](
             *(np.stack([x, x], axis=1) for x in block))
 
 
@@ -349,7 +346,7 @@ def test_qlearning_block_drift_refills_its_buffers_every_block(
     draw = MDPSource.block_sampler(
         [MDPSource(maze=m) for m in maze_list],
         [derive_stream(seed, i, "sample") for i in range(n)])
-    block = qlearning_block_drift(feats, gamma, n, 128)
+    block, _ = qlearning_block_drift(feats, gamma, n, 128)
     eps = np.array(eps)   # as the engine passes a constant step
     rng = np.random.default_rng(seed)
     for T in (128, 1, 0, 77, 128):
@@ -382,7 +379,7 @@ def test_qlearning_block_drift_refills_its_buffers_every_block(
 def test_qlearning_block_drift_checks_every_block(name, value):
     """The builder checks the states and actions of every block, not only
     of its first: one out-of-range entry in a later block raises."""
-    block = qlearning_block_drift(TabularFeatures(3, 4), 0.9, 2, 50)
+    block, _ = qlearning_block_drift(TabularFeatures(3, 4), 0.9, 2, 50)
     samples = [np.stack([x, x], axis=1) for x in MDPSource(
         maze=parse_maze("S.G")).sample_block(np.random.default_rng(0), 100)]
     block(*(x[:50] for x in samples))

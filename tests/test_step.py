@@ -33,12 +33,6 @@ def compiler_found():
     return shutil.which(shlex.split(sysconfig.get_config_var("CC") or "cc")[0])
 
 
-def eps_args(eps):
-    """eps as a diminishing step passes it (a float) and as a constant one
-    does (a 0-d array), in turn."""
-    return [eps, np.array(eps)]
-
-
 @pytest.mark.parametrize("d", range(1, _SHORT_ROW))
 @given(agents=AGENTS, eps=st.floats(1e-3, 10.0),
        scale=st.sampled_from([1.0, 3e307]), seed=st.integers(0, 2**31 - 1))
@@ -51,23 +45,22 @@ def test_compiled_quadratic_matches_numpy_step(d, agents, eps, scale, seed):
     products that overflow."""
     T = 12
     rng = np.random.default_rng(seed)
-    (x, x2), numpy_block = quadratic_block_drift(d, agents, T)
-    (kx, kx2), compiled_block = quadratic_block_drift(d, agents, T,
-                                                      operators.STEP)
+    (x, x2), numpy_step, _ = quadratic_block_drift(d, agents, T)
+    (kx, kx2), compiled_step, _ = quadratic_block_drift(d, agents, T,
+                                                        operators.STEP)
     x[1:] = rng.standard_normal((T, agents, d))
     x2[:] = signed_zeros(rng, (T, agents))
     special = rng.random((T, agents)) < 0.3
     x2[special] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan],
                              size=int(special.sum()))
     kx[...], kx2[...] = x, x2
-    numpy_step, compiled_step = numpy_block(T), compiled_block(T)
     for t in range(T):
         theta = scale * signed_zeros(rng, (agents, d))
         out0 = signed_zeros(rng, (agents, d))
         expected, got = out0.copy(), out0.copy()
         with np.errstate(all="ignore"):
-            numpy_step(theta, t, eps_args(eps)[t % 2], expected)
-            compiled_step(theta, t, eps_args(eps)[t % 2], got)
+            numpy_step(theta, t, eps, expected)
+            compiled_step(theta, t, eps, got)
         assert got.tobytes() == expected.tobytes()
 
 
@@ -88,17 +81,17 @@ def test_compiled_qlearning_matches_numpy_step(n_states, n_actions, gamma,
     s, s_next = rng.integers(0, n_states, size=(2, T, agents))
     a = rng.integers(0, n_actions, size=(T, agents))
     r = signed_zeros(rng, (T, agents))
-    numpy_step = qlearning_block_drift(feats, gamma, agents, T)(
+    numpy_step = qlearning_block_drift(feats, gamma, agents, T)[0](
         s, a, r, s_next)
     compiled_step = qlearning_block_drift(feats, gamma, agents, T,
-                                          operators.STEP)(s, a, r, s_next)
+                                          operators.STEP)[0](s, a, r, s_next)
     for t in range(T):
         theta = special_values(rng, (agents, feats.dim))
         out0 = signed_zeros(rng, (agents, feats.dim))
         expected, got = out0.copy(), out0.copy()
         with np.errstate(all="ignore"):
-            numpy_step(theta, t, eps_args(eps)[t % 2], expected)
-            compiled_step(theta, t, eps_args(eps)[t % 2], got)
+            numpy_step(theta, t, eps, expected)
+            compiled_step(theta, t, eps, got)
         assert got.tobytes() == expected.tobytes()
 
 
@@ -120,7 +113,8 @@ def test_compiled_qlearning_max_takes_numpys_zero_and_nan():
     slots = []
     for kernel in (None, operators.STEP):
         out = np.full((agents, feats.dim), -0.0)
-        step = qlearning_block_drift(feats, 0.5, agents, 1, kernel)(*sample)
+        block, _ = qlearning_block_drift(feats, 0.5, agents, 1, kernel)
+        step = block(*sample)
         step(theta, 0, 0.25, out)
         slots.append(out[:, feats.index(1, 0)])
     assert slots[0].tobytes() == slots[1].tobytes()
