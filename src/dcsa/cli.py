@@ -16,8 +16,8 @@ from .core import CoreError, admissible_step_check, run
 from .experiments import (ScenarioError, build_scenario, fit_rate_series,
                           greedy_policy_rollout, plateau_level)
 from .graphs import GraphError
-from .io import (FormatError, clean_json, emit_metrics, emit_summary,
-                 read_metrics)
+from .io import (FormatError, blas_core, clean_json, emit_metrics,
+                 emit_summary, read_metrics)
 from .operators import OperatorError, system_id_constants
 from .sources import SourceError, load_maze
 
@@ -91,6 +91,7 @@ def cmd_run(args):
         **{f"{phase}_s": secs for phase, secs in traj.phase_s.items()},
         "python_version": platform.python_version(),
         "numpy_version": np.__version__,
+        "blas_core": blas_core(),
         "compiled_step": traj.compiled_step,
         "config": config_to_text(cfg),
     }, os.path.join(args.out, "summary.json"))

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import operators
 from .operators import (TabularFeatures, bellman_residual,
-                        qlearning_block_drift, quadratic_block_drift)
+                        qlearning_block_drift, quadratic_block_drift,
+                        step_loop)
 from .sources import _SHORT_ROW, ordered_sum
 
 
@@ -447,17 +448,17 @@ def run(scenario: Scenario, collect_theta_bar: bool = False, *,
 
     The iteration advances in blocks of up to _BLOCK steps: each block's
     observations are drawn up front (they never depend on Theta), by a
-    block sampler built once per run, and each step writes W Theta
-    straight into its row of a time-major buffer of iterates, to which the
-    drift's step adds eps F in place. The block is stepped under
-    np.errstate(all="ignore"), so neither the engine nor an operator's
-    eval warns about overflow inside it; an isfinite check of the buffer
-    then finds the first non-finite iterate, and the run aborts at its
-    exact k with that iterate as theta_final. R, S, theta_bar and the
-    lemma-3 slack of the block's iterates before it are computed from the
-    time-major buffer as it stands. No operator's eval ever sees a
-    non-finite iterate. The trajectory's phase_s holds the seconds spent
-    drawing, stepping, measuring and logging.
+    block sampler built once per run, and the block's steps are one call
+    of the drift's advance: each step writes W Theta straight into its row
+    of a time-major buffer of iterates, and adds eps F to it in place. The
+    block is stepped under np.errstate(all="ignore"), so neither the
+    engine nor an operator's eval warns about overflow inside it; an
+    isfinite check of the buffer then finds the first non-finite iterate,
+    and the run aborts at its exact k with that iterate as theta_final. R,
+    S, theta_bar and the lemma-3 slack of the block's iterates before it
+    are computed from the time-major buffer as it stands. No operator's
+    eval ever sees a non-finite iterate. The trajectory's phase_s holds the
+    seconds spent drawing, stepping, measuring and logging.
 
     Bit-deterministic for a fixed seed: per-agent sample streams are derived
     from (seed, agent, 'sample') and agents are reduced in index order.
@@ -537,14 +538,16 @@ def _step_stack(scs, collect_theta_bar):
     at k = end[s], is its theta_final, and nothing from that k on is kept
     for it. The stack steps on until every run has aborted.
 
-    Each block's iterates are a (T, S, N, d) buffer. A step zips over
-    views of the buffer's rows (for a stack of one, a list of them built
-    once per run), the block's steps eps, as floats, and its frames'
-    mixers, sliced from a cycled list of them built once per run:
-    mix(Theta, out) writes W Theta into the row, as one 2-D gemm by the
-    frame's bound ndarray.dot for a stack of one (of N >= 2 agents), and a
-    broadcast (S, N, d) np.matmul with the frame bound otherwise, and the
-    drift's step then adds eps F to the row's 2-D (S*N, d) view.
+    Each block's iterates are a (T, S, N, d) buffer, and its T steps are
+    one call of the drift's advance (see _block_drift), with the block's
+    steps eps, as floats, and its frames' mixers, sliced from a cycled list
+    of them built once per run: at each step mix(Theta, out) writes
+    W Theta into the row, as one 2-D gemm by the frame's bound ndarray.dot
+    for a stack of one (of N >= 2 agents), and a broadcast (S, N, d)
+    np.matmul with the frame bound otherwise, and the drift then adds eps F
+    to the row's 2-D (S*N, d) form. The mixers get the rows as rows_mix
+    items: a list of the 2-D views built once per run for a stack of one,
+    the buffer itself otherwise.
 
     Each block is timed in four phases, one perf_counter reading at the
     end of each: sample (block_drift draws the block), step (the T steps
@@ -691,14 +694,14 @@ def _step_stack(scs, collect_theta_bar):
     if short:
         dev_flat = dev_buf.reshape(-1)
         bar_flat = np.empty(bar_buf.size)
-    # the views of the buffer's rows: the step reads and writes each row as
-    # (S*N, d), and a stack of one is mixed in that form too, one gemm, from
-    # a list of the views built once per run; S > 1 keeps the (S, N, d)
-    # broadcast matmul and takes both views as a block iterates the buffer,
-    # since a list of them raised a 30-run stack's peak RSS
-    rows_2d, rows_mix = buf.reshape(len(buf), n_runs * n, d), buf
+    # the drift reads and writes each row as (S*N, d), and a stack of one
+    # is mixed in that form too, one gemm, from a list of the rows' views
+    # built once per run; S > 1 keeps the (S, N, d) broadcast matmul and
+    # takes each row's view as a block reaches it, since a list of them
+    # raised a 30-run stack's peak RSS
+    iterates, rows_mix = buf.reshape(len(buf), n_runs * n, d), buf
     if n_runs == 1:
-        rows_2d = rows_mix = list(rows_2d)
+        rows_mix = list(iterates)
     theta = Theta.reshape(n_runs * n, d)
     theta_mix = theta if n_runs == 1 else Theta
     # mix(Theta, out) writes W Theta into out, one per frame. A frame's
@@ -720,15 +723,13 @@ def _step_stack(scs, collect_theta_bar):
         measure_and_log(0, Theta[None], [])
         for k0 in range(0, horizon, _BLOCK):
             T = min(_BLOCK, horizon - k0)
-            step = block_drift(T)
+            advance = block_drift(T)
             lap("sample")
             eps = sc.step.values(k0, T)
             first = k0 % len(mixers)
-            for t, (mix, e, out, out_mix) in enumerate(zip(
-                    mix_cycle[first:first + T], eps, rows_2d, rows_mix)):
-                mix(theta_mix, out_mix)
-                step(theta, t, e, out)
-                theta, theta_mix = out, out_mix
+            advance(theta, theta_mix, iterates, rows_mix,
+                    mix_cycle[first:first + T], eps)
+            theta, theta_mix = iterates[T - 1], rows_mix[T - 1]
             if not np.isfinite(buf[:T]).all():
                 # split by run only for a block that holds a non-finite value
                 finite = np.isfinite(buf[:T]).all(axis=(2, 3))
@@ -784,34 +785,39 @@ def _require_one_config(scs):
 def _block_drift(ops, sources, rngs):
     """(block_drift, compiled): block_drift(T) draws the next T
     observations of every one of the S*N agents of a stack from its source
-    and stream (agents in C order) and returns step(Theta, t, eps, out):
-    out, a C-contiguous (S*N, d) array that holds W Theta, gains eps times
-    the drift rows of the (S*N, d) Theta at step t of the block, in place;
-    eps is a float. Over sources of one class with a block_sampler,
-    built-in quadratic-gradient operators, or built-in Q-learning ones
-    with one features and gamma, share one batched step. The sampler and
-    the operators' builder, with its _BLOCK-row buffers, are then made
-    once, here, for the whole run, and a block is one draw whose samples
-    the builder turns into the step; the quadratic builder's buffers are
+    and stream (agents in C order) and returns the block's
+    advance(theta, theta_mix, iterates, rows_mix, mixers, eps), which runs
+    its T = len(eps) steps (see operators.step_loop): at step t,
+    mixers[t](prev_mix, rows_mix[t]) writes W Theta into row t of
+    iterates, a C-contiguous (>= T, S*N, d) array, and the drift adds
+    eps[t] times the drift rows of the pre-step (S*N, d) iterate, theta at
+    t = 0 and row t - 1 after, to it in place; eps is a list of floats.
+    Over sources of one class with a block_sampler, built-in
+    quadratic-gradient operators, or built-in Q-learning ones with one
+    features and gamma, share one batched advance. The sampler and the
+    operators' builder, with its _BLOCK-row buffers, are then made once,
+    here, for the whole run, and a block is one draw whose samples the
+    builder's advance steps through; the quadratic builder's buffers are
     the ones the sampler draws into. Each builder gets operators.STEP, the
     compiled step where it loaded, read here at every run, and compiled is
-    the builder's report of whether its step calls it. Anything else is
-    sampled and evaluated agent by agent, and makes no builder. That
-    per-agent step never hands an operator's eval a non-finite iterate: an
-    agent whose row of Theta has a non-finite entry gets a NaN drift row
-    instead, and its run aborts at that step all the same."""
+    the builder's report of whether its advance is one call of it. Anything
+    else is sampled and evaluated agent by agent, and makes no builder; its
+    advance is step_loop over a per-agent step. That step never hands an
+    operator's eval a non-finite iterate: an agent whose row of Theta has a
+    non-finite entry gets a NaN drift row instead, and its run aborts at
+    that step all the same."""
     source_class = type(sources[0])
     if (hasattr(source_class, "block_sampler")
             and all(type(src) is source_class for src in sources)):
         kinds = {op.kind for op in ops}
         if kinds == {"quadratic-gradient"}:
-            out, step, compiled = quadratic_block_drift(
+            out, advance, compiled = quadratic_block_drift(
                 ops[0].dim, len(ops), _BLOCK, operators.STEP)
             draw = source_class.block_sampler(sources, rngs)
 
             def sampled(T):
                 draw(T, out)
-                return step
+                return advance
 
             return sampled, compiled
         if kinds == {"qlearning"}:
@@ -838,6 +844,6 @@ def _block_drift(ops, sources, rngs):
                 drift[i] = ops_eval[i](obs[i][t], Theta[i]) if ok else math.nan
             out += eps * drift
 
-        return step
+        return functools.partial(step_loop, step)
 
     return per_agent, False

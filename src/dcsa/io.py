@@ -6,8 +6,10 @@ decimal notation with 12 significant digits.
 """
 
 import csv
+import ctypes
 import json
 import math
+import os
 
 import numpy as np
 
@@ -18,6 +20,30 @@ CSV_COLUMNS = ("k", "eps_k", "tau_k", "R", "S", "S_delayed", "V",
 class FormatError(ValueError):
     """Raised for an input file whose contents are not in the expected
     format."""
+
+
+def blas_core():
+    """OpenBLAS's runtime core name (its kernels), or None when numpy's
+    OpenBLAS cannot be found. The mix's gemm rounds per core, so the core
+    is part of what a trajectory's bytes depend on."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    try:
+        names = sorted(os.listdir(libs))
+    except OSError:   # numpy without a bundled BLAS directory
+        return None
+    for name in names:
+        if "openblas" not in name:
+            continue
+        lib = ctypes.CDLL(os.path.join(libs, name))
+        for symbol in ("scipy_openblas_get_corename64_",
+                       "scipy_openblas_get_corename",
+                       "openblas_get_corename64_", "openblas_get_corename"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes = []
+                fn.restype = ctypes.c_char_p
+                return fn().decode()
+    return None
 
 
 def _fmt(value):

@@ -8,6 +8,7 @@ analytically for the autoregressive quadratic case.
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -58,54 +59,66 @@ def quadratic_grad_operator(dim: int) -> LocalOperator:
     return LocalOperator(dim=dim, eval=_eval, kind="quadratic-gradient")
 
 
+def step_loop(step, theta, theta_mix, iterates, rows_mix, mixers, eps):
+    """The block contract's advance over a per-step drift step(Theta, t,
+    eps, out), the one Python loop of a block's steps (see _block_drift):
+    for t < T = len(eps), mixers[t](prev_mix, rows_mix[t]) writes W Theta
+    into row t, and step(prev, t, eps[t], iterates[t]) adds eps[t] F at the
+    pre-step iterate prev to it; prev and prev_mix are theta and theta_mix
+    at t = 0, and row t - 1 after. It is what the compiled kernels'
+    quadratic_steps and qlearning_steps do in C."""
+    for t, (mix, e, out, out_mix) in enumerate(zip(mixers, eps, iterates,
+                                                   rows_mix)):
+        mix(theta_mix, out_mix)
+        step(theta, t, e, out)
+        theta, theta_mix = out, out_mix
+
+
 def quadratic_block_drift(dim, agents, rows, kernel=None):
-    """(x, x2), step, compiled: the step layer of a stack of `agents`
+    """(x, x2), advance, compiled: the step layer of a stack of `agents`
     quadratic-gradient agents of dimension dim, built once per run. A
     block's T <= rows samples are drawn straight into the buffers x, of
     shape (rows + 1, agents, dim), whose rows 1..T hold X(1) (row 0 is the
     sampler's, for the states it starts from; see
     sources.ARSource.block_sampler), and x2, of shape (rows, agents),
-    whose first T rows hold X(2). step(Theta, t, eps, out) reads row t of
-    the block: for Theta of shape (agents, dim), it adds eps times each
-    agent's map at its t-th sample to out, which holds W Theta, in place.
-    The result equals out + eps * eval bit for bit: both sum a row's
-    products over the contiguous last axis, where a (T, d) @ product would
-    round otherwise, and both round 2 * resid, its product with x1 and eps
-    times that in this order.
+    whose first T rows hold X(2). advance(theta, theta_mix, iterates,
+    rows_mix, mixers, eps) runs the block's T = len(eps) steps, as
+    step_loop describes: step t mixes into row t of iterates, an (>= T,
+    agents, dim) array, and adds eps[t] times each agent's map at its t-th
+    sample, at the pre-step iterate, to it in place. Each step equals
+    W Theta + eps * eval bit for bit: both sum a row's products over the
+    contiguous last axis, where a (T, d) @ product would round otherwise,
+    and both round 2 * resid, its product with x1 and eps times that in
+    this order.
 
     kernel is the compiled step module (see _build), or None. For dim <
-    _SHORT_ROW a step is one call of kernel.quadratic, which chains each
-    row's products from +0.0 as np.add.reduce does there; otherwise, and
-    without a kernel, it is the numpy formula below, in (agents, dim)
-    scratch allocated once per run; compiled says which."""
+    _SHORT_ROW a block is one call of kernel.quadratic_steps, which chains
+    each row's products from +0.0 as np.add.reduce does there; otherwise,
+    and without a kernel, it is step_loop over the numpy formula below, in
+    (agents, dim) scratch allocated once per run; compiled says which."""
     x = np.empty((rows + 1, agents, dim))
     # a step reads x2's rows as (agents, 1) rows of a (rows, agents, 1)
     # buffer, which broadcast against the (agents, 1) row sums
     x2_buf = np.empty((rows, agents, 1))
     x2 = x2_buf[..., 0]
+
+    if kernel is not None and dim < _SHORT_ROW:
+        return (x, x2), partial(kernel.quadratic_steps, x, x2_buf), True
     x1_rows, x2_rows = list(x[1:]), list(x2_buf)
+    p = np.empty((agents, dim))
+    s = np.empty((agents, 1))
 
-    compiled = kernel is not None and dim < _SHORT_ROW
-    if compiled:
-        quadratic = kernel.quadratic
+    def step(Theta, t, eps, out):
+        x1_t = x1_rows[t]
+        np.multiply(x1_t, Theta, out=p)
+        np.add.reduce(p, axis=-1, keepdims=True, out=s)
+        np.subtract(x2_rows[t], s, out=s)
+        np.multiply(s, 2.0, out=s)
+        np.multiply(s, x1_t, out=p)
+        np.multiply(p, eps, out=p)
+        np.add(out, p, out=out)
 
-        def step(Theta, t, eps, out):
-            quadratic(Theta, x1_rows[t], x2_rows[t], eps, out)
-    else:
-        p = np.empty((agents, dim))
-        s = np.empty((agents, 1))
-
-        def step(Theta, t, eps, out):
-            x1_t = x1_rows[t]
-            np.multiply(x1_t, Theta, out=p)
-            np.add.reduce(p, axis=-1, keepdims=True, out=s)
-            np.subtract(x2_rows[t], s, out=s)
-            np.multiply(s, 2.0, out=s)
-            np.multiply(s, x1_t, out=p)
-            np.multiply(p, eps, out=p)
-            np.add(out, p, out=out)
-
-    return (x, x2), step, compiled
+    return (x, x2), partial(step_loop, step), False
 
 
 # ---------------------------------------------------------------------------
@@ -169,47 +182,46 @@ def qlearning_block_drift(features: TabularFeatures, gamma, agents, rows,
                           kernel=None):
     """block, compiled: block(s, a, r, s') of a stack of `agents`
     Q-learning agents that share features and gamma, built once per run,
-    and whether its step is the compiled kernel's. For time-major blocks of
-    (s, a, r, s') samples of shape (T, agents), T <= rows, it returns
-    step(Theta, t, eps, out). For Theta of shape (..., dim), the step adds
-    eps times each agent's Q-learning map at its t-th sample to out, which
-    holds W Theta, in place. The map is nonzero in one slot per agent, so
-    only those slots are added to; every slot equals out + eps * eval, bit
-    for bit.
+    and whether its steps are the compiled kernel's. For time-major blocks
+    of (s, a, r, s') samples of shape (T, agents), T <= rows, it returns
+    advance(theta, theta_mix, iterates, rows_mix, mixers, eps), which runs
+    the block's T = len(eps) steps as step_loop describes: step t mixes
+    into row t of iterates and adds eps[t] times each agent's Q-learning
+    map at its t-th sample, at the pre-step iterate, to it in place. The
+    map is nonzero in one slot per agent, so only those slots are added
+    to; every slot equals W Theta + eps * eval, bit for bit.
 
-    Theta and out are read flat, as the stacked (agents * states) x actions
+    The iterates are read flat, as the stacked (agents * states) x actions
     table in which the state s of the agent in C-order row i is row
     i * states + s. Every buffer is allocated once per run, with `rows`
     steps: the gather indices (rows, actions + 1, agents), whose first
     `actions` rows at a step are each agent's flat Q(s', .) index, one
     action per row, and whose last row is its slot, its flat Q(s, a) index;
-    the rewards; the lists of the per-step index, slot and reward rows,
-    each slot row a view of its index row; a contiguous (rows, agents)
-    scratch for the block's row bases; and the step's scratch. A block
-    checks its states and actions against the features, since take clips
-    rather than checking them at every step, and fills the buffers' first T
-    rows by ufuncs with out.
+    the rewards; a contiguous (rows, agents) scratch for the block's row
+    bases; and, for the numpy step, the lists of the per-step index, slot
+    and reward rows, each slot row a view of its index row, and the step's
+    scratch. A block checks its states and actions against the features,
+    since take clips rather than checking them at every step, and fills the
+    buffers' first T rows by ufuncs with out.
 
     kernel is the compiled step module (see _build), or None. With it, a
-    step is one call of kernel.qlearning on the step's index and reward
-    rows; without it, one take of its gather indices into an (actions + 1,
-    agents) scratch, a max across the contiguous action rows, one take of
-    out's slots and one put. Both round as bellman_residual does: gamma *
-    max, then + r, then - Q(s, a), then * eps, and out's slot plus that.
+    block is one call of kernel.qlearning_steps on the index and reward
+    buffers; without it, step_loop over a numpy step: one take of its
+    gather indices into an (actions + 1, agents) scratch, a max across the
+    contiguous action rows, one take of out's slots and one put. Both round
+    as bellman_residual does: gamma * max, then + r, then - Q(s, a), then
+    * eps, and out's slot plus that.
     """
     n_states, n_actions = features.n_states, features.n_actions
     index = np.empty((rows, n_actions + 1, agents), dtype=np.intp)
     base = np.empty((rows, agents), dtype=np.intp)
     reward = np.empty((rows, agents))
-    index_rows, reward_rows = list(index), list(reward)
     offsets = n_states * np.arange(agents)
     action_rows = [index[:, action] for action in range(n_actions)]
     if kernel is not None:
-        qlearning, gamma = kernel.qlearning, float(gamma)
-
-        def step(Theta, t, eps, out):
-            qlearning(Theta, index_rows[t], reward_rows[t], gamma, eps, out)
+        advance = partial(kernel.qlearning_steps, index, reward, float(gamma))
     else:
+        index_rows, reward_rows = list(index), list(reward)
         slot_rows = [row[n_actions] for row in index_rows]
         gather = np.empty((n_actions + 1, agents))
         q_next, q = gather[:n_actions], gather[n_actions]  # Q(s', .), Q(s, a)
@@ -225,6 +237,8 @@ def qlearning_block_drift(features: TabularFeatures, gamma, agents, rows,
             out.take(slot_rows[t], out=q, mode="clip")
             np.add(q, res, out=q)
             out.put(slot_rows[t], q)
+
+        advance = partial(step_loop, step)
 
     def block(s, a, r, s_next):
         T = len(s)
@@ -248,7 +262,7 @@ def qlearning_block_drift(features: TabularFeatures, gamma, agents, rows,
         np.multiply(bases, n_actions, bases)
         np.add(bases, a, index[:T, n_actions])
         np.copyto(reward[:T], r)
-        return step
+        return advance
 
     return block, kernel is not None
 

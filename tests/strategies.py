@@ -45,3 +45,32 @@ def special_values(rng, shape):
     x[special] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan],
                             size=int(special.sum()))
     return x
+
+
+def step_each(advance, thetas, outs, eps, stacked=False):
+    """Each step of one block of a drift's advance (see
+    operators.step_loop), taken from a chosen pre-step iterate: step t
+    starts from thetas[t] with W Theta = outs[t], and the result holds
+    outs[t] plus eps[t] times the drift at thetas[t], as advance left it,
+    for each t < T = len(outs). Mixer t first keeps step t - 1's result,
+    then writes thetas[t] into the pre-step iterate, the row the drift of
+    step t reads, and outs[t] into row t. rows_mix is the block's rows as a
+    list, as a stack of one is mixed, or with stacked the block itself, as
+    a larger stack is."""
+    iterates = np.empty_like(outs)
+    results = np.empty_like(outs)
+    theta = np.empty(outs.shape[1:])
+
+    def mixer(t):
+        def mix(prev, out):
+            if t:
+                results[t - 1] = prev
+            np.copyto(prev, thetas[t])
+            np.copyto(out, outs[t])
+        return mix
+
+    advance(theta, theta, iterates, iterates if stacked else list(iterates),
+            [mixer(t) for t in range(len(outs))], [float(e) for e in eps])
+    if len(outs):
+        results[-1] = iterates[-1]
+    return results

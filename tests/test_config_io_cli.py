@@ -20,8 +20,8 @@ from dcsa.config import (ConfigError, ScenarioConfig, config_to_text,
                          parse_config, parse_topology)
 from dcsa.core import MetricsRecord, MetricsTrajectory
 from dcsa.experiments import greedy_policy_rollout
-from dcsa.io import (CSV_COLUMNS, FormatError, emit_metrics, emit_summary,
-                     read_metrics)
+from dcsa.io import (CSV_COLUMNS, FormatError, blas_core, emit_metrics,
+                     emit_summary, read_metrics)
 from dcsa.sources import load_maze
 
 
@@ -209,6 +209,18 @@ def test_cli_run_summary_reports_time_and_versions(tmp_path):
     assert summary["numpy_version"] == np.__version__
     resolved = parse_config(summary["config"])
     assert resolved.seed == 7 and resolved.horizon == horizon
+
+
+def test_cli_run_summary_names_the_blas_core(tmp_path):
+    """summary.json names OpenBLAS's runtime core, which the mix's gemm
+    rounds by, as a string, or null where numpy's OpenBLAS is not found;
+    it is the core dcsa.io.blas_core reads."""
+    cfg = write_cfg(tmp_path, SYSTEM_ID_CFG)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    core = json.loads((tmp_path / "o" / "summary.json").read_text())[
+        "blas_core"]
+    assert core is None or isinstance(core, str)
+    assert core == blas_core()
 
 
 def test_cli_run_summary_says_whether_the_step_is_compiled(tmp_path,

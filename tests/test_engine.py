@@ -535,9 +535,9 @@ def test_batched_drift_builders_are_made_once_per_run(monkeypatch):
 
 
 def counting_step(calls):
-    """A stand-in for the compiled step module: each call of its quadratic
-    or qlearning appends that name to calls and is passed on to
-    operators.STEP where the step loaded."""
+    """A stand-in for the compiled step module: each call of its
+    quadratic_steps or qlearning_steps appends that name to calls and is
+    passed on to operators.STEP where the step loaded."""
     compiled = operators.STEP
 
     def counted(name):
@@ -547,21 +547,23 @@ def counting_step(calls):
                 getattr(compiled, name)(*args)
         return call
 
-    return types.SimpleNamespace(quadratic=counted("quadratic"),
-                                 qlearning=counted("qlearning"))
+    return types.SimpleNamespace(
+        quadratic_steps=counted("quadratic_steps"),
+        qlearning_steps=counted("qlearning_steps"))
 
 
 def test_block_drift_picks_the_compiled_step(monkeypatch):
     """_block_drift hands operators.STEP, as it is at the run, to the
-    batched builders: a run, or a stack of runs, makes one call per
-    iteration, of quadratic for d < _SHORT_ROW and of qlearning for
-    Q-learning, and none for d >= _SHORT_ROW, whose rows numpy sums
-    pairwise, or for sources stepped agent by agent. With STEP None, it
-    makes none. Each trajectory's compiled_step is true exactly for the
-    runs whose steps called it."""
+    batched builders: a run, or a stack of runs, makes one call per block,
+    ceil(horizon / _BLOCK) in all, of quadratic_steps for d < _SHORT_ROW
+    and of qlearning_steps for Q-learning, and none for d >= _SHORT_ROW,
+    whose rows numpy sums pairwise, or for sources stepped agent by agent.
+    With STEP None, it makes none. Each trajectory's compiled_step is true
+    exactly for the runs whose steps called it."""
     calls = []
     monkeypatch.setattr(operators, "STEP", counting_step(calls))
     horizon = _BLOCK + 22
+    blocks = math.ceil(horizon / _BLOCK)
     cfg = ScenarioConfig(scenario="system_id", n_agents=3, dim=5,
                          horizon=horizon, stride=50)
     gridworld = build_gridworld_scenario(
@@ -570,13 +572,14 @@ def test_block_drift_picks_the_compiled_step(monkeypatch):
         mazes=[parse_maze(m) for m in MAZES])
     unbatched = build_scenario(cfg)
     unbatched.sources = [Unbatched(src) for src in unbatched.sources]
-    runs = [(lambda: [run(build_scenario(cfg))], ["quadratic"] * horizon),
+    runs = [(lambda: [run(build_scenario(cfg))],
+             ["quadratic_steps"] * blocks),
             (lambda: run_ensemble([build_scenario(dataclasses.replace(
                 cfg, seed=seed)) for seed in (1, 2)]),
-             ["quadratic"] * horizon),
+             ["quadratic_steps"] * blocks),
             (lambda: [run(build_scenario(dataclasses.replace(cfg, dim=8)))],
              []),
-            (lambda: [run(gridworld)], ["qlearning"] * horizon),
+            (lambda: [run(gridworld)], ["qlearning_steps"] * blocks),
             (lambda: [run(unbatched)], [])]
     for run_it, expected in runs:
         calls.clear()
@@ -593,28 +596,46 @@ def test_block_drift_picks_the_compiled_step(monkeypatch):
 def test_compiled_step_fallback_gives_the_same_bytes(monkeypatch, tmp_path):
     """Where the step cannot be built, with no compiler and an empty cache,
     the loader returns None, and runs stepped with numpy equal those
-    stepped by operators.STEP bit for bit: single runs of both kinds and a
-    stack whose runs abort on non-finite iterates."""
+    stepped by operators.STEP bit for bit at every block edge: single
+    system-id runs of horizon 2 * _BLOCK + 44 and below one block, one on
+    three weight frames, whose later blocks start their frame cycle at
+    k0 mod 3 = 2 and 1, a single GridWorld run, a 3-run GridWorld stack
+    and a system-id stack whose runs abort on non-finite iterates."""
     fallback = _build.load_step(cc=[str(tmp_path / "no-such-cc")],
                                 cache_dir=str(tmp_path / "cache"))
     assert fallback is None
+    horizon = 2 * _BLOCK + 44
     cfg = ScenarioConfig(scenario="system_id", n_agents=10, dim=5,
-                         horizon=300, stride=7, compute_constants=True)
-    gridworld = build_gridworld_scenario(
-        ScenarioConfig(scenario="gridworld", n_agents=3, dim=100,
-                       horizon=300, stride=30, maze_files="unused"),
-        mazes=[parse_maze(m) for m in MAZES])
+                         horizon=horizon, stride=7, compute_constants=True)
+    short = dataclasses.replace(cfg, horizon=_BLOCK - 28, stride=3)
+    frames = ScenarioConfig(scenario="system_id", n_agents=6, dim=3,
+                            horizon=horizon, stride=7,
+                            frames=three_frames(6), period_b=3,
+                            compute_constants=True)
+    grid_cfg = ScenarioConfig(scenario="gridworld", n_agents=3, dim=100,
+                              horizon=horizon, stride=30,
+                              maze_files="unused")
+    mazes = [parse_maze(m) for m in MAZES]
+    grids = [build_gridworld_scenario(dataclasses.replace(grid_cfg,
+                                                          seed=seed), mazes)
+             for seed in (1, 2, 3)]
     stack = system_id_stack(**ABORTING_STACK)
+    assert len(build_scenario(frames).weights) == 3 and _BLOCK % 3 == 2
 
     def runs():
         return [run(build_scenario(cfg), collect_theta_bar=True),
-                run(gridworld), *run_ensemble(stack)]
+                run(build_scenario(short), collect_theta_bar=True),
+                run(build_scenario(frames), collect_theta_bar=True),
+                run(grids[0]), *run_ensemble(grids), *run_ensemble(stack)]
 
     compiled = runs()
+    assert all(traj.compiled_step for traj in compiled)
     monkeypatch.setattr(operators, "STEP", fallback)
     for new, ref in zip(runs(), compiled, strict=True):
+        assert not new.compiled_step
         assert_identical(new, ref)
-    assert [traj.aborted for traj in compiled[2:]] == [False, True, False, True]
+    assert [traj.aborted for traj in compiled[-4:]] == [False, True, False,
+                                                        True]
 
 
 # runs 1 and 3 start far out and abort at k = 12 and k = 118, in the first

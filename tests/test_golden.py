@@ -15,9 +15,7 @@ Regenerate the file only for a change that is meant to alter trajectories:
     PYTHONPATH=src python tests/test_golden.py
 """
 
-import ctypes
 import dataclasses
-import glob
 import hashlib
 import json
 import os
@@ -31,6 +29,7 @@ from dcsa.config import ScenarioConfig
 from dcsa.core import MetricsRecord, run, run_ensemble
 from dcsa.experiments import (build_gridworld_scenario, build_scenario,
                               run_seed_ensemble)
+from dcsa.io import blas_core
 from dcsa.sources import parse_maze
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -93,22 +92,6 @@ def diverging():
 
 CASES = {f.__name__: f for f in (sysid_cli, gridworld_td, lemma4_ensemble,
                                  sysid_ensemble, diverging)}
-
-
-def blas_core():
-    """OpenBLAS's runtime core name (its kernels), or None when numpy's
-    OpenBLAS cannot be found."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "*openblas*")):
-        lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_get_corename64_",
-                     "scipy_openblas_get_corename", "openblas_get_corename64_",
-                     "openblas_get_corename"):
-            fn = getattr(lib, name, None)
-            if fn is not None:
-                fn.restype = ctypes.c_char_p
-                return fn().decode()
-    return None
 
 
 def machine():

@@ -15,7 +15,8 @@ from dcsa.operators import (LocalOperator, OperatorError, TabularFeatures,
 from dcsa.rng import derive_stream
 from dcsa.sources import ARSource, MDPSource, ar_state_bound, parse_maze
 
-from strategies import GAMMAS, mazes, signed_zeros, special_values
+from strategies import (GAMMAS, mazes, signed_zeros, special_values,
+                        step_each)
 
 
 # ---------------------------------------------------------------------------
@@ -89,27 +90,27 @@ def ar_block(seed, i, d, T):
 @example(n=3, d=2, T=20, eps=0.5, seed=0, scale=3e307)
 @settings(max_examples=60, deadline=None)
 def test_quadratic_block_drift_matches_eval(n, d, T, eps, seed, scale):
-    """The batched step adds eps times its agent's operator eval at that
-    step to every row of out in place: out0 + eps * eval, bit for bit and
-    signed zeros included, for N agents with their own AR sources and at
-    any theta, overflowing ones included; d above 8 takes numpy's pairwise
-    sums."""
+    """Each step of the batched advance adds eps times its agent's
+    operator eval at that step to every row of its W Theta, out0, in place:
+    out0 + eps * eval, bit for bit and signed zeros included, for N agents
+    with their own AR sources and at any theta, overflowing ones included;
+    d above 8 takes numpy's pairwise sums."""
     op = quadratic_grad_operator(d)
     blocks = [ar_block(seed, i, d, T) for i in range(n)]
-    (x, x2), step, _ = quadratic_block_drift(d, n, T)
+    (x, x2), advance, _ = quadratic_block_drift(d, n, T)
     x[1:] = np.stack([b1 for b1, _ in blocks], axis=1)
     x2[:] = np.stack([b2 for _, b2 in blocks], axis=1)
     rng = np.random.default_rng(seed)
-    for t in range(T):
-        theta = scale * signed_zeros(rng, (n, d))
-        out0 = signed_zeros(rng, (n, d))
-        with np.errstate(over="ignore", invalid="ignore"):
-            expected = out0 + eps * np.stack(
-                [op.eval((x1[t], float(x2[t])), theta[i])
+    thetas = scale * signed_zeros(rng, (T, n, d))
+    outs = signed_zeros(rng, (T, n, d))
+    expected = np.empty_like(outs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(T):
+            expected[t] = outs[t] + eps * np.stack(
+                [op.eval((x1[t], float(x2[t])), thetas[t, i])
                  for i, (x1, x2) in enumerate(blocks)])
-            out = out0.copy()
-            step(theta, t, eps, out)
-        assert out.tobytes() == expected.tobytes()
+        got = step_each(advance, thetas, outs, [eps] * T)
+    assert got.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("kernel", [None, operators.STEP],
@@ -123,15 +124,14 @@ def test_quadratic_block_drift_zero_x2_signed_zeros(d, kernel):
     not load, and for d >= 8), must equal out0 + eps * eval, bit for bit,
     -0.0 included."""
     op = quadratic_grad_operator(d)
-    (x, x2), step, _ = quadratic_block_drift(d, 2, 1, kernel)
+    (x, x2), advance, _ = quadratic_block_drift(d, 2, 1, kernel)
     x[1] = np.arange(1.0, d + 1)           # X(1) of step 0: (agents, d)
     x2[0] = [-0.0, 0.0]                    # X(2) of step 0: (agents,)
     theta = np.full((2, d), -0.0)          # every product is -0.0
     out0 = np.full((2, d), -0.0)
     expected = out0 + 0.5 * np.stack([op.eval((x[1, i], float(x2[0, i])),
                                               theta[i]) for i in range(2)])
-    out = out0.copy()
-    step(theta, 0, 0.5, out)
+    out = step_each(advance, theta[None], out0[None], [0.5])[0]
     assert out.tobytes() == expected.tobytes()
     assert np.signbit(expected[0]).all() and not np.signbit(expected[1]).any()
 
@@ -155,26 +155,24 @@ def test_quadratic_block_drift_refills_its_buffers_every_block(d, n, eps,
     draw = ARSource.block_sampler(
         [ar_source(seed, i, d) for i in range(n)],
         [derive_stream(seed, i, "sample") for i in range(n)])
-    buffers, step, _ = quadratic_block_drift(d, n, 128)
+    buffers, advance, _ = quadratic_block_drift(d, n, 128)
     rng = np.random.default_rng(seed)
     for T in (128, 1, 0, 77, 128):
         x1, x2 = draw(T, buffers)
         assert np.all(x2 != 0)
-        zero_at = 40 if d == 2 and T == 77 else None
-        if zero_at is not None:
-            x2[zero_at, 0] = -0.0
+        thetas = signed_zeros(rng, (T, n, d))
+        outs = signed_zeros(rng, (T, n, d))
+        if d == 2 and T == 77:
+            x2[40, 0] = -0.0
+            thetas[40, 0] = np.copysign(0.0, -x1[40, 0])
+            outs[40, 0] = -0.0   # where the sign of the zero update shows
+        expected = np.empty_like(outs)
         for t in range(T):
-            theta = signed_zeros(rng, (n, d))
-            out0 = signed_zeros(rng, (n, d))
-            if t == zero_at:
-                theta[0] = np.copysign(0.0, -x1[t, 0])
-                out0[0] = -0.0   # where the sign of the zero update shows
-            expected = out0 + eps * np.stack(
-                [op.eval((x1[t, i], float(x2[t, i])), theta[i])
+            expected[t] = outs[t] + eps * np.stack(
+                [op.eval((x1[t, i], float(x2[t, i])), thetas[t, i])
                  for i in range(n)])
-            out = out0.copy()
-            step(theta, t, eps, out)
-            assert out.tobytes() == expected.tobytes()
+        got = step_each(advance, thetas, outs, [eps] * T)
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_eval_local_dimension_check():
@@ -275,29 +273,34 @@ def test_bellman_residual_matches_row_wise_max(n_states, n_actions, gamma,
        st.integers(0, 130), st.floats(1e-3, 10.0), st.integers(0, 2**31 - 1))
 @settings(max_examples=60, deadline=None)
 def test_qlearning_block_drift_matches_eval(maze_list, gamma, T, eps, seed):
-    """The batched step adds eps times its agent's Bellman residual at that
-    step, by the row-wise reference, to the agent's one-hot slot of out in
-    place, bit for bit (signed zeros and NaN included), for N agents on
-    their own mazes, at any theta: every third step's theta has +-inf and
-    NaN entries, as the first non-finite iterate of a diverging run does,
-    which the engine steps before its per-block check aborts the run. Every
-    other entry of out keeps its bytes. The slots also equal out0 + eps *
-    eval, the per-agent step; elsewhere that sum differs from out0 only
-    where out0 is -0.0, which W @ Theta, what the engine passes as out0,
-    never holds."""
+    """Each step of the batched advance adds eps times its agent's Bellman
+    residual at that step, by the row-wise reference, to the agent's
+    one-hot slot of its W Theta, out0, in place, bit for bit (signed zeros
+    and NaN included), for N agents on their own mazes, at any theta:
+    every third step's theta has +-inf and NaN entries, as the first
+    non-finite iterate of a diverging run does, which the engine steps
+    before its per-block check aborts the run. Every other entry of out
+    keeps its bytes. The slots also equal out0 + eps * eval, the per-agent
+    step; elsewhere that sum differs from out0 only where out0 is -0.0,
+    which W @ Theta, what the engine passes as out0, never holds."""
     feats = TabularFeatures(12, 4)
     op = qlearning_operator(feats, gamma)
     blocks = [MDPSource(maze=m).sample_block(derive_stream(seed, i, "sample"),
                                              T)
               for i, m in enumerate(maze_list)]
     n = len(maze_list)
-    step = qlearning_block_drift(feats, gamma, n, T)[0](
+    advance = qlearning_block_drift(feats, gamma, n, T)[0](
         *(np.stack(x, axis=1) for x in zip(*blocks)))
     rng = np.random.default_rng(seed)
+    thetas = np.empty((T, n, feats.dim))
     for t in range(T):
         draw = special_values if t % 3 == 0 else signed_zeros
-        theta = draw(rng, (n, feats.dim))
-        out0 = signed_zeros(rng, (n, feats.dim))
+        thetas[t] = draw(rng, (n, feats.dim))
+    outs = signed_zeros(rng, (T, n, feats.dim))
+    with np.errstate(invalid="ignore"):   # inf - inf
+        got = step_each(advance, thetas, outs, [eps] * T)
+    for t in range(T):
+        theta, out0, out = thetas[t], outs[t], got[t]
         expected = out0.copy()
         in_slot = np.zeros(out0.shape, dtype=bool)
         with np.errstate(invalid="ignore"):   # inf - inf
@@ -311,8 +314,6 @@ def test_qlearning_block_drift_matches_eval(maze_list, gamma, T, eps, seed):
                 op.eval((int(s[t]), int(a[t]), float(r[t]), int(s_next[t])),
                         theta[i])
                 for i, (s, a, r, s_next) in enumerate(blocks)])
-            out = out0.copy()
-            step(theta, t, eps, out)
         assert out.tobytes() == expected.tobytes()
         assert ((out0 + eps * evals)[in_slot].tobytes()
                 == expected[in_slot].tobytes())
@@ -336,10 +337,10 @@ def test_qlearning_block_drift_refills_its_buffers_every_block(
     """One builder, made once as the engine makes it per run, and driven
     through consecutive blocks of 128, 1, 0, 77 and 128 steps drawn by one
     MDPSource.block_sampler: every step of every block adds eps times the
-    row-wise reference's residual to its agent's slot of out, bit for bit,
-    and the slots equal out0 + eps * eval. A block that left a row of the
-    per-run index or reward buffers as the block before it filled it would
-    step from that block's samples."""
+    row-wise reference's residual to its agent's slot of its W Theta, bit
+    for bit, and the slots equal out0 + eps * eval. A block that left a row
+    of the per-run index or reward buffers as the block before it filled it
+    would step from that block's samples."""
     feats = TabularFeatures(12, 4)
     op = qlearning_operator(feats, gamma)
     n = len(maze_list)
@@ -347,14 +348,14 @@ def test_qlearning_block_drift_refills_its_buffers_every_block(
         [MDPSource(maze=m) for m in maze_list],
         [derive_stream(seed, i, "sample") for i in range(n)])
     block, _ = qlearning_block_drift(feats, gamma, n, 128)
-    eps = np.array(eps)   # as the engine passes a constant step
     rng = np.random.default_rng(seed)
     for T in (128, 1, 0, 77, 128):
         samples = draw(T)
-        step = block(*samples)
+        thetas = signed_zeros(rng, (T, n, feats.dim))
+        outs = signed_zeros(rng, (T, n, feats.dim))
+        got = step_each(block(*samples), thetas, outs, [eps] * T)
         for t in range(T):
-            theta = signed_zeros(rng, (n, feats.dim))
-            out0 = signed_zeros(rng, (n, feats.dim))
+            theta, out0, out = thetas[t], outs[t], got[t]
             expected = out0.copy()
             evals = np.zeros_like(out0)
             in_slot = np.zeros(out0.shape, dtype=bool)
@@ -366,8 +367,6 @@ def test_qlearning_block_drift_refills_its_buffers_every_block(
                 evals[i] = op.eval((int(s), int(a), float(r), int(s_next)),
                                    theta[i])
                 in_slot[i, j] = True
-            out = out0.copy()
-            step(theta, t, eps, out)
             assert out.tobytes() == expected.tobytes()
             assert ((out0 + eps * evals)[in_slot].tobytes()
                     == expected[in_slot].tobytes())

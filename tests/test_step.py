@@ -1,6 +1,7 @@
-"""The compiled drift step (src/dcsa/_step.c) against the numpy step of
-each batched builder, byte for byte, and the loader that builds and caches
-it (dcsa._build).
+"""The compiled block of steps (src/dcsa/_step.c) against the numpy
+step_loop of each batched builder, byte for byte, and the loader that
+builds and caches it (dcsa._build). Each step is taken from a chosen
+pre-step iterate and mix through step_each's mixers.
 
 Where the step did not load, operators.STEP is None and a builder given it
 steps with numpy, so every comparison still runs; the loader tests then
@@ -23,7 +24,7 @@ from dcsa.operators import (TabularFeatures, qlearning_block_drift,
                             quadratic_block_drift)
 from dcsa.sources import _SHORT_ROW
 
-from strategies import GAMMAS, signed_zeros, special_values
+from strategies import GAMMAS, signed_zeros, special_values, step_each
 
 # one run of S = 30 stacked scenarios of N = 3 agents steps 90 rows at once
 AGENTS = st.sampled_from([1, 3, 90])
@@ -38,30 +39,31 @@ def compiler_found():
        scale=st.sampled_from([1.0, 3e307]), seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=20, deadline=None)
 def test_compiled_quadratic_matches_numpy_step(d, agents, eps, scale, seed):
-    """quadratic adds what the numpy step adds, bit for bit, for every d
-    below _SHORT_ROW and stacks of one and of many rows: x2 holds zeros of
-    both signs, +-inf and NaN, theta zeros of both signs (their products
-    -0.0 or +0.0, whose sum's sign x2 = 0 shows) and, at scale 3e307,
-    products that overflow."""
+    """quadratic_steps adds what the numpy step adds, bit for bit, at
+    every step of a block, for every d below _SHORT_ROW and stacks of one
+    and of many rows, their rows mixed from a list and from the block: x2
+    holds zeros of both signs, +-inf and NaN, theta zeros of both signs
+    (their products -0.0 or +0.0, whose sum's sign x2 = 0 shows) and, at
+    scale 3e307, products that overflow; each step has its own eps."""
     T = 12
     rng = np.random.default_rng(seed)
-    (x, x2), numpy_step, _ = quadratic_block_drift(d, agents, T)
-    (kx, kx2), compiled_step, _ = quadratic_block_drift(d, agents, T,
-                                                        operators.STEP)
+    (x, x2), numpy_advance, _ = quadratic_block_drift(d, agents, T)
+    (kx, kx2), compiled_advance, _ = quadratic_block_drift(
+        d, agents, T, operators.STEP)
     x[1:] = rng.standard_normal((T, agents, d))
     x2[:] = signed_zeros(rng, (T, agents))
     special = rng.random((T, agents)) < 0.3
     x2[special] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan],
                              size=int(special.sum()))
     kx[...], kx2[...] = x, x2
-    for t in range(T):
-        theta = scale * signed_zeros(rng, (agents, d))
-        out0 = signed_zeros(rng, (agents, d))
-        expected, got = out0.copy(), out0.copy()
-        with np.errstate(all="ignore"):
-            numpy_step(theta, t, eps, expected)
-            compiled_step(theta, t, eps, got)
-        assert got.tobytes() == expected.tobytes()
+    thetas = scale * signed_zeros(rng, (T, agents, d))
+    outs = signed_zeros(rng, (T, agents, d))
+    steps = [eps / (t + 1) for t in range(T)]   # a diminishing schedule's
+    with np.errstate(all="ignore"):
+        expected = step_each(numpy_advance, thetas, outs, steps)
+        for stacked in (False, True):
+            got = step_each(compiled_advance, thetas, outs, steps, stacked)
+            assert got.tobytes() == expected.tobytes()
 
 
 @given(n_states=st.integers(1, 6), n_actions=st.integers(1, 8),
@@ -70,29 +72,31 @@ def test_compiled_quadratic_matches_numpy_step(d, agents, eps, scale, seed):
 @settings(max_examples=100, deadline=None)
 def test_compiled_qlearning_matches_numpy_step(n_states, n_actions, gamma,
                                                agents, eps, seed):
-    """qlearning adds what the numpy step adds, bit for bit, to every slot
-    and leaves every other entry of out as it was, on the tables that pin
-    the Bellman residual's max (test_bellman_residual_matches_row_wise_max:
-    up to 8 actions, +-0.0, +-inf and NaN entries) and for stacks of one
-    and of many agents."""
+    """qlearning_steps adds what the numpy step adds, bit for bit, to
+    every slot at every step of a block and leaves every other entry of
+    out as it was, on the tables that pin the Bellman residual's max
+    (test_bellman_residual_matches_row_wise_max: up to 8 actions, +-0.0,
+    +-inf and NaN entries) and for stacks of one and of many agents, their
+    rows mixed from a list and from the block; each step has its own
+    eps."""
     T = 10
     rng = np.random.default_rng(seed)
     feats = TabularFeatures(n_states, n_actions)
     s, s_next = rng.integers(0, n_states, size=(2, T, agents))
     a = rng.integers(0, n_actions, size=(T, agents))
     r = signed_zeros(rng, (T, agents))
-    numpy_step = qlearning_block_drift(feats, gamma, agents, T)[0](
+    numpy_advance = qlearning_block_drift(feats, gamma, agents, T)[0](
         s, a, r, s_next)
-    compiled_step = qlearning_block_drift(feats, gamma, agents, T,
-                                          operators.STEP)[0](s, a, r, s_next)
-    for t in range(T):
-        theta = special_values(rng, (agents, feats.dim))
-        out0 = signed_zeros(rng, (agents, feats.dim))
-        expected, got = out0.copy(), out0.copy()
-        with np.errstate(all="ignore"):
-            numpy_step(theta, t, eps, expected)
-            compiled_step(theta, t, eps, got)
-        assert got.tobytes() == expected.tobytes()
+    compiled_advance = qlearning_block_drift(
+        feats, gamma, agents, T, operators.STEP)[0](s, a, r, s_next)
+    thetas = special_values(rng, (T, agents, feats.dim))
+    outs = signed_zeros(rng, (T, agents, feats.dim))
+    steps = [eps / (t + 1) for t in range(T)]   # a diminishing schedule's
+    with np.errstate(all="ignore"):
+        expected = step_each(numpy_advance, thetas, outs, steps)
+        for stacked in (False, True):
+            got = step_each(compiled_advance, thetas, outs, steps, stacked)
+            assert got.tobytes() == expected.tobytes()
 
 
 def test_compiled_qlearning_max_takes_numpys_zero_and_nan():
@@ -110,45 +114,141 @@ def test_compiled_qlearning_max_takes_numpys_zero_and_nan():
     theta[:, :2] = rows                     # Q(0, .), the max's row
     ones = np.ones((1, agents), dtype=int)
     sample = (ones, 0 * ones, np.full((1, agents), -0.0), 0 * ones)
+    out0 = np.full((1, agents, feats.dim), -0.0)
     slots = []
     for kernel in (None, operators.STEP):
-        out = np.full((agents, feats.dim), -0.0)
         block, _ = qlearning_block_drift(feats, 0.5, agents, 1, kernel)
-        step = block(*sample)
-        step(theta, 0, 0.25, out)
+        out = step_each(block(*sample), theta[None], out0, [0.25])[0]
         slots.append(out[:, feats.index(1, 0)])
     assert slots[0].tobytes() == slots[1].tobytes()
     assert np.signbit(slots[0]).tolist() == [True, False, True, True]
     assert np.isnan(slots[0][2:]).all()
 
 
+def no_mix(prev, out):
+    """A mixer that leaves the row as it is."""
+
+
+def fill_ones(prev, out):
+    """A mixer that sets the row to ones."""
+    out[...] = 1.0
+
+
+def failing(prev, out):
+    """A mixer that raises."""
+    raise RuntimeError("mixer")
+
+
+class Emptying:
+    """A step whose conversion to float empties the list that holds it."""
+
+    def __init__(self, eps):
+        self.eps = eps
+
+    def __float__(self):
+        self.eps.clear()
+        return 0.1
+
+
+def read_only(shape):
+    """Zeros that numpy will not export as a writable buffer."""
+    a = np.zeros(shape)
+    a.setflags(write=False)
+    return a
+
+
 def test_compiled_step_rejects_mismatched_arrays():
-    """The step checks the buffers' types and sizes, so a wrong call raises
-    instead of reading or writing past an array."""
+    """The block entry points check their arguments' types and sizes
+    before the first step, so a wrong call raises instead of reading or
+    writing past a list or buffer: mixers and rows_mix must hold the
+    block's T = len(eps) steps, eps must be a list of floats, and the
+    sample and iterate buffers must hold T rows. An exception raised by a
+    mixer mid-block ends the block and propagates, after the steps before
+    it."""
     step = operators.STEP
     if step is None:
         assert not compiler_found()
         return
-    theta, out = np.zeros((3, 2)), np.zeros((3, 2))
-    with pytest.raises(ValueError):
-        step.quadratic(theta, np.zeros((3, 3)), np.zeros((3, 1)), 0.1, out)
-    with pytest.raises(ValueError):
-        step.quadratic(theta, np.zeros((3, 2)), np.zeros((4, 1)), 0.1, out)
+    T, n, d = 3, 3, 2
+
+    def quadratic(**change):
+        args = dict(x1=np.zeros((T + 1, n, d)), x2=np.zeros((T, n, 1)),
+                    theta=np.zeros((n, d)), theta_mix=None,
+                    iterates=np.zeros((T, n, d)), rows_mix=[None] * T,
+                    mixers=[no_mix] * T, eps=[0.1] * T)
+        args.update(change)
+        step.quadratic_steps(*args.values())
+
+    def qlearning(**change):
+        args = dict(index=np.zeros((T, 2, n), dtype=np.intp),
+                    reward=np.zeros((T, n)), gamma=0.5,
+                    theta=np.zeros((n, d)), theta_mix=None,
+                    iterates=np.zeros((T, n, d)), rows_mix=[None] * T,
+                    mixers=[no_mix] * T, eps=[0.1] * T)
+        args.update(change)
+        step.qlearning_steps(*args.values())
+
+    quadratic()
+    qlearning()
+    for call in (quadratic, qlearning):
+        with pytest.raises(TypeError):
+            call(eps=(0.1,) * T)
+        with pytest.raises(TypeError):
+            call(eps=np.full(T, 0.1))
+        with pytest.raises(TypeError):
+            call(eps=[0.1, "0.1", 0.1])
+        eps = [0.1] * T
+        eps[0] = Emptying(eps)
+        with pytest.raises(ValueError):
+            call(eps=eps)
+        with pytest.raises(ValueError):
+            call(mixers=[no_mix] * (T - 1))
+        with pytest.raises(ValueError):
+            call(rows_mix=[None] * (T - 1))
+        with pytest.raises(TypeError):   # no length
+            call(rows_mix=None)
+        with pytest.raises(ValueError):
+            call(iterates=np.zeros((T - 1, n, d)))
+        with pytest.raises(ValueError):   # numpy's: read-only
+            call(iterates=read_only((T, n, d)))
+        with pytest.raises(ValueError):   # numpy's: not C-contiguous
+            call(iterates=np.zeros((T, n, 2 * d))[..., ::2])
+        with pytest.raises(TypeError):
+            call(theta=np.zeros((n, d), np.float32))
     with pytest.raises(TypeError):
-        step.quadratic(theta, np.zeros((3, 2), np.float32), np.zeros((3, 1)),
-                       0.1, out)
-    with pytest.raises(ValueError):   # numpy's: not C-contiguous
-        step.quadratic(theta, np.zeros((3, 4))[:, ::2], np.zeros((3, 1)),
-                       0.1, out)
-    out.setflags(write=False)
-    with pytest.raises(ValueError):   # numpy's: read-only
-        step.quadratic(theta, theta, np.zeros((3, 1)), 0.1, out)
-    index = np.zeros((3, 2), dtype=np.intp)
-    with pytest.raises(TypeError):
-        step.qlearning(theta, index.astype(float), np.zeros(2), 0.5, 0.1,
-                       np.zeros((3, 2)))
+        step.quadratic_steps(np.zeros((T + 1, n, d)))
     with pytest.raises(ValueError):
-        step.qlearning(theta, index, np.zeros(4), 0.5, 0.1, np.zeros((3, 2)))
+        quadratic(x1=np.zeros((T + 1, n * d)))
+    with pytest.raises(ValueError):
+        quadratic(x1=np.zeros((T + 1, n, d + 1)))
+    with pytest.raises(ValueError):   # x1's row 0 is the sampler's
+        quadratic(x1=np.zeros((T, n, d)))
+    with pytest.raises(ValueError):
+        quadratic(x2=np.zeros((T - 1, n, 1)))
+    with pytest.raises(ValueError):
+        quadratic(theta=np.zeros((n + 1, d)))
+    with pytest.raises(TypeError):
+        qlearning(index=np.zeros((T, 2, n)))
+    with pytest.raises(ValueError):
+        qlearning(index=np.zeros((T, 2 * n), dtype=np.intp))
+    with pytest.raises(ValueError):   # no action rows
+        qlearning(index=np.zeros((T, 1, n), dtype=np.intp))
+    with pytest.raises(ValueError):
+        qlearning(index=np.zeros((T - 1, 2, n), dtype=np.intp))
+    with pytest.raises(ValueError):
+        qlearning(reward=np.zeros((T - 1, n)))
+    with pytest.raises(ValueError):
+        qlearning(theta=np.zeros(0), iterates=np.zeros(0))
+    with pytest.raises(TypeError):
+        qlearning(gamma="0.5")
+
+    for call in (quadratic, qlearning):
+        iterates = np.full((T, n, d), np.nan)
+        with pytest.raises(RuntimeError, match="mixer"):
+            call(iterates=iterates, rows_mix=list(iterates),
+                 mixers=[fill_ones, fill_ones, failing])
+        assert np.isfinite(iterates[:2]).all()
+        assert np.isnan(iterates[2]).all()
 
 
 def test_compiled_step_loads_where_a_compiler_runs():
@@ -186,7 +286,8 @@ def test_compiled_step_cache_starts_no_compiler(tmp_path, monkeypatch):
     monkeypatch.setattr(subprocess, "Popen", no_process)
     second = _build.load_step(cache_dir=cache)
     assert second is not None and os.listdir(cache) == names
-    out = np.zeros((1, 2))
-    second.quadratic(np.ones((1, 2)), np.ones((1, 2)), np.ones((1, 1)), 0.5,
-                     out)
-    assert out.tolist() == [[-1.0, -1.0]]   # 0.5 * 2 * (1 - 2) * 1
+    out = np.zeros((1, 1, 2))
+    second.quadratic_steps(np.ones((2, 1, 2)), np.ones((1, 1, 1)),
+                           np.ones((1, 2)), None, out, [None], [no_mix],
+                           [0.5])
+    assert out.tolist() == [[[-1.0, -1.0]]]   # 0.5 * 2 * (1 - 2) * 1
