@@ -1,12 +1,13 @@
 /* The steps of one block of dcsa's iteration in one C call per block.
 
-   quadratic_steps(x1, x2, theta, theta_mix, iterates, rows_mix, mixers,
-   eps) and qlearning_steps(index, reward, gamma, theta, theta_mix,
-   iterates, rows_mix, mixers, eps) run the T = len(eps) steps of a block.
-   At step t each calls mixers[t](prev_mix, rows_mix[t]), the frame's mix
-   that writes W Theta into row t of iterates (prev_mix is theta_mix at
-   t = 0 and rows_mix[t - 1] after), then adds eps[t] times every agent's
-   drift row, at the pre-step iterate (theta at t = 0, row t - 1 after),
+   quadratic_steps(x1, x2, theta, iterates, rows_mix, mixers, eps) and
+   qlearning_steps(index, reward, gamma, theta, iterates, rows_mix, mixers,
+   eps) run the T = len(eps) steps of a block. theta is the pre-block
+   iterate, in the mixers' shape, and eps the block's steps, a 1-D float64
+   array. At step t each calls mixers[t](prev, rows_mix[t]), the frame's
+   mix that writes W Theta into row t of iterates (prev is theta at t = 0
+   and rows_mix[t - 1] after), then adds eps[t] times every agent's drift
+   row, at the pre-step iterate (theta's buffer at t = 0, row t - 1 after),
    to row t in place. The mix is the engine's own callable, so the gemm and
    its rounding are numpy's; the drift rounds as the numpy step of
    quadratic_block_drift and qlearning_block_drift does, one IEEE
@@ -14,11 +15,10 @@
    build flags keep it so (-ffp-contract=off: no fused multiply-add).
 
    Arrays come in through the buffer protocol as C-contiguous float64 (or
-   intp) buffers, so no numpy header is needed. Every buffer, and the list
-   of eps floats, is read once per block, and every size is checked before
-   the first step; an exception raised by a mixer ends the block and
-   propagates. dcsa._build compiles this file when dcsa.operators is
-   imported. */
+   intp) buffers, so no numpy header is needed. Every buffer is read once
+   per block, and every size is checked before the first step; an
+   exception raised by a mixer ends the block and propagates.
+   dcsa._build compiles this file when dcsa.operators is imported. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -53,14 +53,6 @@ items(const Py_buffer *view)
     return view->len / view->itemsize;
 }
 
-static int
-get_double(PyObject *obj, double *value)
-{
-    *value = PyFloat_Check(obj) ? PyFloat_AS_DOUBLE(obj)
-                                : PyFloat_AsDouble(obj);
-    return *value == -1.0 && PyErr_Occurred() ? -1 : 0;
-}
-
 /* numpy's "clip" mode of take and put */
 static inline Py_ssize_t
 clip(Py_ssize_t i, Py_ssize_t n)
@@ -68,52 +60,65 @@ clip(Py_ssize_t i, Py_ssize_t n)
     return i < 0 ? 0 : i >= n ? n - 1 : i;
 }
 
-/* A block's steps: eps, a list of T floats, parsed into a new array that
-   the caller frees with PyMem_Free, once rows_mix and mixers are known to
-   hold at least T items each. Returns T, or -1 with an exception set. */
-static Py_ssize_t
-get_steps(PyObject *rows_mix, PyObject *mixers, PyObject *eps,
-          double **steps)
+/* The buffers of an entry point, in the order both hold them: its two
+   sample arrays, theta, iterates and eps, each its argument's position,
+   its kind, its buffer flags and its name. The contract's other
+   arguments, rows_mix and mixers, follow iterates. */
+enum { QUADRATIC, QLEARNING };
+enum { SAMPLE_A, SAMPLE_B, THETA, ITERATES, EPS, N_BUFFERS };
+typedef struct {
+    int arg;
+    char kind;
+    int flags;
+    const char *name;
+} buffer_arg;
+static const buffer_arg buffers[2][N_BUFFERS] = {
+    {{0, 'd', 0, "x1"}, {1, 'd', 0, "x2"}, {2, 'd', 0, "theta"},
+     {3, 'd', PyBUF_WRITABLE, "iterates"}, {6, 'd', 0, "eps"}},
+    {{0, 'n', 0, "index"}, {1, 'd', 0, "reward"}, {3, 'd', 0, "theta"},
+     {4, 'd', PyBUF_WRITABLE, "iterates"}, {7, 'd', 0, "eps"}},
+};
+
+static void
+release(Py_buffer *b, int got)
 {
-    if (!PyList_Check(eps)) {
-        PyErr_SetString(PyExc_TypeError, "eps must be a list of floats");
-        return -1;
+    while (got--)
+        PyBuffer_Release(&b[got]);
+}
+
+/* The buffers of an entry point's table into b, once eps is 1-D and
+   rows_mix and mixers hold at least its T items. Returns T, or -1 with
+   an exception set and no buffer held. */
+static Py_ssize_t
+get_buffers(PyObject *const *args, const buffer_arg *table, Py_buffer *b)
+{
+    int got = 0;
+    for (; got < N_BUFFERS; got++)
+        if (get_array(args[table[got].arg], &b[got], table[got].kind,
+                      table[got].flags, table[got].name) < 0)
+            goto fail;
+    Py_ssize_t T = items(&b[EPS]);
+    if (b[EPS].ndim != 1) {
+        PyErr_SetString(PyExc_ValueError, "eps must be 1-D");
+        goto fail;
     }
-    Py_ssize_t T = PyList_GET_SIZE(eps);
-    Py_ssize_t n_rows = PySequence_Size(rows_mix);
+    int after = table[ITERATES].arg;
+    Py_ssize_t n_rows = PySequence_Size(args[after + 1]);
     if (n_rows < 0)
-        return -1;
-    Py_ssize_t n_mixers = PySequence_Size(mixers);
+        goto fail;
+    Py_ssize_t n_mixers = PySequence_Size(args[after + 2]);
     if (n_mixers < 0)
-        return -1;
+        goto fail;
     if (n_rows < T || n_mixers < T) {
         PyErr_Format(PyExc_ValueError, "rows_mix and mixers must hold the "
                      "block's %zd steps, not %zd and %zd", T, n_rows,
                      n_mixers);
-        return -1;
-    }
-    *steps = PyMem_Malloc((T ? T : 1) * sizeof(double));
-    if (*steps == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    for (Py_ssize_t t = 0; t < T; t++) {
-        /* an item's __float__ may change the list: check and hold it */
-        if (t >= PyList_GET_SIZE(eps)) {
-            PyErr_SetString(PyExc_ValueError, "eps changed size");
-            PyMem_Free(*steps);
-            return -1;
-        }
-        PyObject *item = PyList_GET_ITEM(eps, t);
-        Py_INCREF(item);
-        int bad = get_double(item, *steps + t) < 0;
-        Py_DECREF(item);
-        if (bad) {
-            PyMem_Free(*steps);
-            return -1;
-        }
+        goto fail;
     }
     return T;
+fail:
+    release(b, got);
+    return -1;
 }
 
 /* adds eps times the drift at theta to out, at step t of the block */
@@ -121,15 +126,18 @@ typedef void (*drift_fn)(const void *ctx, Py_ssize_t t, const double *theta,
                          double *out, double eps);
 
 /* The loop of the block's T steps over rows of `size` doubles: mix, then
-   drift, at each step. Returns 0, or -1 with the mixer's exception. */
-static int
-run_steps(PyObject *theta_mix, PyObject *rows_mix, PyObject *mixers,
-          const double *steps, Py_ssize_t T, const double *theta,
-          double *iterates, Py_ssize_t size, drift_fn drift, const void *ctx)
+   drift, at each step. args are the entry point's, from theta on, and b
+   its buffers. Returns None, or NULL with the mixer's exception. */
+static PyObject *
+run_steps(PyObject *const *args, const Py_buffer *b, Py_ssize_t size,
+          drift_fn drift, const void *ctx)
 {
-    PyObject *prev_mix = theta_mix;   /* borrowed at t = 0, owned after */
-    Py_INCREF(prev_mix);
-    for (Py_ssize_t t = 0; t < T; t++) {
+    PyObject *rows_mix = args[2], *mixers = args[3];
+    const double *steps = b[EPS].buf;
+    double *iterates = b[ITERATES].buf;
+    PyObject *prev = args[0];   /* theta: borrowed at t = 0, owned after */
+    Py_INCREF(prev);
+    for (Py_ssize_t t = 0, T = items(&b[EPS]); t < T; t++) {
         PyObject *mixer = PySequence_GetItem(mixers, t);
         if (mixer == NULL)
             goto fail;
@@ -138,22 +146,22 @@ run_steps(PyObject *theta_mix, PyObject *rows_mix, PyObject *mixers,
             Py_DECREF(mixer);
             goto fail;
         }
-        PyObject *mix_args[2] = {prev_mix, row};
+        PyObject *mix_args[2] = {prev, row};
         PyObject *done = PyObject_Vectorcall(mixer, mix_args, 2, NULL);
         Py_DECREF(mixer);
-        Py_DECREF(prev_mix);
-        prev_mix = row;
+        Py_DECREF(prev);
+        prev = row;
         if (done == NULL)
             goto fail;
         Py_DECREF(done);
         double *out = iterates + t * size;
-        drift(ctx, t, t ? out - size : theta, out, steps[t]);
+        drift(ctx, t, t ? out - size : b[THETA].buf, out, steps[t]);
     }
-    Py_DECREF(prev_mix);
-    return 0;
+    Py_DECREF(prev);
+    Py_RETURN_NONE;
 fail:
-    Py_DECREF(prev_mix);
-    return -1;
+    Py_DECREF(prev);
+    return NULL;
 }
 
 /* The quadratic drift of x1 (rows + 1, n, d) and x2 (rows, n[, 1]) at
@@ -187,48 +195,36 @@ quadratic_drift(const void *ctx, Py_ssize_t t, const double *theta,
 static PyObject *
 quadratic_steps(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    Py_buffer b[4];   /* x1, x2, theta, iterates */
-    static const char *names[] = {"x1", "x2", "theta", "iterates"};
-    double *steps = NULL;
-    int got = 0;
+    Py_buffer b[N_BUFFERS];
     PyObject *result = NULL;
 
-    if (nargs != 8) {
+    if (nargs != 7) {
         PyErr_SetString(PyExc_TypeError, "quadratic_steps(x1, x2, theta, "
-                        "theta_mix, iterates, rows_mix, mixers, eps) takes "
-                        "8 arguments");
+                        "iterates, rows_mix, mixers, eps) takes 7 "
+                        "arguments");
         return NULL;
     }
-    Py_ssize_t T = get_steps(args[5], args[6], args[7], &steps);
+    Py_ssize_t T = get_buffers(args, buffers[QUADRATIC], b);
     if (T < 0)
         return NULL;
-    static const int where[] = {0, 1, 2, 4};
-    for (; got < 4; got++)
-        if (get_array(args[where[got]], &b[got], 'd',
-                      got == 3 ? PyBUF_WRITABLE : 0, names[got]) < 0)
-            goto done;
-    if (b[0].ndim != 3) {
+    if (b[SAMPLE_A].ndim != 3) {
         PyErr_SetString(PyExc_ValueError, "x1 must be (rows + 1, n, d)");
         goto done;
     }
-    quadratic_ctx ctx = {b[0].buf, b[1].buf, b[0].shape[1], b[0].shape[2]};
+    quadratic_ctx ctx = {b[SAMPLE_A].buf, b[SAMPLE_B].buf,
+                         b[SAMPLE_A].shape[1], b[SAMPLE_A].shape[2]};
     Py_ssize_t size = ctx.n * ctx.d;
-    if (items(&b[2]) != size || b[0].shape[0] <= T
-            || items(&b[1]) < T * ctx.n || items(&b[3]) < T * size) {
-        PyErr_Format(PyExc_ValueError, "theta must be (n, d) = (%zd, %zd) "
-                     "as x1's rows, and x1, x2 and iterates must hold the "
-                     "block's %zd steps", ctx.n, ctx.d, T);
+    if (items(&b[THETA]) != size || b[SAMPLE_A].shape[0] <= T
+            || items(&b[SAMPLE_B]) < T * ctx.n
+            || items(&b[ITERATES]) < T * size) {
+        PyErr_Format(PyExc_ValueError, "theta must hold n * d = %zd * %zd "
+                     "items as x1's rows, and x1, x2 and iterates must hold "
+                     "the block's %zd steps", ctx.n, ctx.d, T);
         goto done;
     }
-    if (run_steps(args[3], args[5], args[6], steps, T, b[2].buf, b[3].buf,
-                  size, quadratic_drift, &ctx) < 0)
-        goto done;
-    result = Py_None;
-    Py_INCREF(result);
+    result = run_steps(args + 2, b, size, quadratic_drift, &ctx);
 done:
-    while (got--)
-        PyBuffer_Release(&b[got]);
-    PyMem_Free(steps);
+    release(b, N_BUFFERS);
     return result;
 }
 
@@ -272,67 +268,54 @@ qlearning_drift(const void *ctx, Py_ssize_t t, const double *theta,
 static PyObject *
 qlearning_steps(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    Py_buffer b[4];   /* index, reward, theta, iterates */
-    static const char *names[] = {"index", "reward", "theta", "iterates"};
-    static const int where[] = {0, 1, 3, 5};
-    static const char kinds[] = {'n', 'd', 'd', 'd'};
-    double *steps = NULL;
-    int got = 0;
+    Py_buffer b[N_BUFFERS];
     PyObject *result = NULL;
 
-    if (nargs != 9) {
+    if (nargs != 8) {
         PyErr_SetString(PyExc_TypeError, "qlearning_steps(index, reward, "
-                        "gamma, theta, theta_mix, iterates, rows_mix, "
-                        "mixers, eps) takes 9 arguments");
+                        "gamma, theta, iterates, rows_mix, mixers, eps) "
+                        "takes 8 arguments");
         return NULL;
     }
     qlearning_ctx ctx;
-    if (get_double(args[2], &ctx.gamma) < 0)
+    ctx.gamma = PyFloat_AsDouble(args[2]);
+    if (ctx.gamma == -1.0 && PyErr_Occurred())
         return NULL;
-    Py_ssize_t T = get_steps(args[6], args[7], args[8], &steps);
+    Py_ssize_t T = get_buffers(args, buffers[QLEARNING], b);
     if (T < 0)
         return NULL;
-    for (; got < 4; got++)
-        if (get_array(args[where[got]], &b[got], kinds[got],
-                      got == 3 ? PyBUF_WRITABLE : 0, names[got]) < 0)
-            goto done;
-    if (b[0].ndim != 3) {
+    if (b[SAMPLE_A].ndim != 3) {
         PyErr_SetString(PyExc_ValueError, "index must be (rows, A + 1, n)");
         goto done;
     }
-    ctx.index = b[0].buf;
-    ctx.reward = b[1].buf;
-    ctx.rows = b[0].shape[1];
-    ctx.n = b[0].shape[2];
-    ctx.size = items(&b[2]);
-    if (ctx.rows < 2 || !ctx.size || b[0].shape[0] < T
-            || items(&b[1]) < T * ctx.n || items(&b[3]) < T * ctx.size) {
+    ctx.index = b[SAMPLE_A].buf;
+    ctx.reward = b[SAMPLE_B].buf;
+    ctx.rows = b[SAMPLE_A].shape[1];
+    ctx.n = b[SAMPLE_A].shape[2];
+    ctx.size = items(&b[THETA]);
+    if (ctx.rows < 2 || !ctx.size || b[SAMPLE_A].shape[0] < T
+            || items(&b[SAMPLE_B]) < T * ctx.n
+            || items(&b[ITERATES]) < T * ctx.size) {
         PyErr_Format(PyExc_ValueError, "theta must be one non-empty table, "
                      "index (rows, A + 1, n) with A >= 1, and index, reward "
                      "and iterates must hold the block's %zd steps", T);
         goto done;
     }
-    if (run_steps(args[4], args[6], args[7], steps, T, b[2].buf, b[3].buf,
-                  ctx.size, qlearning_drift, &ctx) < 0)
-        goto done;
-    result = Py_None;
-    Py_INCREF(result);
+    result = run_steps(args + 3, b, ctx.size, qlearning_drift, &ctx);
 done:
-    while (got--)
-        PyBuffer_Release(&b[got]);
-    PyMem_Free(steps);
+    release(b, N_BUFFERS);
     return result;
 }
 
 static PyMethodDef methods[] = {
     {"quadratic_steps", (PyCFunction)(void (*)(void))quadratic_steps,
      METH_FASTCALL,
-     "quadratic_steps(x1, x2, theta, theta_mix, iterates, rows_mix, mixers, "
-     "eps): a block of quadratic-gradient steps."},
+     "quadratic_steps(x1, x2, theta, iterates, rows_mix, mixers, eps): a "
+     "block of quadratic-gradient steps."},
     {"qlearning_steps", (PyCFunction)(void (*)(void))qlearning_steps,
      METH_FASTCALL,
-     "qlearning_steps(index, reward, gamma, theta, theta_mix, iterates, "
-     "rows_mix, mixers, eps): a block of Q-learning steps."},
+     "qlearning_steps(index, reward, gamma, theta, iterates, rows_mix, "
+     "mixers, eps): a block of Q-learning steps."},
     {NULL, NULL, 0, NULL},
 };
 

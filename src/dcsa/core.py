@@ -40,8 +40,8 @@ class StepSchedule:
     def __post_init__(self):
         if self.kind not in ("constant", "diminishing"):
             raise CoreError("step kind must be 'constant' or 'diminishing'")
-        if self.eps <= 0:
-            raise CoreError("eps must be positive")
+        if not 0 < self.eps < math.inf:
+            raise CoreError("eps must be positive and finite")
 
     def value(self, k: int) -> float:
         if k < 0:
@@ -50,14 +50,14 @@ class StepSchedule:
             return self.eps
         return self.eps / (k + 1)
 
-    def values(self, k0: int, T: int) -> list:
-        """[value(k) for k in k0..k0+T-1]: for the diminishing kind, one
-        array division that rounds each step as value(k) does."""
+    def values(self, k0: int, T: int) -> np.ndarray:
+        """[value(k) for k in k0..k0+T-1] as a 1-D float64 array: for the
+        diminishing kind, one division that rounds each as value(k) does."""
         if k0 < 0:
             raise CoreError("iteration index must be nonnegative")
         if self.kind == "constant":
-            return [self.eps] * T
-        return (self.eps / np.arange(k0 + 1, k0 + T + 1)).tolist()
+            return np.full(T, self.eps, dtype=float)
+        return self.eps / np.arange(k0 + 1, k0 + T + 1)
 
 
 def tau_k(beta: float, eps_k: float, rho: float = 0.0) -> int:
@@ -449,8 +449,8 @@ def run(scenario: Scenario, collect_theta_bar: bool = False, *,
     The iteration advances in blocks of up to _BLOCK steps: each block's
     observations are drawn up front (they never depend on Theta), by a
     block sampler built once per run, and the block's steps are one call
-    of the drift's advance: each step writes W Theta straight into its row
-    of a time-major buffer of iterates, and adds eps F to it in place. The
+    of the drift's advance from the pre-block iterate: each writes W Theta
+    into its row of a time-major iterate buffer and adds eps F in place. The
     block is stepped under np.errstate(all="ignore"), so neither the
     engine nor an operator's eval warns about overflow inside it; an
     isfinite check of the buffer then finds the first non-finite iterate,
@@ -539,15 +539,15 @@ def _step_stack(scs, collect_theta_bar):
     for it. The stack steps on until every run has aborted.
 
     Each block's iterates are a (T, S, N, d) buffer, and its T steps are
-    one call of the drift's advance (see _block_drift), with the block's
-    steps eps, as floats, and its frames' mixers, sliced from a cycled list
-    of them built once per run: at each step mix(Theta, out) writes
-    W Theta into the row, as one 2-D gemm by the frame's bound ndarray.dot
-    for a stack of one (of N >= 2 agents), and a broadcast (S, N, d)
-    np.matmul with the frame bound otherwise, and the drift then adds eps F
-    to the row's 2-D (S*N, d) form. The mixers get the rows as rows_mix
-    items: a list of the 2-D views built once per run for a stack of one,
-    the buffer itself otherwise.
+    one call of the drift's advance (see _block_drift), from the pre-block
+    iterate theta, with the block's steps as one float64 array and its
+    frames' mixers, sliced from a cycled list built once per run: at each
+    step mix(Theta, out) writes W Theta into the row, as one 2-D gemm by
+    the frame's bound ndarray.dot for a stack of one (of N >= 2 agents),
+    and a broadcast (S, N, d) np.matmul with the frame bound otherwise, and
+    the drift then adds eps F to the row's (S*N, d) form. theta and the
+    rows_mix items are in the mixers' shape: (N, d) views from a list built
+    once per run for S = 1, (S, N, d) rows of the buffer itself otherwise.
 
     Each block is timed in four phases, one perf_counter reading at the
     end of each: sample (block_drift draws the block), step (the T steps
@@ -641,7 +641,7 @@ def _step_stack(scs, collect_theta_bar):
         if check_lemma3 and k_lo >= 1:
             prev = slice(k_lo - 1, k_lo - 1 + m)
             slack = lemma3_residual(S_hist[:, ks], S_hist[:, prev],
-                                    R_hist[:, prev], np.array(eps_prev),
+                                    R_hist[:, prev], eps_prev,
                                     constants, n, sc.sigma2)
             # NaN slacks are skipped, as min() over floats would skip them
             np.fmin(min_slack, np.fmin.reduce(slack, axis=1,
@@ -698,12 +698,11 @@ def _step_stack(scs, collect_theta_bar):
     # is mixed in that form too, one gemm, from a list of the rows' views
     # built once per run; S > 1 keeps the (S, N, d) broadcast matmul and
     # takes each row's view as a block reaches it, since a list of them
-    # raised a 30-run stack's peak RSS
+    # raised a 30-run stack's peak RSS. theta is in the mixers' shape
     iterates, rows_mix = buf.reshape(len(buf), n_runs * n, d), buf
+    theta = Theta
     if n_runs == 1:
-        rows_mix = list(iterates)
-    theta = Theta.reshape(n_runs * n, d)
-    theta_mix = theta if n_runs == 1 else Theta
+        rows_mix, theta = list(iterates), Theta[0]
     # mix(Theta, out) writes W Theta into out, one per frame. A frame's
     # bound dot makes the gemm call without matmul's ufunc machinery and
     # without np.dot's __array_function__ dispatch, and rounds as matmul
@@ -727,9 +726,8 @@ def _step_stack(scs, collect_theta_bar):
             lap("sample")
             eps = sc.step.values(k0, T)
             first = k0 % len(mixers)
-            advance(theta, theta_mix, iterates, rows_mix,
-                    mix_cycle[first:first + T], eps)
-            theta, theta_mix = iterates[T - 1], rows_mix[T - 1]
+            advance(theta, iterates, rows_mix, mix_cycle[first:first + T], eps)
+            theta = rows_mix[T - 1]
             if not np.isfinite(buf[:T]).all():
                 # split by run only for a block that holds a non-finite value
                 finite = np.isfinite(buf[:T]).all(axis=(2, 3))
@@ -786,12 +784,13 @@ def _block_drift(ops, sources, rngs):
     """(block_drift, compiled): block_drift(T) draws the next T
     observations of every one of the S*N agents of a stack from its source
     and stream (agents in C order) and returns the block's
-    advance(theta, theta_mix, iterates, rows_mix, mixers, eps), which runs
-    its T = len(eps) steps (see operators.step_loop): at step t,
-    mixers[t](prev_mix, rows_mix[t]) writes W Theta into row t of
-    iterates, a C-contiguous (>= T, S*N, d) array, and the drift adds
-    eps[t] times the drift rows of the pre-step (S*N, d) iterate, theta at
-    t = 0 and row t - 1 after, to it in place; eps is a list of floats.
+    advance(theta, iterates, rows_mix, mixers, eps), which runs its T =
+    len(eps) steps (see operators.step_loop): at step t, mixers[t](prev,
+    rows_mix[t]) writes W Theta into row t of iterates, a (>= T, S*N, d)
+    array, and the drift adds eps[t] times prev's drift rows, read as
+    (S*N, d), to it; prev is theta, the pre-block iterate in the mixers'
+    shape, at t = 0 and row t - 1 after. theta, iterates and the 1-D eps
+    are C-contiguous float64.
     Over sources of one class with a block_sampler, built-in
     quadratic-gradient operators, or built-in Q-learning ones with one
     features and gamma, share one batched advance. The sampler and the

@@ -59,19 +59,20 @@ def quadratic_grad_operator(dim: int) -> LocalOperator:
     return LocalOperator(dim=dim, eval=_eval, kind="quadratic-gradient")
 
 
-def step_loop(step, theta, theta_mix, iterates, rows_mix, mixers, eps):
+def step_loop(step, theta, iterates, rows_mix, mixers, eps):
     """The block contract's advance over a per-step drift step(Theta, t,
-    eps, out), the one Python loop of a block's steps (see _block_drift):
-    for t < T = len(eps), mixers[t](prev_mix, rows_mix[t]) writes W Theta
-    into row t, and step(prev, t, eps[t], iterates[t]) adds eps[t] F at the
-    pre-step iterate prev to it; prev and prev_mix are theta and theta_mix
-    at t = 0, and row t - 1 after. It is what the compiled kernels'
-    quadratic_steps and qlearning_steps do in C."""
+    eps, out), the one Python loop of a block's steps (see _block_drift),
+    as the compiled quadratic_steps and qlearning_steps run it in C: for
+    t < T = len(eps), mixers[t](prev_mix, rows_mix[t]) writes W Theta into
+    row t, and step(prev, t, eps[t], iterates[t]) adds eps[t] F at prev to
+    it. prev_mix and prev are row t - 1, and at t = 0 theta, the pre-block
+    iterate in the mixers' shape, and its view in the rows' shape."""
+    prev, prev_mix = theta.reshape(iterates.shape[1:]), theta
     for t, (mix, e, out, out_mix) in enumerate(zip(mixers, eps, iterates,
                                                    rows_mix)):
-        mix(theta_mix, out_mix)
-        step(theta, t, e, out)
-        theta, theta_mix = out, out_mix
+        mix(prev_mix, out_mix)
+        step(prev, t, e, out)
+        prev, prev_mix = out, out_mix
 
 
 def quadratic_block_drift(dim, agents, rows, kernel=None):
@@ -81,11 +82,11 @@ def quadratic_block_drift(dim, agents, rows, kernel=None):
     shape (rows + 1, agents, dim), whose rows 1..T hold X(1) (row 0 is the
     sampler's, for the states it starts from; see
     sources.ARSource.block_sampler), and x2, of shape (rows, agents),
-    whose first T rows hold X(2). advance(theta, theta_mix, iterates,
-    rows_mix, mixers, eps) runs the block's T = len(eps) steps, as
-    step_loop describes: step t mixes into row t of iterates, an (>= T,
-    agents, dim) array, and adds eps[t] times each agent's map at its t-th
-    sample, at the pre-step iterate, to it in place. Each step equals
+    whose first T rows hold X(2). advance(theta, iterates, rows_mix,
+    mixers, eps) runs the block's T = len(eps) steps as step_loop
+    describes: step t mixes into row t of iterates, an (>= T, agents, dim)
+    array, and adds eps[t] times each agent's map at its t-th sample, at
+    the pre-step iterate, to it in place. Each step equals
     W Theta + eps * eval bit for bit: both sum a row's products over the
     contiguous last axis, where a (T, d) @ product would round otherwise,
     and both round 2 * resid, its product with x1 and eps times that in
@@ -184,10 +185,10 @@ def qlearning_block_drift(features: TabularFeatures, gamma, agents, rows,
     Q-learning agents that share features and gamma, built once per run,
     and whether its steps are the compiled kernel's. For time-major blocks
     of (s, a, r, s') samples of shape (T, agents), T <= rows, it returns
-    advance(theta, theta_mix, iterates, rows_mix, mixers, eps), which runs
-    the block's T = len(eps) steps as step_loop describes: step t mixes
-    into row t of iterates and adds eps[t] times each agent's Q-learning
-    map at its t-th sample, at the pre-step iterate, to it in place. The
+    advance(theta, iterates, rows_mix, mixers, eps), which runs the
+    block's T = len(eps) steps as step_loop describes: step t mixes into
+    row t of iterates and adds eps[t] times each agent's Q-learning map at
+    its t-th sample, at the pre-step iterate, to it in place. The
     map is nonzero in one slot per agent, so only those slots are added
     to; every slot equals W Theta + eps * eval, bit for bit.
 

@@ -54,12 +54,12 @@ def step_each(advance, thetas, outs, eps, stacked=False):
     outs[t] plus eps[t] times the drift at thetas[t], as advance left it,
     for each t < T = len(outs). Mixer t first keeps step t - 1's result,
     then writes thetas[t] into the pre-step iterate, the row the drift of
-    step t reads, and outs[t] into row t. rows_mix is the block's rows as a
-    list, as a stack of one is mixed, or with stacked the block itself, as
-    a larger stack is."""
+    step t reads, and outs[t] into row t. The pre-block iterate is a row
+    of its own, and eps goes in as a float64 array. rows_mix is the
+    block's rows as a list, as a stack of one is mixed, or with stacked
+    the block itself, as a larger stack is."""
     iterates = np.empty_like(outs)
     results = np.empty_like(outs)
-    theta = np.empty(outs.shape[1:])
 
     def mixer(t):
         def mix(prev, out):
@@ -69,8 +69,9 @@ def step_each(advance, thetas, outs, eps, stacked=False):
             np.copyto(out, outs[t])
         return mix
 
-    advance(theta, theta, iterates, iterates if stacked else list(iterates),
-            [mixer(t) for t in range(len(outs))], [float(e) for e in eps])
+    advance(np.empty(outs.shape[1:]), iterates,
+            iterates if stacked else list(iterates),
+            [mixer(t) for t in range(len(outs))], np.array(eps, dtype=float))
     if len(outs):
         results[-1] = iterates[-1]
     return results

@@ -71,8 +71,31 @@ def test_diminishing_schedule_enforces_eps_floor():
 def test_schedule_rejects_bad_kind_or_eps():
     with pytest.raises(CoreError):
         StepSchedule(kind="geometric", eps=0.1)
-    with pytest.raises(CoreError):
-        StepSchedule(kind="constant", eps=0.0)
+    for eps in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(CoreError):
+            StepSchedule(kind="constant", eps=eps)
+        with pytest.raises(CoreError):
+            StepSchedule(kind="diminishing", eps=eps)
+
+
+@pytest.mark.parametrize("sched", [
+    StepSchedule(kind="constant", eps=0.3),
+    StepSchedule(kind="constant", eps=1),
+    StepSchedule(kind="diminishing", eps=0.3),
+    StepSchedule(kind="diminishing", eps=1),
+])
+@pytest.mark.parametrize("k0", [0, 1, 10**6])
+@pytest.mark.parametrize("T", [0, 1, 127, 128])
+def test_schedule_values_is_a_float64_array_of_value(sched, k0, T):
+    """values(k0, T) is the 1-D C-contiguous float64 array the compiled
+    step reads, an integer eps included, and holds value(k) for k in
+    k0..k0+T-1 byte for byte."""
+    got = sched.values(k0, T)
+    assert isinstance(got, np.ndarray) and got.dtype == np.float64
+    assert got.shape == (T,) and got.flags.c_contiguous
+    expected = np.array([sched.value(k) for k in range(k0, k0 + T)],
+                        dtype=float)
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_tau_k_values():

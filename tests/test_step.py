@@ -139,17 +139,6 @@ def failing(prev, out):
     raise RuntimeError("mixer")
 
 
-class Emptying:
-    """A step whose conversion to float empties the list that holds it."""
-
-    def __init__(self, eps):
-        self.eps = eps
-
-    def __float__(self):
-        self.eps.clear()
-        return 0.1
-
-
 def read_only(shape):
     """Zeros that numpy will not export as a writable buffer."""
     a = np.zeros(shape)
@@ -160,11 +149,12 @@ def read_only(shape):
 def test_compiled_step_rejects_mismatched_arrays():
     """The block entry points check their arguments' types and sizes
     before the first step, so a wrong call raises instead of reading or
-    writing past a list or buffer: mixers and rows_mix must hold the
-    block's T = len(eps) steps, eps must be a list of floats, and the
-    sample and iterate buffers must hold T rows. An exception raised by a
-    mixer mid-block ends the block and propagates, after the steps before
-    it."""
+    writing past a list or buffer: eps must be a 1-D C-contiguous float64
+    array, mixers and rows_mix must hold the block's T = len(eps) steps,
+    theta must hold one row's items, in the (N, d) or the (S, N, d) form,
+    and the sample and iterate buffers must hold T rows. An exception
+    raised by a mixer mid-block ends the block and propagates, after the
+    steps before it."""
     step = operators.STEP
     if step is None:
         assert not compiler_found()
@@ -173,34 +163,34 @@ def test_compiled_step_rejects_mismatched_arrays():
 
     def quadratic(**change):
         args = dict(x1=np.zeros((T + 1, n, d)), x2=np.zeros((T, n, 1)),
-                    theta=np.zeros((n, d)), theta_mix=None,
-                    iterates=np.zeros((T, n, d)), rows_mix=[None] * T,
-                    mixers=[no_mix] * T, eps=[0.1] * T)
+                    theta=np.zeros((n, d)), iterates=np.zeros((T, n, d)),
+                    rows_mix=[None] * T, mixers=[no_mix] * T,
+                    eps=np.full(T, 0.1))
         args.update(change)
         step.quadratic_steps(*args.values())
 
     def qlearning(**change):
         args = dict(index=np.zeros((T, 2, n), dtype=np.intp),
                     reward=np.zeros((T, n)), gamma=0.5,
-                    theta=np.zeros((n, d)), theta_mix=None,
-                    iterates=np.zeros((T, n, d)), rows_mix=[None] * T,
-                    mixers=[no_mix] * T, eps=[0.1] * T)
+                    theta=np.zeros((n, d)), iterates=np.zeros((T, n, d)),
+                    rows_mix=[None] * T, mixers=[no_mix] * T,
+                    eps=np.full(T, 0.1))
         args.update(change)
         step.qlearning_steps(*args.values())
 
-    quadratic()
-    qlearning()
     for call in (quadratic, qlearning):
+        call()
+        call(theta=np.zeros((1, n, d)))   # a stack of one, as (S, N, d)
         with pytest.raises(TypeError):
-            call(eps=(0.1,) * T)
+            call(eps=[0.1] * T)
         with pytest.raises(TypeError):
-            call(eps=np.full(T, 0.1))
-        with pytest.raises(TypeError):
-            call(eps=[0.1, "0.1", 0.1])
-        eps = [0.1] * T
-        eps[0] = Emptying(eps)
+            call(eps=np.full(T, 0.1, np.float32))
+        with pytest.raises(ValueError):   # numpy's: not C-contiguous
+            call(eps=np.full(2 * T, 0.1)[::2])
         with pytest.raises(ValueError):
-            call(eps=eps)
+            call(eps=np.full((1, T), 0.1))
+        with pytest.raises(ValueError):
+            call(theta=np.zeros((2, n, d)))
         with pytest.raises(ValueError):
             call(mixers=[no_mix] * (T - 1))
         with pytest.raises(ValueError):
@@ -288,6 +278,6 @@ def test_compiled_step_cache_starts_no_compiler(tmp_path, monkeypatch):
     assert second is not None and os.listdir(cache) == names
     out = np.zeros((1, 1, 2))
     second.quadratic_steps(np.ones((2, 1, 2)), np.ones((1, 1, 1)),
-                           np.ones((1, 2)), None, out, [None], [no_mix],
-                           [0.5])
+                           np.ones((1, 2)), out, [None], [no_mix],
+                           np.array([0.5]))
     assert out.tolist() == [[[-1.0, -1.0]]]   # 0.5 * 2 * (1 - 2) * 1
