@@ -1,4 +1,5 @@
-/* The steps of one block of dcsa's iteration in one C call per block.
+/* The steps of one block of dcsa's iteration, and its deviations from the
+   agents' mean, in one C call per block each.
 
    quadratic_steps(x1, x2, theta, iterates, rows_mix, mixers, eps) and
    qlearning_steps(index, reward, gamma, theta, iterates, rows_mix, mixers,
@@ -14,9 +15,17 @@
    operation at a time in the same order, so both give the same bytes; the
    build flags keep it so (-ffp-contract=off: no fused multiply-add).
 
+   deviations(thetas, theta_bar, dev[, S]) is the engine's measure of a
+   block's iterates, (rows, N, d): each row's agents' mean into theta_bar,
+   (rows, d), its squared deviations from it into dev, (rows, N, d), and,
+   where S is given, each row's sum of them into S, (rows,). It rounds as
+   numpy's ordered_sum, subtract, square and, for rows of N * d below 8,
+   np.add.reduce do (see deviations_of), and the buffers it writes must
+   not overlap each other or thetas.
+
    Arrays come in through the buffer protocol as C-contiguous float64 (or
    intp) buffers, so no numpy header is needed. Every buffer is read once
-   per block, and every size is checked before the first step; an
+   per block, and every size is checked before the first write; an
    exception raised by a mixer ends the block and propagates.
    dcsa._build compiles this file when dcsa.operators is imported. */
 
@@ -307,6 +316,129 @@ done:
     return result;
 }
 
+/* theta_bar and dev of the w <= 2 columns j, j + w - 1 of one row th of n
+   agents of d: bar_j = (((0 + th_0j) + th_1j) + ...) / n, the chain
+   ordered_sum makes over the agent axis, and dev_ij = (th_ij - bar_j)
+   (th_ij - bar_j). With w = 2 the two columns' chains run side by side
+   in registers, and the compiler makes each pair of deviations one
+   two-lane subtract and multiply, which round each lane as the scalar
+   operations do. */
+static inline void
+deviation_columns(const double *restrict th, double *restrict bar,
+                  double *restrict dev, Py_ssize_t n, Py_ssize_t d,
+                  Py_ssize_t j, int w)
+{
+    double b[2];
+    for (int k = 0; k < w; k++)
+        b[k] = 0.0 + th[j + k];
+    for (Py_ssize_t i = 1; i < n; i++)
+        for (int k = 0; k < w; k++)
+            b[k] = b[k] + th[i * d + j + k];
+    for (int k = 0; k < w; k++)
+        bar[j + k] = b[k] = b[k] / (double)n;
+    for (Py_ssize_t i = 0; i < n; i++)
+        for (int k = 0; k < w; k++) {
+            double x = th[i * d + j + k] - b[k];
+            dev[i * d + j + k] = x * x;
+        }
+}
+
+/* theta_bar and dev of each of the rows of thetas, column pair by column
+   pair; with S, also S = ((0 + dev_0) + dev_1) + ... over each row's n d
+   entries in C order, the chain np.add.reduce makes of a row shorter than
+   8. S is summed in a loop of its own, after dev: its serial chain in the
+   dev loop would keep that loop from being vectorised. */
+static void
+deviations_of(const double *thetas, double *theta_bar, double *dev,
+              double *S, Py_ssize_t rows, Py_ssize_t n, Py_ssize_t d)
+{
+    Py_ssize_t size = n * d;
+    for (Py_ssize_t r = 0; r < rows; r++) {
+        const double *th = thetas + r * size;
+        double *bar = theta_bar + r * d, *dv = dev + r * size;
+        Py_ssize_t j = 0;
+        for (; j + 2 <= d; j += 2)
+            deviation_columns(th, bar, dv, n, d, j, 2);
+        for (; j < d; j++)
+            deviation_columns(th, bar, dv, n, d, j, 1);
+    }
+    if (S == NULL)
+        return;
+    for (Py_ssize_t r = 0; r < rows; r++) {
+        const double *dv = dev + r * size;
+        double s = 0.0;
+        for (Py_ssize_t k = 0; k < size; k++)
+            s = s + dv[k];
+        S[r] = s;
+    }
+}
+
+/* whether two buffers share a byte */
+static int
+overlap(const Py_buffer *a, const Py_buffer *b)
+{
+    const char *x = a->buf, *y = b->buf;
+    return x < y + b->len && y < x + a->len;
+}
+
+/* deviations' buffers, each its argument's position */
+enum { THETAS, THETA_BAR, DEV, SUMS };
+static const buffer_arg deviation_buffers[] = {
+    {THETAS, 'd', 0, "thetas"}, {THETA_BAR, 'd', PyBUF_WRITABLE, "theta_bar"},
+    {DEV, 'd', PyBUF_WRITABLE, "dev"}, {SUMS, 'd', PyBUF_WRITABLE, "S"},
+};
+
+static PyObject *
+deviations(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer b[4];
+    PyObject *result = NULL;
+    int got = 0;
+
+    if (nargs != 3 && nargs != 4) {
+        PyErr_SetString(PyExc_TypeError, "deviations(thetas, theta_bar, dev"
+                        "[, S]) takes 3 or 4 arguments");
+        return NULL;
+    }
+    for (; got < nargs; got++)
+        if (get_array(args[got], &b[got], deviation_buffers[got].kind,
+                      deviation_buffers[got].flags,
+                      deviation_buffers[got].name) < 0)
+            goto done;
+    const Py_buffer *th = &b[THETAS];
+    if (th->ndim != 3 || th->shape[1] < 1) {
+        PyErr_SetString(PyExc_ValueError, "thetas must be (rows, N, d) with "
+                        "N >= 1");
+        goto done;
+    }
+    Py_ssize_t rows = th->shape[0], n = th->shape[1], d = th->shape[2];
+    const Py_buffer *bar = &b[THETA_BAR], *dev = &b[DEV];
+    if (bar->ndim != 2 || bar->shape[0] != rows || bar->shape[1] != d
+            || dev->ndim != 3 || dev->shape[0] != rows
+            || dev->shape[1] != n || dev->shape[2] != d
+            || (nargs == 4 && (b[SUMS].ndim != 1
+                               || b[SUMS].shape[0] != rows))) {
+        PyErr_Format(PyExc_ValueError, "theta_bar must be (%zd, %zd), dev "
+                     "(%zd, %zd, %zd) and S (%zd,), as thetas", rows, d,
+                     rows, n, d, rows);
+        goto done;
+    }
+    for (int i = 0; i < nargs; i++)
+        for (int k = i + 1; k < nargs; k++)
+            if (overlap(&b[i], &b[k])) {
+                PyErr_Format(PyExc_ValueError, "%s and %s must not overlap",
+                             deviation_buffers[i].name,
+                             deviation_buffers[k].name);
+                goto done;
+            }
+    deviations_of(th->buf, bar->buf, dev->buf,
+                  nargs == 4 ? b[SUMS].buf : NULL, rows, n, d);
+    result = Py_NewRef(Py_None);
+done:
+    release(b, got);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"quadratic_steps", (PyCFunction)(void (*)(void))quadratic_steps,
      METH_FASTCALL,
@@ -316,13 +448,17 @@ static PyMethodDef methods[] = {
      METH_FASTCALL,
      "qlearning_steps(index, reward, gamma, theta, iterates, rows_mix, "
      "mixers, eps): a block of Q-learning steps."},
+    {"deviations", (PyCFunction)(void (*)(void))deviations, METH_FASTCALL,
+     "deviations(thetas, theta_bar, dev[, S]): the agents' mean, the "
+     "squared deviations from it and, with S, their row sums."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_step",
-    .m_doc = "The steps of a block of dcsa's iteration in C.",
+    .m_doc = "The steps of a block of dcsa's iteration, and its "
+              "deviations from the agents' mean, in C.",
     .m_size = -1,
     .m_methods = methods,
 };

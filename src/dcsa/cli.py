@@ -153,6 +153,8 @@ def cmd_rollout(args):
         theta = np.asarray(np.load(args.theta), dtype=float)
     except (ValueError, TypeError, EOFError) as exc:
         raise FormatError(f"cannot read theta from {args.theta}: {exc}") from exc
+    if not np.isfinite(theta).all():   # an aborted run's theta_final
+        raise FormatError(f"theta in {args.theta} is not finite")
     if theta.ndim == 2:
         if len(theta) == 0:
             raise FormatError(f"theta in {args.theta} has no rows")

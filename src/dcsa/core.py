@@ -597,38 +597,30 @@ def _step_stack(scs, collect_theta_bar):
         eps_prev holds the steps that produced them. Returns the (S, m)
         slacks.
 
-        theta_bar is thetas.mean(axis=2) and S np.add.reduce over each
-        (step, run)'s N*d squared deviations in C order, bit for bit (see
-        ordered_sum): for a short N*d, ordered_sums of the block copied
-        once into component-major rows of length m*S; otherwise theta_bar
-        sums the agents' slices (numpy's mean for d = 1) and S reduces.
-        R and S go into the histories through their transposes."""
+        theta_bar sums the agents' slices in order and divides by N (for
+        d = 1 it is numpy's mean), and S is np.add.reduce over each (step,
+        run)'s N*d squared deviations in C order, bit for bit (see
+        ordered_sum). With the compiled step, deviations makes theta_bar
+        and the squared deviations in one call, and the row sums of a short
+        N*d too. R and S go into the histories through their transposes."""
         m = len(thetas)
         ks = slice(k_lo, k_lo + m)
-        theta_bar = bar_buf[:m]
-        if short:
-            ms = m * n_runs
-            comp = dev_flat[:n * d * ms].reshape(n, d, ms)
-            np.copyto(comp.reshape(n, d, m, n_runs),
-                      thetas.transpose(2, 3, 0, 1))
-            bar = ordered_sum(comp, bar_flat[:d * ms].reshape(d, ms))
-            bar /= n
-            np.copyto(theta_bar,
-                      bar.reshape(d, m, n_runs).transpose(1, 2, 0))
-            np.subtract(comp, bar, out=comp)
-            np.multiply(comp, comp, out=comp)
-            squares = comp.reshape(n * d, ms)
-            S_hist.T[ks] = ordered_sum(squares, squares[0]).reshape(
-                m, n_runs)
+        theta_bar, dev = bar_buf[:m], dev_buf[:m]
+        rows = m * n_runs
+        if deviations is not None:
+            deviations(thetas.reshape(rows, n, d),
+                       *[out[:rows] for out in outs])
         else:
             if d == 1:
-                # the agent axis is a contiguous row of N >= _SHORT_ROW
                 thetas.mean(axis=2, out=theta_bar)
             else:
                 ordered_sum(thetas.transpose(2, 0, 1, 3), theta_bar)
                 theta_bar /= n
-            dev = np.subtract(thetas, theta_bar[:, :, None], out=dev_buf[:m])
+            np.subtract(thetas, theta_bar[:, :, None], out=dev)
             np.multiply(dev, dev, out=dev)
+        if sums is not None:
+            S_hist.T[ks] = sums[:rows].reshape(m, n_runs)
+        else:
             S_hist.T[ks] = np.add.reduce(dev.reshape(m, n_runs, n * d),
                                          axis=-1)
         if theta_star is not None:
@@ -688,12 +680,17 @@ def _step_stack(scs, collect_theta_bar):
     buf = np.empty((max(1, min(_BLOCK, horizon)), n_runs, n, d))
     dev_buf = np.empty_like(buf)
     bar_buf = np.empty(buf.shape[:2] + (d,))
-    # measure's component-major rows for a short N*d: the block's copy in
-    # dev_buf's memory, and theta_bar's (d, m*S) rows
-    short = n * d < _SHORT_ROW
-    if short:
-        dev_flat = dev_buf.reshape(-1)
-        bar_flat = np.empty(bar_buf.size)
+    # the compiled measure, unless d = 1 and N >= _SHORT_ROW, where numpy's
+    # mean sums each contiguous agent row pairwise: it writes theta_bar and
+    # dev as (m*S, d) and (m*S, N, d) rows, and for a short N*d it also sums
+    # each row's squares into sums, as np.add.reduce chains them
+    deviations = sums = None
+    if operators.STEP is not None and (d > 1 or n < _SHORT_ROW):
+        deviations = operators.STEP.deviations
+        outs = [bar_buf.reshape(-1, d), dev_buf.reshape(-1, n, d)]
+        if n * d < _SHORT_ROW:
+            sums = np.empty(len(outs[0]))
+            outs.append(sums)
     # the drift reads and writes each row as (S*N, d), and a stack of one
     # is mixed in that form too, one gemm, from a list of the rows' views
     # built once per run; S > 1 keeps the (S, N, d) broadcast matmul and

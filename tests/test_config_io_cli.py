@@ -661,6 +661,21 @@ def test_cli_rollout_theta_without_rows_exit_code(tmp_path, capsys):
     assert "no rows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cli_rollout_rejects_a_non_finite_theta(bad, tmp_path, capsys):
+    """A theta with a non-finite entry, such as the theta_final.npy an
+    aborted run writes, is a format error, not a rollout of unreached
+    walks: the command exits 1 and prints nothing."""
+    cfg, theta = rollout_setup(tmp_path)
+    values = np.zeros((3, 8))
+    values[1, 5] = bad
+    np.save(theta, values)
+    assert main(["rollout", "--config", cfg, "--theta", str(theta)]) == 1
+    captured = capsys.readouterr()
+    assert "is not finite" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_rollout_on_run_output(tmp_path, capsys):
     """rollout reads the (N, d) theta_final.npy that run writes and rolls
     out the agents' mean on each maze."""

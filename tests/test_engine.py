@@ -28,7 +28,7 @@ from dcsa.experiments import build_gridworld_scenario, build_scenario
 from dcsa.graphs import lazy_metropolis, line_graph
 from dcsa.operators import LocalOperator, qlearning_operator
 from dcsa.rng import derive_stream
-from dcsa.sources import parse_maze
+from dcsa.sources import _SHORT_ROW, parse_maze
 
 from strategies import mazes
 
@@ -536,8 +536,8 @@ def test_batched_drift_builders_are_made_once_per_run(monkeypatch):
 
 def counting_step(calls):
     """A stand-in for the compiled step module: each call of its
-    quadratic_steps or qlearning_steps appends that name to calls and is
-    passed on to operators.STEP where the step loaded."""
+    quadratic_steps, qlearning_steps or deviations appends that name to
+    calls and is passed on to operators.STEP where the step loaded."""
     compiled = operators.STEP
 
     def counted(name):
@@ -547,9 +547,9 @@ def counting_step(calls):
                 getattr(compiled, name)(*args)
         return call
 
-    return types.SimpleNamespace(
-        quadratic_steps=counted("quadratic_steps"),
-        qlearning_steps=counted("qlearning_steps"))
+    return types.SimpleNamespace(**{
+        name: counted(name)
+        for name in ("quadratic_steps", "qlearning_steps", "deviations")})
 
 
 def test_block_drift_picks_the_compiled_step(monkeypatch):
@@ -559,7 +559,9 @@ def test_block_drift_picks_the_compiled_step(monkeypatch):
     and of qlearning_steps for Q-learning, and none for d >= _SHORT_ROW,
     whose rows numpy sums pairwise, or for sources stepped agent by agent.
     With STEP None, it makes none. Each trajectory's compiled_step is true
-    exactly for the runs whose steps called it."""
+    exactly for the runs whose steps called it. Every run here, of d > 1,
+    is measured by one deviations call per block and one for k = 0,
+    whichever its drift path."""
     calls = []
     monkeypatch.setattr(operators, "STEP", counting_step(calls))
     horizon = _BLOCK + 22
@@ -584,7 +586,8 @@ def test_block_drift_picks_the_compiled_step(monkeypatch):
     for run_it, expected in runs:
         calls.clear()
         trajs = run_it()
-        assert calls == expected
+        assert [name for name in calls if name != "deviations"] == expected
+        assert calls.count("deviations") == blocks + 1
         assert all(traj.compiled_step is bool(expected) for traj in trajs)
     monkeypatch.setattr(operators, "STEP", None)
     for run_it, _ in runs:
@@ -595,12 +598,16 @@ def test_block_drift_picks_the_compiled_step(monkeypatch):
 
 def test_compiled_step_fallback_gives_the_same_bytes(monkeypatch, tmp_path):
     """Where the step cannot be built, with no compiler and an empty cache,
-    the loader returns None, and runs stepped with numpy equal those
-    stepped by operators.STEP bit for bit at every block edge: single
-    system-id runs of horizon 2 * _BLOCK + 44 and below one block, one on
-    three weight frames, whose later blocks start their frame cycle at
-    k0 mod 3 = 2 and 1, a single GridWorld run, a 3-run GridWorld stack
-    and a system-id stack whose runs abort on non-finite iterates."""
+    the loader returns None, and runs stepped and measured with numpy
+    equal those stepped and measured by operators.STEP bit for bit at
+    every block edge: single system-id runs of horizon 2 * _BLOCK + 44 and
+    below one block, one on three weight frames, whose later blocks start
+    their frame cycle at k0 mod 3 = 2 and 1, a single GridWorld run
+    (d = 100), a 3-run GridWorld stack, a system-id stack whose runs abort
+    on non-finite iterates, a lemma-4-shaped stack of N = 3, d = 2, whose
+    short rows deviations sums, a d = 100 system-id run, which steps with
+    numpy and is measured compiled, and a d = 1, N = _SHORT_ROW run, which
+    keeps numpy's pairwise mean."""
     fallback = _build.load_step(cc=[str(tmp_path / "no-such-cc")],
                                 cache_dir=str(tmp_path / "cache"))
     assert fallback is None
@@ -612,6 +619,12 @@ def test_compiled_step_fallback_gives_the_same_bytes(monkeypatch, tmp_path):
                             horizon=horizon, stride=7,
                             frames=three_frames(6), period_b=3,
                             compute_constants=True)
+    lemma4 = ScenarioConfig(scenario="system_id", n_agents=3, dim=2,
+                            horizon=horizon, stride=7, step_kind="constant",
+                            step_eps=1e-4, compute_constants=True)
+    wide = dataclasses.replace(cfg, n_agents=2, dim=100, stride=30,
+                               compute_constants=False)
+    scalar = dataclasses.replace(cfg, n_agents=_SHORT_ROW, dim=1)
     grid_cfg = ScenarioConfig(scenario="gridworld", n_agents=3, dim=100,
                               horizon=horizon, stride=30,
                               maze_files="unused")
@@ -620,22 +633,30 @@ def test_compiled_step_fallback_gives_the_same_bytes(monkeypatch, tmp_path):
                                                           seed=seed), mazes)
              for seed in (1, 2, 3)]
     stack = system_id_stack(**ABORTING_STACK)
-    assert len(build_scenario(frames).weights) == 3 and _BLOCK % 3 == 2
 
     def runs():
         return [run(build_scenario(cfg), collect_theta_bar=True),
                 run(build_scenario(short), collect_theta_bar=True),
                 run(build_scenario(frames), collect_theta_bar=True),
-                run(grids[0]), *run_ensemble(grids), *run_ensemble(stack)]
+                run(build_scenario(scalar), collect_theta_bar=True),
+                run(grids[0]), *run_ensemble(grids), *run_ensemble(stack),
+                *run_ensemble([build_scenario(dataclasses.replace(
+                    lemma4, seed=seed)) for seed in range(1, 6)]),
+                run(build_scenario(wide), collect_theta_bar=True)]
 
+    assert len(build_scenario(frames).weights) == 3 and _BLOCK % 3 == 2
     compiled = runs()
-    assert all(traj.compiled_step for traj in compiled)
+    assert all(traj.compiled_step for traj in compiled[:-1])
+    assert not compiled[-1].compiled_step   # d >= _SHORT_ROW steps with numpy
     monkeypatch.setattr(operators, "STEP", fallback)
     for new, ref in zip(runs(), compiled, strict=True):
         assert not new.compiled_step
         assert_identical(new, ref)
-    assert [traj.aborted for traj in compiled[-4:]] == [False, True, False,
-                                                        True]
+    assert [traj.aborted for traj in compiled[8:12]] == [False, True, False,
+                                                         True]
+    assert not any(traj.aborted for traj in compiled[12:])
+    assert all(math.isfinite(traj.min_lemma3_slack)
+               for traj in compiled[12:17])
 
 
 # runs 1 and 3 start far out and abort at k = 12 and k = 118, in the first

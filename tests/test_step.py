@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from dcsa import _build, operators
 from dcsa.operators import (TabularFeatures, qlearning_block_drift,
                             quadratic_block_drift)
-from dcsa.sources import _SHORT_ROW
+from dcsa.sources import _SHORT_ROW, ordered_sum
 
 from strategies import GAMMAS, signed_zeros, special_values, step_each
 
@@ -123,6 +123,137 @@ def test_compiled_qlearning_max_takes_numpys_zero_and_nan():
     assert slots[0].tobytes() == slots[1].tobytes()
     assert np.signbit(slots[0]).tolist() == [True, False, True, True]
     assert np.isnan(slots[0][2:]).all()
+
+
+def numpy_measure(thetas, n_runs):
+    """theta_bar, dev and S of core.run's numpy measure of a block thetas
+    = (m * n_runs, N, d): the agents' ordered_sum over N (numpy's mean for
+    d = 1), the squared deviations, and np.add.reduce of each (step, run)'s
+    N * d of them."""
+    rows, n, d = thetas.shape
+    block = thetas.reshape(rows // n_runs, n_runs, n, d)
+    if d == 1:
+        theta_bar = block.mean(axis=2)
+    else:
+        theta_bar = ordered_sum(block.transpose(2, 0, 1, 3),
+                                np.empty((rows // n_runs, n_runs, d)))
+        theta_bar /= n
+    dev = np.subtract(block, theta_bar[:, :, None])
+    np.multiply(dev, dev, out=dev)
+    return (theta_bar.reshape(rows, d), dev.reshape(rows, n, d),
+            np.add.reduce(dev.reshape(rows, n * d), axis=-1))
+
+
+# (N, d) on both sides of N * d = _SHORT_ROW, d = 1 only where numpy's mean
+# chains the N agents
+MEASURE_SHAPES = [(1, 1), (3, 1), (7, 1), (3, 2), (2, 3), (1, 7), (4, 2),
+                  (1, 8), (3, 5), (10, 5), (3, 100)]
+
+
+@pytest.mark.parametrize("n, d", MEASURE_SHAPES)
+@pytest.mark.parametrize("n_runs", [1, 30])
+def test_compiled_deviations_match_numpy_measure(n, d, n_runs):
+    """deviations writes the bytes of numpy's measure: theta_bar and the
+    squared deviations for every N * d, and, where S is passed (N * d <
+    _SHORT_ROW), the row sums np.add.reduce chains; for a longer row the
+    engine keeps numpy's pairwise reduce and passes no S. The iterates
+    hold zeros of both signs, +-inf and NaN, and at scale 3e307 sums and
+    squares that overflow. The NaN is the machine's own, the one inf - inf
+    gives: which of two NaNs of other payloads or signs a sum keeps
+    depends on the operands' order, and numpy's own add orders them
+    differently by SIMD level and array length."""
+    step = operators.STEP
+    if step is None:
+        assert not compiler_found()
+        return
+    rng = np.random.default_rng(n * 1000 + d * 10 + n_runs)
+    with np.errstate(invalid="ignore"):
+        default_nan = np.subtract(np.inf, np.inf)
+    rows = 5 * n_runs
+    for scale in (1.0, 3e307):
+        for _ in range(10):
+            thetas = scale * special_values(rng, (rows, n, d))
+            thetas[np.isnan(thetas)] = default_nan
+            with np.errstate(all="ignore"):
+                theta_bar, dev, sums = numpy_measure(thetas, n_runs)
+            got = (np.full((rows, d), 7.0), np.full((rows, n, d), 7.0),
+                   np.full(rows, 7.0))
+            if n * d < _SHORT_ROW:
+                step.deviations(thetas, *got)
+            else:
+                step.deviations(thetas, *got[:2])
+                got = (*got[:2], sums)
+            for a, b in zip(got, (theta_bar, dev, sums)):
+                assert a.tobytes() == b.tobytes()
+
+
+def test_compiled_deviations_rejects_mismatched_arrays():
+    """deviations checks its arguments before it writes: C-contiguous
+    float64 buffers, writable but for thetas, a 3-D thetas of N >= 1
+    agents, theta_bar, dev and S of its rows, agents and dims, and no two
+    of them overlapping; a rejected call leaves every output as it was."""
+    step = operators.STEP
+    if step is None:
+        assert not compiler_found()
+        return
+    rows, n, d = 4, 3, 2
+
+    def call(*drop, **change):
+        args = dict(thetas=np.ones((rows, n, d)), theta_bar=np.zeros((rows, d)),
+                    dev=np.zeros((rows, n, d)), S=np.zeros(rows))
+        args.update(change)
+        for name in drop:
+            del args[name]
+        try:
+            step.deviations(*args.values())
+        except (TypeError, ValueError):
+            for name in ("theta_bar", "dev", "S"):
+                if name in args and name not in change:
+                    assert not args[name].any()
+            raise
+
+    call()
+    call("S")
+    with pytest.raises(TypeError):
+        call("S", "dev")
+    with pytest.raises(TypeError):
+        step.deviations(*[np.zeros(1)] * 5)
+    with pytest.raises(TypeError):
+        call(thetas=np.ones((rows, n, d), np.float32))
+    with pytest.raises(TypeError):
+        call(S=np.zeros(rows, np.intp))
+    with pytest.raises(TypeError):
+        call(dev=list(np.zeros((rows, n, d))))
+    with pytest.raises(ValueError):   # numpy's: not C-contiguous
+        call(thetas=np.ones((rows, n, 2 * d))[..., ::2])
+    with pytest.raises(ValueError):
+        call(dev=np.zeros((rows, 2 * n, d))[:, ::2])
+    with pytest.raises(ValueError):   # numpy's: read-only
+        call(dev=read_only((rows, n, d)))
+    with pytest.raises(ValueError):
+        call(thetas=np.ones((rows, n * d)))
+    with pytest.raises(ValueError):
+        call(thetas=np.ones((rows, 0, d)), dev=np.zeros((rows, 0, d)))
+    for name, shape in [("theta_bar", (rows + 1, d)),
+                        ("theta_bar", (rows, d + 1)),
+                        ("theta_bar", (rows * d,)),
+                        ("dev", (rows - 1, n, d)),
+                        ("dev", (rows, n + 1, d)),
+                        ("dev", (rows, n, d + 1)),
+                        ("dev", (rows, n * d)),
+                        ("S", (rows + 1,)), ("S", (rows - 1,)),
+                        ("S", (rows, 1))]:
+        with pytest.raises(ValueError):
+            call(**{name: np.zeros(shape)})
+    shared = np.zeros(rows * (n * d + d))
+    with pytest.raises(ValueError, match="overlap"):
+        call(dev=shared[:rows * n * d].reshape(rows, n, d),
+             theta_bar=shared[-rows * d - 1:-1].reshape(rows, d))
+    thetas = np.ones((rows, n, d))
+    with pytest.raises(ValueError, match="overlap"):
+        call(thetas=thetas, dev=thetas)
+    with pytest.raises(ValueError, match="overlap"):
+        call(S=shared[:rows], dev=shared[:rows * n * d].reshape(rows, n, d))
 
 
 def no_mix(prev, out):
