@@ -1,19 +1,19 @@
 /* The steps of one block of dcsa's iteration, and its deviations from the
    agents' mean, in one C call per block each.
 
-   quadratic_steps(x1, x2, theta, iterates, rows_mix, mixers, eps) and
-   qlearning_steps(index, reward, gamma, theta, iterates, rows_mix, mixers,
-   eps) run the T = len(eps) steps of a block. theta is the pre-block
-   iterate, in the mixers' shape, and eps the block's steps, a 1-D float64
-   array. At step t each calls mixers[t](prev, rows_mix[t]), the frame's
-   mix that writes W Theta into row t of iterates (prev is theta at t = 0
-   and rows_mix[t - 1] after), then adds eps[t] times every agent's drift
-   row, at the pre-step iterate (theta's buffer at t = 0, row t - 1 after),
-   to row t in place. The mix is the engine's own callable, so the gemm and
-   its rounding are numpy's; the drift rounds as the numpy step of
-   quadratic_block_drift and qlearning_block_drift does, one IEEE
-   operation at a time in the same order, so both give the same bytes; the
-   build flags keep it so (-ffp-contract=off: no fused multiply-add).
+   quadratic_steps(x1, x2, theta, iterates, frames, first, eps) and
+   qlearning_steps(index, reward, gamma, theta, iterates, frames, first,
+   eps) run the T = len(eps) steps of a block, from theta, the pre-block
+   (S N, d) rows of S runs of N agents, on the (F, N, N) weight frames,
+   with eps a 1-D float64 array. At step t each writes W theta into row t
+   of iterates, for W = frames[(first + t) mod F] and every run, as the
+   j-order chain ((+0.0 + W(i, 0) theta(0, c)) + W(i, 1) theta(1, c)) +
+   ..., then adds eps[t] times every agent's drift row, at the pre-step
+   iterate (theta at t = 0, row t - 1 after), to row t in place. Both
+   round as the builders' numpy step and operators.mix do, one IEEE
+   operation at a time in the same order, so both give the same bytes
+   whatever BLAS numpy has; -ffp-contract=off (no fused multiply-add)
+   keeps it so.
 
    deviations(thetas, theta_bar, dev[, S]) is the engine's measure of a
    block's iterates, (rows, N, d): each row's agents' mean into theta_bar,
@@ -25,8 +25,7 @@
 
    Arrays come in through the buffer protocol as C-contiguous float64 (or
    intp) buffers, so no numpy header is needed. Every buffer is read once
-   per block, and every size is checked before the first write; an
-   exception raised by a mixer ends the block and propagates.
+   per block, and every size is checked before the first write.
    dcsa._build compiles this file when dcsa.operators is imported. */
 
 #define PY_SSIZE_T_CLEAN
@@ -69,23 +68,33 @@ clip(Py_ssize_t i, Py_ssize_t n)
     return i < 0 ? 0 : i >= n ? n - 1 : i;
 }
 
-/* The buffers of an entry point, in the order both hold them: its two
-   sample arrays, theta, iterates and eps, each its argument's position,
-   its kind, its buffer flags and its name. The contract's other
-   arguments, rows_mix and mixers, follow iterates. */
+/* An entry point's signature and argument count, and its buffers, in
+   the order both hold them: its two sample arrays, theta, iterates, frames
+   and eps, each its argument's position, its kind, its buffer flags and
+   its name. The contract's other argument, first, follows frames. */
 enum { QUADRATIC, QLEARNING };
-enum { SAMPLE_A, SAMPLE_B, THETA, ITERATES, EPS, N_BUFFERS };
+enum { SAMPLE_A, SAMPLE_B, THETA, ITERATES, FRAMES, EPS, N_BUFFERS };
 typedef struct {
     int arg;
     char kind;
     int flags;
     const char *name;
 } buffer_arg;
-static const buffer_arg buffers[2][N_BUFFERS] = {
-    {{0, 'd', 0, "x1"}, {1, 'd', 0, "x2"}, {2, 'd', 0, "theta"},
-     {3, 'd', PyBUF_WRITABLE, "iterates"}, {6, 'd', 0, "eps"}},
-    {{0, 'n', 0, "index"}, {1, 'd', 0, "reward"}, {3, 'd', 0, "theta"},
-     {4, 'd', PyBUF_WRITABLE, "iterates"}, {7, 'd', 0, "eps"}},
+typedef struct {
+    const char *usage;
+    Py_ssize_t nargs;
+    buffer_arg buffers[N_BUFFERS];
+} entry_args;
+static const entry_args entries[2] = {
+    {"quadratic_steps(x1, x2, theta, iterates, frames, first, eps)", 7,
+     {{0, 'd', 0, "x1"}, {1, 'd', 0, "x2"}, {2, 'd', 0, "theta"},
+      {3, 'd', PyBUF_WRITABLE, "iterates"}, {4, 'd', 0, "frames"},
+      {6, 'd', 0, "eps"}}},
+    {"qlearning_steps(index, reward, gamma, theta, iterates, frames, first, "
+     "eps)", 8,
+     {{0, 'n', 0, "index"}, {1, 'd', 0, "reward"}, {3, 'd', 0, "theta"},
+      {4, 'd', PyBUF_WRITABLE, "iterates"}, {5, 'd', 0, "frames"},
+      {7, 'd', 0, "eps"}}},
 };
 
 static void
@@ -95,82 +104,113 @@ release(Py_buffer *b, int got)
         PyBuffer_Release(&b[got]);
 }
 
-/* The buffers of an entry point's table into b, once eps is 1-D and
-   rows_mix and mixers hold at least its T items. Returns T, or -1 with
-   an exception set and no buffer held. */
-static Py_ssize_t
-get_buffers(PyObject *const *args, const buffer_arg *table, Py_buffer *b)
+/* whether two buffers share a byte */
+static int
+overlap(const Py_buffer *a, const Py_buffer *b)
 {
+    const char *x = a->buf, *y = b->buf;
+    return x < y + b->len && y < x + a->len;
+}
+
+/* The buffers of an entry point into b, once it has its nargs, eps is 1-D
+   and x1 or index 3-D. Returns T = len(eps), or -1 with no buffer held. */
+static Py_ssize_t
+get_buffers(PyObject *const *args, Py_ssize_t nargs, const entry_args *e,
+            Py_buffer *b)
+{
+    const buffer_arg *table = e->buffers;
     int got = 0;
+    if (nargs != e->nargs) {
+        PyErr_Format(PyExc_TypeError, "%s takes %zd arguments", e->usage,
+                     e->nargs);
+        return -1;
+    }
     for (; got < N_BUFFERS; got++)
         if (get_array(args[table[got].arg], &b[got], table[got].kind,
                       table[got].flags, table[got].name) < 0)
             goto fail;
-    Py_ssize_t T = items(&b[EPS]);
-    if (b[EPS].ndim != 1) {
-        PyErr_SetString(PyExc_ValueError, "eps must be 1-D");
-        goto fail;
-    }
-    int after = table[ITERATES].arg;
-    Py_ssize_t n_rows = PySequence_Size(args[after + 1]);
-    if (n_rows < 0)
-        goto fail;
-    Py_ssize_t n_mixers = PySequence_Size(args[after + 2]);
-    if (n_mixers < 0)
-        goto fail;
-    if (n_rows < T || n_mixers < T) {
-        PyErr_Format(PyExc_ValueError, "rows_mix and mixers must hold the "
-                     "block's %zd steps, not %zd and %zd", T, n_rows,
-                     n_mixers);
-        goto fail;
-    }
-    return T;
+    if (b[EPS].ndim == 1 && b[SAMPLE_A].ndim == 3)
+        return items(&b[EPS]);
+    PyErr_Format(PyExc_ValueError, "eps must be 1-D and %s 3-D",
+                 table[SAMPLE_A].name);
 fail:
     release(b, got);
     return -1;
+}
+
+/* out(i, c) of one agent's row i, for the w <= 4 columns c from p and o:
+   ((+0.0 + W(i, 0) prev(0, c)) + W(i, 1) prev(1, c)) + ..., the j-order
+   chain of operators.mix, the w chains side by side in registers */
+static inline void
+mix_columns(const double *restrict wi, const double *restrict p,
+            double *restrict o, Py_ssize_t N, Py_ssize_t d, int w)
+{
+    double acc[4] = {0.0, 0.0, 0.0, 0.0};
+    for (Py_ssize_t j = 0; j < N; j++)
+        for (int k = 0; k < w; k++)
+            acc[k] = acc[k] + wi[j] * p[j * d + k];
+    for (int k = 0; k < w; k++)
+        o[k] = acc[k];
+}
+
+/* out = W prev, for the frame w of N x N and each of the runs of N agents
+   of d: four columns at a time, then two and one, each a constant w */
+static void
+mix(const double *restrict w, const double *restrict prev,
+    double *restrict out, Py_ssize_t runs, Py_ssize_t N, Py_ssize_t d)
+{
+    for (Py_ssize_t r = 0; r < runs * N; r++) {
+        const double *wi = w + r % N * N, *p = prev + (r - r % N) * d;
+        double *o = out + r * d;
+        Py_ssize_t c = 0;
+        for (; c + 4 <= d; c += 4)
+            mix_columns(wi, p + c, o + c, N, d, 4);
+        for (; c + 2 <= d; c += 2)
+            mix_columns(wi, p + c, o + c, N, d, 2);
+        for (; c < d; c++)
+            mix_columns(wi, p + c, o + c, N, d, 1);
+    }
 }
 
 /* adds eps times the drift at theta to out, at step t of the block */
 typedef void (*drift_fn)(const void *ctx, Py_ssize_t t, const double *theta,
                          double *out, double eps);
 
-/* The loop of the block's T steps over rows of `size` doubles: mix, then
-   drift, at each step. args are the entry point's, from theta on, and b
-   its buffers. Returns None, or NULL with the mixer's exception. */
+/* The block's T steps over rows of n agents of d, once frames is (F, N, N)
+   with F, N >= 1 and N dividing n, first lies in [0, F), and iterates
+   overlaps neither frames nor, in its first row, theta: at step t, mix
+   into row t of iterates the pre-step iterate (theta at t = 0, row t - 1
+   after) by frame (first + t) mod F, then add eps[t] times its drift to
+   it. Returns None, or NULL with an exception set. */
 static PyObject *
-run_steps(PyObject *const *args, const Py_buffer *b, Py_ssize_t size,
-          drift_fn drift, const void *ctx)
+run_steps(PyObject *first_arg, const Py_buffer *b, Py_ssize_t n,
+          Py_ssize_t d, drift_fn drift, const void *ctx)
 {
-    PyObject *rows_mix = args[2], *mixers = args[3];
-    const double *steps = b[EPS].buf;
-    double *iterates = b[ITERATES].buf;
-    PyObject *prev = args[0];   /* theta: borrowed at t = 0, owned after */
-    Py_INCREF(prev);
+    const Py_buffer *f = &b[FRAMES];
+    Py_buffer row = b[ITERATES];
+    row.len = n * d * (Py_ssize_t)sizeof(double);
+    Py_ssize_t first = PyLong_AsSsize_t(first_arg);
+    if (first == -1 && PyErr_Occurred())
+        return NULL;
+    if (f->ndim != 3 || f->shape[0] < 1 || f->shape[1] < 1
+            || f->shape[1] != f->shape[2] || n % f->shape[1]
+            || first < 0 || first >= f->shape[0]
+            || overlap(f, &b[ITERATES]) || overlap(&b[THETA], &row))
+        return PyErr_Format(PyExc_ValueError, "frames must be (F, N, N) "
+                            "with F, N >= 1 and N dividing the %zd agents, "
+                            "first, %zd, must lie in [0, F), and iterates "
+                            "must overlap neither frames nor, in its first "
+                            "row, theta", n, first);
+    Py_ssize_t F = f->shape[0], N = f->shape[1];
+    const double *w = f->buf, *steps = b[EPS].buf, *prev = b[THETA].buf;
+    double *out = b[ITERATES].buf;
     for (Py_ssize_t t = 0, T = items(&b[EPS]); t < T; t++) {
-        PyObject *mixer = PySequence_GetItem(mixers, t);
-        if (mixer == NULL)
-            goto fail;
-        PyObject *row = PySequence_GetItem(rows_mix, t);
-        if (row == NULL) {
-            Py_DECREF(mixer);
-            goto fail;
-        }
-        PyObject *mix_args[2] = {prev, row};
-        PyObject *done = PyObject_Vectorcall(mixer, mix_args, 2, NULL);
-        Py_DECREF(mixer);
-        Py_DECREF(prev);
-        prev = row;
-        if (done == NULL)
-            goto fail;
-        Py_DECREF(done);
-        double *out = iterates + t * size;
-        drift(ctx, t, t ? out - size : b[THETA].buf, out, steps[t]);
+        mix(w + (first + t) % F * N * N, prev, out, n / N, N, d);
+        drift(ctx, t, prev, out, steps[t]);
+        prev = out;
+        out += n * d;
     }
-    Py_DECREF(prev);
     Py_RETURN_NONE;
-fail:
-    Py_DECREF(prev);
-    return NULL;
 }
 
 /* The quadratic drift of x1 (rows + 1, n, d) and x2 (rows, n[, 1]) at
@@ -206,20 +246,9 @@ quadratic_steps(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     Py_buffer b[N_BUFFERS];
     PyObject *result = NULL;
-
-    if (nargs != 7) {
-        PyErr_SetString(PyExc_TypeError, "quadratic_steps(x1, x2, theta, "
-                        "iterates, rows_mix, mixers, eps) takes 7 "
-                        "arguments");
-        return NULL;
-    }
-    Py_ssize_t T = get_buffers(args, buffers[QUADRATIC], b);
+    Py_ssize_t T = get_buffers(args, nargs, &entries[QUADRATIC], b);
     if (T < 0)
         return NULL;
-    if (b[SAMPLE_A].ndim != 3) {
-        PyErr_SetString(PyExc_ValueError, "x1 must be (rows + 1, n, d)");
-        goto done;
-    }
     quadratic_ctx ctx = {b[SAMPLE_A].buf, b[SAMPLE_B].buf,
                          b[SAMPLE_A].shape[1], b[SAMPLE_A].shape[2]};
     Py_ssize_t size = ctx.n * ctx.d;
@@ -231,7 +260,7 @@ quadratic_steps(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
                      "the block's %zd steps", ctx.n, ctx.d, T);
         goto done;
     }
-    result = run_steps(args + 2, b, size, quadratic_drift, &ctx);
+    result = run_steps(args[5], b, ctx.n, ctx.d, quadratic_drift, &ctx);
 done:
     release(b, N_BUFFERS);
     return result;
@@ -279,38 +308,26 @@ qlearning_steps(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     Py_buffer b[N_BUFFERS];
     PyObject *result = NULL;
-
-    if (nargs != 8) {
-        PyErr_SetString(PyExc_TypeError, "qlearning_steps(index, reward, "
-                        "gamma, theta, iterates, rows_mix, mixers, eps) "
-                        "takes 8 arguments");
-        return NULL;
-    }
-    qlearning_ctx ctx;
-    ctx.gamma = PyFloat_AsDouble(args[2]);
-    if (ctx.gamma == -1.0 && PyErr_Occurred())
-        return NULL;
-    Py_ssize_t T = get_buffers(args, buffers[QLEARNING], b);
+    Py_ssize_t T = get_buffers(args, nargs, &entries[QLEARNING], b);
     if (T < 0)
         return NULL;
-    if (b[SAMPLE_A].ndim != 3) {
-        PyErr_SetString(PyExc_ValueError, "index must be (rows, A + 1, n)");
+    qlearning_ctx ctx = {b[SAMPLE_A].buf, b[SAMPLE_B].buf,
+                         b[SAMPLE_A].shape[1], b[SAMPLE_A].shape[2],
+                         items(&b[THETA]), PyFloat_AsDouble(args[2])};
+    if (ctx.gamma == -1.0 && PyErr_Occurred())
         goto done;
-    }
-    ctx.index = b[SAMPLE_A].buf;
-    ctx.reward = b[SAMPLE_B].buf;
-    ctx.rows = b[SAMPLE_A].shape[1];
-    ctx.n = b[SAMPLE_A].shape[2];
-    ctx.size = items(&b[THETA]);
-    if (ctx.rows < 2 || !ctx.size || b[SAMPLE_A].shape[0] < T
+    if (ctx.rows < 2 || !ctx.n || !ctx.size || ctx.size % ctx.n
+            || b[SAMPLE_A].shape[0] < T
             || items(&b[SAMPLE_B]) < T * ctx.n
             || items(&b[ITERATES]) < T * ctx.size) {
-        PyErr_Format(PyExc_ValueError, "theta must be one non-empty table, "
-                     "index (rows, A + 1, n) with A >= 1, and index, reward "
-                     "and iterates must hold the block's %zd steps", T);
+        PyErr_Format(PyExc_ValueError, "theta must be one non-empty table "
+                     "of n rows, index (rows, A + 1, n) with A >= 1, and "
+                     "index, reward and iterates must hold the block's %zd "
+                     "steps", T);
         goto done;
     }
-    result = run_steps(args + 3, b, ctx.size, qlearning_drift, &ctx);
+    result = run_steps(args[6], b, ctx.n, ctx.size / ctx.n, qlearning_drift,
+                       &ctx);
 done:
     release(b, N_BUFFERS);
     return result;
@@ -371,14 +388,6 @@ deviations_of(const double *thetas, double *theta_bar, double *dev,
             s = s + dv[k];
         S[r] = s;
     }
-}
-
-/* whether two buffers share a byte */
-static int
-overlap(const Py_buffer *a, const Py_buffer *b)
-{
-    const char *x = a->buf, *y = b->buf;
-    return x < y + b->len && y < x + a->len;
 }
 
 /* deviations' buffers, each its argument's position */
@@ -442,12 +451,12 @@ done:
 static PyMethodDef methods[] = {
     {"quadratic_steps", (PyCFunction)(void (*)(void))quadratic_steps,
      METH_FASTCALL,
-     "quadratic_steps(x1, x2, theta, iterates, rows_mix, mixers, eps): a "
+     "quadratic_steps(x1, x2, theta, iterates, frames, first, eps): a "
      "block of quadratic-gradient steps."},
     {"qlearning_steps", (PyCFunction)(void (*)(void))qlearning_steps,
      METH_FASTCALL,
-     "qlearning_steps(index, reward, gamma, theta, iterates, rows_mix, "
-     "mixers, eps): a block of Q-learning steps."},
+     "qlearning_steps(index, reward, gamma, theta, iterates, frames, "
+     "first, eps): a block of Q-learning steps."},
     {"deviations", (PyCFunction)(void (*)(void))deviations, METH_FASTCALL,
      "deviations(thetas, theta_bar, dev[, S]): the agents' mean, the "
      "squared deviations from it and, with S, their row sums."},

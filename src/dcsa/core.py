@@ -19,7 +19,7 @@ from . import operators
 from .operators import (TabularFeatures, bellman_residual,
                         qlearning_block_drift, quadratic_block_drift,
                         step_loop)
-from .sources import _SHORT_ROW, ordered_sum
+from .sources import _SHORT_ROW, ordered_sum, row_dots
 
 
 class CoreError(ValueError):
@@ -540,14 +540,9 @@ def _step_stack(scs, collect_theta_bar):
 
     Each block's iterates are a (T, S, N, d) buffer, and its T steps are
     one call of the drift's advance (see _block_drift), from the pre-block
-    iterate theta, with the block's steps as one float64 array and its
-    frames' mixers, sliced from a cycled list built once per run: at each
-    step mix(Theta, out) writes W Theta into the row, as one 2-D gemm by
-    the frame's bound ndarray.dot for a stack of one (of N >= 2 agents),
-    and a broadcast (S, N, d) np.matmul with the frame bound otherwise, and
-    the drift then adds eps F to the row's (S*N, d) form. theta and the
-    rows_mix items are in the mixers' shape: (N, d) views from a list built
-    once per run for S = 1, (S, N, d) rows of the buffer itself otherwise.
+    iterate theta, the (S*N, d) rows of the stack, with the block's steps
+    as one float64 array, the weight frames as one (F, N, N) array and the
+    index of the block's first frame, k0 mod F.
 
     Each block is timed in four phases, one perf_counter reading at the
     end of each: sample (block_drift draws the block), step (the T steps
@@ -563,7 +558,7 @@ def _step_stack(scs, collect_theta_bar):
     block_drift, compiled_step = _block_drift(
         [op for s in scs for op in s.ops],
         [copy.copy(src) for s in scs for src in s.sources], rngs)
-    Theta = np.stack([s.theta0 for s in scs])
+    theta = np.concatenate([s.theta0 for s in scs])   # the (S*N, d) rows
 
     horizon = sc.horizon
     R_hist = np.full((n_runs, horizon + 1), math.nan)
@@ -602,7 +597,8 @@ def _step_stack(scs, collect_theta_bar):
         run)'s N*d squared deviations in C order, bit for bit (see
         ordered_sum). With the compiled step, deviations makes theta_bar
         and the squared deviations in one call, and the row sums of a short
-        N*d too. R and S go into the histories through their transposes."""
+        N*d too. R is row_dots of theta_bar - theta* with itself. R and S
+        go into the histories through their transposes."""
         m = len(thetas)
         ks = slice(k_lo, k_lo + m)
         theta_bar, dev = bar_buf[:m], dev_buf[:m]
@@ -624,9 +620,8 @@ def _step_stack(scs, collect_theta_bar):
             S_hist.T[ks] = np.add.reduce(dev.reshape(m, n_runs, n * d),
                                          axis=-1)
         if theta_star is not None:
-            diff = theta_bar - theta_star
-            R_hist.T[ks] = (diff[..., None, :] @ diff[..., None]).reshape(
-                m, n_runs)
+            diff = np.subtract(theta_bar, theta_star, out=diff_buf[:m])
+            R_hist.T[ks] = row_dots(diff, diff, r_buf[:m], r_scratch[:m])
         if collect_theta_bar:
             tb_hist.swapaxes(0, 1)[ks] = theta_bar
         slack = np.full((n_runs, m), math.nan)
@@ -680,6 +675,9 @@ def _step_stack(scs, collect_theta_bar):
     buf = np.empty((max(1, min(_BLOCK, horizon)), n_runs, n, d))
     dev_buf = np.empty_like(buf)
     bar_buf = np.empty(buf.shape[:2] + (d,))
+    # R's theta_bar - theta*, its squares' sums and row_dots' scratch
+    diff_buf = np.empty_like(bar_buf)
+    r_buf, r_scratch = np.empty((2,) + buf.shape[:2])
     # the compiled measure, unless d = 1 and N >= _SHORT_ROW, where numpy's
     # mean sums each contiguous agent row pairwise: it writes theta_bar and
     # dev as (m*S, d) and (m*S, N, d) rows, and for a short N*d it also sums
@@ -691,40 +689,21 @@ def _step_stack(scs, collect_theta_bar):
         if n * d < _SHORT_ROW:
             sums = np.empty(len(outs[0]))
             outs.append(sums)
-    # the drift reads and writes each row as (S*N, d), and a stack of one
-    # is mixed in that form too, one gemm, from a list of the rows' views
-    # built once per run; S > 1 keeps the (S, N, d) broadcast matmul and
-    # takes each row's view as a block reaches it, since a list of them
-    # raised a 30-run stack's peak RSS. theta is in the mixers' shape
-    iterates, rows_mix = buf.reshape(len(buf), n_runs * n, d), buf
-    theta = Theta
-    if n_runs == 1:
-        rows_mix, theta = list(iterates), Theta[0]
-    # mix(Theta, out) writes W Theta into out, one per frame. A frame's
-    # bound dot makes the gemm call without matmul's ufunc machinery and
-    # without np.dot's __array_function__ dispatch, and rounds as matmul
-    # does, but for a 1 x 1 W, which it takes for a scalar
-    frames = [w.entries for w in sc.weights]
-    if n_runs == 1 and n > 1:
-        mixers = [w.dot for w in frames]
-    else:
-        mixers = [functools.partial(np.matmul, w) for w in frames]
-    # frame (k0 + t) mod F of a block is item (k0 mod F) + t of this list
-    mix_cycle = mixers * (_BLOCK // len(mixers) + 2)
+    iterates = buf.reshape(len(buf), n_runs * n, d)
+    frames = np.stack([w.entries for w in sc.weights])
     # a diverging run overflows before its iterate does: its iterates and
     # metrics may be inf or NaN, which the block's check turns into its
     # abort, without a warning per operation. S is NaN at every non-finite
     # iterate, so np.fmin skips the slacks of a run from its abort on
     with np.errstate(all="ignore"):
-        measure_and_log(0, Theta[None], [])
+        measure_and_log(0, theta.reshape(1, n_runs, n, d), [])
         for k0 in range(0, horizon, _BLOCK):
             T = min(_BLOCK, horizon - k0)
             advance = block_drift(T)
             lap("sample")
             eps = sc.step.values(k0, T)
-            first = k0 % len(mixers)
-            advance(theta, iterates, rows_mix, mix_cycle[first:first + T], eps)
-            theta = rows_mix[T - 1]
+            advance(theta, iterates, frames, k0 % len(frames), eps)
+            theta = iterates[T - 1]
             if not np.isfinite(buf[:T]).all():
                 # split by run only for a block that holds a non-finite value
                 finite = np.isfinite(buf[:T]).all(axis=(2, 3))
@@ -781,13 +760,9 @@ def _block_drift(ops, sources, rngs):
     """(block_drift, compiled): block_drift(T) draws the next T
     observations of every one of the S*N agents of a stack from its source
     and stream (agents in C order) and returns the block's
-    advance(theta, iterates, rows_mix, mixers, eps), which runs its T =
-    len(eps) steps (see operators.step_loop): at step t, mixers[t](prev,
-    rows_mix[t]) writes W Theta into row t of iterates, a (>= T, S*N, d)
-    array, and the drift adds eps[t] times prev's drift rows, read as
-    (S*N, d), to it; prev is theta, the pre-block iterate in the mixers'
-    shape, at t = 0 and row t - 1 after. theta, iterates and the 1-D eps
-    are C-contiguous float64.
+    advance(theta, iterates, frames, first, eps), which runs its T =
+    len(eps) steps as operators.step_loop describes, on C-contiguous
+    float64 arrays.
     Over sources of one class with a block_sampler, built-in
     quadratic-gradient operators, or built-in Q-learning ones with one
     features and gamma, share one batched advance. The sampler and the

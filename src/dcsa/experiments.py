@@ -40,8 +40,10 @@ def _topology_for(cfg: ScenarioConfig, n_agents):
 
 
 def sample_unit_ball(rng, dim):
+    # the norm is numpy's own sum: np.linalg.norm's dot rounds by BLAS core
     g = rng.standard_normal(dim)
-    return g / np.linalg.norm(g) * rng.random() ** (1.0 / dim)
+    return (g / math.sqrt(float(np.add.reduce(g * g)))
+            * rng.random() ** (1.0 / dim))
 
 
 def build_system_id_scenario(cfg: ScenarioConfig) -> Scenario:
@@ -80,7 +82,8 @@ def build_system_id_scenario(cfg: ScenarioConfig) -> Scenario:
                 f"over k <= {span})") from None
         constants = RateConstants.from_problem(
             B=oc.B, L=oc.L, alpha=oc.alpha, sigma2=sigma2, n_agents=n,
-            theta_star_norm=float(np.linalg.norm(u)), c_tau=c_tau)
+            theta_star_norm=math.sqrt(float(np.add.reduce(u * u))),
+            c_tau=c_tau)
     return Scenario(
         sources=sources, ops=ops, step=step, horizon=cfg.horizon,
         seed=cfg.seed, stride=cfg.stride, weights=frames, theta_star=u,

@@ -24,8 +24,8 @@ class FormatError(ValueError):
 
 def blas_core():
     """OpenBLAS's runtime core name (its kernels), or None when numpy's
-    OpenBLAS cannot be found. The mix's gemm rounds per core, so the core
-    is part of what a trajectory's bytes depend on."""
+    OpenBLAS cannot be found. No trajectory depends on it, since the
+    engine makes no BLAS call; it says where a run's timings were taken."""
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     try:
         names = sorted(os.listdir(libs))

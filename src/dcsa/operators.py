@@ -59,20 +59,32 @@ def quadratic_grad_operator(dim: int) -> LocalOperator:
     return LocalOperator(dim=dim, eval=_eval, kind="quadratic-gradient")
 
 
-def step_loop(step, theta, iterates, rows_mix, mixers, eps):
+def mix(w, theta, out, products):
+    """out = W theta for each run, out and theta (S, N, d), w (N, N) and
+    products (N, S, N, d): W[:, j] theta_j reduced over j, their leading
+    axis, which numpy chains as ordered_sum does, into the compiled steps'
+    ((+0.0 + W(i, 0) theta(0, c)) + W(i, 1) theta(1, c)) + ..., no BLAS."""
+    np.multiply(w.T[:, None, :, None], theta.transpose(1, 0, 2)[:, :, None],
+                out=products)
+    return np.add.reduce(products, axis=0, out=out)
+
+
+def step_loop(step, theta, iterates, frames, first, eps):
     """The block contract's advance over a per-step drift step(Theta, t,
     eps, out), the one Python loop of a block's steps (see _block_drift),
     as the compiled quadratic_steps and qlearning_steps run it in C: for
-    t < T = len(eps), mixers[t](prev_mix, rows_mix[t]) writes W Theta into
-    row t, and step(prev, t, eps[t], iterates[t]) adds eps[t] F at prev to
-    it. prev_mix and prev are row t - 1, and at t = 0 theta, the pre-block
-    iterate in the mixers' shape, and its view in the rows' shape."""
-    prev, prev_mix = theta.reshape(iterates.shape[1:]), theta
-    for t, (mix, e, out, out_mix) in enumerate(zip(mixers, eps, iterates,
-                                                   rows_mix)):
-        mix(prev_mix, out_mix)
+    t < T = len(eps), mix writes W Theta into row t of iterates, (>= T, S
+    N, d), by frame (first + t) mod F of frames, (F, N, N), and step(prev,
+    t, eps[t], iterates[t]) adds eps[t] F at prev to it. prev is theta, the
+    (S N, d) pre-block iterate, at t = 0 and row t - 1 after."""
+    n_frames, n = frames.shape[:2]
+    shape = (iterates.shape[1] // n, n, iterates.shape[2])
+    prev, products = theta, np.empty((n,) + shape)
+    for t, (e, out) in enumerate(zip(eps, iterates)):
+        mix(frames[(first + t) % n_frames], prev.reshape(shape),
+            out.reshape(shape), products)
         step(prev, t, e, out)
-        prev, prev_mix = out, out_mix
+        prev = out
 
 
 def quadratic_block_drift(dim, agents, rows, kernel=None):
@@ -82,15 +94,12 @@ def quadratic_block_drift(dim, agents, rows, kernel=None):
     shape (rows + 1, agents, dim), whose rows 1..T hold X(1) (row 0 is the
     sampler's, for the states it starts from; see
     sources.ARSource.block_sampler), and x2, of shape (rows, agents),
-    whose first T rows hold X(2). advance(theta, iterates, rows_mix,
-    mixers, eps) runs the block's T = len(eps) steps as step_loop
-    describes: step t mixes into row t of iterates, an (>= T, agents, dim)
-    array, and adds eps[t] times each agent's map at its t-th sample, at
-    the pre-step iterate, to it in place. Each step equals
-    W Theta + eps * eval bit for bit: both sum a row's products over the
-    contiguous last axis, where a (T, d) @ product would round otherwise,
-    and both round 2 * resid, its product with x1 and eps times that in
-    this order.
+    whose first T rows hold X(2). advance(theta, iterates, frames, first,
+    eps) runs the block's steps as step_loop describes, step t's drift
+    each agent's map at its t-th sample. Each step equals mix + eps * eval
+    bit for bit: both sum a row's products over the contiguous last axis,
+    where a (T, d) @ product would round otherwise, and both round 2 *
+    resid, its product with x1 and eps times that in this order.
 
     kernel is the compiled step module (see _build), or None. For dim <
     _SHORT_ROW a block is one call of kernel.quadratic_steps, which chains
@@ -185,12 +194,11 @@ def qlearning_block_drift(features: TabularFeatures, gamma, agents, rows,
     Q-learning agents that share features and gamma, built once per run,
     and whether its steps are the compiled kernel's. For time-major blocks
     of (s, a, r, s') samples of shape (T, agents), T <= rows, it returns
-    advance(theta, iterates, rows_mix, mixers, eps), which runs the
-    block's T = len(eps) steps as step_loop describes: step t mixes into
-    row t of iterates and adds eps[t] times each agent's Q-learning map at
-    its t-th sample, at the pre-step iterate, to it in place. The
-    map is nonzero in one slot per agent, so only those slots are added
-    to; every slot equals W Theta + eps * eval, bit for bit.
+    advance(theta, iterates, frames, first, eps), which runs the block's
+    steps as step_loop describes, step t's drift each agent's Q-learning
+    map at its t-th sample. The map is nonzero in one slot per agent, so
+    only those slots are added to; every slot equals mix + eps * eval, bit
+    for bit.
 
     The iterates are read flat, as the stacked (agents * states) x actions
     table in which the state s of the agent in C-order row i is row
@@ -211,7 +219,9 @@ def qlearning_block_drift(features: TabularFeatures, gamma, agents, rows,
     gather indices into an (actions + 1, agents) scratch, a max across the
     contiguous action rows, one take of out's slots and one put. Both round
     as bellman_residual does: gamma * max, then + r, then - Q(s, a), then
-    * eps, and out's slot plus that.
+    * eps, and out's slot plus that. A lone agent's scratch is strided:
+    numpy would reduce a contiguous column as one row, giving its NaN as
+    +NaN, where the kernel keeps the NaN's sign.
     """
     n_states, n_actions = features.n_states, features.n_actions
     index = np.empty((rows, n_actions + 1, agents), dtype=np.intp)
@@ -224,7 +234,7 @@ def qlearning_block_drift(features: TabularFeatures, gamma, agents, rows,
     else:
         index_rows, reward_rows = list(index), list(reward)
         slot_rows = [row[n_actions] for row in index_rows]
-        gather = np.empty((n_actions + 1, agents))
+        gather = np.empty((n_actions + 1, max(agents, 2)))[:, :agents]
         q_next, q = gather[:n_actions], gather[n_actions]  # Q(s', .), Q(s, a)
         res = np.empty(agents)
 
@@ -357,11 +367,13 @@ def system_id_constants(sources) -> OperatorConstants:
         if not isinstance(src, ARSource):
             raise OperatorError("system_id_constants expects ARSources")
         # a clip far from 1 can take the constants out of range: they come
-        # back inf or 0 without a warning, and RateConstants rejects them
+        # back inf or 0 without a warning, and RateConstants rejects them.
+        # The sums are numpy's own: a BLAS dot rounds by its core
         with np.errstate(all="ignore"):
             xmax = ar_state_bound(src.gains, src.noise_clip)
-            x1_norm = float(np.linalg.norm(xmax))
-            x2_max = float(np.abs(src.u) @ xmax) + src.noise_clip
+            x1_norm = math.sqrt(float(np.add.reduce(xmax * xmax)))
+            x2_max = (float(np.add.reduce(np.abs(src.u) * xmax))
+                      + src.noise_clip)
             var_sum += np.diagonal(ar_stationary_covariance(src.gains,
                                                             src.noise_clip))
         try:

@@ -37,41 +37,40 @@ def signed_zeros(rng, shape):
     return x
 
 
-def special_values(rng, shape):
-    """Standard normals with about half the entries +0.0, -0.0, inf, -inf
-    or NaN, in equal shares."""
+# the NaN of an invalid operation, such as inf - inf: of a sum of two NaNs
+# either may come out, by operand order, which numpy's SIMD loops and a
+# compiler each choose; where a test mixes special values, its inputs hold
+# this NaN only, which every NaN made from them equals
+with np.errstate(invalid="ignore"):
+    DEFAULT_NAN = float(np.subtract(np.inf, np.inf))
+
+
+def special_values(rng, shape, share=0.5, nan=np.nan):
+    """Standard normals with about a share of the entries +0.0, -0.0, inf,
+    -inf or nan, in equal shares."""
     x = rng.standard_normal(shape)
-    special = rng.random(shape) < 0.5
-    x[special] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan],
+    special = rng.random(shape) < share
+    x[special] = rng.choice([0.0, -0.0, np.inf, -np.inf, nan],
                             size=int(special.sum()))
     return x
 
 
-def step_each(advance, thetas, outs, eps, stacked=False):
-    """Each step of one block of a drift's advance (see
-    operators.step_loop), taken from a chosen pre-step iterate: step t
-    starts from thetas[t] with W Theta = outs[t], and the result holds
-    outs[t] plus eps[t] times the drift at thetas[t], as advance left it,
-    for each t < T = len(outs). Mixer t first keeps step t - 1's result,
-    then writes thetas[t] into the pre-step iterate, the row the drift of
-    step t reads, and outs[t] into row t. The pre-block iterate is a row
-    of its own, and eps goes in as a float64 array. rows_mix is the
-    block's rows as a list, as a stack of one is mixed, or with stacked
-    the block itself, as a larger stack is."""
-    iterates = np.empty_like(outs)
-    results = np.empty_like(outs)
+def reference_mix(w, theta):
+    """W theta for one run's (N, d) theta: Python's sum over j of the
+    products W[:, j] theta_j, from 0.0 in j order."""
+    return sum((w[:, j, None] * theta[j] for j in range(len(w))), 0.0)
 
-    def mixer(t):
-        def mix(prev, out):
-            if t:
-                results[t - 1] = prev
-            np.copyto(prev, thetas[t])
-            np.copyto(out, outs[t])
-        return mix
 
-    advance(np.empty(outs.shape[1:]), iterates,
-            iterates if stacked else list(iterates),
-            [mixer(t) for t in range(len(outs))], np.array(eps, dtype=float))
-    if len(outs):
-        results[-1] = iterates[-1]
-    return results
+def step_each(advance, theta, frames, first, eps):
+    """One block of a drift's advance (see operators.step_loop) from the
+    pre-block iterate theta, (N, d), on frames, (F, N, N), from frame
+    first: its iterates, (T, N, d) for T = len(eps), and for each step t
+    the pre-step iterate, theta and then row t - 1, and its W Theta by
+    reference_mix, to which the step adds eps[t] times the drift."""
+    eps = np.array(eps, dtype=float)
+    iterates = np.full((len(eps),) + theta.shape, 7.0)
+    advance(theta, iterates, frames, first, eps)
+    prevs = np.concatenate([theta[None], iterates])[:len(eps)]
+    mixes = np.array([reference_mix(frames[(first + t) % len(frames)], prev)
+                      for t, prev in enumerate(prevs)])
+    return iterates, prevs, mixes.reshape(iterates.shape)

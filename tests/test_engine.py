@@ -35,7 +35,9 @@ from strategies import mazes
 
 def run_reference(sc, collect_theta_bar=False):
     """The per-step run() loop: every agent draws one observation with its
-    source's sample and evaluates its operator's eval at every step."""
+    source's sample and evaluates its operator's eval at every step. W Theta
+    is Python's sum over j of the products W[:, j] Theta_j, from 0.0 in j
+    order, and R is np.sum of the squared differences."""
     n, d = sc.n_agents, sc.dim
     rngs = [derive_stream(sc.seed, i, "sample") for i in range(n)]
     sources = [copy.copy(src) for src in sc.sources]
@@ -72,7 +74,7 @@ def run_reference(sc, collect_theta_bar=False):
         theta_bar = Theta.mean(axis=0)
         if theta_star is not None:
             diff = theta_bar - theta_star
-            R_hist[k] = float(diff @ diff)
+            R_hist[k] = float(np.sum(diff * diff))
         dev = Theta - theta_bar
         S_hist[k] = float(np.sum(dev * dev))
         if collect_theta_bar:
@@ -90,7 +92,9 @@ def run_reference(sc, collect_theta_bar=False):
         drift = np.empty_like(Theta)
         for i in range(n):
             drift[i] = ops_eval[i](sources[i].sample(rngs[i]), Theta[i])
-        Theta = sc.weights[k % len(sc.weights)].entries @ Theta + eps * drift
+        W = sc.weights[k % len(sc.weights)].entries
+        Theta = sum((W[:, j, None] * Theta[j] for j in range(n)), 0.0) + (
+            eps * drift)
         if not np.all(np.isfinite(Theta)):
             aborted = True
             reason = f"non-finite iterate at k={k + 1}"
@@ -537,14 +541,13 @@ def test_batched_drift_builders_are_made_once_per_run(monkeypatch):
 def counting_step(calls):
     """A stand-in for the compiled step module: each call of its
     quadratic_steps, qlearning_steps or deviations appends that name to
-    calls and is passed on to operators.STEP where the step loaded."""
+    calls and is passed on to operators.STEP, which must have loaded."""
     compiled = operators.STEP
 
     def counted(name):
         def call(*args):
             calls.append(name)
-            if compiled is not None:
-                getattr(compiled, name)(*args)
+            getattr(compiled, name)(*args)
         return call
 
     return types.SimpleNamespace(**{
@@ -561,9 +564,10 @@ def test_block_drift_picks_the_compiled_step(monkeypatch):
     With STEP None, it makes none. Each trajectory's compiled_step is true
     exactly for the runs whose steps called it. Every run here, of d > 1,
     is measured by one deviations call per block and one for k = 0,
-    whichever its drift path."""
+    whichever its drift path. Where the step did not load, only the runs
+    with STEP None are made, and every run steps with numpy."""
     calls = []
-    monkeypatch.setattr(operators, "STEP", counting_step(calls))
+    loaded = operators.STEP is not None
     horizon = _BLOCK + 22
     blocks = math.ceil(horizon / _BLOCK)
     cfg = ScenarioConfig(scenario="system_id", n_agents=3, dim=5,
@@ -583,7 +587,8 @@ def test_block_drift_picks_the_compiled_step(monkeypatch):
              []),
             (lambda: [run(gridworld)], ["qlearning_steps"] * blocks),
             (lambda: [run(unbatched)], [])]
-    for run_it, expected in runs:
+    monkeypatch.setattr(operators, "STEP", counting_step(calls))
+    for run_it, expected in runs if loaded else []:
         calls.clear()
         trajs = run_it()
         assert [name for name in calls if name != "deviations"] == expected
@@ -607,7 +612,8 @@ def test_compiled_step_fallback_gives_the_same_bytes(monkeypatch, tmp_path):
     on non-finite iterates, a lemma-4-shaped stack of N = 3, d = 2, whose
     short rows deviations sums, a d = 100 system-id run, which steps with
     numpy and is measured compiled, and a d = 1, N = _SHORT_ROW run, which
-    keeps numpy's pairwise mean."""
+    keeps numpy's pairwise mean. Where operators.STEP did not load, both
+    sets of runs step with numpy, and must still agree."""
     fallback = _build.load_step(cc=[str(tmp_path / "no-such-cc")],
                                 cache_dir=str(tmp_path / "cache"))
     assert fallback is None
@@ -645,8 +651,9 @@ def test_compiled_step_fallback_gives_the_same_bytes(monkeypatch, tmp_path):
                 run(build_scenario(wide), collect_theta_bar=True)]
 
     assert len(build_scenario(frames).weights) == 3 and _BLOCK % 3 == 2
+    loaded = operators.STEP is not None
     compiled = runs()
-    assert all(traj.compiled_step for traj in compiled[:-1])
+    assert all(traj.compiled_step is loaded for traj in compiled[:-1])
     assert not compiled[-1].compiled_step   # d >= _SHORT_ROW steps with numpy
     monkeypatch.setattr(operators, "STEP", fallback)
     for new, ref in zip(runs(), compiled, strict=True):

@@ -5,10 +5,12 @@ The file holds, per case, SHA-256 digests of R_hist, S_hist, theta_final,
 theta_bar_hist, the records and the least lemma-3 slack over all of the
 case's runs, plus a sample of their values (R and S every 200 steps,
 theta_final, the TD-error column and the least slack) and the abort
-reasons. The digests are compared when numpy's version and OpenBLAS's
-runtime core match the recorded ones; on any other machine, whose BLAS
-kernels may round W @ Theta differently in the last bit, the sampled values
-are compared at rtol 1e-12 instead. The test output names the mode used.
+reasons. No BLAS call lies between a config and its trajectory (the mix
+is the engine's own j-order sum), so the digests are compared whatever
+core OpenBLAS runs on, where numpy's version matches the recorded one;
+under another numpy, whose RNG streams and ufunc loops are its own, the
+sampled values are compared at rtol 1e-12 instead. The test output names
+the mode used.
 
 Regenerate the file only for a change that is meant to alter trajectories:
 
@@ -29,7 +31,6 @@ from dcsa.config import ScenarioConfig
 from dcsa.core import MetricsRecord, run, run_ensemble
 from dcsa.experiments import (build_gridworld_scenario, build_scenario,
                               run_seed_ensemble)
-from dcsa.io import blas_core
 from dcsa.sources import parse_maze
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -95,7 +96,7 @@ CASES = {f.__name__: f for f in (sysid_cli, gridworld_td, lemma4_ensemble,
 
 
 def machine():
-    return {"numpy": np.__version__, "blas_core": blas_core()}
+    return {"numpy": np.__version__}
 
 
 def _records(traj):

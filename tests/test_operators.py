@@ -81,6 +81,18 @@ def ar_block(seed, i, d, T):
                                               T)
 
 
+def path_frames(n):
+    """The two frames of a path's even and odd neighbour pairs (i, i + 1),
+    each its lazy Metropolis weights, as one (2, N, N) array."""
+    frames = np.tile(np.eye(n), (2, 1, 1))
+    for i in range(n - 1):
+        w = frames[i % 2]
+        w[i, i + 1] = w[i + 1, i] = 0.25
+        w[i, i] -= 0.25
+        w[i + 1, i + 1] -= 0.25
+    return frames
+
+
 @given(st.integers(1, 5), st.integers(1, 10), st.integers(0, 130),
        st.floats(1e-3, 10.0), st.integers(0, 2**31 - 1),
        st.sampled_from([1.0, 3e307]))
@@ -90,27 +102,29 @@ def ar_block(seed, i, d, T):
 @example(n=3, d=2, T=20, eps=0.5, seed=0, scale=3e307)
 @settings(max_examples=60, deadline=None)
 def test_quadratic_block_drift_matches_eval(n, d, T, eps, seed, scale):
-    """Each step of the batched advance adds eps times its agent's
-    operator eval at that step to every row of its W Theta, out0, in place:
-    out0 + eps * eval, bit for bit and signed zeros included, for N agents
-    with their own AR sources and at any theta, overflowing ones included;
-    d above 8 takes numpy's pairwise sums."""
+    """A step of the batched advance adds eps times each agent's operator
+    eval at its sample to every row of its W Theta: mix + eps * eval, bit
+    for bit, for N agents with their own AR sources, at T thetas of any
+    size, overflowing ones included, each stepped as a block of its own
+    from frame t mod 2; d above 8 takes numpy's pairwise sums. The frames
+    are divided by the scale, so that the mix stays near the iterate's
+    unit and the drift's overflow shows."""
     op = quadratic_grad_operator(d)
     blocks = [ar_block(seed, i, d, T) for i in range(n)]
-    (x, x2), advance, _ = quadratic_block_drift(d, n, T)
-    x[1:] = np.stack([b1 for b1, _ in blocks], axis=1)
-    x2[:] = np.stack([b2 for _, b2 in blocks], axis=1)
+    (x, x2), advance, _ = quadratic_block_drift(d, n, 1)
     rng = np.random.default_rng(seed)
+    frames = signed_zeros(rng, (2, n, n)) / scale
     thetas = scale * signed_zeros(rng, (T, n, d))
-    outs = signed_zeros(rng, (T, n, d))
-    expected = np.empty_like(outs)
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(T):
-            expected[t] = outs[t] + eps * np.stack(
-                [op.eval((x1[t], float(x2[t])), thetas[t, i])
-                 for i, (x1, x2) in enumerate(blocks)])
-        got = step_each(advance, thetas, outs, [eps] * T)
-    assert got.tobytes() == expected.tobytes()
+            x[1] = [x1[t] for x1, _ in blocks]
+            x2[0] = [x2_t[t] for _, x2_t in blocks]
+            got, _, mixes = step_each(advance, thetas[t], frames, t % 2,
+                                      [eps])
+            expected = mixes[0] + eps * np.stack(
+                [op.eval((x1[t], float(x2_t[t])), thetas[t, i])
+                 for i, (x1, x2_t) in enumerate(blocks)])
+            assert got[0].tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("kernel", [None, operators.STEP],
@@ -121,36 +135,36 @@ def test_quadratic_block_drift_zero_x2_signed_zeros(d, kernel):
     with every product -0.0, eval's sum, which starts from +0.0, is +0.0,
     so x2 = -0.0 gives -0.0 - (+0.0) = -0.0 and x2 = +0.0 gives +0.0. Both
     steps, numpy's and the compiled one (the numpy step again where it did
-    not load, and for d >= 8), must equal out0 + eps * eval, bit for bit,
-    -0.0 included."""
+    not load, and for d >= 8), must equal mix + eps * eval, bit for bit.
+    The mix of theta = -0.0 is +0.0, as every mix starts from +0.0, so
+    neither zero update's sign reaches the iterate."""
     op = quadratic_grad_operator(d)
     (x, x2), advance, _ = quadratic_block_drift(d, 2, 1, kernel)
     x[1] = np.arange(1.0, d + 1)           # X(1) of step 0: (agents, d)
     x2[0] = [-0.0, 0.0]                    # X(2) of step 0: (agents,)
     theta = np.full((2, d), -0.0)          # every product is -0.0
-    out0 = np.full((2, d), -0.0)
-    expected = out0 + 0.5 * np.stack([op.eval((x[1, i], float(x2[0, i])),
-                                              theta[i]) for i in range(2)])
-    out = step_each(advance, theta[None], out0[None], [0.5])[0]
-    assert out.tobytes() == expected.tobytes()
-    assert np.signbit(expected[0]).all() and not np.signbit(expected[1]).any()
+    evals = np.stack([op.eval((x[1, i], float(x2[0, i])), theta[i])
+                      for i in range(2)])
+    assert np.signbit(evals[0]).all() and not np.signbit(evals[1]).any()
+    out, _, mixes = step_each(advance, theta, path_frames(2), 0, [0.5])
+    expected = mixes[0] + 0.5 * evals
+    assert out[0].tobytes() == expected.tobytes()
+    assert not np.signbit(expected).any()
 
 
 @pytest.mark.parametrize("d", [2, 5])
-@given(st.integers(1, 4), st.floats(1e-3, 10.0), st.integers(0, 2**31 - 1))
+@given(st.integers(1, 4), st.floats(1e-3, 0.5), st.integers(0, 2**31 - 1))
 @settings(max_examples=15, deadline=None)
 def test_quadratic_block_drift_refills_its_buffers_every_block(d, n, eps,
                                                                seed):
     """One builder, made once as the engine makes it per run, and driven
     through consecutive blocks of 128, 1, 0, 77 and 128 steps that one
-    ARSource.block_sampler draws into its buffers: every step of every
-    block equals out0 + eps * eval, bit for bit. For d = 2 the 77-step
-    block has a zero x2, at a step whose products x1 * theta are both
-    -0.0, where the sign of the zero row sum shows in every entry of that
-    agent's -0.0 row of out0 plus its zero update, and the blocks around
-    it have none. A draw that left a row of the builder's x1 or x2 buffers
-    as the block before it filled it would make the step read that block's
-    samples."""
+    ARSource.block_sampler draws into its buffers, each from a theta of
+    its own, on the path's two lazy Metropolis frames: every step of every
+    block equals mix + eps * eval at its pre-step iterate, bit for bit. A
+    draw that left a row of the builder's x1 or x2 buffers as the block
+    before it filled it would make the step read that block's samples. The
+    steps stay below 0.5, where a block's iterates stay finite."""
     op = quadratic_grad_operator(d)
     draw = ARSource.block_sampler(
         [ar_source(seed, i, d) for i in range(n)],
@@ -160,18 +174,14 @@ def test_quadratic_block_drift_refills_its_buffers_every_block(d, n, eps,
     for T in (128, 1, 0, 77, 128):
         x1, x2 = draw(T, buffers)
         assert np.all(x2 != 0)
-        thetas = signed_zeros(rng, (T, n, d))
-        outs = signed_zeros(rng, (T, n, d))
-        if d == 2 and T == 77:
-            x2[40, 0] = -0.0
-            thetas[40, 0] = np.copysign(0.0, -x1[40, 0])
-            outs[40, 0] = -0.0   # where the sign of the zero update shows
-        expected = np.empty_like(outs)
+        got, prevs, mixes = step_each(advance, signed_zeros(rng, (n, d)),
+                                      path_frames(n), T % 2, [eps] * T)
+        assert np.isfinite(got).all()
+        expected = np.empty_like(got)
         for t in range(T):
-            expected[t] = outs[t] + eps * np.stack(
-                [op.eval((x1[t, i], float(x2[t, i])), thetas[t, i])
+            expected[t] = mixes[t] + eps * np.stack(
+                [op.eval((x1[t, i], float(x2[t, i])), prevs[t, i])
                  for i in range(n)])
-        got = step_each(advance, thetas, outs, [eps] * T)
         assert got.tobytes() == expected.tobytes()
 
 
@@ -273,37 +283,39 @@ def test_bellman_residual_matches_row_wise_max(n_states, n_actions, gamma,
        st.integers(0, 130), st.floats(1e-3, 10.0), st.integers(0, 2**31 - 1))
 @settings(max_examples=60, deadline=None)
 def test_qlearning_block_drift_matches_eval(maze_list, gamma, T, eps, seed):
-    """Each step of the batched advance adds eps times its agent's Bellman
-    residual at that step, by the row-wise reference, to the agent's
-    one-hot slot of its W Theta, out0, in place, bit for bit (signed zeros
-    and NaN included), for N agents on their own mazes, at any theta:
-    every third step's theta has +-inf and NaN entries, as the first
-    non-finite iterate of a diverging run does, which the engine steps
-    before its per-block check aborts the run. Every other entry of out
-    keeps its bytes. The slots also equal out0 + eps * eval, the per-agent
-    step; elsewhere that sum differs from out0 only where out0 is -0.0,
-    which W @ Theta, what the engine passes as out0, never holds."""
+    """A step of the batched advance adds eps times each agent's Bellman
+    residual at its sample, by the row-wise reference, to the agent's
+    one-hot slot of its W Theta, in place, bit for bit (NaN included), for
+    N agents on their own mazes, at T thetas, each stepped as a block of
+    its own from frame t mod 2: every third theta has +-inf entries, as
+    the first non-finite iterate of a diverging run does, which the engine
+    steps before its per-block check aborts the run, and their mixes and
+    residuals hold the NaN that inf - inf and 0 * inf make. (A NaN in theta
+    would meet those in the mix's sums, where which of two NaNs comes out
+    depends on the operands' order; the max's NaN is pinned by
+    test_compiled_qlearning_max_takes_numpys_nan.) Every other entry
+    keeps its mix's bytes. The slots also equal mix + eps * eval, the
+    per-agent step; elsewhere that sum differs from the mix only where the
+    mix is -0.0, which it never is."""
     feats = TabularFeatures(12, 4)
     op = qlearning_operator(feats, gamma)
     blocks = [MDPSource(maze=m).sample_block(derive_stream(seed, i, "sample"),
                                              T)
               for i, m in enumerate(maze_list)]
     n = len(maze_list)
-    advance = qlearning_block_drift(feats, gamma, n, T)[0](
-        *(np.stack(x, axis=1) for x in zip(*blocks)))
+    samples = [np.stack(x, axis=1) for x in zip(*blocks)]
+    block, _ = qlearning_block_drift(feats, gamma, n, 1)
     rng = np.random.default_rng(seed)
-    thetas = np.empty((T, n, feats.dim))
+    frames = signed_zeros(rng, (2, n, n))
     for t in range(T):
-        draw = special_values if t % 3 == 0 else signed_zeros
-        thetas[t] = draw(rng, (n, feats.dim))
-    outs = signed_zeros(rng, (T, n, feats.dim))
-    with np.errstate(invalid="ignore"):   # inf - inf
-        got = step_each(advance, thetas, outs, [eps] * T)
-    for t in range(T):
-        theta, out0, out = thetas[t], outs[t], got[t]
-        expected = out0.copy()
-        in_slot = np.zeros(out0.shape, dtype=bool)
-        with np.errstate(invalid="ignore"):   # inf - inf
+        theta = (special_values(rng, (n, feats.dim), nan=np.inf)
+                 if t % 3 == 0 else signed_zeros(rng, (n, feats.dim)))
+        with np.errstate(invalid="ignore"):   # inf - inf and 0 * inf
+            got, _, mixes = step_each(block(*(x[t:t + 1] for x in samples)),
+                                      theta, frames, t % 2, [eps])
+            out, out0 = got[0], mixes[0]
+            expected = out0.copy()
+            in_slot = np.zeros(out0.shape, dtype=bool)
             for i, (s, a, r, s_next) in enumerate(blocks):
                 res = row_wise_residual(theta[i].reshape(12, 4), gamma,
                                         s[t], a[t], r[t], s_next[t])
@@ -314,9 +326,9 @@ def test_qlearning_block_drift_matches_eval(maze_list, gamma, T, eps, seed):
                 op.eval((int(s[t]), int(a[t]), float(r[t]), int(s_next[t])),
                         theta[i])
                 for i, (s, a, r, s_next) in enumerate(blocks)])
-        assert out.tobytes() == expected.tobytes()
-        assert ((out0 + eps * evals)[in_slot].tobytes()
-                == expected[in_slot].tobytes())
+            assert out.tobytes() == expected.tobytes()
+            assert ((out0 + eps * evals)[in_slot].tobytes()
+                    == expected[in_slot].tobytes())
 
 
 def test_qlearning_block_drift_rejects_states_beyond_features():
@@ -330,17 +342,20 @@ def test_qlearning_block_drift_rejects_states_beyond_features():
 
 
 @given(st.lists(mazes((4, 3)), min_size=1, max_size=4), GAMMAS,
-       st.floats(1e-3, 10.0), st.integers(0, 2**31 - 1))
+       st.floats(1e-3, 0.5), st.integers(0, 2**31 - 1))
 @settings(max_examples=15, deadline=None)
 def test_qlearning_block_drift_refills_its_buffers_every_block(
         maze_list, gamma, eps, seed):
     """One builder, made once as the engine makes it per run, and driven
     through consecutive blocks of 128, 1, 0, 77 and 128 steps drawn by one
-    MDPSource.block_sampler: every step of every block adds eps times the
-    row-wise reference's residual to its agent's slot of its W Theta, bit
-    for bit, and the slots equal out0 + eps * eval. A block that left a row
-    of the per-run index or reward buffers as the block before it filled it
-    would step from that block's samples."""
+    MDPSource.block_sampler, each from a theta of its own, on the path's
+    two lazy Metropolis frames: every step of every block adds eps times
+    the row-wise reference's residual at its pre-step iterate to its
+    agent's slot of its W Theta, bit for bit, and the slots equal mix +
+    eps * eval. A block that left a row of the per-run index or reward
+    buffers as the block before it filled it would step from that block's
+    samples. The steps stay below 0.5, where a block's iterates stay
+    finite."""
     feats = TabularFeatures(12, 4)
     op = qlearning_operator(feats, gamma)
     n = len(maze_list)
@@ -351,11 +366,12 @@ def test_qlearning_block_drift_refills_its_buffers_every_block(
     rng = np.random.default_rng(seed)
     for T in (128, 1, 0, 77, 128):
         samples = draw(T)
-        thetas = signed_zeros(rng, (T, n, feats.dim))
-        outs = signed_zeros(rng, (T, n, feats.dim))
-        got = step_each(block(*samples), thetas, outs, [eps] * T)
+        got, prevs, mixes = step_each(
+            block(*samples), signed_zeros(rng, (n, feats.dim)),
+            path_frames(n), T % 2, [eps] * T)
+        assert np.isfinite(got).all()
         for t in range(T):
-            theta, out0, out = thetas[t], outs[t], got[t]
+            theta, out0, out = prevs[t], mixes[t], got[t]
             expected = out0.copy()
             evals = np.zeros_like(out0)
             in_slot = np.zeros(out0.shape, dtype=bool)
@@ -512,8 +528,9 @@ def system_id_sources(draw):
 @given(system_id_sources())
 @settings(max_examples=200, deadline=None)
 def test_system_id_closed_forms_match_linear_algebra(sources):
-    """The state bound and B, L are bit-equal to the dense-solve bound, and
-    alpha agrees with 2 lambda_min of the summed Lyapunov solutions."""
+    """The state bound and B, L are bit-equal to the dense-solve bound's,
+    its norm and its product with |u| summed by np.sum, and alpha agrees
+    with 2 lambda_min of the summed Lyapunov solutions."""
     from scipy.linalg import solve_discrete_lyapunov
     l_max = b_zero = 0.0
     cov_sum = 0.0
@@ -522,8 +539,8 @@ def test_system_id_closed_forms_match_linear_algebra(sources):
         xmax = solve_state_bound(A, src.noise_clip)
         np.testing.assert_array_equal(
             ar_state_bound(src.gains, src.noise_clip), xmax)
-        x1_norm = float(np.linalg.norm(xmax))
-        x2_max = float(np.abs(src.u) @ xmax) + src.noise_clip
+        x1_norm = float(np.sqrt(np.sum(xmax * xmax)))
+        x2_max = float(np.sum(np.abs(src.u) * xmax)) + src.noise_clip
         l_max = max(l_max, 2.0 * x1_norm**2)
         b_zero = max(b_zero, 2.0 * x2_max * x1_norm)
         q = np.zeros(A.shape)

@@ -1,7 +1,7 @@
 """The compiled block of steps (src/dcsa/_step.c) against the numpy
 step_loop of each batched builder, byte for byte, and the loader that
-builds and caches it (dcsa._build). Each step is taken from a chosen
-pre-step iterate and mix through step_each's mixers.
+builds and caches it (dcsa._build). Each block is stepped on weight
+frames of its own, which both paths mix into every step.
 
 Where the step did not load, operators.STEP is None and a builder given it
 steps with numpy, so every comparison still runs; the loader tests then
@@ -24,28 +24,59 @@ from dcsa.operators import (TabularFeatures, qlearning_block_drift,
                             quadratic_block_drift)
 from dcsa.sources import _SHORT_ROW, ordered_sum
 
-from strategies import GAMMAS, signed_zeros, special_values, step_each
+from strategies import (DEFAULT_NAN, GAMMAS, signed_zeros, special_values,
+                        step_each)
 
-# one run of S = 30 stacked scenarios of N = 3 agents steps 90 rows at once
-AGENTS = st.sampled_from([1, 3, 90])
+# a stack's S runs of N agents: one run and 30, as the lemma-4 ensemble
+# stacks, of N on both sides of _SHORT_ROW
+RUNS = st.sampled_from([1, 30])
+N_AGENTS = st.sampled_from([1, 3, 8, 10])
+# F weight frames and the block's first, which the draw takes mod F
+N_FRAMES = st.sampled_from([1, 3])
+FIRST = st.integers(0, 2)
+# the share of +-0.0, +-inf and NaN entries in the frames and iterates
+SHARES = st.sampled_from([0.0, 0.05, 0.5])
 
 
 def compiler_found():
     return shutil.which(shlex.split(sysconfig.get_config_var("CC") or "cc")[0])
 
 
+def frames_and_theta(rng, n_frames, n, agents, d, share, scale=1.0):
+    """F random frames of N x N and a pre-block iterate of agents x d,
+    normals with a share of +-0.0, +-inf and the machine's NaN"""
+    return (special_values(rng, (n_frames, n, n), share, DEFAULT_NAN),
+            scale * special_values(rng, (agents, d), share, DEFAULT_NAN))
+
+
+def same_block(numpy_advance, compiled_advance, theta, frames, first, steps):
+    """Both advances, run on one block of iterates each from the same
+    theta, write the same bytes."""
+    shape = (len(steps),) + theta.shape
+    expected, got = np.full(shape, 7.0), np.full(shape, -7.0)
+    eps = np.array(steps)
+    with np.errstate(all="ignore"):
+        numpy_advance(theta, expected, frames, first, eps)
+        compiled_advance(theta, got, frames, first, eps)
+    assert got.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("d", range(1, _SHORT_ROW))
-@given(agents=AGENTS, eps=st.floats(1e-3, 10.0),
-       scale=st.sampled_from([1.0, 3e307]), seed=st.integers(0, 2**31 - 1))
+@given(runs=RUNS, n=N_AGENTS, n_frames=N_FRAMES, first=FIRST, share=SHARES,
+       eps=st.floats(1e-3, 10.0), scale=st.sampled_from([1.0, 3e307]),
+       seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=20, deadline=None)
-def test_compiled_quadratic_matches_numpy_step(d, agents, eps, scale, seed):
-    """quadratic_steps adds what the numpy step adds, bit for bit, at
-    every step of a block, for every d below _SHORT_ROW and stacks of one
-    and of many rows, their rows mixed from a list and from the block: x2
-    holds zeros of both signs, +-inf and NaN, theta zeros of both signs
-    (their products -0.0 or +0.0, whose sum's sign x2 = 0 shows) and, at
-    scale 3e307, products that overflow; each step has its own eps."""
+def test_compiled_quadratic_matches_numpy_step(d, runs, n, n_frames, first,
+                                               share, eps, scale, seed):
+    """quadratic_steps writes what the numpy step_loop writes, bit for bit,
+    at every step of a block, for every d below _SHORT_ROW, stacks of one
+    run and of 30, N on both sides of _SHORT_ROW, and one or three frames
+    cycled from any first: the mix and the drift both. x2 holds zeros of
+    both signs, +-inf and NaN, the frames and theta zeros of both signs
+    and, by share, +-inf and NaN, and at scale 3e307 theta makes products
+    that overflow; each step has its own eps."""
     T = 12
+    agents = runs * n
     rng = np.random.default_rng(seed)
     (x, x2), numpy_advance, _ = quadratic_block_drift(d, agents, T)
     (kx, kx2), compiled_advance, _ = quadratic_block_drift(
@@ -53,33 +84,33 @@ def test_compiled_quadratic_matches_numpy_step(d, agents, eps, scale, seed):
     x[1:] = rng.standard_normal((T, agents, d))
     x2[:] = signed_zeros(rng, (T, agents))
     special = rng.random((T, agents)) < 0.3
-    x2[special] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan],
+    x2[special] = rng.choice([0.0, -0.0, np.inf, -np.inf, DEFAULT_NAN],
                              size=int(special.sum()))
     kx[...], kx2[...] = x, x2
-    thetas = scale * signed_zeros(rng, (T, agents, d))
-    outs = signed_zeros(rng, (T, agents, d))
+    frames, theta = frames_and_theta(rng, n_frames, n, agents, d, share,
+                                     scale)
     steps = [eps / (t + 1) for t in range(T)]   # a diminishing schedule's
-    with np.errstate(all="ignore"):
-        expected = step_each(numpy_advance, thetas, outs, steps)
-        for stacked in (False, True):
-            got = step_each(compiled_advance, thetas, outs, steps, stacked)
-            assert got.tobytes() == expected.tobytes()
+    same_block(numpy_advance, compiled_advance, theta, frames,
+               first % n_frames, steps)
 
 
 @given(n_states=st.integers(1, 6), n_actions=st.integers(1, 8),
-       gamma=GAMMAS, agents=AGENTS, eps=st.floats(1e-3, 10.0),
+       gamma=GAMMAS, runs=RUNS, n=N_AGENTS, n_frames=N_FRAMES, first=FIRST,
+       share=SHARES, eps=st.floats(1e-3, 10.0),
        seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=100, deadline=None)
 def test_compiled_qlearning_matches_numpy_step(n_states, n_actions, gamma,
-                                               agents, eps, seed):
-    """qlearning_steps adds what the numpy step adds, bit for bit, to
-    every slot at every step of a block and leaves every other entry of
-    out as it was, on the tables that pin the Bellman residual's max
+                                               runs, n, n_frames, first,
+                                               share, eps, seed):
+    """qlearning_steps writes what the numpy step_loop writes, bit for bit,
+    at every step of a block, the mix of every entry and the update of
+    every slot, on the tables that pin the Bellman residual's max
     (test_bellman_residual_matches_row_wise_max: up to 8 actions, +-0.0,
-    +-inf and NaN entries) and for stacks of one and of many agents, their
-    rows mixed from a list and from the block; each step has its own
-    eps."""
+    +-inf and NaN entries), for stacks of one run and of 30, N on both
+    sides of _SHORT_ROW, and one or three frames cycled from any first;
+    each step has its own eps."""
     T = 10
+    agents = runs * n
     rng = np.random.default_rng(seed)
     feats = TabularFeatures(n_states, n_actions)
     s, s_next = rng.integers(0, n_states, size=(2, T, agents))
@@ -89,23 +120,21 @@ def test_compiled_qlearning_matches_numpy_step(n_states, n_actions, gamma,
         s, a, r, s_next)
     compiled_advance = qlearning_block_drift(
         feats, gamma, agents, T, operators.STEP)[0](s, a, r, s_next)
-    thetas = special_values(rng, (T, agents, feats.dim))
-    outs = signed_zeros(rng, (T, agents, feats.dim))
+    frames, theta = frames_and_theta(rng, n_frames, n, agents, feats.dim,
+                                     share)
     steps = [eps / (t + 1) for t in range(T)]   # a diminishing schedule's
-    with np.errstate(all="ignore"):
-        expected = step_each(numpy_advance, thetas, outs, steps)
-        for stacked in (False, True):
-            got = step_each(compiled_advance, thetas, outs, steps, stacked)
-            assert got.tobytes() == expected.tobytes()
+    same_block(numpy_advance, compiled_advance, theta, frames,
+               first % n_frames, steps)
 
 
-def test_compiled_qlearning_max_takes_numpys_zero_and_nan():
-    """The action-order max of both steps keeps the first NaN and takes the
-    later zero of a tie of +0.0 and -0.0, as np.maximum does. Every agent
-    steps from state 1 with r = -0.0 to state 0, whose row the rows below
-    set; with Q(1, .) = +0.0, the residual r + gamma max - Q(1, a) keeps
-    the sign of a zero max, and out0 = -0.0 plus eps times it shows it. A
-    NaN max keeps its own sign bit."""
+def test_compiled_qlearning_max_takes_numpys_nan():
+    """The action-order max of both steps keeps the first NaN, as
+    np.maximum does: every agent steps from state 1 with r = -0.0 to state
+    0, whose row the rows below set, on the identity frame, and the slot
+    Q(1, 0), +0.0 in theta and so in its mix, plus eps times the residual
+    shows the sign of a NaN max. A zero max no longer shows its sign, as
+    the mix of every entry starts from +0.0: the slot is +0.0 either
+    way."""
     feats = TabularFeatures(2, 2)
     rows = np.array([[0.0, -0.0], [-0.0, 0.0], [-np.nan, np.nan],
                      [1.0, -np.nan]])
@@ -114,14 +143,15 @@ def test_compiled_qlearning_max_takes_numpys_zero_and_nan():
     theta[:, :2] = rows                     # Q(0, .), the max's row
     ones = np.ones((1, agents), dtype=int)
     sample = (ones, 0 * ones, np.full((1, agents), -0.0), 0 * ones)
-    out0 = np.full((1, agents, feats.dim), -0.0)
     slots = []
     for kernel in (None, operators.STEP):
         block, _ = qlearning_block_drift(feats, 0.5, agents, 1, kernel)
-        out = step_each(block(*sample), theta[None], out0, [0.25])[0]
+        with np.errstate(invalid="ignore"):   # 0 * nan
+            out = step_each(block(*sample), theta, np.eye(agents)[None], 0,
+                            [0.25])[0][0]
         slots.append(out[:, feats.index(1, 0)])
     assert slots[0].tobytes() == slots[1].tobytes()
-    assert np.signbit(slots[0]).tolist() == [True, False, True, True]
+    assert np.signbit(slots[0]).tolist() == [False, False, True, True]
     assert np.isnan(slots[0][2:]).all()
 
 
@@ -256,20 +286,6 @@ def test_compiled_deviations_rejects_mismatched_arrays():
         call(S=shared[:rows], dev=shared[:rows * n * d].reshape(rows, n, d))
 
 
-def no_mix(prev, out):
-    """A mixer that leaves the row as it is."""
-
-
-def fill_ones(prev, out):
-    """A mixer that sets the row to ones."""
-    out[...] = 1.0
-
-
-def failing(prev, out):
-    """A mixer that raises."""
-    raise RuntimeError("mixer")
-
-
 def read_only(shape):
     """Zeros that numpy will not export as a writable buffer."""
     a = np.zeros(shape)
@@ -280,38 +296,47 @@ def read_only(shape):
 def test_compiled_step_rejects_mismatched_arrays():
     """The block entry points check their arguments' types and sizes
     before the first step, so a wrong call raises instead of reading or
-    writing past a list or buffer: eps must be a 1-D C-contiguous float64
-    array, mixers and rows_mix must hold the block's T = len(eps) steps,
-    theta must hold one row's items, in the (N, d) or the (S, N, d) form,
-    and the sample and iterate buffers must hold T rows. An exception
-    raised by a mixer mid-block ends the block and propagates, after the
-    steps before it."""
+    writing past a buffer, and leaves iterates as it was: eps must be a
+    1-D C-contiguous float64 array, frames a C-contiguous float64 (F, N, N)
+    array with F, N >= 1 and N dividing the agents, first an int in [0,
+    F), theta must hold one row's items, the sample and iterate buffers
+    must hold T rows, and iterates must overlap neither frames nor, in its
+    first row, theta."""
     step = operators.STEP
     if step is None:
         assert not compiler_found()
         return
     T, n, d = 3, 3, 2
 
-    def quadratic(**change):
-        args = dict(x1=np.zeros((T + 1, n, d)), x2=np.zeros((T, n, 1)),
-                    theta=np.zeros((n, d)), iterates=np.zeros((T, n, d)),
-                    rows_mix=[None] * T, mixers=[no_mix] * T,
-                    eps=np.full(T, 0.1))
+    def checked(entry, args, change):
         args.update(change)
-        step.quadratic_steps(*args.values())
+        iterates = args["iterates"]
+        before = iterates.copy()
+        try:
+            entry(*args.values())
+        except (TypeError, ValueError):
+            if "iterates" not in change:
+                assert iterates.tobytes() == before.tobytes()
+            raise
+
+    def quadratic(**change):
+        checked(step.quadratic_steps,
+                dict(x1=np.zeros((T + 1, n, d)), x2=np.zeros((T, n, 1)),
+                     theta=np.ones((n, d)), iterates=np.full((T, n, d), 7.0),
+                     frames=np.ones((2, n, n)), first=1,
+                     eps=np.full(T, 0.1)), change)
 
     def qlearning(**change):
-        args = dict(index=np.zeros((T, 2, n), dtype=np.intp),
-                    reward=np.zeros((T, n)), gamma=0.5,
-                    theta=np.zeros((n, d)), iterates=np.zeros((T, n, d)),
-                    rows_mix=[None] * T, mixers=[no_mix] * T,
-                    eps=np.full(T, 0.1))
-        args.update(change)
-        step.qlearning_steps(*args.values())
+        checked(step.qlearning_steps,
+                dict(index=np.zeros((T, 2, n), dtype=np.intp),
+                     reward=np.zeros((T, n)), gamma=0.5,
+                     theta=np.ones((n, d)), iterates=np.full((T, n, d), 7.0),
+                     frames=np.ones((2, n, n)), first=1,
+                     eps=np.full(T, 0.1)), change)
 
     for call in (quadratic, qlearning):
         call()
-        call(theta=np.zeros((1, n, d)))   # a stack of one, as (S, N, d)
+        call(frames=np.ones((1, 1, 1)), first=0)   # N = 1 of 3 runs
         with pytest.raises(TypeError):
             call(eps=[0.1] * T)
         with pytest.raises(TypeError):
@@ -323,12 +348,6 @@ def test_compiled_step_rejects_mismatched_arrays():
         with pytest.raises(ValueError):
             call(theta=np.zeros((2, n, d)))
         with pytest.raises(ValueError):
-            call(mixers=[no_mix] * (T - 1))
-        with pytest.raises(ValueError):
-            call(rows_mix=[None] * (T - 1))
-        with pytest.raises(TypeError):   # no length
-            call(rows_mix=None)
-        with pytest.raises(ValueError):
             call(iterates=np.zeros((T - 1, n, d)))
         with pytest.raises(ValueError):   # numpy's: read-only
             call(iterates=read_only((T, n, d)))
@@ -336,6 +355,31 @@ def test_compiled_step_rejects_mismatched_arrays():
             call(iterates=np.zeros((T, n, 2 * d))[..., ::2])
         with pytest.raises(TypeError):
             call(theta=np.zeros((n, d), np.float32))
+        with pytest.raises(TypeError):
+            call(frames=np.ones((2, n, n), np.float32))
+        with pytest.raises(TypeError):
+            call(frames=[np.ones((n, n))] * 2)
+        with pytest.raises(ValueError):   # numpy's: not C-contiguous
+            call(frames=np.ones((2, n, 2 * n))[..., ::2])
+        for shape in [(n, n), (2, n * n), (2, n, n, 1), (0, n, n),
+                      (2, 0, 0), (2, n, n + 1), (2, n + 1, n), (2, 2, 2)]:
+            with pytest.raises(ValueError):   # 2 does not divide 3 agents
+                call(frames=np.ones(shape))
+        for first in (-1, 2, 2**40):
+            with pytest.raises(ValueError):
+                call(first=first)
+        with pytest.raises(TypeError):
+            call(first=1.0)
+        with pytest.raises(OverflowError):
+            call(first=2**70)
+        shared = np.zeros(2 * n * n + T * n * d)
+        with pytest.raises(ValueError, match="overlap"):
+            call(frames=shared[:2 * n * n].reshape(2, n, n),
+                 iterates=shared[n * n:n * n + T * n * d].reshape(T, n, d))
+        iterates = np.zeros((T, n, d))
+        with pytest.raises(ValueError, match="overlap"):
+            call(iterates=iterates, theta=iterates[0])
+        call(iterates=iterates, theta=iterates[T - 1])   # the engine's
     with pytest.raises(TypeError):
         step.quadratic_steps(np.zeros((T + 1, n, d)))
     with pytest.raises(ValueError):
@@ -360,16 +404,10 @@ def test_compiled_step_rejects_mismatched_arrays():
         qlearning(reward=np.zeros((T - 1, n)))
     with pytest.raises(ValueError):
         qlearning(theta=np.zeros(0), iterates=np.zeros(0))
+    with pytest.raises(ValueError):   # 3 agents do not split 7 entries
+        qlearning(theta=np.zeros(7), iterates=np.zeros(T * 7))
     with pytest.raises(TypeError):
         qlearning(gamma="0.5")
-
-    for call in (quadratic, qlearning):
-        iterates = np.full((T, n, d), np.nan)
-        with pytest.raises(RuntimeError, match="mixer"):
-            call(iterates=iterates, rows_mix=list(iterates),
-                 mixers=[fill_ones, fill_ones, failing])
-        assert np.isfinite(iterates[:2]).all()
-        assert np.isnan(iterates[2]).all()
 
 
 def test_compiled_step_loads_where_a_compiler_runs():
@@ -407,8 +445,8 @@ def test_compiled_step_cache_starts_no_compiler(tmp_path, monkeypatch):
     monkeypatch.setattr(subprocess, "Popen", no_process)
     second = _build.load_step(cache_dir=cache)
     assert second is not None and os.listdir(cache) == names
-    out = np.zeros((1, 1, 2))
+    out = np.full((1, 1, 2), 7.0)
     second.quadratic_steps(np.ones((2, 1, 2)), np.ones((1, 1, 1)),
-                           np.ones((1, 2)), out, [None], [no_mix],
+                           np.ones((1, 2)), out, np.zeros((1, 1, 1)), 0,
                            np.array([0.5]))
-    assert out.tolist() == [[[-1.0, -1.0]]]   # 0.5 * 2 * (1 - 2) * 1
+    assert out.tolist() == [[[-1.0, -1.0]]]   # 0 + 0.5 * 2 * (1 - 2) * 1
