@@ -19,7 +19,7 @@ from . import operators
 from .operators import (TabularFeatures, bellman_residual,
                         qlearning_block_drift, quadratic_block_drift,
                         step_loop)
-from .sources import _SHORT_ROW, ordered_sum, row_dots
+from .sources import ordered_sum, row_dots
 
 
 class CoreError(ValueError):
@@ -439,6 +439,9 @@ class MetricsTrajectory:
 # Steps per block of run(): observations are drawn, and metrics computed,
 # once per block.
 _BLOCK = 128
+# np.add.reduce chains a contiguous row shorter than this and sums a longer
+# one pairwise (see sources.ordered_sum); S keeps that reduce
+_SHORT_ROW = 8
 
 
 def run(scenario: Scenario, collect_theta_bar: bool = False, *,
@@ -592,13 +595,13 @@ def _step_stack(scs, collect_theta_bar):
         eps_prev holds the steps that produced them. Returns the (S, m)
         slacks.
 
-        theta_bar sums the agents' slices in order and divides by N (for
-        d = 1 it is numpy's mean), and S is np.add.reduce over each (step,
-        run)'s N*d squared deviations in C order, bit for bit (see
-        ordered_sum). With the compiled step, deviations makes theta_bar
-        and the squared deviations in one call, and the row sums of a short
-        N*d too. R is row_dots of theta_bar - theta* with itself. R and S
-        go into the histories through their transposes."""
+        theta_bar is the ordered_sum of the agents' slices divided by N,
+        and S is np.add.reduce over each (step, run)'s N*d squared
+        deviations in C order. With the compiled step, deviations makes
+        theta_bar and the squared deviations in one call, and the row sums
+        of a short N*d, which np.add.reduce chains, too. R is row_dots of
+        theta_bar - theta* with itself. R and S go into the histories
+        through their transposes."""
         m = len(thetas)
         ks = slice(k_lo, k_lo + m)
         theta_bar, dev = bar_buf[:m], dev_buf[:m]
@@ -607,11 +610,8 @@ def _step_stack(scs, collect_theta_bar):
             deviations(thetas.reshape(rows, n, d),
                        *[out[:rows] for out in outs])
         else:
-            if d == 1:
-                thetas.mean(axis=2, out=theta_bar)
-            else:
-                ordered_sum(thetas.transpose(2, 0, 1, 3), theta_bar)
-                theta_bar /= n
+            ordered_sum(thetas.transpose(2, 0, 1, 3), theta_bar)
+            theta_bar /= n
             np.subtract(thetas, theta_bar[:, :, None], out=dev)
             np.multiply(dev, dev, out=dev)
         if sums is not None:
@@ -678,12 +678,11 @@ def _step_stack(scs, collect_theta_bar):
     # R's theta_bar - theta*, its squares' sums and row_dots' scratch
     diff_buf = np.empty_like(bar_buf)
     r_buf, r_scratch = np.empty((2,) + buf.shape[:2])
-    # the compiled measure, unless d = 1 and N >= _SHORT_ROW, where numpy's
-    # mean sums each contiguous agent row pairwise: it writes theta_bar and
-    # dev as (m*S, d) and (m*S, N, d) rows, and for a short N*d it also sums
-    # each row's squares into sums, as np.add.reduce chains them
+    # the compiled measure: it writes theta_bar and dev as (m*S, d) and
+    # (m*S, N, d) rows, and for a short N*d it also sums each row's squares
+    # into sums, as np.add.reduce chains them
     deviations = sums = None
-    if operators.STEP is not None and (d > 1 or n < _SHORT_ROW):
+    if operators.STEP is not None:
         deviations = operators.STEP.deviations
         outs = [bar_buf.reshape(-1, d), dev_buf.reshape(-1, n, d)]
         if n * d < _SHORT_ROW:

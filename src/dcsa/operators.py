@@ -13,7 +13,7 @@ from functools import partial
 import numpy as np
 
 from ._build import load_step
-from .sources import _SHORT_ROW, ARSource, Maze, ar_state_bound
+from .sources import ARSource, Maze, ar_state_bound, dot
 
 
 class OperatorError(ValueError):
@@ -54,7 +54,7 @@ def quadratic_grad_operator(dim: int) -> LocalOperator:
     def _eval(x, theta):
         x1, x2 = x
         x1 = np.asarray(x1, dtype=float)
-        return 2.0 * (float(x2) - float((x1 * theta).sum())) * x1
+        return 2.0 * (float(x2) - dot(x1, theta)) * x1
 
     return LocalOperator(dim=dim, eval=_eval, kind="quadratic-gradient")
 
@@ -97,36 +97,34 @@ def quadratic_block_drift(dim, agents, rows, kernel=None):
     whose first T rows hold X(2). advance(theta, iterates, frames, first,
     eps) runs the block's steps as step_loop describes, step t's drift
     each agent's map at its t-th sample. Each step equals mix + eps * eval
-    bit for bit: both sum a row's products over the contiguous last axis,
-    where a (T, d) @ product would round otherwise, and both round 2 *
-    resid, its product with x1 and eps times that in this order.
+    bit for bit: both chain each agent's products x1_j theta_j from +0.0
+    in j order (sources.dot), and both round 2 * resid, its product with
+    x1 and eps times that in this order.
 
-    kernel is the compiled step module (see _build), or None. For dim <
-    _SHORT_ROW a block is one call of kernel.quadratic_steps, which chains
-    each row's products from +0.0 as np.add.reduce does there; otherwise,
-    and without a kernel, it is step_loop over the numpy formula below, in
-    (agents, dim) scratch allocated once per run; compiled says which."""
+    kernel is the compiled step module (see _build), or None. With it, a
+    block is one call of kernel.quadratic_steps; without it, step_loop
+    over the numpy formula below; compiled says which. The numpy step
+    reduces the products over the leading axis of a (dim, agents) scratch,
+    which numpy chains, at least two columns wide: numpy would sum a lone
+    column pairwise, so a lone agent's second column stays 0.0."""
     x = np.empty((rows + 1, agents, dim))
-    # a step reads x2's rows as (agents, 1) rows of a (rows, agents, 1)
-    # buffer, which broadcast against the (agents, 1) row sums
-    x2_buf = np.empty((rows, agents, 1))
-    x2 = x2_buf[..., 0]
-
-    if kernel is not None and dim < _SHORT_ROW:
-        return (x, x2), partial(kernel.quadratic_steps, x, x2_buf), True
-    x1_rows, x2_rows = list(x[1:]), list(x2_buf)
-    p = np.empty((agents, dim))
-    s = np.empty((agents, 1))
+    x2 = np.empty((rows, agents))
+    if kernel is not None:
+        return (x, x2), partial(kernel.quadratic_steps, x, x2), True
+    x1_rows, x2_rows = list(x[1:]), list(x2)
+    products, sums = np.zeros((dim, max(agents, 2))), np.empty(max(agents, 2))
+    columns, s = products[:, :agents], sums[:agents]
+    terms, resid = columns.T, s[:, None]   # (agents, dim), (agents, 1)
 
     def step(Theta, t, eps, out):
         x1_t = x1_rows[t]
-        np.multiply(x1_t, Theta, out=p)
-        np.add.reduce(p, axis=-1, keepdims=True, out=s)
+        np.multiply(x1_t.T, Theta.T, out=columns)
+        np.add.reduce(products, axis=0, out=sums)
         np.subtract(x2_rows[t], s, out=s)
         np.multiply(s, 2.0, out=s)
-        np.multiply(s, x1_t, out=p)
-        np.multiply(p, eps, out=p)
-        np.add(out, p, out=out)
+        np.multiply(resid, x1_t, out=terms)
+        np.multiply(terms, eps, out=terms)
+        np.add(out, terms, out=out)
 
     return (x, x2), partial(step_loop, step), False
 
@@ -159,14 +157,16 @@ def bellman_residual(features: TabularFeatures, gamma, theta, s, a, r, s_next):
     (states x actions) table Q; elementwise over scalars or index arrays.
 
     The max runs across the action rows of the gathered (actions, ...)
-    block, one elementwise maximum per action in action order, not as a
-    short inner loop per index. Up to 8 actions that is
-    q[s_next].max(axis=-1) bit for bit, NaN and signed zeros included;
-    numpy reduces a longer contiguous row with SIMD, which can pick the
-    other zero of a tie of +0.0 and -0.0."""
+    block, one elementwise maximum per action in action order, as the
+    compiled Q-learning step takes it: the first NaN, its sign included,
+    and of a tie of +0.0 and -0.0 the later. A scalar or length-1 s_next
+    is gathered twice, since numpy reduces an (actions, 1) block as one
+    contiguous row, which can give a NaN as +NaN or the other zero."""
     q = np.asarray(theta).reshape(features.n_states, features.n_actions)
-    return (r + gamma * np.maximum.reduce(q.T.take(s_next, axis=1), axis=0)
-            - q[s, a])
+    s_next = np.asarray(s_next)
+    pick = np.repeat(s_next, 2) if s_next.size == 1 else s_next
+    best = np.maximum.reduce(q.T.take(pick, axis=1), axis=0).ravel()
+    return r + gamma * best[:s_next.size].reshape(s_next.shape) - q[s, a]
 
 
 def qlearning_operator(features: TabularFeatures, gamma: float) -> LocalOperator:
@@ -219,9 +219,10 @@ def qlearning_block_drift(features: TabularFeatures, gamma, agents, rows,
     gather indices into an (actions + 1, agents) scratch, a max across the
     contiguous action rows, one take of out's slots and one put. Both round
     as bellman_residual does: gamma * max, then + r, then - Q(s, a), then
-    * eps, and out's slot plus that. A lone agent's scratch is strided:
-    numpy would reduce a contiguous column as one row, giving its NaN as
-    +NaN, where the kernel keeps the NaN's sign.
+    * eps, and out's slot plus that. The scratch is at least two columns
+    wide, as bellman_residual's gather is: numpy would reduce a lone
+    agent's column as one row, which can give a NaN as +NaN, where the
+    kernel keeps the NaN's sign; a lone agent's second column stays 0.0.
     """
     n_states, n_actions = features.n_states, features.n_actions
     index = np.empty((rows, n_actions + 1, agents), dtype=np.intp)
@@ -234,13 +235,14 @@ def qlearning_block_drift(features: TabularFeatures, gamma, agents, rows,
     else:
         index_rows, reward_rows = list(index), list(reward)
         slot_rows = [row[n_actions] for row in index_rows]
-        gather = np.empty((n_actions + 1, max(agents, 2)))[:, :agents]
-        q_next, q = gather[:n_actions], gather[n_actions]  # Q(s', .), Q(s, a)
-        res = np.empty(agents)
+        gather, maxima = (np.zeros((n_actions + 1, max(agents, 2))),
+                          np.empty(max(agents, 2)))
+        taken, res = gather[:, :agents], maxima[:agents]
+        q_next, q = gather[:n_actions], taken[n_actions]  # Q(s', .), Q(s, a)
 
         def step(Theta, t, eps, out):
-            Theta.take(index_rows[t], out=gather, mode="clip")
-            np.maximum.reduce(q_next, axis=0, out=res)
+            Theta.take(index_rows[t], out=taken, mode="clip")
+            np.maximum.reduce(q_next, axis=0, out=maxima)
             np.multiply(res, gamma, out=res)
             np.add(res, reward_rows[t], out=res)
             np.subtract(res, q, out=res)

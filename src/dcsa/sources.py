@@ -6,8 +6,9 @@ uniform behavior policy with goal-to-start teleports.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -240,28 +241,28 @@ class ARSource:
         x1 = np.empty(self.dim)
         x1[0] = clipped_normal(rng, self.noise_clip)
         np.multiply(self.gains, self.state[:-1], out=x1[1:])
-        x2 = float((x1 * self.u).sum()) + clipped_normal(rng, self.noise_clip)
+        x2 = dot(x1, self.u) + clipped_normal(rng, self.noise_clip)
         self.state = x1
         return x1.copy(), x2
 
     def sample_block(self, rng, T):
         """The next T samples as arrays x1 (T, d) and x2 (T,), with the
         values, final state and stream of T sample calls."""
-        x1, x2 = ARSource.block_sampler([self], [rng])(T)
+        out = np.empty((T + 1, 1, self.dim)), np.empty((T, 1))
+        x1, x2 = ARSource.block_sampler([self], [rng])(T, out)
         return x1[:, 0], x2[:, 0]
 
     @staticmethod
     def block_sampler(sources, rngs):
-        """draw(T, out=None): the next T samples of each of R ARSources of
-        one dim, each from its own stream, time-major: x1 (T, R, d) and x2
-        (T, R), with the values, final states and streams of T sample calls
-        per source.
+        """draw(T, out): the next T samples of each of R ARSources of one
+        dim, each from its own stream, time-major: x1 (T, R, d) and x2 (T,
+        R), with the values, final states and streams of T sample calls per
+        source.
 
-        out, when given, is a pair of buffers (x, x2) with at least T + 1
-        and T rows, of shapes (rows + 1, R, d) and (rows, R): the block is
-        drawn into them, row 0 of x taking the states it starts from, and
-        draw returns their views x[1:T + 1] and x2[:T]. Without out, draw
-        makes a fresh pair for the block.
+        out is a pair of buffers (x, x2) with at least T + 1 and T rows, of
+        shapes (rows + 1, R, d) and (rows, R): the block is drawn into them,
+        row 0 of x taking the states it starts from, and draw returns their
+        views x[1:T + 1] and x2[:T].
 
         The sources' clips, gains, u and states are gathered into arrays
         once, here. draw carries the states from block to block itself and
@@ -273,7 +274,7 @@ class ARSource:
         then act on all R sources at once. Column m of X(1) is gains[m-1]
         times column m-1 one step earlier: one array op per column over
         rows whose first is the state, the products sample forms. x2 is
-        row_dots of x1 and u, as sample's 1-D sum."""
+        row_dots of x1 and u, in the order of sample's dot."""
         n_sources, dim = len(sources), sources[0].dim
         clip = np.array([src.noise_clip for src in sources])[:, None, None]
         gains = np.array([src.gains for src in sources]).T
@@ -286,14 +287,11 @@ class ARSource:
         noise_buf = np.empty((n_sources, 0, 2))
         products = np.empty((0, n_sources))
 
-        def draw(T, out=None):
+        def draw(T, out):
             nonlocal state, noise_buf, products
             if noise_buf.shape[1] < T:
                 noise_buf = np.empty((n_sources, T, 2))
                 products = np.empty((T, n_sources))
-            if out is None:
-                out = (np.empty((T + 1, n_sources, dim)),
-                       np.empty((T, n_sources)))
             x, x2 = out[0][:T + 1], out[1][:T]
             noise = noise_buf[:, :T]
             for rng, rows in zip(rngs, noise):
@@ -314,19 +312,16 @@ class ARSource:
         return draw
 
 
-_SHORT_ROW = 8
-
-
 def ordered_sum(terms, out):
     """out = terms[0] + 0.0, then out += each later term, in order; returns
     out. terms may be a generator whose terms share one scratch.
 
-    This is np.add.reduce's order wherever it chains: it adds a contiguous
-    row shorter than _SHORT_ROW to +0.0 one term at a time, ((0.0 + t0) +
-    t1) + ..., sums a longer one pairwise, and chains a reduce across a
-    strided axis at any length. The chain gives the reduce's bytes, -0.0
-    included, in one array call per term where the reduce runs one short
-    inner loop per row; test_ordered_sum_is_numpys_order checks the rule."""
+    This chain, ((0.0 + t0) + t1) + ..., is the engine's one row sum at
+    every length (S alone keeps np.add.reduce; see core._SHORT_ROW).
+    numpy's reduce gives its bytes, -0.0 included, over the leading axis
+    of two or more columns and over a contiguous row shorter than 8 terms,
+    and sums a longer row or a lone column pairwise;
+    test_ordered_sum_is_numpys_order checks that."""
     terms = iter(terms)
     np.add(next(terms), 0.0, out=out)
     for term in terms:
@@ -335,15 +330,17 @@ def ordered_sum(terms, out):
 
 
 def row_dots(x, u, out, scratch):
-    """np.add.reduce(x * u, axis=-1) into out, bit for bit, for x of shape
-    (..., d) and u broadcast against it; scratch has out's shape. A short
-    row is the ordered_sum of its columns' products, each made in scratch,
-    so no (..., d) product is made; a longer one keeps the reduce."""
-    d = x.shape[-1]
-    if d >= _SHORT_ROW:
-        return np.add.reduce(x * u, axis=-1, out=out)
+    """The ordered_sum over m of x[..., m] u[..., m] into out, for x of
+    shape (..., d) and u broadcast against it; scratch has out's shape.
+    Each column's products are made in scratch, so no (..., d) product is
+    made."""
     return ordered_sum((np.multiply(x[..., m], u[..., m], out=scratch)
-                        for m in range(d)), out)
+                        for m in range(x.shape[-1])), out)
+
+
+def dot(x, u) -> float:
+    """<x, u> of 1-D x and u, in row_dots' order, in Python floats."""
+    return reduce(operator.add, np.multiply(x, u).tolist(), 0.0)
 
 
 def ar_state_bound(gains, noise_clip) -> np.ndarray:

@@ -226,9 +226,9 @@ def test_cli_run_summary_names_the_blas_core(tmp_path):
 def test_cli_run_summary_says_whether_the_step_is_compiled(tmp_path,
                                                           monkeypatch):
     """compiled_step is true where the run stepped with the compiled drift
-    step and false where it stepped with numpy: where the step did not
-    load, and for d = 8, whose rows numpy sums pairwise. The run's outputs
-    are the same bytes either way."""
+    step and false where it stepped with numpy, where the step did not
+    load; a d = 8 run steps compiled too. The run's outputs are the same
+    bytes either way."""
     cfg = write_cfg(tmp_path, SYSTEM_ID_CFG)
     outputs = []
     for step in (operators.STEP, None):
@@ -244,7 +244,8 @@ def test_cli_run_summary_says_whether_the_step_is_compiled(tmp_path,
     cfg = write_cfg(tmp_path, SYSTEM_ID_CFG.replace("dim = 3", "dim = 8"))
     out = tmp_path / "out-d8"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
-    assert not json.loads((out / "summary.json").read_text())["compiled_step"]
+    assert (json.loads((out / "summary.json").read_text())["compiled_step"]
+            is (operators.STEP is not None))
 
 
 def test_cli_run_byte_identical(tmp_path):

@@ -9,8 +9,10 @@ every run of a stack the trajectory of its scenario run alone.
 
 import copy
 import dataclasses
+import functools
 import json
 import math
+import operator
 import types
 import warnings
 
@@ -28,7 +30,7 @@ from dcsa.experiments import build_gridworld_scenario, build_scenario
 from dcsa.graphs import lazy_metropolis, line_graph
 from dcsa.operators import LocalOperator, qlearning_operator
 from dcsa.rng import derive_stream
-from dcsa.sources import _SHORT_ROW, parse_maze
+from dcsa.sources import parse_maze
 
 from strategies import mazes
 
@@ -37,7 +39,9 @@ def run_reference(sc, collect_theta_bar=False):
     """The per-step run() loop: every agent draws one observation with its
     source's sample and evaluates its operator's eval at every step. W Theta
     is Python's sum over j of the products W[:, j] Theta_j, from 0.0 in j
-    order, and R is np.sum of the squared differences."""
+    order, theta_bar Python's sum of the agents' rows from 0.0 divided by
+    N, R the sum of the squared differences from 0.0 in coordinate order,
+    and S np.sum of the squared deviations."""
     n, d = sc.n_agents, sc.dim
     rngs = [derive_stream(sc.seed, i, "sample") for i in range(n)]
     sources = [copy.copy(src) for src in sc.sources]
@@ -71,10 +75,11 @@ def run_reference(sc, collect_theta_bar=False):
     ops_eval = [op.eval for op in sc.ops]
     prev_slack = math.nan
     for k in range(horizon + 1):
-        theta_bar = Theta.mean(axis=0)
+        theta_bar = sum(Theta, 0.0) / n
         if theta_star is not None:
             diff = theta_bar - theta_star
-            R_hist[k] = float(np.sum(diff * diff))
+            R_hist[k] = functools.reduce(operator.add,
+                                         (diff * diff).tolist(), 0.0)
         dev = Theta - theta_bar
         S_hist[k] = float(np.sum(dev * dev))
         if collect_theta_bar:
@@ -184,8 +189,8 @@ HORIZONS = st.one_of(
        time_varying=st.booleans(), constants=st.booleans(),
        collect_theta_bar=st.booleans(), batched=st.booleans(),
        seed=st.integers(0, 2**31 - 1), negative_zeros=st.booleans())
-# d = 1: measure keeps numpy's pairwise mean over the contiguous agent axis,
-# which differs from adding agent slices from n = 8 on
+# d = 1: theta_bar chains the agents at every N, where numpy's mean over the
+# contiguous agent axis would sum them pairwise from N = 8 on
 @example(n=3, d=1, horizon=300, stride=7, step=("constant", 0.3),
          time_varying=False, constants=True, collect_theta_bar=True,
          batched=True, seed=5, negative_zeros=False)
@@ -216,6 +221,14 @@ HORIZONS = st.one_of(
 @example(n=9, d=3, horizon=300, stride=7, step=("constant", 0.03),
          time_varying=False, constants=True, collect_theta_bar=True,
          batched=False, seed=5, negative_zeros=False)
+# d = 8 and 20: <x1, theta>, <u, X(1)> and R chain their d terms, where
+# numpy would sum a contiguous row of 8 or more pairwise
+@example(n=3, d=8, horizon=300, stride=7, step=("diminishing", 1.0),
+         time_varying=True, constants=True, collect_theta_bar=True,
+         batched=True, seed=5, negative_zeros=False)
+@example(n=2, d=20, horizon=300, stride=7, step=("constant", 0.03),
+         time_varying=False, constants=True, collect_theta_bar=True,
+         batched=True, seed=5, negative_zeros=True)
 @settings(max_examples=60, deadline=None)
 def test_run_matches_reference_loop(n, d, horizon, stride, step, time_varying,
                                     constants, collect_theta_bar, batched,
@@ -558,14 +571,14 @@ def counting_step(calls):
 def test_block_drift_picks_the_compiled_step(monkeypatch):
     """_block_drift hands operators.STEP, as it is at the run, to the
     batched builders: a run, or a stack of runs, makes one call per block,
-    ceil(horizon / _BLOCK) in all, of quadratic_steps for d < _SHORT_ROW
-    and of qlearning_steps for Q-learning, and none for d >= _SHORT_ROW,
-    whose rows numpy sums pairwise, or for sources stepped agent by agent.
-    With STEP None, it makes none. Each trajectory's compiled_step is true
-    exactly for the runs whose steps called it. Every run here, of d > 1,
-    is measured by one deviations call per block and one for k = 0,
-    whichever its drift path. Where the step did not load, only the runs
-    with STEP None are made, and every run steps with numpy."""
+    ceil(horizon / _BLOCK) in all, of quadratic_steps at every d and of
+    qlearning_steps for Q-learning, and none for sources stepped agent by
+    agent. With STEP None, it makes none. Each trajectory's compiled_step
+    is true exactly for the runs whose steps called it. Every run here, d
+    = 1 with N = 8 included, is measured by one deviations call per block
+    and one for k = 0, whichever its drift path. Where the step did not
+    load, only the runs with STEP None are made, and every run steps with
+    numpy."""
     calls = []
     loaded = operators.STEP is not None
     horizon = _BLOCK + 22
@@ -584,7 +597,10 @@ def test_block_drift_picks_the_compiled_step(monkeypatch):
                 cfg, seed=seed)) for seed in (1, 2)]),
              ["quadratic_steps"] * blocks),
             (lambda: [run(build_scenario(dataclasses.replace(cfg, dim=8)))],
-             []),
+             ["quadratic_steps"] * blocks),
+            (lambda: [run(build_scenario(dataclasses.replace(
+                cfg, n_agents=8, dim=1)))],
+             ["quadratic_steps"] * blocks),
             (lambda: [run(gridworld)], ["qlearning_steps"] * blocks),
             (lambda: [run(unbatched)], [])]
     monkeypatch.setattr(operators, "STEP", counting_step(calls))
@@ -610,10 +626,9 @@ def test_compiled_step_fallback_gives_the_same_bytes(monkeypatch, tmp_path):
     their frame cycle at k0 mod 3 = 2 and 1, a single GridWorld run
     (d = 100), a 3-run GridWorld stack, a system-id stack whose runs abort
     on non-finite iterates, a lemma-4-shaped stack of N = 3, d = 2, whose
-    short rows deviations sums, a d = 100 system-id run, which steps with
-    numpy and is measured compiled, and a d = 1, N = _SHORT_ROW run, which
-    keeps numpy's pairwise mean. Where operators.STEP did not load, both
-    sets of runs step with numpy, and must still agree."""
+    short rows deviations sums, a d = 100 system-id run, and a d = 1, N =
+    8 run. Where operators.STEP did not load, both sets of runs step with
+    numpy, and must still agree."""
     fallback = _build.load_step(cc=[str(tmp_path / "no-such-cc")],
                                 cache_dir=str(tmp_path / "cache"))
     assert fallback is None
@@ -630,7 +645,7 @@ def test_compiled_step_fallback_gives_the_same_bytes(monkeypatch, tmp_path):
                             step_eps=1e-4, compute_constants=True)
     wide = dataclasses.replace(cfg, n_agents=2, dim=100, stride=30,
                                compute_constants=False)
-    scalar = dataclasses.replace(cfg, n_agents=_SHORT_ROW, dim=1)
+    scalar = dataclasses.replace(cfg, n_agents=8, dim=1)
     grid_cfg = ScenarioConfig(scenario="gridworld", n_agents=3, dim=100,
                               horizon=horizon, stride=30,
                               maze_files="unused")
@@ -653,8 +668,7 @@ def test_compiled_step_fallback_gives_the_same_bytes(monkeypatch, tmp_path):
     assert len(build_scenario(frames).weights) == 3 and _BLOCK % 3 == 2
     loaded = operators.STEP is not None
     compiled = runs()
-    assert all(traj.compiled_step is loaded for traj in compiled[:-1])
-    assert not compiled[-1].compiled_step   # d >= _SHORT_ROW steps with numpy
+    assert all(traj.compiled_step is loaded for traj in compiled)
     monkeypatch.setattr(operators, "STEP", fallback)
     for new, ref in zip(runs(), compiled, strict=True):
         assert not new.compiled_step

@@ -438,18 +438,15 @@ class StationaryARSource(ARSource):
 
     @staticmethod
     def block_sampler(sources, rngs):
-        """draw(T, out=None) with ARSource.block_sampler's out protocol; row
-        0 of x, the chain's starting state there, is left as it is."""
-        n_sources, dim = len(sources), sources[0].dim
+        """draw(T, out) with ARSource.block_sampler's out protocol; row 0
+        of x, the chain's starting state there, is left as it is."""
+        dim = sources[0].dim
         clip = np.array([src.noise_clip for src in sources])[:, None]
         gains = np.cumprod([np.concatenate(([1.0], src.gains))
                             for src in sources], axis=1)
         u = np.array([src.u for src in sources])
 
-        def draw(T, out=None):
-            if out is None:
-                out = (np.empty((T + 1, n_sources, dim)),
-                       np.empty((T, n_sources)))
+        def draw(T, out):
             x1, x2 = out[0][1:T + 1], out[1][:T]
             noise = np.stack([rng.standard_normal((T, dim + 1))
                               for rng in rngs], axis=1)

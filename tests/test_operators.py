@@ -1,4 +1,6 @@
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -106,9 +108,10 @@ def test_quadratic_block_drift_matches_eval(n, d, T, eps, seed, scale):
     eval at its sample to every row of its W Theta: mix + eps * eval, bit
     for bit, for N agents with their own AR sources, at T thetas of any
     size, overflowing ones included, each stepped as a block of its own
-    from frame t mod 2; d above 8 takes numpy's pairwise sums. The frames
-    are divided by the scale, so that the mix stays near the iterate's
-    unit and the drift's overflow shows."""
+    from frame t mod 2, for d on both sides of the 8 terms from which numpy
+    sums a contiguous row pairwise. The frames are divided by the scale, so
+    that the mix stays near the iterate's unit and the drift's overflow
+    shows."""
     op = quadratic_grad_operator(d)
     blocks = [ar_block(seed, i, d, T) for i in range(n)]
     (x, x2), advance, _ = quadratic_block_drift(d, n, 1)
@@ -135,7 +138,7 @@ def test_quadratic_block_drift_zero_x2_signed_zeros(d, kernel):
     with every product -0.0, eval's sum, which starts from +0.0, is +0.0,
     so x2 = -0.0 gives -0.0 - (+0.0) = -0.0 and x2 = +0.0 gives +0.0. Both
     steps, numpy's and the compiled one (the numpy step again where it did
-    not load, and for d >= 8), must equal mix + eps * eval, bit for bit.
+    not load), must equal mix + eps * eval, bit for bit.
     The mix of theta = -0.0 is +0.0, as every mix starts from +0.0, so
     neither zero update's sign reaches the iterate."""
     op = quadratic_grad_operator(d)
@@ -247,36 +250,46 @@ def test_qlearning_eval_matches_explicit_formula(maze, gamma, seed):
 
 def row_wise_residual(q, gamma, s, a, r, s_next):
     """The reference Bellman residual on the (states x actions) table q:
-    one max per gathered row."""
-    return (r + gamma * np.maximum.reduce(q.take(s_next, axis=0), axis=-1)
+    the max of each Q(s', .) as one np.maximum per action, in action
+    order, which keeps the first NaN and takes the later of a tie of +0.0
+    and -0.0, as the compiled Q-learning step does."""
+    return (r + gamma * functools.reduce(np.maximum, q.T[:, s_next])
             - q[s, a])
 
 
-@given(st.integers(1, 6), st.integers(1, 8), GAMMAS,
-       st.sampled_from([(), (1,), (7,), (200,), (20, 3)]),
+@given(st.integers(1, 6), st.integers(1, 20), GAMMAS,
+       st.sampled_from([(), (1,), (2,), (7,), (200,), (20, 3)]),
        st.integers(0, 2**31 - 1))
 @settings(max_examples=200, deadline=None)
 def test_bellman_residual_matches_row_wise_max(n_states, n_actions, gamma,
                                                shape, seed):
-    """bellman_residual equals the row-wise reference bit for bit, NaN and
-    signed zeros included, on tables with +-0.0, +-inf and NaN entries,
-    for scalar indices (eval), 1-D ones (td_error, value_iteration_q) and
-    (T, agents) ones. Up to 8 actions: numpy reduces a longer contiguous
-    row with SIMD, which can give the other zero of a tie of +0.0 and
-    -0.0."""
+    """bellman_residual equals the action-order reference bit for bit, NaN
+    and signed zeros included, on tables with +-0.0, +-inf and NaNs of
+    both signs, for scalar indices (eval), 1-D ones (td_error,
+    value_iteration_q) and (T, agents) ones; and each index gives the same
+    bytes alone, as a scalar and as a length-1 array, as in the whole call
+    (numpy would reduce a lone gathered column as one row, which can give
+    a -NaN as +NaN)."""
     rng = np.random.default_rng(seed)
     q = special_values(rng, (n_states, n_actions))
+    q[np.isnan(q) & (rng.random(q.shape) < 0.5)] = -np.nan
     s, s_next = rng.integers(0, n_states, size=(2,) + shape)
     a = rng.integers(0, n_actions, size=shape)
     r = signed_zeros(rng, shape)
-    if shape == ():
-        s, a, s_next, r = int(s), int(a), int(s_next), float(r)
+    feats = TabularFeatures(n_states, n_actions)
     with np.errstate(invalid="ignore"):   # inf - inf
-        got = bellman_residual(TabularFeatures(n_states, n_actions), gamma,
-                               q.ravel(), s, a, r, s_next)
+        got = bellman_residual(feats, gamma, q.ravel(), s, a, r, s_next)
         expected = row_wise_residual(q, gamma, s, a, r, s_next)
-    assert np.shape(got) == shape
-    assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+        assert np.shape(got) == shape
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+        for i in np.ndindex(shape):
+            alone = (int(s[i]), int(a[i]), float(r[i]), int(s_next[i]))
+            scalar = bellman_residual(feats, gamma, q.ravel(), *alone)
+            single = bellman_residual(feats, gamma, q.ravel(),
+                                      *[np.array([v]) for v in alone])
+            assert np.shape(scalar) == () and np.shape(single) == (1,)
+            assert (np.float64(scalar).tobytes() == single.tobytes()
+                    == np.asarray(got)[i].tobytes())
 
 
 @given(st.lists(mazes((4, 3)), min_size=1, max_size=4), GAMMAS,

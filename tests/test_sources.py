@@ -1,16 +1,19 @@
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dcsa.core import _SHORT_ROW
 from dcsa.rng import derive_stream
 from dcsa.sources import (ARSource, FiniteChain, MDPSource, SourceError,
-                          ar_state_bound, ergodicity_report,
+                          ar_state_bound, dot, ergodicity_report,
                           fit_mixing_profile, mixing_time, ordered_sum,
                           parse_maze, row_dots, slem,
-                          stationary_distribution, tv_distance, _SHORT_ROW)
+                          stationary_distribution, tv_distance)
 
 from strategies import mazes
 
@@ -496,36 +499,44 @@ def special_floats(rng, shape):
 @given(st.integers(0, 2**31 - 1))
 @settings(max_examples=30, deadline=None)
 def test_row_dots_match_reduce(seed):
-    """row_dots gives np.add.reduce(x * u, axis=-1) bit for bit, for x of
-    shape (T, R, d) and u of shape (R, d) as the AR sampler passes them: for
-    each d = 1 to 7 its chain of column adds and + 0.0, for d = 8 to 10 the
-    reduce, with +-0.0, subnormals, +-inf and NaN among the entries."""
+    """row_dots gives the chain ((0.0 + x0 u0) + x1 u1) + ... bit for bit,
+    for x of shape (T, R, d) and u of shape (R, d) as the AR sampler passes
+    them, for every d = 1 to 10, and so np.add.reduce(x * u, axis=-1) for
+    d below _SHORT_ROW; dot gives each row's chain too. +-0.0, subnormals,
+    +-inf and NaN are among the entries."""
     rng = np.random.default_rng(seed)
     for d in range(1, 11):
         x = special_floats(rng, (20, 3, d))
         u = special_floats(rng, (3, d))
         out = np.empty((20, 3))
         with np.errstate(invalid="ignore"):
-            expected = np.add.reduce(x * u, axis=-1)
+            chain = functools.reduce(operator.add,
+                                     (x[..., m] * u[:, m] for m in range(d)),
+                                     0.0)
             assert row_dots(x, u, out, np.empty_like(out)) is out
-        assert out.tobytes() == expected.tobytes(), d
+            if d < _SHORT_ROW:
+                assert out.tobytes() == np.add.reduce(x * u, -1).tobytes()
+            dots = [[dot(row, u_r) for row, u_r in zip(rows, u)]
+                    for rows in x]
+        assert out.tobytes() == chain.tobytes() == np.array(dots).tobytes(), d
 
 
 def test_ordered_sum_is_numpys_order():
     """The installed numpy sums as ordered_sum says: np.add.reduce over a
     contiguous row of 1 to _SHORT_ROW - 1 terms, and over the first axis
-    of an (N, d >= 2) array for N up to 20, equals the chain from +0.0
-    byte for byte, with +-0.0, subnormals, +-inf and NaN among the terms;
-    a row of _SHORT_ROW terms is summed pairwise, which the chain is not.
-    A numpy release that changes the rule fails here, by name, before the
-    engine's byte-equality tests fail by scattered bytes."""
+    of an (N, d >= 2) array for N up to 20 and N = 100, equals the chain
+    from +0.0 byte for byte, with +-0.0, subnormals, +-inf and NaN among
+    the terms; a row of _SHORT_ROW terms, or an (N, 1) column, is summed
+    pairwise, which the chain is not. A numpy release that changes the
+    rule fails here, by name, before the engine's byte-equality tests fail
+    by scattered bytes."""
     rng = np.random.default_rng(21)
     with np.errstate(invalid="ignore"):
         for d in range(1, _SHORT_ROW):
             x = special_floats(rng, (2000, d))
             chain = ordered_sum(x.T, np.empty(2000))
             assert np.add.reduce(x, axis=-1).tobytes() == chain.tobytes(), d
-        for n in range(1, 21):
+        for n in [*range(1, 21), 100]:
             for _ in range(25):
                 a = special_floats(rng, (n, int(rng.integers(2, 6))))
                 chain = ordered_sum(a, np.empty(a.shape[1]))
@@ -535,6 +546,9 @@ def test_ordered_sum_is_numpys_order():
     row = np.array([1e16] + [1.0] * (_SHORT_ROW - 1))
     assert np.add.reduce(row) - 1e16 == 6.0
     assert ordered_sum(row, np.empty(())) - 1e16 == 0.0
+    columns = np.stack([row, row], axis=1)
+    assert (np.add.reduce(columns[:, :1], axis=0) - 1e16).tolist() == [6.0]
+    assert (np.add.reduce(columns, axis=0) - 1e16).tolist() == [0.0, 0.0]
 
 
 def test_maze_transitions_table_is_built_on_first_use():

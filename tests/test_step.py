@@ -16,13 +16,14 @@ import sysconfig
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dcsa import _build, operators
+from dcsa.core import _SHORT_ROW
 from dcsa.operators import (TabularFeatures, qlearning_block_drift,
                             quadratic_block_drift)
-from dcsa.sources import _SHORT_ROW, ordered_sum
+from dcsa.sources import ordered_sum
 
 from strategies import (DEFAULT_NAN, GAMMAS, signed_zeros, special_values,
                         step_each)
@@ -61,16 +62,21 @@ def same_block(numpy_advance, compiled_advance, theta, frames, first, steps):
     assert got.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("d", range(1, _SHORT_ROW))
+@pytest.mark.parametrize("d", [*range(1, 10), 17, 100])
 @given(runs=RUNS, n=N_AGENTS, n_frames=N_FRAMES, first=FIRST, share=SHARES,
        eps=st.floats(1e-3, 10.0), scale=st.sampled_from([1.0, 3e307]),
        seed=st.integers(0, 2**31 - 1))
+# a lone agent: the numpy step's scratch keeps a second column, without
+# which numpy would sum the agent's products pairwise
+@example(runs=1, n=1, n_frames=1, first=0, share=0.05, eps=0.5, scale=1.0,
+         seed=3)
 @settings(max_examples=20, deadline=None)
 def test_compiled_quadratic_matches_numpy_step(d, runs, n, n_frames, first,
                                                share, eps, scale, seed):
     """quadratic_steps writes what the numpy step_loop writes, bit for bit,
-    at every step of a block, for every d below _SHORT_ROW, stacks of one
-    run and of 30, N on both sides of _SHORT_ROW, and one or three frames
+    at every step of a block, for d on both sides of the 8 terms from which
+    numpy sums a contiguous row pairwise, a lone agent, stacks of one run
+    and of 30, N on both sides of _SHORT_ROW, and one or three frames
     cycled from any first: the mix and the drift both. x2 holds zeros of
     both signs, +-inf and NaN, the frames and theta zeros of both signs
     and, by share, +-inf and NaN, and at scale 3e307 theta makes products
@@ -94,7 +100,7 @@ def test_compiled_quadratic_matches_numpy_step(d, runs, n, n_frames, first,
                first % n_frames, steps)
 
 
-@given(n_states=st.integers(1, 6), n_actions=st.integers(1, 8),
+@given(n_states=st.integers(1, 6), n_actions=st.integers(1, 20),
        gamma=GAMMAS, runs=RUNS, n=N_AGENTS, n_frames=N_FRAMES, first=FIRST,
        share=SHARES, eps=st.floats(1e-3, 10.0),
        seed=st.integers(0, 2**31 - 1))
@@ -105,7 +111,7 @@ def test_compiled_qlearning_matches_numpy_step(n_states, n_actions, gamma,
     """qlearning_steps writes what the numpy step_loop writes, bit for bit,
     at every step of a block, the mix of every entry and the update of
     every slot, on the tables that pin the Bellman residual's max
-    (test_bellman_residual_matches_row_wise_max: up to 8 actions, +-0.0,
+    (test_bellman_residual_matches_row_wise_max: up to 20 actions, +-0.0,
     +-inf and NaN entries), for stacks of one run and of 30, N on both
     sides of _SHORT_ROW, and one or three frames cycled from any first;
     each step has its own eps."""
@@ -157,27 +163,24 @@ def test_compiled_qlearning_max_takes_numpys_nan():
 
 def numpy_measure(thetas, n_runs):
     """theta_bar, dev and S of core.run's numpy measure of a block thetas
-    = (m * n_runs, N, d): the agents' ordered_sum over N (numpy's mean for
-    d = 1), the squared deviations, and np.add.reduce of each (step, run)'s
-    N * d of them."""
+    = (m * n_runs, N, d): the agents' ordered_sum over N divided by N, the
+    squared deviations, and np.add.reduce of each (step, run)'s N * d of
+    them."""
     rows, n, d = thetas.shape
     block = thetas.reshape(rows // n_runs, n_runs, n, d)
-    if d == 1:
-        theta_bar = block.mean(axis=2)
-    else:
-        theta_bar = ordered_sum(block.transpose(2, 0, 1, 3),
-                                np.empty((rows // n_runs, n_runs, d)))
-        theta_bar /= n
+    theta_bar = ordered_sum(block.transpose(2, 0, 1, 3),
+                            np.empty((rows // n_runs, n_runs, d)))
+    theta_bar /= n
     dev = np.subtract(block, theta_bar[:, :, None])
     np.multiply(dev, dev, out=dev)
     return (theta_bar.reshape(rows, d), dev.reshape(rows, n, d),
             np.add.reduce(dev.reshape(rows, n * d), axis=-1))
 
 
-# (N, d) on both sides of N * d = _SHORT_ROW, d = 1 only where numpy's mean
-# chains the N agents
-MEASURE_SHAPES = [(1, 1), (3, 1), (7, 1), (3, 2), (2, 3), (1, 7), (4, 2),
-                  (1, 8), (3, 5), (10, 5), (3, 100)]
+# (N, d) on both sides of N * d = _SHORT_ROW, and d = 1 with N on both
+# sides of it, where numpy's mean would sum the agents pairwise
+MEASURE_SHAPES = [(1, 1), (3, 1), (7, 1), (8, 1), (10, 1), (3, 2), (2, 3),
+                  (1, 7), (4, 2), (1, 8), (3, 5), (10, 5), (3, 100)]
 
 
 @pytest.mark.parametrize("n, d", MEASURE_SHAPES)
