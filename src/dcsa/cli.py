@@ -26,7 +26,8 @@ EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
 _VALIDATION_ERRORS = (ConfigError, ScenarioError, GraphError, SourceError,
-                      OperatorError, CoreError, FormatError, OSError)
+                      OperatorError, CoreError, FormatError, OSError,
+                      UnicodeDecodeError)
 
 
 def _load_config(args):

@@ -19,7 +19,7 @@ from . import operators
 from .operators import (TabularFeatures, bellman_residual,
                         qlearning_block_drift, quadratic_block_drift,
                         step_loop)
-from .sources import ordered_sum, row_dots
+from .sources import Chain
 
 
 class CoreError(ValueError):
@@ -394,6 +394,11 @@ class Scenario:
             raise CoreError(f"theta0 must have shape ({n},{d})")
         if not np.isfinite(self.theta0).all():
             raise CoreError("theta0 must be finite")
+        if self.theta_star is not None:
+            self.theta_star = np.asarray(self.theta_star, dtype=float)
+            if (self.theta_star.shape != (d,)
+                    or not np.isfinite(self.theta_star).all()):
+                raise CoreError(f"theta_star must be a finite ({d},) vector")
         if self.horizon < 0 or self.stride < 1:
             raise CoreError("horizon must be >= 0 and stride >= 1")
 
@@ -440,7 +445,7 @@ class MetricsTrajectory:
 # once per block.
 _BLOCK = 128
 # np.add.reduce chains a contiguous row shorter than this and sums a longer
-# one pairwise (see sources.ordered_sum); S keeps that reduce
+# one pairwise (see sources.Chain); S keeps that reduce
 _SHORT_ROW = 8
 
 
@@ -568,8 +573,8 @@ def _step_stack(scs, collect_theta_bar):
     S_hist = np.full((n_runs, horizon + 1), math.nan)
     tb_hist = np.zeros((n_runs, horizon + 1, d)) if collect_theta_bar else None
     theta_star = None
-    if sc.theta_star is not None:
-        theta_star = np.stack([np.asarray(s.theta_star) for s in scs])
+    if sc.theta_star is not None:   # (d, 1, S), as R's chain lays it out
+        theta_star = np.stack([s.theta_star for s in scs], axis=1)[:, None]
     check_lemma3 = sc.constants is not None and theta_star is not None
     if check_lemma3:
         # lemma3_residual broadcasts each run's B and C0, held as (S, 1)
@@ -595,12 +600,11 @@ def _step_stack(scs, collect_theta_bar):
         eps_prev holds the steps that produced them. Returns the (S, m)
         slacks.
 
-        theta_bar is the ordered_sum of the agents' slices divided by N,
-        and S is np.add.reduce over each (step, run)'s N*d squared
-        deviations in C order. With the compiled step, deviations makes
-        theta_bar and the squared deviations in one call, and the row sums
-        of a short N*d, which np.add.reduce chains, too. R is row_dots of
-        theta_bar - theta* with itself. R and S go into the histories
+        theta_bar is the Chain of the agents' slices divided by N, R the
+        Chain of the squares of theta_bar - theta*, and S np.add.reduce
+        over each (step, run)'s N*d squared deviations in C order. With the
+        compiled step, deviations makes theta_bar, the squared deviations
+        and a short N*d's S in one call. R and S go into the histories
         through their transposes."""
         m = len(thetas)
         ks = slice(k_lo, k_lo + m)
@@ -610,7 +614,8 @@ def _step_stack(scs, collect_theta_bar):
             deviations(thetas.reshape(rows, n, d),
                        *[out[:rows] for out in outs])
         else:
-            ordered_sum(thetas.transpose(2, 0, 1, 3), theta_bar)
+            np.copyto(bar_chain.terms[:, :m], thetas.transpose(2, 0, 1, 3))
+            bar_chain(theta_bar)
             theta_bar /= n
             np.subtract(thetas, theta_bar[:, :, None], out=dev)
             np.multiply(dev, dev, out=dev)
@@ -620,8 +625,10 @@ def _step_stack(scs, collect_theta_bar):
             S_hist.T[ks] = np.add.reduce(dev.reshape(m, n_runs, n * d),
                                          axis=-1)
         if theta_star is not None:
-            diff = np.subtract(theta_bar, theta_star, out=diff_buf[:m])
-            R_hist.T[ks] = row_dots(diff, diff, r_buf[:m], r_scratch[:m])
+            diff = r_chain.terms[:, :m]   # (d, m, S)
+            np.subtract(theta_bar.transpose(2, 0, 1), theta_star, out=diff)
+            np.multiply(diff, diff, out=diff)
+            R_hist.T[ks] = r_chain(np.empty((m, n_runs)))
         if collect_theta_bar:
             tb_hist.swapaxes(0, 1)[ks] = theta_bar
         slack = np.full((n_runs, m), math.nan)
@@ -675,9 +682,7 @@ def _step_stack(scs, collect_theta_bar):
     buf = np.empty((max(1, min(_BLOCK, horizon)), n_runs, n, d))
     dev_buf = np.empty_like(buf)
     bar_buf = np.empty(buf.shape[:2] + (d,))
-    # R's theta_bar - theta*, its squares' sums and row_dots' scratch
-    diff_buf = np.empty_like(bar_buf)
-    r_buf, r_scratch = np.empty((2,) + buf.shape[:2])
+    r_chain = Chain(d, buf.shape[:2]) if theta_star is not None else None
     # the compiled measure: it writes theta_bar and dev as (m*S, d) and
     # (m*S, N, d) rows, and for a short N*d it also sums each row's squares
     # into sums, as np.add.reduce chains them
@@ -688,6 +693,8 @@ def _step_stack(scs, collect_theta_bar):
         if n * d < _SHORT_ROW:
             sums = np.empty(len(outs[0]))
             outs.append(sums)
+    else:
+        bar_chain = Chain(n, bar_buf.shape)
     iterates = buf.reshape(len(buf), n_runs * n, d)
     frames = np.stack([w.entries for w in sc.weights])
     # a diverging run overflows before its iterate does: its iterates and

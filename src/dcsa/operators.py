@@ -13,7 +13,7 @@ from functools import partial
 import numpy as np
 
 from ._build import load_step
-from .sources import ARSource, Maze, ar_state_bound, dot
+from .sources import ARSource, Chain, Maze, ar_state_bound, dot
 
 
 class OperatorError(ValueError):
@@ -59,14 +59,14 @@ def quadratic_grad_operator(dim: int) -> LocalOperator:
     return LocalOperator(dim=dim, eval=_eval, kind="quadratic-gradient")
 
 
-def mix(w, theta, out, products):
+def mix(w, theta, out, chain):
     """out = W theta for each run, out and theta (S, N, d), w (N, N) and
-    products (N, S, N, d): W[:, j] theta_j reduced over j, their leading
-    axis, which numpy chains as ordered_sum does, into the compiled steps'
-    ((+0.0 + W(i, 0) theta(0, c)) + W(i, 1) theta(1, c)) + ..., no BLAS."""
+    chain a Chain(N, (S, N, d)): the products W[:, j] theta_j, made in its
+    terms, chained over j into the compiled steps' ((+0.0 + W(i, 0)
+    theta(0, c)) + W(i, 1) theta(1, c)) + ..., no BLAS."""
     np.multiply(w.T[:, None, :, None], theta.transpose(1, 0, 2)[:, :, None],
-                out=products)
-    return np.add.reduce(products, axis=0, out=out)
+                out=chain.terms)
+    return chain(out)
 
 
 def step_loop(step, theta, iterates, frames, first, eps):
@@ -79,10 +79,10 @@ def step_loop(step, theta, iterates, frames, first, eps):
     (S N, d) pre-block iterate, at t = 0 and row t - 1 after."""
     n_frames, n = frames.shape[:2]
     shape = (iterates.shape[1] // n, n, iterates.shape[2])
-    prev, products = theta, np.empty((n,) + shape)
+    prev, chain = theta, Chain(n, shape)
     for t, (e, out) in enumerate(zip(eps, iterates)):
         mix(frames[(first + t) % n_frames], prev.reshape(shape),
-            out.reshape(shape), products)
+            out.reshape(shape), chain)
         step(prev, t, e, out)
         prev = out
 
@@ -103,23 +103,21 @@ def quadratic_block_drift(dim, agents, rows, kernel=None):
 
     kernel is the compiled step module (see _build), or None. With it, a
     block is one call of kernel.quadratic_steps; without it, step_loop
-    over the numpy formula below; compiled says which. The numpy step
-    reduces the products over the leading axis of a (dim, agents) scratch,
-    which numpy chains, at least two columns wide: numpy would sum a lone
-    column pairwise, so a lone agent's second column stays 0.0."""
+    over the numpy formula below, whose dots are one Chain of the
+    products; compiled says which."""
     x = np.empty((rows + 1, agents, dim))
     x2 = np.empty((rows, agents))
     if kernel is not None:
         return (x, x2), partial(kernel.quadratic_steps, x, x2), True
     x1_rows, x2_rows = list(x[1:]), list(x2)
-    products, sums = np.zeros((dim, max(agents, 2))), np.empty(max(agents, 2))
-    columns, s = products[:, :agents], sums[:agents]
+    chain = Chain(dim, (agents,))
+    columns, s = chain.terms, np.empty(agents)
     terms, resid = columns.T, s[:, None]   # (agents, dim), (agents, 1)
 
     def step(Theta, t, eps, out):
         x1_t = x1_rows[t]
         np.multiply(x1_t.T, Theta.T, out=columns)
-        np.add.reduce(products, axis=0, out=sums)
+        chain(s)
         np.subtract(x2_rows[t], s, out=s)
         np.multiply(s, 2.0, out=s)
         np.multiply(resid, x1_t, out=terms)
@@ -155,18 +153,14 @@ class TabularFeatures:
 def bellman_residual(features: TabularFeatures, gamma, theta, s, a, r, s_next):
     """r + gamma max_a' Q(s', a') - Q(s, a), with theta viewed as the
     (states x actions) table Q; elementwise over scalars or index arrays.
-
-    The max runs across the action rows of the gathered (actions, ...)
-    block, one elementwise maximum per action in action order, as the
-    compiled Q-learning step takes it: the first NaN, its sign included,
-    and of a tie of +0.0 and -0.0 the later. A scalar or length-1 s_next
-    is gathered twice, since numpy reduces an (actions, 1) block as one
-    contiguous row, which can give a NaN as +NaN or the other zero."""
+    The max is a Chain of np.maximum over each s_next's row of Q, as the
+    compiled Q-learning step takes it: the first NaN, with its sign, and
+    of a tie of +0.0 and -0.0 the later."""
     q = np.asarray(theta).reshape(features.n_states, features.n_actions)
     s_next = np.asarray(s_next)
-    pick = np.repeat(s_next, 2) if s_next.size == 1 else s_next
-    best = np.maximum.reduce(q.T.take(pick, axis=1), axis=0).ravel()
-    return r + gamma * best[:s_next.size].reshape(s_next.shape) - q[s, a]
+    best = Chain(features.n_actions, s_next.shape, np.maximum)
+    q.T.take(s_next, axis=1, out=best.terms)
+    return r + gamma * best(np.empty(s_next.shape)) - q[s, a]
 
 
 def qlearning_operator(features: TabularFeatures, gamma: float) -> LocalOperator:
@@ -207,23 +201,19 @@ def qlearning_block_drift(features: TabularFeatures, gamma, agents, rows,
     `actions` rows at a step are each agent's flat Q(s', .) index, one
     action per row, and whose last row is its slot, its flat Q(s, a) index;
     the rewards; a contiguous (rows, agents) scratch for the block's row
-    bases; and, for the numpy step, the lists of the per-step index, slot
-    and reward rows, each slot row a view of its index row, and the step's
-    scratch. A block checks its states and actions against the features,
-    since take clips rather than checking them at every step, and fills the
-    buffers' first T rows by ufuncs with out.
+    bases; and, for the numpy step, the lists of the per-step Q(s', .),
+    slot and reward rows and the step's scratch. A block checks its states
+    and actions against the features, since take clips rather than
+    checking them at every step, and fills the buffers' first T rows by
+    ufuncs with out.
 
     kernel is the compiled step module (see _build), or None. With it, a
     block is one call of kernel.qlearning_steps on the index and reward
-    buffers; without it, step_loop over a numpy step: one take of its
-    gather indices into an (actions + 1, agents) scratch, a max across the
-    contiguous action rows, one take of out's slots and one put. Both round
-    as bellman_residual does: gamma * max, then + r, then - Q(s, a), then
-    * eps, and out's slot plus that. The scratch is at least two columns
-    wide, as bellman_residual's gather is: numpy would reduce a lone
-    agent's column as one row, which can give a NaN as +NaN, where the
-    kernel keeps the NaN's sign; a lone agent's second column stays 0.0.
-    """
+    buffers; without it, step_loop over a numpy step: takes of Q(s', .)
+    into a Chain of np.maximum (bellman_residual's max), of Q(s, a) and
+    of out's slots, and one put. Both round as bellman_residual does:
+    gamma * max, then + r, then - Q(s, a), then * eps, and out's slot
+    plus that."""
     n_states, n_actions = features.n_states, features.n_actions
     index = np.empty((rows, n_actions + 1, agents), dtype=np.intp)
     base = np.empty((rows, agents), dtype=np.intp)
@@ -233,16 +223,15 @@ def qlearning_block_drift(features: TabularFeatures, gamma, agents, rows,
     if kernel is not None:
         advance = partial(kernel.qlearning_steps, index, reward, float(gamma))
     else:
-        index_rows, reward_rows = list(index), list(reward)
-        slot_rows = [row[n_actions] for row in index_rows]
-        gather, maxima = (np.zeros((n_actions + 1, max(agents, 2))),
-                          np.empty(max(agents, 2)))
-        taken, res = gather[:, :agents], maxima[:agents]
-        q_next, q = gather[:n_actions], taken[n_actions]  # Q(s', .), Q(s, a)
+        next_rows = [row[:n_actions] for row in index]
+        slot_rows, reward_rows = list(index[:, n_actions]), list(reward)
+        best = Chain(n_actions, (agents,), np.maximum)   # over Q(s', .)
+        res, q = np.empty((2, agents))   # q: Q(s, a)
 
         def step(Theta, t, eps, out):
-            Theta.take(index_rows[t], out=taken, mode="clip")
-            np.maximum.reduce(q_next, axis=0, out=maxima)
+            Theta.take(next_rows[t], out=best.terms, mode="clip")
+            Theta.take(slot_rows[t], out=q, mode="clip")
+            best(res)
             np.multiply(res, gamma, out=res)
             np.add(res, reward_rows[t], out=res)
             np.subtract(res, q, out=res)

@@ -274,24 +274,23 @@ class ARSource:
         then act on all R sources at once. Column m of X(1) is gains[m-1]
         times column m-1 one step earlier: one array op per column over
         rows whose first is the state, the products sample forms. x2 is
-        row_dots of x1 and u, in the order of sample's dot."""
+        the Chain of x1 u over m, sample's dot, plus the noise."""
         n_sources, dim = len(sources), sources[0].dim
         clip = np.array([src.noise_clip for src in sources])[:, None, None]
         gains = np.array([src.gains for src in sources]).T
-        u = np.array([src.u for src in sources])
+        u = np.array([src.u for src in sources]).T[:, None]   # (d, 1, R)
         state = np.array([src.state for src in sources])
-        # the noise and the products of row_dots, grown to the longest
-        # block: no array that draw returns refers to them, and a fresh
-        # noise buffer per block raised the peak RSS of the 30-seed
-        # lemma4_ensemble benchmark by about 0.2 MB
-        noise_buf = np.empty((n_sources, 0, 2))
-        products = np.empty((0, n_sources))
+        # grown to the longest block, as no array draw returns refers to
+        # them: a fresh noise buffer per block raised the peak RSS of the
+        # 30-seed lemma4_ensemble benchmark by about 0.2 MB
+        noise_buf, chain = (np.empty((n_sources, 0, 2)),
+                            Chain(dim, (0, n_sources)))
 
         def draw(T, out):
-            nonlocal state, noise_buf, products
+            nonlocal state, noise_buf, chain
             if noise_buf.shape[1] < T:
-                noise_buf = np.empty((n_sources, T, 2))
-                products = np.empty((T, n_sources))
+                noise_buf, chain = (np.empty((n_sources, T, 2)),
+                                    Chain(dim, (T, n_sources)))
             x, x2 = out[0][:T + 1], out[1][:T]
             noise = noise_buf[:, :T]
             for rng, rows in zip(rngs, noise):
@@ -305,41 +304,44 @@ class ARSource:
             state = x[-1].copy()
             for src, row in zip(sources, state):
                 src.state = row
-            row_dots(x1, u, x2, products[:T])
+            np.multiply(x1.transpose(2, 0, 1), u, out=chain.terms[:, :T])
+            chain(x2)
             x2 += noise[..., 1].T
             return x1, x2
 
         return draw
 
 
-def ordered_sum(terms, out):
-    """out = terms[0] + 0.0, then out += each later term, in order; returns
-    out. terms may be a generator whose terms share one scratch.
+class Chain:
+    """numpy's order for every row sum but S (see core._SHORT_ROW) and for
+    the Q-learning max: one chain ((t0 o t1) o t2) o ... of k terms in
+    index order, for the ufunc o, per entry of shape; a sum starts from
+    +0.0, as in _step.c. The caller writes the terms into terms, (k,) +
+    shape, and chain(out) reduces the first out.size entries' chains, in C
+    order, into out, C-contiguous, and returns it. numpy reduces the
+    leading axis of a (k, >= 2) array as these chains, but a lone column
+    as a row, pairwise from 8 terms and with -NaN's max as +NaN; so terms
+    is a view of a (k, >= 2) scratch, and a lone chain is reduced beside
+    another."""
 
-    This chain, ((0.0 + t0) + t1) + ..., is the engine's one row sum at
-    every length (S alone keeps np.add.reduce; see core._SHORT_ROW).
-    numpy's reduce gives its bytes, -0.0 included, over the leading axis
-    of two or more columns and over a contiguous row shorter than 8 terms,
-    and sums a longer row or a lone column pairwise;
-    test_ordered_sum_is_numpys_order checks that."""
-    terms = iter(terms)
-    np.add(next(terms), 0.0, out=out)
-    for term in terms:
-        out += term
-    return out
+    def __init__(self, k, shape, ufunc=np.add):
+        self.reduce, c = ufunc.reduce, math.prod(shape)
+        self.scratch = np.zeros((k, max(c, 2)))
+        self.terms = self.scratch[:, :c].reshape((k,) + shape)
 
-
-def row_dots(x, u, out, scratch):
-    """The ordered_sum over m of x[..., m] u[..., m] into out, for x of
-    shape (..., d) and u broadcast against it; scratch has out's shape.
-    Each column's products are made in scratch, so no (..., d) product is
-    made."""
-    return ordered_sum((np.multiply(x[..., m], u[..., m], out=scratch)
-                        for m in range(x.shape[-1])), out)
+    def __call__(self, out):
+        n, flat = out.size, out.reshape(-1)
+        if n == self.scratch.shape[1]:
+            self.reduce(self.scratch, 0, None, flat)
+        elif n > 1:
+            self.reduce(self.scratch[:, :n], 0, None, flat)
+        else:   # the second column's chain is dropped
+            flat[:] = self.reduce(self.scratch[:, :2], 0)[:n]
+        return out
 
 
 def dot(x, u) -> float:
-    """<x, u> of 1-D x and u, in row_dots' order, in Python floats."""
+    """<x, u> of 1-D x and u in Python floats, in Chain's order."""
     return reduce(operator.add, np.multiply(x, u).tolist(), 0.0)
 
 

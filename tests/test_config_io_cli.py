@@ -327,6 +327,31 @@ def test_cli_bad_path_exit_code(case, tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command, bad", [
+    ("run", "config"), ("check", "config"), ("rollout", "config"),
+    ("fit", "csv"), ("run", "maze"), ("check", "maze"), ("rollout", "maze")])
+def test_cli_non_utf8_input_exit_code(command, bad, tmp_path, capsys):
+    """A config, metrics CSV or maze that is not UTF-8, here UTF-16 with
+    its byte order mark, is a validation error: exit 1 with one `error:`
+    line on stderr, no traceback and nothing on stdout."""
+    cfg, theta = rollout_setup(tmp_path)
+    np.save(theta, np.zeros(8))
+    bad_file = tmp_path / ("maze.txt" if bad == "maze" else "input.txt")
+    bad_file.write_bytes(b"\xff\xfe" + "SG\n".encode("utf-16-le"))
+    if bad == "config":
+        cfg = str(bad_file)
+    argv = {"run": ["run", "--config", cfg, "--out", str(tmp_path / "o")],
+            "check": ["check", "--config", cfg],
+            "rollout": ["rollout", "--config", cfg, "--theta", str(theta)],
+            "fit": ["fit", "--csv", str(bad_file)]}[command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["run", "check"])
 @pytest.mark.parametrize("line", [
     "beta = nan", "beta = inf", "beta = -5", "beta = 0", "step_eps = nan",

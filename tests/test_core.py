@@ -333,6 +333,23 @@ def test_dcsa_step_dimension_check():
                  theta0=[[np.inf, 1], [-np.inf, 1], [np.nan, 3]])
 
 
+@pytest.mark.parametrize("theta_star", [np.zeros(4), np.zeros((5, 1)),
+                                        np.full(5, np.nan)],
+                         ids=["short", "column", "nan"])
+def test_scenario_rejects_a_malformed_theta_star(theta_star):
+    """theta* is None or a finite (d,) vector: a short one, a (d, 1) column
+    and an all-NaN one are rejected when the scenario is built, where each
+    used to reach run()'s measure (a broadcast error, a non-broadcastable
+    output, or an R of NaN at every k)."""
+    step = StepSchedule(kind="constant", eps=0.1)
+    with pytest.raises(CoreError, match="theta_star"):
+        consensus_scenario(3, 5, [zero_op(5)] * 3, 4, step,
+                           theta_star=theta_star)
+    sc = consensus_scenario(3, 5, [zero_op(5)] * 3, 4, step,
+                            theta_star=[0, 1, 2, 3, 4])
+    assert sc.theta_star.dtype == float and sc.theta_star.shape == (5,)
+
+
 def test_consensus_error_values():
     assert initial_metrics(np.array([[2.0], [2.0]]))[1] == 0.0
     assert initial_metrics(np.array([[1.0], [-1.0]]))[1] \

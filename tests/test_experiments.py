@@ -19,7 +19,7 @@ from dcsa.experiments import (ScenarioError, build_gridworld_scenario,
                               plateau_level, run_seed_ensemble)
 from dcsa.operators import quadratic_grad_operator, value_iteration_q
 from dcsa.rng import derive_stream
-from dcsa.sources import ARSource, MDPSource, parse_maze, row_dots
+from dcsa.sources import ARSource, MDPSource, parse_maze
 
 
 def synthetic_traj(values):
@@ -452,7 +452,7 @@ class StationaryARSource(ARSource):
                               for rng in rngs], axis=1)
             noise = np.clip(noise, -clip, clip)
             np.multiply(gains, noise[..., :dim], out=x1)
-            row_dots(x1, u, x2, np.empty_like(x2))
+            x2[:] = sum((x1[..., m] * u[:, m] for m in range(dim)), 0.0)
             x2 += noise[..., dim]
             return x1, x2
 

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from dcsa.core import _SHORT_ROW
 from dcsa.rng import derive_stream
-from dcsa.sources import (ARSource, FiniteChain, MDPSource, SourceError,
-                          ar_state_bound, dot, ergodicity_report,
-                          fit_mixing_profile, mixing_time, ordered_sum,
-                          parse_maze, row_dots, slem,
+from dcsa.sources import (ARSource, Chain, FiniteChain, MDPSource,
+                          SourceError, ar_state_bound, dot,
+                          ergodicity_report, fit_mixing_profile,
+                          mixing_time, parse_maze, slem,
                           stationary_distribution, tv_distance)
 
 from strategies import mazes
@@ -477,13 +477,14 @@ def test_ar_sample_block_matches_sample(d, specs, t1, t2, zero_at, seed):
         assert rng_block.integers(0, 2**63) == rng_one.integers(0, 2**63)
 
 
-def special_floats(rng, shape):
+def special_floats(rng, shape, nan=None):
     """Standard normals with about a fifth of the entries -0.0, a fifth
     +0.0, and a few subnormals, infinities of either sign and NaNs. The
     NaNs are the one that inf - inf gives, as are those of inf * 0 among
     the products: where a sum meets NaNs of both signs, which of them it
     carries depends on the operand order numpy's loops were compiled with,
-    which neither the reduce nor a chain of adds promises."""
+    which neither the reduce nor a chain of adds promises. nan, if given,
+    replaces them with NaNs of both signs."""
     x = rng.standard_normal(shape)
     u = rng.random(shape)
     x[u < 0.2] = -0.0
@@ -493,62 +494,82 @@ def special_floats(rng, shape):
     x[(u > 0.5) & (u < 0.51)] = -np.inf
     with np.errstate(invalid="ignore"):
         x[(u > 0.6) & (u < 0.61)] = np.subtract(np.inf, np.inf)
+    if nan is not None:
+        x[(u > 0.6) & (u < 0.61)] = nan
+        x[(u > 0.7) & (u < 0.71)] = -nan
     return x
 
 
-@given(st.integers(0, 2**31 - 1))
-@settings(max_examples=30, deadline=None)
-def test_row_dots_match_reduce(seed):
-    """row_dots gives the chain ((0.0 + x0 u0) + x1 u1) + ... bit for bit,
-    for x of shape (T, R, d) and u of shape (R, d) as the AR sampler passes
-    them, for every d = 1 to 10, and so np.add.reduce(x * u, axis=-1) for
-    d below _SHORT_ROW; dot gives each row's chain too. +-0.0, subnormals,
-    +-inf and NaN are among the entries."""
-    rng = np.random.default_rng(seed)
-    for d in range(1, 11):
-        x = special_floats(rng, (20, 3, d))
-        u = special_floats(rng, (3, d))
-        out = np.empty((20, 3))
-        with np.errstate(invalid="ignore"):
-            chain = functools.reduce(operator.add,
-                                     (x[..., m] * u[:, m] for m in range(d)),
-                                     0.0)
-            assert row_dots(x, u, out, np.empty_like(out)) is out
-            if d < _SHORT_ROW:
-                assert out.tobytes() == np.add.reduce(x * u, -1).tobytes()
-            dots = [[dot(row, u_r) for row, u_r in zip(rows, u)]
-                    for rows in x]
-        assert out.tobytes() == chain.tobytes() == np.array(dots).tobytes(), d
+@pytest.mark.parametrize("ufunc", [np.add, np.maximum],
+                         ids=["add", "maximum"])
+def test_chain_is_numpys_order(ufunc):
+    """Chain(k, (c,), ufunc) gives functools.reduce's chains ((t0 o t1) o t2)
+    o ... byte for byte, from +0.0 for np.add, for k = 1 to 20, 100 and
+    300 terms and c = 1, 2, 3 and 640 columns, called on all c columns,
+    on about half of them and then on one, beside a column that has held
+    terms. The terms hold
+    +-0.0, subnormals, +-inf and NaNs of both signs (the max keeps the
+    first NaN's sign; a sum, the NaN its operand order gives, which the
+    reduce shares with the chain of adds).
 
-
-def test_ordered_sum_is_numpys_order():
-    """The installed numpy sums as ordered_sum says: np.add.reduce over a
-    contiguous row of 1 to _SHORT_ROW - 1 terms, and over the first axis
-    of an (N, d >= 2) array for N up to 20 and N = 100, equals the chain
-    from +0.0 byte for byte, with +-0.0, subnormals, +-inf and NaN among
-    the terms; a row of _SHORT_ROW terms, or an (N, 1) column, is summed
-    pairwise, which the chain is not. A numpy release that changes the
-    rule fails here, by name, before the engine's byte-equality tests fail
-    by scattered bytes."""
+    For np.add it also pins the installed numpy's side of the rule: the
+    reduce over the leading axis of an (N, >= 2) array, and over a
+    contiguous row of 1 to _SHORT_ROW - 1 terms, is the chain; a row of
+    _SHORT_ROW terms or a lone (N, 1) column it sums pairwise, which is
+    why Chain pads. And Chain over the AR sampler's (T, R, d) products
+    and dot over each row give the same chain for d = 1 to 10. A numpy
+    release that changes the rule fails here, by name, before the
+    engine's byte-equality tests fail by scattered bytes."""
     rng = np.random.default_rng(21)
+    nan = np.float64(math.nan)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for k in [*range(1, 21), 100, 300]:
+            for c in (1, 2, 3, 640):
+                chain = Chain(k, (c,), ufunc)
+                for n in sorted({c, (c + 1) // 2, 1}, reverse=True):
+                    chain.terms[:, :n] = special_floats(rng, (k, n), nan)
+                    rows = list(chain.terms[:, :n].copy())
+                    expected = (functools.reduce(ufunc, rows, 0.0)
+                                if ufunc is np.add
+                                else functools.reduce(ufunc, rows))
+                    out = np.full(n, 7.0)
+                    assert chain(out) is out
+                    assert out.tobytes() == expected.tobytes(), (k, c, n)
+    if ufunc is not np.add:
+        return
     with np.errstate(invalid="ignore"):
         for d in range(1, _SHORT_ROW):
             x = special_floats(rng, (2000, d))
-            chain = ordered_sum(x.T, np.empty(2000))
+            chain = functools.reduce(operator.add, x.T, 0.0)
             assert np.add.reduce(x, axis=-1).tobytes() == chain.tobytes(), d
         for n in [*range(1, 21), 100]:
             for _ in range(25):
                 a = special_floats(rng, (n, int(rng.integers(2, 6))))
-                chain = ordered_sum(a, np.empty(a.shape[1]))
+                chain = functools.reduce(operator.add, a, 0.0)
                 assert np.add.reduce(a, axis=0).tobytes() == chain.tobytes()
+        for d in range(1, 11):
+            x = special_floats(rng, (20, 3, d))
+            u = special_floats(rng, (3, d))
+            expected = functools.reduce(
+                operator.add, (x[..., m] * u[:, m] for m in range(d)), 0.0)
+            chain = Chain(d, x.shape[:2])
+            np.multiply(x, u, out=chain.terms.transpose(1, 2, 0))
+            got = chain(np.empty((20, 3)))
+            dots = [[dot(row, u_r) for row, u_r in zip(rows, u)]
+                    for rows in x]
+            assert (got.tobytes() == expected.tobytes()
+                    == np.array(dots).tobytes()), d
     # 1e16 + 1.0 rounds back to 1e16, so the chain loses every 1.0; the
     # pairwise sum adds 1.0 + 1.0 pairs before they meet 1e16
     row = np.array([1e16] + [1.0] * (_SHORT_ROW - 1))
     assert np.add.reduce(row) - 1e16 == 6.0
-    assert ordered_sum(row, np.empty(())) - 1e16 == 0.0
+    assert functools.reduce(operator.add, row, 0.0) - 1e16 == 0.0
     columns = np.stack([row, row], axis=1)
     assert (np.add.reduce(columns[:, :1], axis=0) - 1e16).tolist() == [6.0]
     assert (np.add.reduce(columns, axis=0) - 1e16).tolist() == [0.0, 0.0]
+    chain = Chain(len(row), (1,))
+    chain.terms[:, 0] = row
+    assert (chain(np.empty(1)) - 1e16).tolist() == [0.0]
 
 
 def test_maze_transitions_table_is_built_on_first_use():

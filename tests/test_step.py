@@ -8,6 +8,8 @@ steps with numpy, so every comparison still runs; the loader tests then
 check that no compiler was there to build it.
 """
 
+import functools
+import operator
 import os
 import shlex
 import shutil
@@ -23,8 +25,6 @@ from dcsa import _build, operators
 from dcsa.core import _SHORT_ROW
 from dcsa.operators import (TabularFeatures, qlearning_block_drift,
                             quadratic_block_drift)
-from dcsa.sources import ordered_sum
-
 from strategies import (DEFAULT_NAN, GAMMAS, signed_zeros, special_values,
                         step_each)
 
@@ -163,13 +163,13 @@ def test_compiled_qlearning_max_takes_numpys_nan():
 
 def numpy_measure(thetas, n_runs):
     """theta_bar, dev and S of core.run's numpy measure of a block thetas
-    = (m * n_runs, N, d): the agents' ordered_sum over N divided by N, the
-    squared deviations, and np.add.reduce of each (step, run)'s N * d of
-    them."""
+    = (m * n_runs, N, d): the agents' chain from +0.0 over N divided by
+    N, the squared deviations, and np.add.reduce of each (step, run)'s
+    N * d of them."""
     rows, n, d = thetas.shape
     block = thetas.reshape(rows // n_runs, n_runs, n, d)
-    theta_bar = ordered_sum(block.transpose(2, 0, 1, 3),
-                            np.empty((rows // n_runs, n_runs, d)))
+    theta_bar = functools.reduce(operator.add, block.transpose(2, 0, 1, 3),
+                                 0.0)
     theta_bar /= n
     dev = np.subtract(block, theta_bar[:, :, None])
     np.multiply(dev, dev, out=dev)
