@@ -510,16 +510,7 @@ def test_chain_is_numpys_order(ufunc):
     terms. The terms hold
     +-0.0, subnormals, +-inf and NaNs of both signs (the max keeps the
     first NaN's sign; a sum, the NaN its operand order gives, which the
-    reduce shares with the chain of adds).
-
-    For np.add it also pins the installed numpy's side of the rule: the
-    reduce over the leading axis of an (N, >= 2) array, and over a
-    contiguous row of 1 to _SHORT_ROW - 1 terms, is the chain; a row of
-    _SHORT_ROW terms or a lone (N, 1) column it sums pairwise, which is
-    why Chain pads. And Chain over the AR sampler's (T, R, d) products
-    and dot over each row give the same chain for d = 1 to 10. A numpy
-    release that changes the rule fails here, by name, before the
-    engine's byte-equality tests fail by scattered bytes."""
+    reduce shares with the chain of adds)."""
     rng = np.random.default_rng(21)
     nan = np.float64(math.nan)
     with np.errstate(invalid="ignore", over="ignore"):
@@ -535,8 +526,45 @@ def test_chain_is_numpys_order(ufunc):
                     out = np.full(n, 7.0)
                     assert chain(out) is out
                     assert out.tobytes() == expected.tobytes(), (k, c, n)
-    if ufunc is not np.add:
-        return
+
+
+@given(st.integers(0, 2**31 - 1))
+@settings(max_examples=30, deadline=None)
+def test_row_dots_match_reduce(seed):
+    """Chain over the AR sampler's (T, R, d) products x u gives the chain
+    ((0.0 + x0 u0) + x1 u1) + ... bit for bit, for u of shape (R, d) and
+    every d = 1 to 10, and so np.add.reduce(x * u, axis=-1) for d below
+    _SHORT_ROW; dot gives each row's chain too. +-0.0, subnormals, +-inf
+    and NaN are among the entries."""
+    rng = np.random.default_rng(seed)
+    for d in range(1, 11):
+        x = special_floats(rng, (20, 3, d))
+        u = special_floats(rng, (3, d))
+        chain = Chain(d, x.shape[:2])
+        out = np.empty((20, 3))
+        with np.errstate(invalid="ignore"):
+            expected = functools.reduce(
+                operator.add, (x[..., m] * u[:, m] for m in range(d)), 0.0)
+            np.multiply(x, u, out=chain.terms.transpose(1, 2, 0))
+            assert chain(out) is out
+            if d < _SHORT_ROW:
+                assert out.tobytes() == np.add.reduce(x * u, -1).tobytes()
+            dots = [[dot(row, u_r) for row, u_r in zip(rows, u)]
+                    for rows in x]
+        assert (out.tobytes() == expected.tobytes()
+                == np.array(dots).tobytes()), d
+
+
+def test_ordered_sum_is_numpys_order():
+    """The installed numpy sums as Chain relies on: np.add.reduce over a
+    contiguous row of 1 to _SHORT_ROW - 1 terms, and over the first axis
+    of an (N, d >= 2) array for N up to 20 and N = 100, equals the chain
+    from +0.0 byte for byte, with +-0.0, subnormals, +-inf and NaN among
+    the terms; a row of _SHORT_ROW terms, or an (N, 1) column, is summed
+    pairwise, which the chain is not, and which is why Chain pads a lone
+    column. A numpy release that changes the rule fails here, by name,
+    before the engine's byte-equality tests fail by scattered bytes."""
+    rng = np.random.default_rng(21)
     with np.errstate(invalid="ignore"):
         for d in range(1, _SHORT_ROW):
             x = special_floats(rng, (2000, d))
@@ -547,18 +575,6 @@ def test_chain_is_numpys_order(ufunc):
                 a = special_floats(rng, (n, int(rng.integers(2, 6))))
                 chain = functools.reduce(operator.add, a, 0.0)
                 assert np.add.reduce(a, axis=0).tobytes() == chain.tobytes()
-        for d in range(1, 11):
-            x = special_floats(rng, (20, 3, d))
-            u = special_floats(rng, (3, d))
-            expected = functools.reduce(
-                operator.add, (x[..., m] * u[:, m] for m in range(d)), 0.0)
-            chain = Chain(d, x.shape[:2])
-            np.multiply(x, u, out=chain.terms.transpose(1, 2, 0))
-            got = chain(np.empty((20, 3)))
-            dots = [[dot(row, u_r) for row, u_r in zip(rows, u)]
-                    for rows in x]
-            assert (got.tobytes() == expected.tobytes()
-                    == np.array(dots).tobytes()), d
     # 1e16 + 1.0 rounds back to 1e16, so the chain loses every 1.0; the
     # pairwise sum adds 1.0 + 1.0 pairs before they meet 1e16
     row = np.array([1e16] + [1.0] * (_SHORT_ROW - 1))
