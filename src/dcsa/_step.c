@@ -2,16 +2,16 @@
    agents' mean, in one C call per block each.
 
    quadratic_steps(x1, x2, theta, iterates, frames, first, eps) and
-   qlearning_steps(index, reward, gamma, theta, iterates, frames, first,
-   eps) run the T = len(eps) steps of a block, from theta, the pre-block
-   (S N, d) rows of S runs of N agents, on the (F, N, N) weight frames,
-   with eps a 1-D float64 array. At step t each writes W theta into row t
-   of iterates, for W = frames[(first + t) mod F] and every run, as the
-   j-order chain ((+0.0 + W(i, 0) theta(0, c)) + W(i, 1) theta(1, c)) +
-   ..., then adds eps[t] times every agent's drift row, at the pre-step
-   iterate (theta at t = 0, row t - 1 after), to row t in place. Both
-   round as the builders' numpy step and operators.mix do, one IEEE
-   operation at a time in the same order, so both give the same bytes
+   qlearning_steps(walk, reward, actions, gamma, theta, iterates, frames,
+   first, eps) run the T = len(eps) steps of a block, from theta, the
+   pre-block (S N, d) rows of S runs of N agents, on the (F, N, N) weight
+   frames, with eps a 1-D float64 array. At step t each writes W theta
+   into row t of iterates, for W = frames[(first + t) mod F] and every
+   run, as the j-order chain ((+0.0 + W(i, 0) theta(0, c)) + W(i, 1)
+   theta(1, c)) + ..., then adds eps[t] times every agent's drift row, at
+   the pre-step iterate (theta at t = 0, row t - 1 after), to row t in
+   place. Both round as the builders' numpy step and operators.mix do, one
+   IEEE operation at a time in the same order, so both give the same bytes
    whatever BLAS numpy has; -ffp-contract=off (no fused multiply-add)
    keeps it so.
 
@@ -90,11 +90,11 @@ static const entry_args entries[2] = {
      {{0, 'd', 0, "x1"}, {1, 'd', 0, "x2"}, {2, 'd', 0, "theta"},
       {3, 'd', PyBUF_WRITABLE, "iterates"}, {4, 'd', 0, "frames"},
       {6, 'd', 0, "eps"}}},
-    {"qlearning_steps(index, reward, gamma, theta, iterates, frames, first, "
-     "eps)", 8,
-     {{0, 'n', 0, "index"}, {1, 'd', 0, "reward"}, {3, 'd', 0, "theta"},
-      {4, 'd', PyBUF_WRITABLE, "iterates"}, {5, 'd', 0, "frames"},
-      {7, 'd', 0, "eps"}}},
+    {"qlearning_steps(walk, reward, actions, gamma, theta, iterates, "
+     "frames, first, eps)", 9,
+     {{0, 'n', 0, "walk"}, {1, 'd', 0, "reward"}, {4, 'd', 0, "theta"},
+      {5, 'd', PyBUF_WRITABLE, "iterates"}, {6, 'd', 0, "frames"},
+      {8, 'd', 0, "eps"}}},
 };
 
 static void
@@ -113,7 +113,7 @@ overlap(const Py_buffer *a, const Py_buffer *b)
 }
 
 /* The buffers of an entry point into b, once it has its nargs, eps is 1-D
-   and x1 or index 3-D. Returns T = len(eps), or -1 with no buffer held. */
+   and x1 or walk 3-D. Returns T = len(eps), or -1 with no buffer held. */
 static Py_ssize_t
 get_buffers(PyObject *const *args, Py_ssize_t nargs, const entry_args *e,
             Py_buffer *b)
@@ -266,18 +266,20 @@ done:
     return result;
 }
 
-/* The Q-learning drift at step t of index (rows, A + 1, n) and reward
-   (rows, n), from their rows t. For each agent i of n, with the A + 1
-   rows of n indices into the flat tables theta and out of `size` entries
-   (the A actions' Q(s', a) indices, then the slot Q(s, a)): m = the
-   maximum of theta at the A action indices, taken in action order as
-   np.maximum does, so m keeps the first NaN and a tie takes the later
-   entry; then out[slot] = out[slot] +
-   ((((m gamma) + reward) - theta[slot]) eps). */
+/* The Q-learning drift at step t of walk (rows, 3, n) and reward (rows,
+   n), from their rows t: each agent i of n has its state s, action a and
+   next state s' in walk's three columns, and theta and out are read as
+   the stacked (n S) x A table of the agents' rows of S states and A
+   actions. s, a and s' are clipped into [0, S) and [0, A), as numpy's
+   "clip" mode of take would clip them. Then m = the maximum of Q(s', .),
+   the A entries from (s' + i S) A, taken in action order as np.maximum
+   does, so m keeps the first NaN and a tie takes the later entry; and
+   out[slot] = out[slot] + ((((m gamma) + reward) - theta[slot]) eps) at
+   slot = (s + i S) A + a. */
 typedef struct {
-    const Py_ssize_t *index;
+    const Py_ssize_t *walk;
     const double *reward;
-    Py_ssize_t rows, n, size;
+    Py_ssize_t n, states, actions;
     double gamma;
 } qlearning_ctx;
 
@@ -286,18 +288,16 @@ qlearning_drift(const void *ctx, Py_ssize_t t, const double *theta,
                 double *out, double eps)
 {
     const qlearning_ctx *c = ctx;
-    Py_ssize_t rows = c->rows, n = c->n, size = c->size;
-    const Py_ssize_t *index = c->index + t * rows * n;
-    const Py_ssize_t *slots = index + (rows - 1) * n;
+    Py_ssize_t n = c->n, S = c->states, A = c->actions;
+    const Py_ssize_t *s = c->walk + t * 3 * n, *a = s + n, *s_next = a + n;
     const double *reward = c->reward + t * n;
     for (Py_ssize_t i = 0; i < n; i++) {
-        double m = theta[clip(index[i], size)];
-        for (Py_ssize_t a = 1; a < rows - 1; a++) {
-            double v = theta[clip(index[a * n + i], size)];
-            if (!(m > v) && m == m)
-                m = v;
-        }
-        Py_ssize_t slot = clip(slots[i], size);
+        const double *q = theta + (clip(s_next[i], S) + i * S) * A;
+        double m = q[0];
+        for (Py_ssize_t k = 1; k < A; k++)
+            if (!(m > q[k]) && m == m)
+                m = q[k];
+        Py_ssize_t slot = (clip(s[i], S) + i * S) * A + clip(a[i], A);
         out[slot] = out[slot]
             + (m * c->gamma + reward[i] - theta[slot]) * eps;
     }
@@ -311,23 +311,27 @@ qlearning_steps(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     Py_ssize_t T = get_buffers(args, nargs, &entries[QLEARNING], b);
     if (T < 0)
         return NULL;
-    qlearning_ctx ctx = {b[SAMPLE_A].buf, b[SAMPLE_B].buf,
-                         b[SAMPLE_A].shape[1], b[SAMPLE_A].shape[2],
-                         items(&b[THETA]), PyFloat_AsDouble(args[2])};
+    const Py_buffer *walk = &b[SAMPLE_A];
+    Py_ssize_t n = walk->shape[2], size = items(&b[THETA]);
+    qlearning_ctx ctx = {walk->buf, b[SAMPLE_B].buf, n, 0, 0, 0.0};
+    ctx.actions = PyLong_AsSsize_t(args[2]);
+    if (ctx.actions == -1 && PyErr_Occurred())
+        goto done;
+    ctx.gamma = PyFloat_AsDouble(args[3]);
     if (ctx.gamma == -1.0 && PyErr_Occurred())
         goto done;
-    if (ctx.rows < 2 || !ctx.n || !ctx.size || ctx.size % ctx.n
-            || b[SAMPLE_A].shape[0] < T
-            || items(&b[SAMPLE_B]) < T * ctx.n
-            || items(&b[ITERATES]) < T * ctx.size) {
-        PyErr_Format(PyExc_ValueError, "theta must be one non-empty table "
-                     "of n rows, index (rows, A + 1, n) with A >= 1, and "
-                     "index, reward and iterates must hold the block's %zd "
-                     "steps", T);
+    if (walk->shape[1] != 3 || n < 1 || ctx.actions < 1 || size < 1
+            || size % n || size / n % ctx.actions || walk->shape[0] < T
+            || items(&b[SAMPLE_B]) < T * n
+            || items(&b[ITERATES]) < T * size) {
+        PyErr_Format(PyExc_ValueError, "walk must be (rows, 3, n) with n >= "
+                     "1, actions >= 1, theta one non-empty table of n rows "
+                     "of states x actions, and walk, reward and iterates "
+                     "must hold the block's %zd steps", T);
         goto done;
     }
-    result = run_steps(args[6], b, ctx.n, ctx.size / ctx.n, qlearning_drift,
-                       &ctx);
+    ctx.states = size / n / ctx.actions;
+    result = run_steps(args[7], b, n, size / n, qlearning_drift, &ctx);
 done:
     release(b, N_BUFFERS);
     return result;
@@ -455,8 +459,8 @@ static PyMethodDef methods[] = {
      "block of quadratic-gradient steps."},
     {"qlearning_steps", (PyCFunction)(void (*)(void))qlearning_steps,
      METH_FASTCALL,
-     "qlearning_steps(index, reward, gamma, theta, iterates, frames, "
-     "first, eps): a block of Q-learning steps."},
+     "qlearning_steps(walk, reward, actions, gamma, theta, iterates, "
+     "frames, first, eps): a block of Q-learning steps."},
     {"deviations", (PyCFunction)(void (*)(void))deviations, METH_FASTCALL,
      "deviations(thetas, theta_bar, dev[, S]): the agents' mean, the "
      "squared deviations from it and, with S, their row sums."},

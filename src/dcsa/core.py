@@ -328,8 +328,8 @@ def td_error(theta_rows, columns) -> float:
     |residuals| are then summed agent by agent and added in agent order,
     as a call per agent would sum them."""
     features, gamma, s, a, r, s_next, ends = columns
-    res = np.abs(bellman_residual(features, gamma, theta_rows, s, a, r,
-                                  s_next))
+    res = bellman_residual(features, gamma, theta_rows, s, a, r, s_next)
+    np.abs(res, out=res)
     total = 0.0
     lo = 0
     for hi in ends:
@@ -387,6 +387,8 @@ class Scenario:
                                    for w in self.weights):
             raise CoreError(f"weight matrices must be {n} x {n}")
         d = self.ops[0].dim
+        if any(op.dim != d for op in self.ops):
+            raise CoreError("every operator must have one dim")
         if self.theta0 is None:
             self.theta0 = np.zeros((n, d))
         self.theta0 = np.asarray(self.theta0, dtype=float)
@@ -771,44 +773,36 @@ def _block_drift(ops, sources, rngs):
     float64 arrays.
     Over sources of one class with a block_sampler, built-in
     quadratic-gradient operators, or built-in Q-learning ones with one
-    features and gamma, share one batched advance. The sampler and the
-    operators' builder, with its _BLOCK-row buffers, are then made once,
-    here, for the whole run, and a block is one draw whose samples the
-    builder's advance steps through; the quadratic builder's buffers are
-    the ones the sampler draws into. Each builder gets operators.STEP, the
-    compiled step where it loaded, read here at every run, and compiled is
-    the builder's report of whether its advance is one call of it. Anything
-    else is sampled and evaluated agent by agent, and makes no builder; its
-    advance is step_loop over a per-agent step. That step never hands an
-    operator's eval a non-finite iterate: an agent whose row of Theta has a
-    non-finite entry gets a NaN drift row instead, and its run aborts at
-    that step all the same."""
+    features and gamma, share one batched advance. The operators' builder,
+    with its _BLOCK-row buffers, and the sampler are then made once, here,
+    for the whole run, and a block is one draw into the builder's buffers,
+    whose samples its advance steps through. Each builder gets
+    operators.STEP, the compiled step where it loaded, read here at every
+    run, and compiled is the builder's report of whether its advance is
+    one call of it. Anything else is sampled and evaluated agent by agent,
+    and makes no builder; its advance is step_loop over a per-agent step.
+    That step never hands an operator's eval a non-finite iterate: an
+    agent whose row of Theta has a non-finite entry gets a NaN drift row
+    instead, and its run aborts at that step all the same."""
+    kinds = {op.kind for op in ops}
+    shared = {(op.params["features"], op.params["gamma"]) for op in ops
+              if op.kind == "qlearning"}
+    builder = None
+    if kinds == {"quadratic-gradient"}:
+        builder = functools.partial(quadratic_block_drift, ops[0].dim)
+    elif kinds == {"qlearning"} and len(shared) == 1:
+        builder = functools.partial(qlearning_block_drift, *shared.pop())
     source_class = type(sources[0])
-    if (hasattr(source_class, "block_sampler")
+    if (builder is not None and hasattr(source_class, "block_sampler")
             and all(type(src) is source_class for src in sources)):
-        kinds = {op.kind for op in ops}
-        if kinds == {"quadratic-gradient"}:
-            out, advance, compiled = quadratic_block_drift(
-                ops[0].dim, len(ops), _BLOCK, operators.STEP)
-            draw = source_class.block_sampler(sources, rngs)
+        out, advance, compiled = builder(len(ops), _BLOCK, operators.STEP)
+        draw = source_class.block_sampler(sources, rngs)
 
-            def sampled(T):
-                draw(T, out)
-                return advance
+        def sampled(T):
+            draw(T, out)
+            return advance
 
-            return sampled, compiled
-        if kinds == {"qlearning"}:
-            shared = {(op.params["features"], op.params["gamma"])
-                      for op in ops}
-            if len(shared) == 1:
-                block, compiled = qlearning_block_drift(
-                    *shared.pop(), len(ops), _BLOCK, operators.STEP)
-                draw = source_class.block_sampler(sources, rngs)
-
-                def sampled(T):
-                    return block(*draw(T))
-
-                return sampled, compiled
+        return sampled, compiled
     ops_eval = [op.eval for op in ops]
 
     def per_agent(T):

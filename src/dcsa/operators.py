@@ -8,7 +8,7 @@ analytically for the autoregressive quadratic case.
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -158,9 +158,18 @@ def bellman_residual(features: TabularFeatures, gamma, theta, s, a, r, s_next):
     of a tie of +0.0 and -0.0 the later."""
     q = np.asarray(theta).reshape(features.n_states, features.n_actions)
     s_next = np.asarray(s_next)
-    best = Chain(features.n_actions, s_next.shape, np.maximum)
+    best = _max_chain(features.n_actions, s_next.shape)
     q.T.take(s_next, axis=1, out=best.terms)
-    return r + gamma * best(np.empty(s_next.shape)) - q[s, a]
+    res = best(np.empty(s_next.shape))
+    np.multiply(gamma, res, out=res)
+    np.add(r, res, out=res)
+    return np.subtract(res, q[s, a], out=res)
+
+
+# the max's Chain per (actions, shape), reused by every bellman_residual
+# call of that shape: making one per call cost about 1.5 of a 600-entry
+# call's 14 us on a 2-core x86-64 host
+_max_chain = lru_cache(maxsize=8)(partial(Chain, ufunc=np.maximum))
 
 
 def qlearning_operator(features: TabularFeatures, gamma: float) -> LocalOperator:
@@ -184,89 +193,60 @@ def qlearning_operator(features: TabularFeatures, gamma: float) -> LocalOperator
 
 def qlearning_block_drift(features: TabularFeatures, gamma, agents, rows,
                           kernel=None):
-    """block, compiled: block(s, a, r, s') of a stack of `agents`
-    Q-learning agents that share features and gamma, built once per run,
-    and whether its steps are the compiled kernel's. For time-major blocks
-    of (s, a, r, s') samples of shape (T, agents), T <= rows, it returns
-    advance(theta, iterates, frames, first, eps), which runs the block's
-    steps as step_loop describes, step t's drift each agent's Q-learning
-    map at its t-th sample. The map is nonzero in one slot per agent, so
-    only those slots are added to; every slot equals mix + eps * eval, bit
-    for bit.
+    """(walk, reward), advance, compiled: the step layer of a stack of
+    `agents` Q-learning agents that share features and gamma, built once
+    per run. A block's T <= rows samples are drawn straight into the
+    buffers walk, intp of shape (rows, 3, agents), whose first T rows hold
+    s, a and s' in its three columns, and reward, of shape (rows, agents),
+    whose first T rows hold r (see sources.MDPSource.block_sampler).
+    advance(theta, iterates, frames, first, eps) checks the block's states
+    and actions against the features, raising OperatorError before its
+    first write, then runs its steps as step_loop describes, step t's
+    drift each agent's Q-learning map at its t-th sample. The map is
+    nonzero in one slot per agent, so only those slots are added to.
 
     The iterates are read flat, as the stacked (agents * states) x actions
     table in which the state s of the agent in C-order row i is row
-    i * states + s. Every buffer is allocated once per run, with `rows`
-    steps: the gather indices (rows, actions + 1, agents), whose first
-    `actions` rows at a step are each agent's flat Q(s', .) index, one
-    action per row, and whose last row is its slot, its flat Q(s, a) index;
-    the rewards; a contiguous (rows, agents) scratch for the block's row
-    bases; and, for the numpy step, the lists of the per-step Q(s', .),
-    slot and reward rows and the step's scratch. A block checks its states
-    and actions against the features, since take clips rather than
-    checking them at every step, and fills the buffers' first T rows by
-    ufuncs with out.
+    i * states + s, so Q(s', a') is entry (s' + i * states) * actions + a'
+    and the slot Q(s, a) entry (s + i * states) * actions + a.
 
     kernel is the compiled step module (see _build), or None. With it, a
-    block is one call of kernel.qlearning_steps on the index and reward
-    buffers; without it, step_loop over a numpy step: takes of Q(s', .)
-    into a Chain of np.maximum (bellman_residual's max), of Q(s, a) and
-    of out's slots, and one put. Both round as bellman_residual does:
-    gamma * max, then + r, then - Q(s, a), then * eps, and out's slot
-    plus that."""
+    block is one call of kernel.qlearning_steps, which forms those indices
+    itself; without it, step_loop over a numpy step that makes one
+    bellman_residual call on the stacked table, whose states the block
+    offsets once, and adds eps times the residual to each slot: mix + eps
+    * eval, bit for bit. compiled says which."""
     n_states, n_actions = features.n_states, features.n_actions
-    index = np.empty((rows, n_actions + 1, agents), dtype=np.intp)
-    base = np.empty((rows, agents), dtype=np.intp)
+    walk = np.empty((rows, 3, agents), dtype=np.intp)
     reward = np.empty((rows, agents))
-    offsets = n_states * np.arange(agents)
-    action_rows = [index[:, action] for action in range(n_actions)]
+    # as unsigned, a negative state or action is beyond every bound
+    bounds = np.array([[n_states], [n_actions], [n_states]], dtype=np.uintp)
     if kernel is not None:
-        advance = partial(kernel.qlearning_steps, index, reward, float(gamma))
+        steps = partial(kernel.qlearning_steps, walk, reward, n_actions,
+                        float(gamma))
     else:
-        next_rows = [row[:n_actions] for row in index]
-        slot_rows, reward_rows = list(index[:, n_actions]), list(reward)
-        best = Chain(n_actions, (agents,), np.maximum)   # over Q(s', .)
-        res, q = np.empty((2, agents))   # q: Q(s, a)
+        stacked = TabularFeatures(agents * n_states, n_actions)
+        offsets = n_states * np.arange(agents)
 
-        def step(Theta, t, eps, out):
-            Theta.take(next_rows[t], out=best.terms, mode="clip")
-            Theta.take(slot_rows[t], out=q, mode="clip")
-            best(res)
-            np.multiply(res, gamma, out=res)
-            np.add(res, reward_rows[t], out=res)
-            np.subtract(res, q, out=res)
-            np.multiply(res, eps, out=res)
-            out.take(slot_rows[t], out=q, mode="clip")
-            np.add(q, res, out=q)
-            out.put(slot_rows[t], q)
+        def steps(theta, iterates, frames, first, eps):
+            s, a, s_next = walk[:len(eps)].transpose(1, 0, 2)
+            s, s_next = s + offsets, s_next + offsets
+            samples = list(zip(s, a, reward, s_next, s * n_actions + a))
 
-        advance = partial(step_loop, step)
+            def step(Theta, t, eps, out):
+                s, a, r, s_next, slots = samples[t]
+                res = bellman_residual(stacked, gamma, Theta, s, a, r, s_next)
+                out.reshape(-1)[slots] += eps * res
 
-    def block(s, a, r, s_next):
-        T = len(s)
-        if T and (max(s.max(), s_next.max()) >= n_states
-                  or min(s.min(), s_next.min(), a.min()) < 0
-                  or a.max() >= n_actions):
+            step_loop(step, theta, iterates, frames, first, eps)
+
+    def advance(theta, iterates, frames, first, eps):
+        if not (walk[:len(eps)].view(np.uintp) < bounds).all():
             raise OperatorError("a sampled state or action lies beyond the "
                                 "features' states and actions")
-        # the bases (s + i * states) * actions go into a contiguous scratch:
-        # arithmetic on the strided slot rows makes one inner loop of
-        # length agents per step
-        bases = base[:T]
-        # Q(s', .): (s' + i * states) * actions + a', one row per a' (one
-        # add per action: a broadcast add over the rows costs more)
-        np.add(s_next, offsets, bases)
-        np.multiply(bases, n_actions, bases)
-        for action, target in enumerate(action_rows):
-            np.add(bases, action, target[:T])
-        # the slots, Q(s, a): (s + i * states) * actions + a
-        np.add(s, offsets, bases)
-        np.multiply(bases, n_actions, bases)
-        np.add(bases, a, index[:T, n_actions])
-        np.copyto(reward[:T], r)
-        return advance
+        steps(theta, iterates, frames, first, eps)
 
-    return block, kernel is not None
+    return (walk, reward), advance, kernel is not None
 
 
 # ---------------------------------------------------------------------------

@@ -489,14 +489,21 @@ class MDPSource:
     def sample_block(self, rng, T):
         """The next T samples as arrays (s, a, r, s'): the same values, and
         the same final state, as T calls of sample."""
-        blocks = MDPSource.block_sampler([self], [rng])(T)
-        return tuple(x[:, 0] for x in blocks)
+        out = np.empty((T, 3, 1), dtype=np.intp), np.empty((T, 1))
+        draw = MDPSource.block_sampler([self], [rng])
+        return tuple(x[:, 0] for x in draw(T, out))
 
     @staticmethod
     def block_sampler(sources, rngs):
-        """draw(T): the next T samples of each of R MDPSources, each from
-        its own stream, as time-major arrays (s, a, r, s') of shape (T, R):
-        the values, dtypes and final states of T sample calls per source.
+        """draw(T, out): the next T samples of each of R MDPSources, each
+        from its own stream, time-major (s, a, r, s') of shape (T, R): the
+        values and final states of T sample calls per source.
+
+        out is a pair of buffers (walk, reward) with at least T rows, of
+        shapes (rows, 3, R), intp, and (rows, R), float64: the block is
+        drawn into them, s, a and s' into walk's three columns and r into
+        reward, and draw returns their views walk[:T, 0], walk[:T, 1],
+        reward[:T] and walk[:T, 2].
 
         The mazes' tables are fetched once, here: each source's chain moves
         as a list of next row starts after[i] * actions, and the mazes'
@@ -511,11 +518,11 @@ class MDPSource:
                       for _, _, after in tables]
         offsets = np.cumsum([0] + [len(nxt) for nxt, _, _ in tables[:-1]])
         next_states = np.array([t for nxt, _, _ in tables for t in nxt],
-                               dtype=int)
+                               dtype=np.intp)
         rewards = np.array([r for _, rew, _ in tables for r in rew],
                            dtype=float)
 
-        def draw(T):
+        def draw(T, out):
             walk = []   # every source's T indices in turn
             for src, rng, after in zip(sources, rngs, row_starts):
                 row = src.state * n_actions
@@ -524,9 +531,14 @@ class MDPSource:
                     walk.append(i)
                     row = after[i]
                 src.state = row // n_actions
-            i = np.fromiter(walk, int, len(walk)).reshape(len(sources), T).T
-            s, a = divmod(i, n_actions)
-            i = i + offsets
-            return s, a, rewards[i], next_states[i]
+            i = np.fromiter(walk, np.intp, len(walk))
+            i = i.reshape(len(sources), T).T
+            s, a, s_next = out[0][:T].transpose(1, 0, 2)
+            r = out[1][:T]
+            np.divmod(i, n_actions, s, a)
+            i += offsets
+            rewards.take(i, out=r)
+            next_states.take(i, out=s_next)
+            return s, a, r, s_next
 
         return draw

@@ -74,3 +74,13 @@ def step_each(advance, theta, frames, first, eps):
     mixes = np.array([reference_mix(frames[(first + t) % len(frames)], prev)
                       for t, prev in enumerate(prevs)])
     return iterates, prevs, mixes.reshape(iterates.shape)
+
+
+def fill_walk(buffers, s, a, r, s_next):
+    """Write time-major (T, agents) samples (s, a, r, s') into the first T
+    rows of a Q-learning builder's buffers (walk, reward), where
+    MDPSource.block_sampler would draw them."""
+    walk, reward = buffers
+    T = len(s)
+    walk[:T, 0], walk[:T, 1], walk[:T, 2] = s, a, s_next
+    reward[:T] = r

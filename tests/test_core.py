@@ -350,6 +350,19 @@ def test_scenario_rejects_a_malformed_theta_star(theta_star):
     assert sc.theta_star.dtype == float and sc.theta_star.shape == (5,)
 
 
+def test_scenario_rejects_operators_of_different_dims():
+    """Every operator has the first one's dim. Ops of dims 3 and 2 used to
+    reach run(), which died with numpy's broadcast error; a dim-3 op whose
+    eval ignores its dim and returns 2 entries ran silently on 2-entry
+    rows."""
+    step = StepSchedule(kind="constant", eps=0.1)
+    with pytest.raises(CoreError, match="dim"):
+        consensus_scenario(2, 3, [zero_op(3), zero_op(2)], 4, step)
+    ignores_dim = LocalOperator(dim=3, eval=lambda x, t: np.zeros(2))
+    with pytest.raises(CoreError, match="dim"):
+        consensus_scenario(2, 2, [zero_op(2), ignores_dim], 4, step)
+
+
 def test_consensus_error_values():
     assert initial_metrics(np.array([[2.0], [2.0]]))[1] == 0.0
     assert initial_metrics(np.array([[1.0], [-1.0]]))[1] \

@@ -17,8 +17,8 @@ from dcsa.operators import (LocalOperator, OperatorError, TabularFeatures,
 from dcsa.rng import derive_stream
 from dcsa.sources import ARSource, MDPSource, ar_state_bound, parse_maze
 
-from strategies import (GAMMAS, mazes, signed_zeros, special_values,
-                        step_each)
+from strategies import (GAMMAS, fill_walk, mazes, signed_zeros,
+                        special_values, step_each)
 
 
 # ---------------------------------------------------------------------------
@@ -317,15 +317,15 @@ def test_qlearning_block_drift_matches_eval(maze_list, gamma, T, eps, seed):
               for i, m in enumerate(maze_list)]
     n = len(maze_list)
     samples = [np.stack(x, axis=1) for x in zip(*blocks)]
-    block, _ = qlearning_block_drift(feats, gamma, n, 1)
+    buffers, advance, _ = qlearning_block_drift(feats, gamma, n, 1)
     rng = np.random.default_rng(seed)
     frames = signed_zeros(rng, (2, n, n))
     for t in range(T):
         theta = (special_values(rng, (n, feats.dim), nan=np.inf)
                  if t % 3 == 0 else signed_zeros(rng, (n, feats.dim)))
+        fill_walk(buffers, *(x[t:t + 1] for x in samples))
         with np.errstate(invalid="ignore"):   # inf - inf and 0 * inf
-            got, _, mixes = step_each(block(*(x[t:t + 1] for x in samples)),
-                                      theta, frames, t % 2, [eps])
+            got, _, mixes = step_each(advance, theta, frames, t % 2, [eps])
             out, out0 = got[0], mixes[0]
             expected = out0.copy()
             in_slot = np.zeros(out0.shape, dtype=bool)
@@ -349,9 +349,11 @@ def test_qlearning_block_drift_rejects_states_beyond_features():
     agent's rows of the stacked table."""
     block = MDPSource(maze=parse_maze("S...G")).sample_block(
         np.random.default_rng(0), 50)
+    buffers, advance, _ = qlearning_block_drift(TabularFeatures(3, 4), 0.9,
+                                                2, 50)
+    fill_walk(buffers, *(np.stack([x, x], axis=1) for x in block))
     with pytest.raises(OperatorError):
-        qlearning_block_drift(TabularFeatures(3, 4), 0.9, 2, 50)[0](
-            *(np.stack([x, x], axis=1) for x in block))
+        step_each(advance, np.zeros((2, 12)), np.eye(2)[None], 0, [0.1] * 50)
 
 
 @given(st.lists(mazes((4, 3)), min_size=1, max_size=4), GAMMAS,
@@ -365,9 +367,9 @@ def test_qlearning_block_drift_refills_its_buffers_every_block(
     two lazy Metropolis frames: every step of every block adds eps times
     the row-wise reference's residual at its pre-step iterate to its
     agent's slot of its W Theta, bit for bit, and the slots equal mix +
-    eps * eval. A block that left a row of the per-run index or reward
-    buffers as the block before it filled it would step from that block's
-    samples. The steps stay below 0.5, where a block's iterates stay
+    eps * eval. A draw that left a row of the builder's walk or reward
+    buffers as the block before it filled it would make the step read that
+    block's samples. The steps stay below 0.5, where a block's iterates stay
     finite."""
     feats = TabularFeatures(12, 4)
     op = qlearning_operator(feats, gamma)
@@ -375,13 +377,13 @@ def test_qlearning_block_drift_refills_its_buffers_every_block(
     draw = MDPSource.block_sampler(
         [MDPSource(maze=m) for m in maze_list],
         [derive_stream(seed, i, "sample") for i in range(n)])
-    block, _ = qlearning_block_drift(feats, gamma, n, 128)
+    buffers, advance, _ = qlearning_block_drift(feats, gamma, n, 128)
     rng = np.random.default_rng(seed)
     for T in (128, 1, 0, 77, 128):
-        samples = draw(T)
+        samples = draw(T, buffers)
         got, prevs, mixes = step_each(
-            block(*samples), signed_zeros(rng, (n, feats.dim)),
-            path_frames(n), T % 2, [eps] * T)
+            advance, signed_zeros(rng, (n, feats.dim)), path_frames(n),
+            T % 2, [eps] * T)
         assert np.isfinite(got).all()
         for t in range(T):
             theta, out0, out = prevs[t], mixes[t], got[t]
@@ -406,17 +408,27 @@ def test_qlearning_block_drift_refills_its_buffers_every_block(
                                          ("s_next", -1)])
 def test_qlearning_block_drift_checks_every_block(name, value):
     """The builder checks the states and actions of every block, not only
-    of its first: one out-of-range entry in a later block raises."""
-    block, _ = qlearning_block_drift(TabularFeatures(3, 4), 0.9, 2, 50)
+    of its first: one out-of-range entry in a later block raises before
+    the block's first write, and leaves the iterates as they were, on the
+    numpy and the compiled path."""
     samples = [np.stack([x, x], axis=1) for x in MDPSource(
         maze=parse_maze("S.G")).sample_block(np.random.default_rng(0), 100)]
-    block(*(x[:50] for x in samples))
-    later = dict(zip(("s", "a", "r", "s_next"),
-                     (x[50:].copy() for x in samples)))
-    block(*later.values())
-    later[name][37, 1] = value
-    with pytest.raises(OperatorError):
-        block(*later.values())
+    theta, frames, eps = np.zeros((2, 12)), np.full((1, 2, 2), 0.5), [0.1]
+    for kernel in (None, operators.STEP):
+        buffers, advance, _ = qlearning_block_drift(TabularFeatures(3, 4),
+                                                    0.9, 2, 50, kernel)
+        fill_walk(buffers, *(x[:50] for x in samples))
+        step_each(advance, theta, frames, 0, eps * 50)
+        later = dict(zip(("s", "a", "r", "s_next"),
+                         (x[50:].copy() for x in samples)))
+        fill_walk(buffers, *later.values())
+        step_each(advance, theta, frames, 0, eps * 50)
+        later[name][37, 1] = value
+        fill_walk(buffers, *later.values())
+        iterates = np.full((50, 2, 12), 7.0)
+        with pytest.raises(OperatorError):
+            advance(theta, iterates, frames, 0, np.array(eps * 50))
+        assert (iterates == 7.0).all()
 
 
 def test_qlearning_rejects_bad_gamma():

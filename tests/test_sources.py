@@ -383,7 +383,10 @@ def test_mdp_sample_block_matches_sample(maze, warmups, t1, t2, zero_at,
     through three consecutive blocks of t1, t2 and 0 samples (the empty
     block in any place), holds in each column the values of as many sample
     calls of that source, and leaves every source's state and stream where
-    those calls leave them. A stack of one is drawn with sample_block."""
+    those calls leave them. A stack of one is drawn with sample_block; a
+    larger stack is drawn into one pair of buffers for all three blocks,
+    as the engine draws it, and the rows past the block are left as they
+    were."""
     ones, blocks, rngs_one, rngs_block = [], [], [], []
     for i, warmup in enumerate(warmups):
         one, block = MDPSource(maze=maze), MDPSource(maze=maze)
@@ -397,12 +400,20 @@ def test_mdp_sample_block_matches_sample(maze, warmups, t1, t2, zero_at,
         rngs_one.append(rng_one)
         rngs_block.append(rng_block)
     draw = MDPSource.block_sampler(blocks, rngs_block)
+    rows = max(t1, t2)
+    buffers = (np.full((rows, 3, len(blocks)), -1, dtype=np.intp),
+               np.full((rows, len(blocks)), np.inf))
     for T in three_blocks(t1, t2, zero_at):
         if len(blocks) == 1:
             columns = tuple(x[:, None] for x in blocks[0].sample_block(
                 rngs_block[0], T))
         else:
-            columns = draw(T)
+            past = [x[T:].copy() for x in buffers]
+            columns = draw(T, buffers)
+            assert all(x.base is buffers[i] for i, x in zip((0, 0, 1, 0),
+                                                            columns))
+            assert all(x[T:].tobytes() == p.tobytes()
+                       for x, p in zip(buffers, past))
         assert [x.dtype.kind for x in columns] == list("iifi")
         assert all(x.shape == (T, len(blocks)) for x in columns)
         for i, (one, rng_one) in enumerate(zip(ones, rngs_one)):

@@ -25,8 +25,8 @@ from dcsa import _build, operators
 from dcsa.core import _SHORT_ROW
 from dcsa.operators import (TabularFeatures, qlearning_block_drift,
                             quadratic_block_drift)
-from strategies import (DEFAULT_NAN, GAMMAS, signed_zeros, special_values,
-                        step_each)
+from strategies import (DEFAULT_NAN, GAMMAS, fill_walk, signed_zeros,
+                        special_values, step_each)
 
 # a stack's S runs of N agents: one run and 30, as the lemma-4 ensemble
 # stacks, of N on both sides of _SHORT_ROW
@@ -122,10 +122,12 @@ def test_compiled_qlearning_matches_numpy_step(n_states, n_actions, gamma,
     s, s_next = rng.integers(0, n_states, size=(2, T, agents))
     a = rng.integers(0, n_actions, size=(T, agents))
     r = signed_zeros(rng, (T, agents))
-    numpy_advance = qlearning_block_drift(feats, gamma, agents, T)[0](
-        s, a, r, s_next)
-    compiled_advance = qlearning_block_drift(
-        feats, gamma, agents, T, operators.STEP)[0](s, a, r, s_next)
+    numpy_buffers, numpy_advance, _ = qlearning_block_drift(feats, gamma,
+                                                            agents, T)
+    compiled_buffers, compiled_advance, _ = qlearning_block_drift(
+        feats, gamma, agents, T, operators.STEP)
+    fill_walk(numpy_buffers, s, a, r, s_next)
+    fill_walk(compiled_buffers, s, a, r, s_next)
     frames, theta = frames_and_theta(rng, n_frames, n, agents, feats.dim,
                                      share)
     steps = [eps / (t + 1) for t in range(T)]   # a diminishing schedule's
@@ -151,9 +153,11 @@ def test_compiled_qlearning_max_takes_numpys_nan():
     sample = (ones, 0 * ones, np.full((1, agents), -0.0), 0 * ones)
     slots = []
     for kernel in (None, operators.STEP):
-        block, _ = qlearning_block_drift(feats, 0.5, agents, 1, kernel)
+        buffers, advance, _ = qlearning_block_drift(feats, 0.5, agents, 1,
+                                                    kernel)
+        fill_walk(buffers, *sample)
         with np.errstate(invalid="ignore"):   # 0 * nan
-            out = step_each(block(*sample), theta, np.eye(agents)[None], 0,
+            out = step_each(advance, theta, np.eye(agents)[None], 0,
                             [0.25])[0][0]
         slots.append(out[:, feats.index(1, 0)])
     assert slots[0].tobytes() == slots[1].tobytes()
@@ -331,8 +335,8 @@ def test_compiled_step_rejects_mismatched_arrays():
 
     def qlearning(**change):
         checked(step.qlearning_steps,
-                dict(index=np.zeros((T, 2, n), dtype=np.intp),
-                     reward=np.zeros((T, n)), gamma=0.5,
+                dict(walk=np.zeros((T, 3, n), dtype=np.intp),
+                     reward=np.zeros((T, n)), actions=2, gamma=0.5,
                      theta=np.ones((n, d)), iterates=np.full((T, n, d), 7.0),
                      frames=np.ones((2, n, n)), first=1,
                      eps=np.full(T, 0.1)), change)
@@ -396,13 +400,24 @@ def test_compiled_step_rejects_mismatched_arrays():
     with pytest.raises(ValueError):
         quadratic(theta=np.zeros((n + 1, d)))
     with pytest.raises(TypeError):
-        qlearning(index=np.zeros((T, 2, n)))
+        step.qlearning_steps(np.zeros((T, 3, n), dtype=np.intp),
+                             np.zeros((T, n)), 0.5, np.ones((n, d)),
+                             np.zeros((T, n, d)), np.ones((2, n, n)), 1,
+                             np.full(T, 0.1))   # no actions
+    with pytest.raises(TypeError):
+        qlearning(walk=np.zeros((T, 3, n)))
+    with pytest.raises(TypeError):
+        qlearning(walk=np.zeros((T, 3, n), dtype=np.int32))
     with pytest.raises(ValueError):
-        qlearning(index=np.zeros((T, 2 * n), dtype=np.intp))
-    with pytest.raises(ValueError):   # no action rows
-        qlearning(index=np.zeros((T, 1, n), dtype=np.intp))
-    with pytest.raises(ValueError):
-        qlearning(index=np.zeros((T - 1, 2, n), dtype=np.intp))
+        qlearning(walk=np.zeros((T, 3 * n), dtype=np.intp))
+    for shape in [(T, 2, n), (T, 4, n), (T, 3, 0), (T - 1, 3, n)]:
+        with pytest.raises(ValueError):
+            qlearning(walk=np.zeros(shape, dtype=np.intp))
+    for actions in (0, -1, 3):   # 3 actions do not split 2 entries
+        with pytest.raises(ValueError):
+            qlearning(actions=actions)
+    with pytest.raises(TypeError):
+        qlearning(actions=2.0)
     with pytest.raises(ValueError):
         qlearning(reward=np.zeros((T - 1, n)))
     with pytest.raises(ValueError):
