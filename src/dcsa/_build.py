@@ -1,4 +1,6 @@
-"""Build and load the compiled drift step, _step.c.
+"""Build and load the compiled block module, _step.c: the samplers' draws
+after numpy's random numbers, the drift steps and the measure, one call
+per block each.
 
 load_step() runs once, when dcsa.operators is imported. The built module
 is cached in this package's __pycache__, as _step.<sha>.<EXT_SUFFIX>, keyed
@@ -8,7 +10,7 @@ compiled with sysconfig's CC and include directory into a temporary file,
 which then replaces the cached name in one os.replace, so concurrent
 builds never load a partial file. When the compiler is missing, the build
 or the write fails, or the module does not load, load_step returns None and
-the engine keeps its numpy step.
+the engine keeps its numpy draws, steps and measure.
 """
 
 import hashlib

@@ -1,5 +1,14 @@
-/* The steps of one block of dcsa's iteration, and its deviations from the
-   agents' mean, in one C call per block each.
+/* One block of dcsa's iteration in one C call per phase: the samplers'
+   draws after numpy's random numbers, the steps, and the block's
+   deviations from the agents' mean.
+
+   ar_block(noise, clip, gains, u, state, x, x2) and mdp_walk(actions,
+   n_actions, after, next_states, rewards, starts, state, walk, reward)
+   finish the draw of a block of T steps of R sources, once numpy has
+   drawn its random numbers: each AR source's (T, 2) standard normals, each
+   GridWorld source's T actions. They write the values, and the states,
+   of sources.ARSource.block_sampler's and MDPSource.block_sampler's numpy
+   draws into the same buffers.
 
    quadratic_steps(x1, x2, theta, iterates, frames, first, eps) and
    qlearning_steps(walk, reward, actions, gamma, theta, iterates, frames,
@@ -10,23 +19,24 @@
    run, as the j-order chain ((+0.0 + W(i, 0) theta(0, c)) + W(i, 1)
    theta(1, c)) + ..., then adds eps[t] times every agent's drift row, at
    the pre-step iterate (theta at t = 0, row t - 1 after), to row t in
-   place. Both round as the builders' numpy step and operators.mix do, one
-   IEEE operation at a time in the same order, so both give the same bytes
-   whatever BLAS numpy has; -ffp-contract=off (no fused multiply-add)
-   keeps it so.
+   place.
 
    deviations(thetas, theta_bar, dev[, S]) is the engine's measure of a
    block's iterates, (rows, N, d): each row's agents' mean into theta_bar,
    (rows, d), its squared deviations from it into dev, (rows, N, d), and,
    where S is given, each row's sum of them into S, (rows,). It rounds as
-   numpy's ordered_sum, subtract, square and, for rows of N * d below 8,
-   np.add.reduce do (see deviations_of), and the buffers it writes must
-   not overlap each other or thetas.
+   numpy's chained sum (sources.Chain), subtract, square and, for rows
+   of N * d below 8, np.add.reduce do (see deviations_of), and the
+   buffers it writes must not overlap each other or thetas.
 
-   Arrays come in through the buffer protocol as C-contiguous float64 (or
-   intp) buffers, so no numpy header is needed. Every buffer is read once
-   per block, and every size is checked before the first write.
-   dcsa._build compiles this file when dcsa.operators is imported. */
+   Each function rounds as the numpy code it replaces does, one IEEE
+   operation at a time in the same order, so both give the same bytes
+   whatever BLAS numpy has; -ffp-contract=off (no fused multiply-add)
+   keeps it so. Arrays come in through the buffer protocol as C-contiguous
+   float64 (or intp) buffers, so no numpy header is needed. Every buffer
+   is read once per block, and every size and index is checked before
+   the first write. dcsa._build compiles this file when dcsa.operators is
+   imported. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -98,10 +108,25 @@ static const entry_args entries[2] = {
 };
 
 static void
-release(Py_buffer *b, int got)
+release(Py_buffer *b, Py_ssize_t got)
 {
     while (got--)
         PyBuffer_Release(&b[got]);
+}
+
+/* The n buffers of table, from args, into b. Returns 0, or -1 with no
+   buffer held. */
+static int
+get_arrays(PyObject *const *args, const buffer_arg *table, int n,
+           Py_buffer *b)
+{
+    for (int got = 0; got < n; got++)
+        if (get_array(args[table[got].arg], &b[got], table[got].kind,
+                      table[got].flags, table[got].name) < 0) {
+            release(b, got);
+            return -1;
+        }
+    return 0;
 }
 
 /* whether two buffers share a byte */
@@ -112,29 +137,52 @@ overlap(const Py_buffer *a, const Py_buffer *b)
     return x < y + b->len && y < x + a->len;
 }
 
+/* Whether two of the n buffers of table in b, one of them writable,
+   share a byte; if so, with a ValueError naming the first such pair. */
+static int
+any_overlap(const Py_buffer *b, const buffer_arg *table, int n)
+{
+    for (int i = 0; i < n; i++)
+        for (int k = i + 1; k < n; k++)
+            if ((table[i].flags | table[k].flags) & PyBUF_WRITABLE
+                    && overlap(&b[i], &b[k])) {
+                PyErr_Format(PyExc_ValueError, "%s and %s must not overlap",
+                             table[i].name, table[k].name);
+                return 1;
+            }
+    return 0;
+}
+
+/* whether view is ndim-D of the given sizes, a size below 0 matching any */
+static int
+shaped(const Py_buffer *view, int ndim, const Py_ssize_t *size)
+{
+    if (view->ndim != ndim)
+        return 0;
+    for (int i = 0; i < ndim; i++)
+        if (size[i] >= 0 && view->shape[i] != size[i])
+            return 0;
+    return 1;
+}
+
 /* The buffers of an entry point into b, once it has its nargs, eps is 1-D
    and x1 or walk 3-D. Returns T = len(eps), or -1 with no buffer held. */
 static Py_ssize_t
 get_buffers(PyObject *const *args, Py_ssize_t nargs, const entry_args *e,
             Py_buffer *b)
 {
-    const buffer_arg *table = e->buffers;
-    int got = 0;
     if (nargs != e->nargs) {
         PyErr_Format(PyExc_TypeError, "%s takes %zd arguments", e->usage,
                      e->nargs);
         return -1;
     }
-    for (; got < N_BUFFERS; got++)
-        if (get_array(args[table[got].arg], &b[got], table[got].kind,
-                      table[got].flags, table[got].name) < 0)
-            goto fail;
+    if (get_arrays(args, e->buffers, N_BUFFERS, b) < 0)
+        return -1;
     if (b[EPS].ndim == 1 && b[SAMPLE_A].ndim == 3)
         return items(&b[EPS]);
     PyErr_Format(PyExc_ValueError, "eps must be 1-D and %s 3-D",
-                 table[SAMPLE_A].name);
-fail:
-    release(b, got);
+                 e->buffers[SAMPLE_A].name);
+    release(b, N_BUFFERS);
     return -1;
 }
 
@@ -406,18 +454,14 @@ deviations(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     Py_buffer b[4];
     PyObject *result = NULL;
-    int got = 0;
 
     if (nargs != 3 && nargs != 4) {
         PyErr_SetString(PyExc_TypeError, "deviations(thetas, theta_bar, dev"
                         "[, S]) takes 3 or 4 arguments");
         return NULL;
     }
-    for (; got < nargs; got++)
-        if (get_array(args[got], &b[got], deviation_buffers[got].kind,
-                      deviation_buffers[got].flags,
-                      deviation_buffers[got].name) < 0)
-            goto done;
+    if (get_arrays(args, deviation_buffers, (int)nargs, b) < 0)
+        return NULL;
     const Py_buffer *th = &b[THETAS];
     if (th->ndim != 3 || th->shape[1] < 1) {
         PyErr_SetString(PyExc_ValueError, "thetas must be (rows, N, d) with "
@@ -426,29 +470,237 @@ deviations(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     }
     Py_ssize_t rows = th->shape[0], n = th->shape[1], d = th->shape[2];
     const Py_buffer *bar = &b[THETA_BAR], *dev = &b[DEV];
-    if (bar->ndim != 2 || bar->shape[0] != rows || bar->shape[1] != d
-            || dev->ndim != 3 || dev->shape[0] != rows
-            || dev->shape[1] != n || dev->shape[2] != d
-            || (nargs == 4 && (b[SUMS].ndim != 1
-                               || b[SUMS].shape[0] != rows))) {
+    if (!shaped(bar, 2, (Py_ssize_t[]){rows, d})
+            || !shaped(dev, 3, (Py_ssize_t[]){rows, n, d})
+            || (nargs == 4 && !shaped(&b[SUMS], 1, (Py_ssize_t[]){rows}))) {
         PyErr_Format(PyExc_ValueError, "theta_bar must be (%zd, %zd), dev "
                      "(%zd, %zd, %zd) and S (%zd,), as thetas", rows, d,
                      rows, n, d, rows);
         goto done;
     }
-    for (int i = 0; i < nargs; i++)
-        for (int k = i + 1; k < nargs; k++)
-            if (overlap(&b[i], &b[k])) {
-                PyErr_Format(PyExc_ValueError, "%s and %s must not overlap",
-                             deviation_buffers[i].name,
-                             deviation_buffers[k].name);
-                goto done;
-            }
+    if (any_overlap(b, deviation_buffers, (int)nargs))
+        goto done;
     deviations_of(th->buf, bar->buf, dev->buf,
                   nargs == 4 ? b[SUMS].buf : NULL, rows, n, d);
     result = Py_NewRef(Py_None);
 done:
-    release(b, got);
+    release(b, nargs);
+    return result;
+}
+
+/* numpy's minimum(maximum(v, -c), c): a NaN v stays */
+static inline double
+clipped(double v, double c)
+{
+    v = v < -c ? -c : v;
+    return v > c ? c : v;
+}
+
+/* ar_block's buffers, each its argument's position */
+enum { NOISE, CLIPS, GAINS, U, STATE, X, X2, N_AR };
+static const buffer_arg ar_buffers[N_AR] = {
+    {NOISE, 'd', 0, "noise"}, {CLIPS, 'd', 0, "clip"},
+    {GAINS, 'd', 0, "gains"}, {U, 'd', 0, "u"}, {STATE, 'd', 0, "state"},
+    {X, 'd', PyBUF_WRITABLE, "x"}, {X2, 'd', PyBUF_WRITABLE, "x2"},
+};
+
+/* ar_block(noise, clip, gains, u, state, x, x2): the rest of the draw of
+   a block of T steps of R AR sources of dim d, once each source's row of
+   noise, (R, T, 2), holds its T pairs of standard normals. Row 0 of x,
+   (rows + 1, R, d), takes state, (R, d). At step t, with w0 and w1 the
+   noise pair of source r clipped into [-clip[r], clip[r]], and g and u
+   its rows of gains, (R, d - 1), and u, (R, d), row t + 1 of x gets
+   (w0, g_0 x(t)_0, ..., g_{d-2} x(t)_{d-2}) from its row t, x(t), and
+   x2[t], (rows, R), gets ((+0.0 + x_0 u_0) + x_1 u_1) + ... + w1 over
+   that new row x: the products and the chain of Chain that the numpy
+   draw forms. */
+static PyObject *
+ar_block(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer b[N_AR];
+    PyObject *result = NULL;
+    if (nargs != N_AR) {
+        PyErr_SetString(PyExc_TypeError, "ar_block(noise, clip, gains, u, "
+                        "state, x, x2) takes 7 arguments");
+        return NULL;
+    }
+    if (get_arrays(args, ar_buffers, N_AR, b) < 0)
+        return NULL;
+    const Py_buffer *noise = &b[NOISE], *u = &b[U];
+    Py_ssize_t R = noise->ndim == 3 ? noise->shape[0] : 0,
+        T = noise->ndim == 3 ? noise->shape[1] : 0,
+        d = u->ndim == 2 ? u->shape[1] : 0;
+    if (R < 1 || d < 1 || !shaped(noise, 3, (Py_ssize_t[]){R, T, 2})
+            || !shaped(&b[CLIPS], 1, (Py_ssize_t[]){R})
+            || !shaped(&b[GAINS], 2, (Py_ssize_t[]){R, d - 1})
+            || !shaped(u, 2, (Py_ssize_t[]){R, d})
+            || !shaped(&b[STATE], 2, (Py_ssize_t[]){R, d})
+            || !shaped(&b[X], 3, (Py_ssize_t[]){-1, R, d})
+            || !shaped(&b[X2], 2, (Py_ssize_t[]){-1, R})
+            || b[X].shape[0] <= T || b[X2].shape[0] < T) {
+        PyErr_SetString(PyExc_ValueError, "noise must be (R, T, 2) and u "
+                        "(R, d) with R, d >= 1, clip (R,), gains (R, d - "
+                        "1), state (R, d), x (rows + 1, R, d) and x2 "
+                        "(rows, R) with rows >= T");
+        goto done;
+    }
+    if (any_overlap(b, ar_buffers, N_AR))
+        goto done;
+    const double *w = noise->buf, *c = b[CLIPS].buf, *gains = b[GAINS].buf,
+        *us = u->buf;
+    double *x = b[X].buf, *x2 = b[X2].buf;
+    memcpy(x, b[STATE].buf, (size_t)(R * d) * sizeof(double));
+    for (Py_ssize_t t = 0; t < T; t++, x += R * d, x2 += R)
+        for (Py_ssize_t r = 0; r < R; r++) {
+            const double *p = x + r * d, *g = gains + r * (d - 1),
+                *ur = us + r * d, *pair = w + (r * T + t) * 2;
+            double *o = x + (R + r) * d, s = 0.0;
+            o[0] = clipped(pair[0], c[r]);
+            for (Py_ssize_t m = 1; m < d; m++)
+                o[m] = g[m - 1] * p[m - 1];
+            for (Py_ssize_t m = 0; m < d; m++)
+                s = s + o[m] * ur[m];
+            x2[r] = s + clipped(pair[1], c[r]);
+        }
+    result = Py_NewRef(Py_None);
+done:
+    release(b, N_AR);
+    return result;
+}
+
+/* mdp_walk's buffers, each its argument's position; actions and
+   n_actions, the first two, are not buffers */
+enum { AFTER, NEXT_STATES, REWARDS, STARTS, STATES, WALK, REWARD, N_MDP };
+static const buffer_arg mdp_buffers[N_MDP] = {
+    {2, 'n', 0, "after"}, {3, 'n', 0, "next_states"},
+    {4, 'd', 0, "rewards"}, {5, 'n', 0, "starts"},
+    {6, 'n', PyBUF_WRITABLE, "state"}, {7, 'n', PyBUF_WRITABLE, "walk"},
+    {8, 'd', PyBUF_WRITABLE, "reward"},
+};
+
+/* The error, or NULL, of a walk of R sources from state by the actions,
+   A of them, in each source r's table, the entries [starts[r],
+   starts[r + 1]) of after, next_states and rewards, of L entries each:
+   every table must lie in [0, L) and hold whole rows of A, every state
+   and every entry of its after table must lie in [0, cells), for the
+   table's cells = (starts[r + 1] - starts[r]) / A, and every action in
+   [0, A). So every index the walk reads, starts[r] + s A + a, lies in its
+   table. */
+static const char *
+walk_error(const Py_buffer *acts, const Py_ssize_t *starts,
+           const Py_ssize_t *state, const Py_ssize_t *after, Py_ssize_t R,
+           Py_ssize_t A, Py_ssize_t L)
+{
+    for (Py_ssize_t r = 0; r < R; r++) {
+        Py_ssize_t lo = starts[r], hi = starts[r + 1];
+        const Py_ssize_t *a = acts[r].buf;
+        if (lo < 0 || hi < lo || hi > L || (hi - lo) % A)
+            return "starts must rise within the tables by rows of "
+                   "n_actions";
+        Py_ssize_t cells = (hi - lo) / A;
+        if (state[r] < 0 || state[r] >= cells)
+            return "a state lies beyond its source's table";
+        for (Py_ssize_t i = lo; i < hi; i++)
+            if (after[i] < 0 || after[i] >= cells)
+                return "an after entry lies beyond its source's table";
+        for (Py_ssize_t t = 0, T = items(&acts[r]); t < T; t++)
+            if (a[t] < 0 || a[t] >= A)
+                return "an action lies outside [0, n_actions)";
+    }
+    return NULL;
+}
+
+/* mdp_walk(actions, n_actions, after, next_states, rewards, starts, state,
+   walk, reward): the rest of the draw of a block of T steps of R
+   GridWorld sources, once actions holds each source's T actions, an intp
+   array each. Each source r walks its table (see walk_error) from its
+   state: at step t, with a its action and i = starts[r] + s A + a for
+   its state s, walk (rows, 3, R) gets s, a and next_states[i] in row t's
+   three columns, reward (rows, R) gets rewards[i], and the state becomes
+   after[i]. state then holds the sources' new states. Every index is
+   checked before the first write, and a bad one raises ValueError with
+   the buffers and states as they were. */
+static PyObject *
+mdp_walk(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer b[N_MDP], *acts = NULL;
+    PyObject *seq = NULL, *result = NULL;
+    Py_ssize_t R = 0, got = 0;
+    if (nargs != 9) {
+        PyErr_SetString(PyExc_TypeError, "mdp_walk(actions, n_actions, "
+                        "after, next_states, rewards, starts, state, walk, "
+                        "reward) takes 9 arguments");
+        return NULL;
+    }
+    Py_ssize_t A = PyLong_AsSsize_t(args[1]);
+    if ((A == -1 && PyErr_Occurred())
+            || get_arrays(args, mdp_buffers, N_MDP, b) < 0)
+        return NULL;
+    seq = PySequence_Fast(args[0], "actions must be a sequence of arrays");
+    if (seq == NULL)
+        goto done;
+    R = PySequence_Fast_GET_SIZE(seq);
+    acts = PyMem_New(Py_buffer, R ? R : 1);
+    if (acts == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (; got < R; got++)
+        if (get_array(PySequence_Fast_GET_ITEM(seq, got), &acts[got], 'n',
+                      0, "actions") < 0)
+            goto done;
+    Py_ssize_t T = R ? items(&acts[0]) : 0, L = items(&b[AFTER]);
+    int ok = R >= 1 && A >= 1 && items(&b[STATES]) == R
+        && items(&b[STARTS]) == R + 1 && items(&b[NEXT_STATES]) == L
+        && items(&b[REWARDS]) == L
+        && shaped(&b[WALK], 3, (Py_ssize_t[]){-1, 3, R})
+        && shaped(&b[REWARD], 2, (Py_ssize_t[]){-1, R})
+        && b[WALK].shape[0] >= T && b[REWARD].shape[0] >= T;
+    for (Py_ssize_t r = 0; ok && r < R; r++)
+        ok = shaped(&acts[r], 1, (Py_ssize_t[]){T});
+    if (!ok) {
+        PyErr_SetString(PyExc_ValueError, "actions must be R >= 1 1-D "
+                        "arrays of T each, n_actions >= 1, state (R,), "
+                        "starts (R + 1,), after, next_states and rewards "
+                        "of one length, walk (rows, 3, R) and reward (rows, "
+                        "R) with rows >= T");
+        goto done;
+    }
+    if (any_overlap(b, mdp_buffers, N_MDP))
+        goto done;
+    for (Py_ssize_t r = 0; r < R; r++)
+        for (int k = STATES; k < N_MDP; k++)
+            if (overlap(&acts[r], &b[k])) {
+                PyErr_Format(PyExc_ValueError, "actions and %s must not "
+                             "overlap", mdp_buffers[k].name);
+                goto done;
+            }
+    const Py_ssize_t *starts = b[STARTS].buf, *after = b[AFTER].buf,
+        *next_states = b[NEXT_STATES].buf;
+    const double *rewards = b[REWARDS].buf;
+    Py_ssize_t *state = b[STATES].buf, *walk = b[WALK].buf;
+    double *reward = b[REWARD].buf;
+    const char *error = walk_error(acts, starts, state, after, R, A, L);
+    if (error != NULL) {
+        PyErr_SetString(PyExc_ValueError, error);
+        goto done;
+    }
+    for (Py_ssize_t t = 0; t < T; t++, walk += 3 * R, reward += R)
+        for (Py_ssize_t r = 0; r < R; r++) {
+            Py_ssize_t a = ((const Py_ssize_t *)acts[r].buf)[t],
+                i = starts[r] + state[r] * A + a;
+            walk[r] = state[r];
+            walk[R + r] = a;
+            walk[2 * R + r] = next_states[i];
+            reward[r] = rewards[i];
+            state[r] = after[i];
+        }
+    result = Py_NewRef(Py_None);
+done:
+    release(acts, got);
+    PyMem_Free(acts);
+    Py_XDECREF(seq);
+    release(b, N_MDP);
     return result;
 }
 
@@ -461,6 +713,13 @@ static PyMethodDef methods[] = {
      METH_FASTCALL,
      "qlearning_steps(walk, reward, actions, gamma, theta, iterates, "
      "frames, first, eps): a block of Q-learning steps."},
+    {"ar_block", (PyCFunction)(void (*)(void))ar_block, METH_FASTCALL,
+     "ar_block(noise, clip, gains, u, state, x, x2): a block of AR "
+     "samples after their standard normals."},
+    {"mdp_walk", (PyCFunction)(void (*)(void))mdp_walk, METH_FASTCALL,
+     "mdp_walk(actions, n_actions, after, next_states, rewards, starts, "
+     "state, walk, reward): a block of GridWorld samples after their "
+     "actions."},
     {"deviations", (PyCFunction)(void (*)(void))deviations, METH_FASTCALL,
      "deviations(thetas, theta_bar, dev[, S]): the agents' mean, the "
      "squared deviations from it and, with S, their row sums."},
@@ -470,8 +729,8 @@ static PyMethodDef methods[] = {
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_step",
-    .m_doc = "The steps of a block of dcsa's iteration, and its "
-              "deviations from the agents' mean, in C.",
+    .m_doc = "The draws and steps of a block of dcsa's iteration, and "
+              "its deviations from the agents' mean, in C.",
     .m_size = -1,
     .m_methods = methods,
 };

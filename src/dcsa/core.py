@@ -436,7 +436,7 @@ class MetricsTrajectory:
     # seconds per phase of the engine (sample, step, measure, log); a
     # stacked pass is timed once, and each of its runs carries its totals
     phase_s: dict = dataclasses.field(default_factory=dict, compare=False)
-    # whether the steps were the compiled kernel's (see _block_drift)
+    # whether the block's draw and steps ran compiled (see _block_drift)
     compiled_step: bool = dataclasses.field(default=False, compare=False)
 
     def column(self, name):
@@ -776,11 +776,12 @@ def _block_drift(ops, sources, rngs):
     features and gamma, share one batched advance. The operators' builder,
     with its _BLOCK-row buffers, and the sampler are then made once, here,
     for the whole run, and a block is one draw into the builder's buffers,
-    whose samples its advance steps through. Each builder gets
-    operators.STEP, the compiled step where it loaded, read here at every
-    run, and compiled is the builder's report of whether its advance is
-    one call of it. Anything else is sampled and evaluated agent by agent,
-    and makes no builder; its advance is step_loop over a per-agent step.
+    whose samples its advance steps through. The builder and the sampler
+    get operators.STEP, the compiled step where it loaded, read here at
+    every run, and compiled is the builder's report of whether the block's
+    draw and steps ran compiled. Anything else is sampled and evaluated
+    agent by agent, and makes no builder; its advance is step_loop over a
+    per-agent step.
     That step never hands an operator's eval a non-finite iterate: an
     agent whose row of Theta has a non-finite entry gets a NaN drift row
     instead, and its run aborts at that step all the same."""
@@ -795,8 +796,9 @@ def _block_drift(ops, sources, rngs):
     source_class = type(sources[0])
     if (builder is not None and hasattr(source_class, "block_sampler")
             and all(type(src) is source_class for src in sources)):
-        out, advance, compiled = builder(len(ops), _BLOCK, operators.STEP)
-        draw = source_class.block_sampler(sources, rngs)
+        kernel = operators.STEP
+        out, advance, compiled = builder(len(ops), _BLOCK, kernel)
+        draw = source_class.block_sampler(sources, rngs, kernel)
 
         def sampled(T):
             draw(T, out)

@@ -20,8 +20,8 @@ class OperatorError(ValueError):
     """Raised for dimension mismatches and misuse of operator contracts."""
 
 
-# the compiled drift step (_step.c), or None where it cannot be built or
-# loaded; core._block_drift hands it to the batched builders
+# the compiled block module (_step.c), or None where it cannot be built or
+# loaded; core._block_drift hands it to the batched builders and samplers
 STEP = load_step()
 
 

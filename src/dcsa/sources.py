@@ -253,7 +253,7 @@ class ARSource:
         return x1[:, 0], x2[:, 0]
 
     @staticmethod
-    def block_sampler(sources, rngs):
+    def block_sampler(sources, rngs, kernel=None):
         """draw(T, out): the next T samples of each of R ARSources of one
         dim, each from its own stream, time-major: x1 (T, R, d) and x2 (T,
         R), with the values, final states and streams of T sample calls per
@@ -270,44 +270,53 @@ class ARSource:
         must not be sampled by other means between draws.
 
         Each stream fills its (T, 2) noise with one standard_normal call,
-        as T sample calls would draw it; the clip, the shift and the sums
-        then act on all R sources at once. Column m of X(1) is gains[m-1]
-        times column m-1 one step earlier: one array op per column over
-        rows whose first is the state, the products sample forms. x2 is
-        the Chain of x1 u over m, sample's dot, plus the noise."""
+        as T sample calls would draw it. kernel is the compiled step module
+        (see _build), or None. With it, the rest of the block is one call
+        of kernel.ar_block; without it, the clip, the shift and the sums
+        act on all R sources at once. Column m of X(1) is gains[m-1] times
+        column m-1 one step earlier: one array op per column over rows
+        whose first is the state, the products sample forms. x2 is the
+        Chain of x1 u over m, sample's dot, plus the noise. Both write the
+        same bytes."""
         n_sources, dim = len(sources), sources[0].dim
-        clip = np.array([src.noise_clip for src in sources])[:, None, None]
-        gains = np.array([src.gains for src in sources]).T
-        u = np.array([src.u for src in sources]).T[:, None]   # (d, 1, R)
+        clip = np.array([src.noise_clip for src in sources])
+        gains = np.array([src.gains for src in sources])   # (R, d - 1)
+        u = np.array([src.u for src in sources])
         state = np.array([src.state for src in sources])
         # grown to the longest block, as no array draw returns refers to
         # them: a fresh noise buffer per block raised the peak RSS of the
         # 30-seed lemma4_ensemble benchmark by about 0.2 MB
-        noise_buf, chain = (np.empty((n_sources, 0, 2)),
-                            Chain(dim, (0, n_sources)))
+        noise_buf, chain = np.empty(0), Chain(dim, (0, n_sources))
+        limit = clip[:, None, None]
 
         def draw(T, out):
             nonlocal state, noise_buf, chain
-            if noise_buf.shape[1] < T:
-                noise_buf, chain = (np.empty((n_sources, T, 2)),
-                                    Chain(dim, (T, n_sources)))
-            x, x2 = out[0][:T + 1], out[1][:T]
-            noise = noise_buf[:, :T]
+            if noise_buf.size < 2 * T * n_sources:
+                noise_buf = np.empty(2 * T * n_sources)
+            noise = noise_buf[:2 * T * n_sources].reshape(n_sources, T, 2)
             for rng, rows in zip(rngs, noise):
                 rng.standard_normal(out=rows)
-            np.minimum(np.maximum(noise, -clip, out=noise), clip, out=noise)
-            x[0] = state
-            x[1:, :, 0] = noise[..., 0].T
-            for m in range(1, dim):
-                np.multiply(gains[m - 1], x[:-1, :, m - 1], out=x[1:, :, m])
-            x1 = x[1:]
+            x, x2 = out[0][:T + 1], out[1][:T]
+            if kernel is not None:
+                kernel.ar_block(noise, clip, gains, u, state, *out)
+            else:
+                if chain.terms.shape[1] < T:
+                    chain = Chain(dim, (T, n_sources))
+                np.minimum(np.maximum(noise, -limit, out=noise), limit,
+                           out=noise)
+                x[0] = state
+                x[1:, :, 0] = noise[..., 0].T
+                for m in range(1, dim):
+                    np.multiply(gains[:, m - 1], x[:-1, :, m - 1],
+                                out=x[1:, :, m])
+                np.multiply(x[1:].transpose(2, 0, 1), u.T[:, None],
+                            out=chain.terms[:, :T])
+                chain(x2)
+                x2 += noise[..., 1].T
             state = x[-1].copy()
             for src, row in zip(sources, state):
                 src.state = row
-            np.multiply(x1.transpose(2, 0, 1), u, out=chain.terms[:, :T])
-            chain(x2)
-            x2 += noise[..., 1].T
-            return x1, x2
+            return x[1:], x2
 
         return draw
 
@@ -478,6 +487,9 @@ class MDPSource:
     def __post_init__(self):
         if self.state is None:
             self.state = self.maze.start
+        if not (isinstance(self.state, (int, np.integer))
+                and 0 <= self.state < self.maze.n_cells):
+            raise SourceError("initial state out of range")
 
     def sample(self, rng):
         s = self.state
@@ -494,7 +506,7 @@ class MDPSource:
         return tuple(x[:, 0] for x in draw(T, out))
 
     @staticmethod
-    def block_sampler(sources, rngs):
+    def block_sampler(sources, rngs, kernel=None):
         """draw(T, out): the next T samples of each of R MDPSources, each
         from its own stream, time-major (s, a, r, s') of shape (T, R): the
         values and final states of T sample calls per source.
@@ -505,38 +517,52 @@ class MDPSource:
         reward, and draw returns their views walk[:T, 0], walk[:T, 1],
         reward[:T] and walk[:T, 2].
 
-        The mazes' tables are fetched once, here: each source's chain moves
-        as a list of next row starts after[i] * actions, and the mazes'
-        rewards and next states as one array each, the source's table at
-        its offset. A draw has every source draw one integers(0, actions,
-        size=T) and walk its list, appending one flat table index
-        i = s * actions + a per step; r and s' are then gathered from the
-        arrays at the offset indices, and s and a come from one divmod."""
+        The mazes' tables are fetched once, here, each source's at its
+        offset in one array per column. A draw has every source draw one
+        integers(0, actions, size=T). kernel is the compiled step module
+        (see _build), or None. With it, one kernel.mdp_walk call walks each
+        source's table from the state it carries from block to block, so a
+        source must not be sampled by other means between draws. Without
+        it, each source walks a list of next row starts after[i] * actions
+        from its state, one flat table index i = s * actions + a per step;
+        r and s' are gathered at the offset indices, s and a by divmod."""
         n_actions = len(ACTIONS)   # every maze's
         tables = [src.maze.transitions for src in sources]
-        row_starts = [[n_actions * t for t in after]
-                      for _, _, after in tables]
-        offsets = np.cumsum([0] + [len(nxt) for nxt, _, _ in tables[:-1]])
-        next_states = np.array([t for nxt, _, _ in tables for t in nxt],
-                               dtype=np.intp)
-        rewards = np.array([r for _, rew, _ in tables for r in rew],
-                           dtype=float)
+        starts = np.cumsum([0] + [len(nxt) for nxt, _, _ in tables],
+                           dtype=np.intp)
+        next_states, rewards = (
+            np.array([v for table in tables for v in table[k]], dtype)
+            for k, dtype in ((0, np.intp), (1, float)))
+        if kernel is not None:
+            after = np.array([t for table in tables for t in table[2]],
+                             dtype=np.intp)
+            state = np.array([src.state for src in sources], dtype=np.intp)
+        else:
+            row_starts = [[n_actions * t for t in table[2]]
+                          for table in tables]
 
         def draw(T, out):
+            actions = [rng.integers(0, n_actions, size=T) for rng in rngs]
+            s, a, s_next = out[0][:T].transpose(1, 0, 2)
+            r = out[1][:T]
+            if kernel is not None:
+                kernel.mdp_walk(actions, n_actions, after, next_states,
+                                rewards, starts, state, *out)
+                for src, new in zip(sources, state.tolist()):
+                    src.state = new
+                return s, a, r, s_next
             walk = []   # every source's T indices in turn
-            for src, rng, after in zip(sources, rngs, row_starts):
+            for src, drawn, row_after in zip(sources, actions, row_starts):
                 row = src.state * n_actions
-                for a in rng.integers(0, n_actions, size=T).tolist():
-                    i = row + a
+                for act in drawn.tolist():
+                    i = row + act
                     walk.append(i)
-                    row = after[i]
+                    row = row_after[i]
                 src.state = row // n_actions
             i = np.fromiter(walk, np.intp, len(walk))
             i = i.reshape(len(sources), T).T
-            s, a, s_next = out[0][:T].transpose(1, 0, 2)
-            r = out[1][:T]
             np.divmod(i, n_actions, s, a)
-            i += offsets
+            i += starts[:-1]
             rewards.take(i, out=r)
             next_states.take(i, out=s_next)
             return s, a, r, s_next

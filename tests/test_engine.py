@@ -553,8 +553,9 @@ def test_batched_drift_builders_are_made_once_per_run(monkeypatch):
 
 def counting_step(calls):
     """A stand-in for the compiled step module: each call of its
-    quadratic_steps, qlearning_steps or deviations appends that name to
-    calls and is passed on to operators.STEP, which must have loaded."""
+    ar_block, mdp_walk, quadratic_steps, qlearning_steps or deviations
+    appends that name to calls and is passed on to operators.STEP, which
+    must have loaded."""
     compiled = operators.STEP
 
     def counted(name):
@@ -565,16 +566,19 @@ def counting_step(calls):
 
     return types.SimpleNamespace(**{
         name: counted(name)
-        for name in ("quadratic_steps", "qlearning_steps", "deviations")})
+        for name in ("ar_block", "mdp_walk", "quadratic_steps",
+                     "qlearning_steps", "deviations")})
 
 
 def test_block_drift_picks_the_compiled_step(monkeypatch):
     """_block_drift hands operators.STEP, as it is at the run, to the
-    batched builders: a run, or a stack of runs, makes one call per block,
-    ceil(horizon / _BLOCK) in all, of quadratic_steps at every d and of
-    qlearning_steps for Q-learning, and none for sources stepped agent by
-    agent. With STEP None, it makes none. Each trajectory's compiled_step
-    is true exactly for the runs whose steps called it. Every run here, d
+    batched builders and samplers: a run, or a stack of runs, makes one
+    draw and then one step call per block, ceil(horizon / _BLOCK) blocks
+    in all, of ar_block and quadratic_steps at every d and of mdp_walk and
+    qlearning_steps for Q-learning, and none for sources sampled and
+    stepped agent by agent. With STEP None, it makes none. Each
+    trajectory's compiled_step is true exactly for the runs whose draws
+    and steps called it. Every run here, d
     = 1 with N = 8 included, is measured by one deviations call per block
     and one for k = 0, whichever its drift path. Where the step did not
     load, only the runs with STEP None are made, and every run steps with
@@ -592,16 +596,17 @@ def test_block_drift_picks_the_compiled_step(monkeypatch):
     unbatched = build_scenario(cfg)
     unbatched.sources = [Unbatched(src) for src in unbatched.sources]
     runs = [(lambda: [run(build_scenario(cfg))],
-             ["quadratic_steps"] * blocks),
+             ["ar_block", "quadratic_steps"] * blocks),
             (lambda: run_ensemble([build_scenario(dataclasses.replace(
                 cfg, seed=seed)) for seed in (1, 2)]),
-             ["quadratic_steps"] * blocks),
+             ["ar_block", "quadratic_steps"] * blocks),
             (lambda: [run(build_scenario(dataclasses.replace(cfg, dim=8)))],
-             ["quadratic_steps"] * blocks),
+             ["ar_block", "quadratic_steps"] * blocks),
             (lambda: [run(build_scenario(dataclasses.replace(
                 cfg, n_agents=8, dim=1)))],
-             ["quadratic_steps"] * blocks),
-            (lambda: [run(gridworld)], ["qlearning_steps"] * blocks),
+             ["ar_block", "quadratic_steps"] * blocks),
+            (lambda: [run(gridworld)],
+             ["mdp_walk", "qlearning_steps"] * blocks),
             (lambda: [run(unbatched)], [])]
     monkeypatch.setattr(operators, "STEP", counting_step(calls))
     for run_it, expected in runs if loaded else []:

@@ -437,9 +437,11 @@ class StationaryARSource(ARSource):
     u and the marginal law of every sample is the chain's."""
 
     @staticmethod
-    def block_sampler(sources, rngs):
+    def block_sampler(sources, rngs, kernel=None):
         """draw(T, out) with ARSource.block_sampler's out protocol; row 0
-        of x, the chain's starting state there, is left as it is."""
+        of x, the chain's starting state there, is left as it is. kernel,
+        the compiled step module the engine hands every sampler, is not
+        used: this draw stays numpy."""
         dim = sources[0].dim
         clip = np.array([src.noise_clip for src in sources])[:, None]
         gains = np.cumprod([np.concatenate(([1.0], src.gains))

@@ -343,6 +343,21 @@ def test_mdp_source_teleports_from_goal():
     assert saw_teleport
 
 
+@pytest.mark.parametrize("state", [-1, 25, 3.0, "0", np.float64(1.0)])
+def test_mdp_source_rejects_a_state_out_of_range(state):
+    """A state that is not an integer cell of the maze, [0, n_cells), is
+    refused when the source is built, not by the first sample or draw; an
+    integer one in range, a numpy integer included, is kept."""
+    maze = parse_maze("S....\n.....\n..#..\n.....\n....G\n")
+    with pytest.raises(SourceError, match="initial state out of range"):
+        MDPSource(maze=maze, state=state)
+    for state in (0, 24, np.int64(7)):
+        src = MDPSource(maze=maze, state=state)
+        assert src.state == state
+        src.sample_block(derive_stream(0, 0, "sample"), 3)
+    assert MDPSource(maze=maze).state == maze.start
+
+
 def test_mdp_source_visits_all_free_cells():
     maze = parse_maze("S....\n.##..\n..#..\n.#...\n....G\n")
     src = MDPSource(maze=maze)

@@ -25,6 +25,8 @@ from dcsa import _build, operators
 from dcsa.core import _SHORT_ROW
 from dcsa.operators import (TabularFeatures, qlearning_block_drift,
                             quadratic_block_drift)
+from dcsa.rng import derive_stream
+from dcsa.sources import ARSource, MDPSource, parse_maze
 from strategies import (DEFAULT_NAN, GAMMAS, fill_walk, signed_zeros,
                         special_values, step_each)
 
@@ -293,9 +295,9 @@ def test_compiled_deviations_rejects_mismatched_arrays():
         call(S=shared[:rows], dev=shared[:rows * n * d].reshape(rows, n, d))
 
 
-def read_only(shape):
+def read_only(shape, dtype=float):
     """Zeros that numpy will not export as a writable buffer."""
-    a = np.zeros(shape)
+    a = np.zeros(shape, dtype)
     a.setflags(write=False)
     return a
 
@@ -426,6 +428,246 @@ def test_compiled_step_rejects_mismatched_arrays():
         qlearning(theta=np.zeros(7), iterates=np.zeros(T * 7))
     with pytest.raises(TypeError):
         qlearning(gamma="0.5")
+
+
+# a sampler's chained blocks, as the engine draws them into one pair of
+# buffers of SAMPLER_ROWS rows: a short block, an empty one, full ones and
+# a lone step
+SAMPLER_BLOCKS = [37, 0, 128, 1, 128, 37]
+SAMPLER_ROWS = 128
+# R sources of a stack: one, GridWorld's three, system-id's ten and the
+# lemma-4 ensemble's 90
+N_SOURCES = [1, 3, 10, 90]
+
+
+def same_draws(block_sampler, make, buffers, first_row):
+    """Two like stacks of (sources, streams) from make(), one drawn by
+    block_sampler's numpy draw and one by its compiled draw on
+    operators.STEP, through the chained SAMPLER_BLOCKS into two like pairs
+    of buffers: after every block, the views each draw returns, the whole
+    buffers, the sources' states and the streams are equal, and each
+    buffer's rows from first_row(T) on, past the block, are left as they
+    were."""
+    (numpy_sources, numpy_rngs), (sources, rngs) = make(), make()
+    numpy_draw = block_sampler(numpy_sources, numpy_rngs)
+    draw = block_sampler(sources, rngs, operators.STEP)
+    expected, got = buffers(), buffers()
+    for T in SAMPLER_BLOCKS:
+        past = [x[row:].copy() for x, row in zip(got, first_row(T))]
+        views = zip(numpy_draw(T, expected), draw(T, got), strict=True)
+        assert all(a.tobytes() == b.tobytes() for a, b in views)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(expected, got))
+        assert all(x[row:].tobytes() == p.tobytes()
+                   for x, row, p in zip(got, first_row(T), past))
+        for a, b in zip(numpy_sources, sources, strict=True):
+            assert (np.asarray(a.state).tobytes()
+                    == np.asarray(b.state).tobytes())
+        for a, b in zip(numpy_rngs, rngs):
+            assert a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 9])
+@pytest.mark.parametrize("n_sources", N_SOURCES)
+def test_compiled_ar_block_matches_numpy_draw(d, n_sources):
+    """ARSource.block_sampler's compiled draw (ar_block) writes the numpy
+    draw's bytes, at d on both sides of _SHORT_ROW, where every row sum but
+    S chains: sources of mixed clips, of gains that include +-0.0 and
+    negative ones, so that X(1) holds signed zeros, of u with zeros, and
+    half of them starting from a state of their own."""
+    def make():
+        rng = np.random.default_rng([d, n_sources])
+        sources = []
+        for i in range(n_sources):
+            u = rng.standard_normal(d)
+            u[rng.random(d) < 0.2] = 0.0
+            sources.append(ARSource(
+                gains=rng.choice([0.0, -0.0, -0.7, 0.5, 1.3], d - 1), u=u,
+                noise_clip=[0.5, 1.0, 3.0][i % 3],
+                state=rng.standard_normal(d) if i % 2 else None))
+        return sources, [derive_stream(7, i, "sample")
+                         for i in range(n_sources)]
+
+    same_draws(ARSource.block_sampler, make,
+               lambda: (np.full((SAMPLER_ROWS + 1, n_sources, d), 7.0),
+                        np.full((SAMPLER_ROWS, n_sources), 7.0)),
+               lambda T: (T + 1, T))
+
+
+# mazes of 3 to 25 cells: one whose goal is next to its start, so that its
+# walks teleport often, and obstacles and walls that keep a walk in place
+SAMPLER_MAZES = ["SG\n..", "S.#\n..#\n#.G",
+                 "S....\n...#.\n.....\n.#...\n....G", "S.G"]
+
+
+@pytest.mark.parametrize("n_sources", N_SOURCES)
+def test_compiled_mdp_walk_matches_numpy_draw(n_sources):
+    """MDPSource.block_sampler's compiled draw (mdp_walk) writes the numpy
+    draw's bytes, over sources on mazes of different sizes, half of them
+    first walked a few steps so that a block need not start at the
+    start."""
+    def make():
+        sources, rngs = [], []
+        for i in range(n_sources):
+            src = MDPSource(maze=parse_maze(SAMPLER_MAZES[i % 4]))
+            rng = derive_stream(11, i, "sample")
+            for _ in range(i % 2 * (i % 5)):
+                src.sample(rng)
+            sources.append(src)
+            rngs.append(rng)
+        return sources, rngs
+
+    same_draws(MDPSource.block_sampler, make,
+               lambda: (np.full((SAMPLER_ROWS, 3, n_sources), -5, np.intp),
+                        np.full((SAMPLER_ROWS, n_sources), 7.0)),
+               lambda T: (T, T))
+
+
+def test_compiled_samplers_reject_mismatched_arrays():
+    """ar_block and mdp_walk check their arguments' types, shapes and
+    overlaps before the first write, and mdp_walk every state, action and
+    table entry too, so a wrong call raises TypeError or ValueError instead
+    of reading or writing past a buffer, and leaves the buffers it writes,
+    and the states, as they were."""
+    step = operators.STEP
+    if step is None:
+        assert not compiler_found()
+        return
+    R, T, d, rows = 3, 4, 3, 5
+
+    def checked(entry, args, change, written):
+        args.update(change)
+        before = {name: args[name].copy() for name in written
+                  if isinstance(args[name], np.ndarray)}
+        try:
+            entry(*args.values())
+        except (TypeError, ValueError):
+            for name, copy in before.items():
+                assert args[name].tobytes() == copy.tobytes()
+            raise
+
+    def ar(**change):
+        checked(step.ar_block,
+                dict(noise=np.random.default_rng(0).standard_normal((R, T, 2)),
+                     clip=np.full(R, 3.0), gains=np.full((R, d - 1), 0.5),
+                     u=np.ones((R, d)), state=np.ones((R, d)),
+                     x=np.full((rows + 1, R, d), 7.0),
+                     x2=np.full((rows, R), 7.0)), change, ["x", "x2"])
+
+    ar()
+    ar(x=np.zeros((T + 1, R, d)), x2=np.zeros((T, R)))   # rows = T
+    with pytest.raises(TypeError):
+        step.ar_block(np.zeros((R, T, 2)))
+    for change in [dict(noise=np.zeros((R, T, 2), np.float32)),
+                   dict(x=np.zeros((rows + 1, R, d), np.intp)),
+                   dict(x2=np.zeros((rows, R), np.float32)),
+                   dict(state=np.ones((R, d)).tolist())]:
+        with pytest.raises(TypeError):
+            ar(**change)
+    for change in [dict(noise=np.zeros((R, 2 * T, 2))[:, ::2]),
+                   dict(x=np.zeros((rows + 1, R, 2 * d))[..., ::2]),
+                   dict(x=read_only((rows + 1, R, d))),
+                   dict(noise=np.zeros((R, T, 3))),
+                   dict(noise=np.zeros((R, 2 * T))),
+                   dict(noise=np.zeros((0, T, 2)), clip=np.zeros(0),
+                        gains=np.zeros((0, d - 1)), u=np.zeros((0, d)),
+                        state=np.zeros((0, d)), x=np.zeros((rows + 1, 0, d)),
+                        x2=np.zeros((rows, 0))),
+                   dict(x=np.zeros((T, R, d))),   # row 0 is the state's
+                   dict(x2=np.zeros((T - 1, R))),
+                   dict(clip=np.full(R + 1, 3.0)),
+                   dict(gains=np.full((R - 1, d - 1), 0.5)),
+                   dict(gains=np.full((R, d), 0.5)),
+                   dict(u=np.ones((R, d + 1))),
+                   dict(u=np.ones(R * d)),
+                   dict(state=np.ones((R - 1, d))),
+                   dict(state=np.ones((R, d - 1))),
+                   dict(x=np.zeros((rows + 1, R + 1, d))),
+                   dict(x=np.zeros((rows + 1, R, d - 1))),
+                   dict(x2=np.zeros((rows, R + 1))),
+                   dict(x2=np.zeros(rows * R))]:
+        with pytest.raises(ValueError):
+            ar(**change)
+    shared = np.zeros((rows + 1) * R * d + rows * R)
+    x = shared[:(rows + 1) * R * d].reshape(rows + 1, R, d)
+    for change in [dict(x=x, x2=shared[R:R + rows * R].reshape(rows, R)),
+                   dict(x=x, state=x[0]),
+                   dict(x=x, noise=shared[:R * T * 2].reshape(R, T, 2))]:
+        with pytest.raises(ValueError, match="overlap"):
+            ar(**change)
+
+    maze = parse_maze("S.\n.G")   # 4 cells of 4 actions: 16 entries
+    nxt, rew, after = (np.array(column * R, dtype)
+                       for column, dtype in zip(maze.transitions,
+                                                (np.intp, float, np.intp)))
+
+    def mdp(**change):
+        checked(step.mdp_walk,
+                dict(actions=[np.arange(T, dtype=np.intp) % 4] * R,
+                     n_actions=4, after=after, next_states=nxt, rewards=rew,
+                     starts=np.arange(R + 1, dtype=np.intp) * 16,
+                     state=np.array([0, 1, 2], np.intp),
+                     walk=np.full((rows, 3, R), -5, np.intp),
+                     reward=np.full((rows, R), 7.0)),
+                change, ["state", "walk", "reward"])
+
+    mdp()
+    mdp(actions=[np.zeros(0, np.intp)] * R)   # an empty block
+    with pytest.raises(TypeError):
+        step.mdp_walk([np.zeros(T, np.intp)] * R, 4)
+    bad_last = [np.zeros(T, np.intp)] * (R - 1) + [np.array([0, 1, 2, 4])]
+    for change in [dict(walk=np.zeros((rows, 3, R))),
+                   dict(reward=np.zeros((rows, R), np.intp)),
+                   dict(state=np.zeros(R)),
+                   dict(state=np.zeros(R, np.int32)),
+                   dict(after=after.astype(float)),
+                   dict(actions=[np.zeros(T, np.int32)] * R),
+                   dict(actions=[np.zeros(T)] * R),
+                   dict(actions=[[0] * T] * R),
+                   dict(actions=7),
+                   dict(n_actions=4.0)]:
+        with pytest.raises(TypeError):
+            mdp(**change)
+    for change in [dict(walk=np.zeros((rows, 3, 2 * R), np.intp)[..., ::2]),
+                   dict(walk=read_only((rows, 3, R), np.intp)),
+                   dict(actions=[np.zeros(2 * T, np.intp)[::2]] * R),
+                   dict(walk=np.zeros((T - 1, 3, R), np.intp)),
+                   dict(walk=np.zeros((rows, 2, R), np.intp)),
+                   dict(walk=np.zeros((rows, 3 * R), np.intp)),
+                   dict(reward=np.zeros((T - 1, R))),
+                   dict(walk=np.zeros((rows, 3, R + 1), np.intp)),
+                   dict(reward=np.zeros((rows, R - 1))),
+                   dict(state=np.zeros(R + 1, np.intp)),
+                   dict(starts=np.arange(R, dtype=np.intp) * 16),
+                   dict(actions=[np.zeros(T, np.intp)] * (R - 1)),
+                   dict(actions=[]),
+                   dict(actions=[np.zeros(T, np.intp)] * (R - 1)
+                        + [np.zeros(T - 1, np.intp)]),
+                   dict(actions=[np.zeros((1, T), np.intp)] * R),
+                   dict(rewards=rew[:-1]),
+                   dict(next_states=nxt[1:]),
+                   dict(n_actions=0),
+                   # out of range: a state, an action, a table entry, a table
+                   dict(state=np.array([0, 4, 0], np.intp)),
+                   dict(state=np.array([0, 0, -1], np.intp)),
+                   dict(actions=bad_last),
+                   dict(actions=[np.full(T, -1, np.intp)] * R),
+                   dict(after=np.where(np.arange(3 * 16) == 40, 4, after)),
+                   dict(after=np.where(np.arange(3 * 16) == 5, -1, after)),
+                   dict(starts=np.array([0, 16, 8, 48], np.intp)),
+                   dict(starts=np.array([0, 16, 32, 64], np.intp)),
+                   dict(starts=np.array([-16, 0, 16, 32], np.intp)),
+                   dict(starts=np.array([-2**62, 0, 2**62, 48], np.intp)),
+                   dict(n_actions=5)]:
+        with pytest.raises(ValueError):
+            mdp(**change)
+    shared = np.zeros(rows * 3 * R + rows * R, np.intp)
+    walk = shared[:rows * 3 * R].reshape(rows, 3, R)
+    for change in [dict(walk=walk, reward=shared[-rows * R - 1:-1].view(
+                       np.float64).reshape(rows, R)),
+                   dict(walk=walk, state=walk[0, 0]),
+                   dict(walk=walk, actions=[walk.reshape(-1)[:T]] * R)]:
+        with pytest.raises(ValueError, match="overlap"):
+            mdp(**change)
 
 
 def test_compiled_step_loads_where_a_compiler_runs():
